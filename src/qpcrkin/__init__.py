@@ -31,7 +31,6 @@ from qpcrkin.limit_law import (
     PointMassError,
     limit_density,
     limit_mgf,
-    limit_sum_density,
     limit_variance,
     sample_limit,
 )

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -148,10 +148,14 @@ def observe(
     v_known: float | None = None,
     max_kappas: int = MAX_KAPPAS,
 ) -> Observation:
-    """Reduce a trajectory to its detection-time observation."""
+    """Detection-time observation; tau is centred with v_known if given."""
     if max_kappas < 1:
         raise ValueError("max_kappas must be positive")
     n_hit, tau = hitting_time(traj, rho)
+    if v_known is not None:
+        if not 0.0 < v_known <= 1.0:
+            raise ValueError("v_known must be in (0, 1]")
+        tau = n_hit - _log_scale_cycles(traj.kinetics.K, 1.0 + v_known)
     x = densities(traj)
     kappas = x[n_hit : n_hit + max_kappas]
     return Observation(
@@ -310,21 +314,8 @@ def copy_profile(
     return prof[:, 0] if scalar else prof
 
 
-def estimate_copies_mle(
-    t: float,
-    v: float,
-    z_max: int | None = None,
-    count: int = 10 ** 4,
-    seed: int = 0,
-    n_gen: int | None = None,
-) -> int:
-    """Maximum-likelihood copy number over the integer scan 1..z_max.
-
-    Ties break toward the smaller candidate.  A peak at z_max triggers
-    BoundaryWarning since the true maximizer may lie beyond the scan;
-    if every candidate has vanishing density at t the scan aborts with
-    OutOfSupportError carrying the nearest sampled value.
-    """
+def _scan(t, v, z_max, count, seed, n_gen) -> tuple[int, np.ndarray]:
+    """Likelihood scan over z = 1..z_max: (maximizer, profile at t)."""
     prof = copy_profile(t, v, z_max=z_max, count=count, seed=seed, n_gen=n_gen)
     if not np.any(prof > 0.0):
         nearest_z, nearest_sample, best = 0, math.inf, math.inf
@@ -348,7 +339,25 @@ def estimate_copies_mle(
             f"likelihood peaked at the scan boundary z_max={prof.size}",
             BoundaryWarning,
         )
-    return z_hat
+    return z_hat, prof
+
+
+def estimate_copies_mle(
+    t: float,
+    v: float,
+    z_max: int | None = None,
+    count: int = 10 ** 4,
+    seed: int = 0,
+    n_gen: int | None = None,
+) -> int:
+    """Maximum-likelihood copy number over the integer scan 1..z_max.
+
+    Ties break toward the smaller candidate.  A peak at z_max triggers
+    BoundaryWarning since the true maximizer may lie beyond the scan;
+    if every candidate has vanishing density at t the scan aborts with
+    OutOfSupportError carrying the nearest sampled value.
+    """
+    return _scan(t, v, z_max, count, seed, n_gen)[0]
 
 
 @dataclass(frozen=True)
@@ -389,10 +398,10 @@ def estimate_from_trajectory(
 ) -> EstimateReport:
     """Run the whole chain: detect, recover limit observables, estimate.
 
-    The efficiency used for inversion is v_known when given, otherwise
-    the fitted value (fit_efficiency=True).  At efficiency 1 the exact
-    inversion fills z_hat_mle; below 1 the likelihood scan does, when
-    run_mle is set.
+    The efficiency used for inversion, and for centring tau, is v_known
+    when given, otherwise the fitted value (fit_efficiency=True).  At
+    efficiency 1 the exact inversion fills z_hat_mle; below 1 the
+    likelihood scan does, when run_mle is set.
     """
     obs = observe(traj, rho, v_known=v_known, max_kappas=max_kappas)
     v_hat = None
@@ -406,6 +415,9 @@ def estimate_from_trajectory(
         )
     if not 0.0 < v_eff <= 1.0:
         raise ValueError(f"fitted efficiency {v_eff:.6g} outside (0, 1]")
+    if v_known is None:
+        tau = obs.n_hit - _log_scale_cycles(obs.K, 1.0 + v_eff)
+        obs = replace(obs, tau=tau)
 
     t_values = limit_observables(obs, v=v_eff, prec=prec)
     t_mean = float(t_values.mean())
@@ -418,15 +430,7 @@ def estimate_from_trajectory(
     elif run_mle:
         if z_max is None:
             z_max = default_z_max(t_mean)
-        profile = copy_profile(
-            t_mean, v_eff, z_max=z_max, count=mle_count, seed=mle_seed
-        )
-        z_mle = int(np.argmax(profile)) + 1
-        if z_mle == z_max:
-            warnings.warn(
-                f"likelihood peaked at the scan boundary z_max={z_max}",
-                BoundaryWarning,
-            )
+        z_mle, profile = _scan(t_mean, v_eff, z_max, mle_count, mle_seed, None)
 
     settings = {
         "rho": rho,

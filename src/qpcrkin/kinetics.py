@@ -8,7 +8,10 @@ units x = z/K the mean of one cycle is
 
 and the whole deterministic theory of the reaction lives in the iterates of
 that map: the saturation profile is the pointwise limit of n-fold iterates
-applied to x/b**n with b = 1 + v.
+applied to x/b**n with b = 1 + v, and its inverse G is the limit of b**n
+times n-fold inverse iterates.  Both stop at a certified depth: after n
+steps the tail is at most c * b**-n, with c = b*x**2 for the profile and
+c = b*G**2 for G.  The transform in qpcrkin.limit_law shares the rule.
 """
 
 from __future__ import annotations
@@ -84,8 +87,9 @@ INVERSE_PRECISION = Precision(tol=1e-8)
 class PrecisionError(RuntimeError):
     """Requested tolerance not reachable within the iteration cap.
 
-    Carries the best value computed so far (``value``) together with its
-    certified error bound (``bound``), or the last bisection ``bracket``.
+    Carries the value computed at the cap (``value``) together with its
+    certified error bound (``bound``); the inverse profile also sets the
+    ``bracket`` (value, value + bound) that holds the true inverse.
     """
 
     def __init__(self, message, value=None, bound=None, bracket=None):
@@ -127,23 +131,37 @@ def iterate_mean_map(x, n: int, kin: Kinetics):
     return float(arr) if np.ndim(x) == 0 else arr
 
 
-def _profile_depth(xmax: float, v: float, tol: float) -> int:
-    # smallest n >= 0 with xmax**2 * b**(1-n) <= tol; the per-step drop of
-    # f_n(x/b**n) is at most v*x**2*b**-n, so the remaining tail after n
-    # steps sums to at most x**2 * b**(1-n).
-    b = 1.0 + v
-    if xmax * xmax * b <= tol:
+def _certified_depth(c: float, b: float, tol: float) -> int:
+    """Smallest n >= 0 with c * b**-n <= tol.
+
+    After n steps H, G and phi are within c * b**-n of their limits, for
+    a c fixed by the argument.  H and phi know c up front and raise
+    PrecisionError past prec.max_iter; G learns c along the way and applies
+    the same test to each element at every step.
+    """
+    if c <= tol:
         return 0
-    return 1 + math.ceil(math.log(xmax * xmax / tol) / math.log(b))
+    return math.ceil(math.log(c / tol) / math.log(b))
+
+
+def _inverse_mean_map(y, b: float):
+    """Inverse of the mean map: the positive root of x**2 + (b-y)*x - y.
+
+    With r = sqrt((b-y)**2 + 4y) it is 2y/((b-y) + r) for y <= b and
+    ((y-b) + r)/2 above, so neither side cancels.
+    """
+    d = b - y
+    r = np.sqrt(d * d + 4.0 * y)
+    return np.where(d >= 0.0, 2.0 * y / (d + r), 0.5 * (r - d))
 
 
 def limit_profile(x, kin: Kinetics, prec: Precision = PROFILE_PRECISION):
     """Saturation profile: limit of n-fold mean-map iterates of x/b**n.
 
-    The returned value lies in [true value, true value + prec.tol]; the
-    iterates converge monotonically from above and the truncation depth is
-    chosen so the certified tail is below prec.tol.  Scalars map to floats,
-    arrays map elementwise.
+    The returned value lies in [true value, true value + prec.tol]: the
+    iterates fall monotonically and their tail after n steps is at most
+    x**2 * b**(1-n), certified at the largest argument.  Scalars map to
+    floats, arrays map elementwise.
 
     Raises PrecisionError when the certified depth exceeds prec.max_iter;
     the exception carries the best value and its tail bound.
@@ -159,100 +177,83 @@ def limit_profile(x, kin: Kinetics, prec: Precision = PROFILE_PRECISION):
 
     v = kin.v
     b = 1.0 + v
-    n = _profile_depth(xmax, v, prec.tol)
+    c = b * xmax * xmax
+    n = _certified_depth(c, b, prec.tol)
     depth = min(n, prec.max_iter)
     u = arr * math.exp(-depth * math.log(b))
     for _ in range(depth):
         u = u + v * u / (1.0 + u)
     if n > prec.max_iter:
-        bound = xmax * xmax * b ** (1 - prec.max_iter)
         raise PrecisionError(
             f"profile needs {n} iterations for tol={prec.tol}, cap is {prec.max_iter}",
             value=float(u) if scalar else u,
-            bound=bound,
+            bound=c * b ** -depth,
         )
     return float(u) if scalar else u
 
 
 def inverse_profile(y, kin: Kinetics, prec: Precision = INVERSE_PRECISION):
-    """Inverse of the saturation profile, by monotone bisection.
+    """Inverse G of the saturation profile, G(y) = lim b**n * f^{-n}(y).
 
-    Since the profile never exceeds its argument, the inverse is bracketed
-    below by y itself; the upper bracket grows geometrically by b until the
-    profile clears y.  Bisection stops when the bracket width is below
-    prec.tol.  Scalars map to floats, arrays map elementwise.
+    The iterates g_n = b**n * f^{-n}(y) rise to G, and x - H(x) <= b*x**2
+    gives G - g_n <= e*G**2 with e = b**(1-n).  Once 4*e*g_n < 1 this
+    certifies G <= r_n = 2*g_n / (1 + sqrt(1 - 4*e*g_n)), so the gap is
+    at most r_n - g_n = e*r_n**2.  Each element is frozen at the first n
+    where that bound is at most prec.tol: the result lies in
+    [true value - prec.tol, true value], and batched and scalar calls
+    agree bitwise.  Scalars map to floats, arrays map elementwise.
+
+    Raises PrecisionError when an element needs more than prec.max_iter
+    steps, with the iterates, their bounds and the bracket of G.
     """
     arr = _as_nonnegative_array(y, "profile value")
     scalar = np.ndim(y) == 0
-    if arr.size == 0:
-        return arr.copy()
-
-    b = 1.0 + kin.v
-    inner = Precision(
-        tol=min(1e-10, prec.tol / 100.0), max_iter=max(prec.max_iter, 100_000)
+    b = kin.b
+    u = arr
+    g = np.zeros_like(arr)
+    bound = np.full_like(arr, np.inf)
+    todo = np.ones(arr.shape, dtype=bool)
+    for n in range(prec.max_iter + 1):
+        if n:
+            u = np.where(todo, _inverse_mean_map(u, b), u)
+        e = b ** (1 - n)
+        gn = u * b ** n
+        q = 4.0 * e * gn
+        r = 2.0 * gn / (1.0 + np.sqrt(np.maximum(1.0 - q, 0.0)))
+        g = np.where(todo, gn, g)
+        bound = np.where(todo, np.where(q < 1.0, e * r * r, np.inf), bound)
+        todo &= bound > prec.tol
+        if not todo.any():
+            return float(g) if scalar else g
+    raise PrecisionError(
+        f"inverse not certified to tol={prec.tol} within {prec.max_iter} steps",
+        value=float(g) if scalar else g,
+        bound=float(bound) if scalar else bound,
+        bracket=(g, g + bound),
     )
-    lo = arr.astype(float).copy()
-    hi = np.maximum(arr, 1e-12)
-    positive = arr > 0.0
-
-    for _ in range(prec.max_iter):
-        short = positive & (limit_profile(hi, kin, inner) < arr)
-        if not short.any():
-            break
-        hi = np.where(short, hi * b, hi)
-    else:
-        raise PrecisionError(
-            "no upper bracket found within max_iter", bracket=(lo, hi)
-        )
-
-    for _ in range(prec.max_iter):
-        width = float((hi - lo).max())
-        if width <= prec.tol:
-            break
-        mid = 0.5 * (lo + hi)
-        below = limit_profile(mid, kin, inner) < arr
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    else:
-        raise PrecisionError(
-            f"bisection did not reach tol={prec.tol} within {prec.max_iter} steps",
-            bracket=(lo, hi),
-        )
-
-    out = np.where(positive, 0.5 * (lo + hi), 0.0)
-    return float(out) if scalar else out
 
 
-def limit_sequence(
-    x0: float,
-    kin: Kinetics,
-    n_lo: int,
-    n_hi: int,
-    prec: Precision | None = None,
-) -> np.ndarray:
+def limit_sequence(x0: float, kin: Kinetics, n_lo: int, n_hi: int) -> np.ndarray:
     """Two-sided deterministic density sequence through x0 at index 0.
 
-    Nonnegative indices iterate the mean map forward from x0.  Negative
-    indices are defined through the conjugacy with linear growth: entry n is
-    the profile evaluated at w*b**n where w is the inverse profile of x0.
-    Returned in index order n_lo..n_hi inclusive.
+    Entry n is f^n(x0) for the mean map f: nonnegative indices iterate f
+    forward from x0 and negative indices iterate its explicit inverse
+    backward, so no limit is involved.  Returned in index order
+    n_lo..n_hi inclusive.
     """
     if n_lo > n_hi:
         raise ValueError("n_lo must not exceed n_hi")
     if not x0 > 0.0:
         raise ValueError("x0 must be positive")
-    if prec is None:
-        prec = Precision(tol=1e-10)
 
     b = 1.0 + kin.v
     out = np.empty(n_hi - n_lo + 1, dtype=float)
 
-    if n_lo < 0:
-        w = inverse_profile(x0, kin, prec)
-        neg_idx = np.arange(n_lo, min(n_hi, -1) + 1)
-        args = w * b ** neg_idx.astype(float)
-        inner = Precision(tol=min(prec.tol, 1e-10), max_iter=prec.max_iter)
-        out[: neg_idx.size] = limit_profile(args, kin, inner)
+    x = float(x0)
+    for n in range(-1, n_lo - 1, -1):
+        x = float(_inverse_mean_map(x, b))
+        if n <= n_hi:
+            out[n - n_lo] = x
 
     if n_hi >= 0:
         x = float(x0)

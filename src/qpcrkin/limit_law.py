@@ -3,8 +3,8 @@
 Normalizing the branching reference by b**n gives a positive martingale
 whose almost-sure limit has mean 1 per starting molecule and variance
 (1-v)/(1+v).  This module samples that limit by deep truncation, evaluates
-its Laplace transform through the offspring fixed-point recursion, and
-estimates densities of sums over several starting molecules.
+its Laplace transform through the offspring fixed-point recursion at a
+certified depth, and estimates its density from samples.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qpcrkin import streams
-from qpcrkin.kinetics import Precision
+from qpcrkin.kinetics import Precision, PrecisionError, _certified_depth
 
 __all__ = [
     "LimitEnsemble",
@@ -27,7 +27,6 @@ __all__ = [
     "sample_limit",
     "limit_mgf",
     "limit_density",
-    "limit_sum_density",
     "default_generations",
     "write_ensemble_csv",
     "read_ensemble_csv",
@@ -165,9 +164,15 @@ def sample_limit(
 def limit_mgf(s, v: float, prec: Precision = MGF_PRECISION):
     """Laplace transform E[exp(-s * limit)] for one starting molecule, s >= 0.
 
-    Evaluated as the limit in n of the n-fold offspring map
-    u -> (1-v)*u + v*u**2 applied to exp(-s/b**n); iteration stops when
-    successive depths agree within prec.tol.  Scalars map to floats.
+    Evaluated as the n-fold offspring map u -> (1-v)*u + v*u**2 applied
+    to exp(-s/b**n), at one depth n.  The seed exp(-x) errs by at most
+    x**2 * var/2 with var = (1-v)/(1+v), and the map's slope is at most b,
+    so the result is within s**2 * var/2 * b**-n of the transform; n is
+    the certified depth for prec.tol (0 at v = 1, where the transform is
+    exp(-s)).  Scalars map to floats, arrays map elementwise.
+
+    Raises PrecisionError when that depth exceeds prec.max_iter; the
+    exception carries the value at the cap and its error bound.
     """
     if not 0.0 < v <= 1.0:
         raise ValueError("efficiency must be in (0, 1]")
@@ -179,18 +184,23 @@ def limit_mgf(s, v: float, prec: Precision = MGF_PRECISION):
         return arr.copy()
 
     b = 1.0 + v
-    prev = None
-    for n in range(1, prec.max_iter + 1):
-        # Complement w = 1 - u keeps relative precision once s/b**n
-        # underflows the spacing of floats near 1; the map is 1 - h(1 - w).
-        w = -np.expm1(-arr / b ** n)
-        for _ in range(n):
-            w = b * w - v * w * w
-        u = 1.0 - w
-        if prev is not None and float(np.max(np.abs(u - prev))) <= prec.tol:
-            return float(u) if scalar else u
-        prev = u
-    raise RuntimeError(f"transform did not stabilize within {prec.max_iter} depths")
+    smax = float(arr.max())
+    c = 0.5 * limit_variance(v) * smax * smax
+    n = _certified_depth(c, b, prec.tol)
+    depth = min(n, prec.max_iter)
+    # Complement w = 1 - u keeps relative precision once s/b**n underflows
+    # the spacing of floats near 1; the map is 1 - h(1 - w).
+    w = -np.expm1(-arr * math.exp(-depth * math.log(b)))
+    for _ in range(depth):
+        w = b * w - v * w * w
+    u = 1.0 - w
+    if n > prec.max_iter:
+        raise PrecisionError(
+            f"transform needs depth {n} for tol={prec.tol}, cap is {prec.max_iter}",
+            value=float(u) if scalar else u,
+            bound=c * b ** -depth,
+        )
+    return float(u) if scalar else u
 
 
 def _silverman_bandwidth(samples: np.ndarray) -> float:
@@ -252,23 +262,6 @@ def limit_density(ens: LimitEnsemble, grid: np.ndarray | None = None) -> Density
     bw = _silverman_bandwidth(ens.samples)
     g = _default_grid(ens.samples) if grid is None else np.asarray(grid, dtype=float)
     return DensityEstimate(g, _kde_values(ens.samples, bw, g), bw)
-
-
-def limit_sum_density(
-    v: float,
-    z: int,
-    count: int = MIN_DENSITY_COUNT,
-    grid: np.ndarray | None = None,
-    seed: int = 0,
-    n_gen: int | None = None,
-) -> DensityEstimate:
-    """Density of the limit summed over z starting molecules.
-
-    A branching trajectory from z molecules is the sum of z independent
-    single-molecule trajectories, so one run per sample realizes the sum.
-    """
-    ens = sample_limit(v, z=z, count=count, seed=seed, n_gen=n_gen)
-    return limit_density(ens, grid)
 
 
 def write_ensemble_csv(ens: LimitEnsemble, path) -> None:

@@ -99,6 +99,19 @@ class TestEstimate:
         assert report.settings["v_known"] == 0.5
         assert len(report.t_values) == 5
 
+    def test_supplied_efficiency_centres_tau(self, tmp_path):
+        # --v differing from the file's efficiency used to fail the
+        # Observation check "tau inconsistent with n_hit and round(log_b K)"
+        traj_path = tmp_path / "traj.csv"
+        assert main(["simulate", "--v", "0.5", "--m", "25", "--z0", "2",
+                     "--seed", "3", "--out", str(traj_path)]) == 0
+        out = tmp_path / "report.json"
+        rc = main(["estimate", "--traj", str(traj_path), "--v", "0.6",
+                   "--no-mle", "--out", str(out)])
+        assert rc == 0
+        report = read_report_json(out)
+        assert report.settings["v_known"] == 0.6
+
     def test_fit_efficiency(self, tmp_path):
         out = tmp_path / "report.json"
         rc = main(["estimate", "--v", "0.5", "--m", "25", "--z0", "2",

@@ -218,7 +218,8 @@ class TestLimitObservables:
         ]
         batch = limit_observables_batch(obs, v=0.5)
         for o, t in zip(obs, batch):
-            # bisection depth depends on the batch, so agreement is to tol
+            # each inverse stops on its own certified bound, so batched
+            # and single calls agree bitwise; atol is only a loose limit
             np.testing.assert_allclose(
                 t, limit_observables(o, v=0.5), rtol=0, atol=2e-8
             )
@@ -394,6 +395,17 @@ class TestReportPipeline:
     def test_needs_v_somewhere(self):
         with pytest.raises(ValueError):
             self.run_once(0.5, 30, 3)
+
+    def test_scan_out_of_support_raises(self):
+        # t is near 40, far beyond the only candidate z=1: the pipeline
+        # must raise like estimate_copies_mle rather than report z=1
+        kin = Kinetics.from_exponent(0.5, 30)
+        traj = simulate_reaction(SimConfig(kin, z0=40, n_cycles=34, seed=1))
+        with pytest.raises(OutOfSupportError):
+            estimate_from_trajectory(
+                traj, rho=0.05, v_known=0.5, run_mle=True, mle_count=1000,
+                z_max=1,
+            )
 
     def test_report_validation(self):
         good = dict(

@@ -13,7 +13,6 @@ from qpcrkin.limit_law import (
     default_generations,
     limit_density,
     limit_mgf,
-    limit_sum_density,
     limit_variance,
     read_ensemble_csv,
     sample_limit,
@@ -159,25 +158,14 @@ class TestDensity:
 
 
 class TestSumDensity:
-    def test_single_molecule_matches_plain_density(self):
-        v, count, seed = 0.5, 10 ** 4, 19
-        grid = np.linspace(0.0, 6.0, 256)
-        a = limit_sum_density(v, 1, count=count, grid=grid, seed=seed)
-        b = limit_density(sample_limit(v, z=1, count=count, seed=seed), grid)
-        assert np.array_equal(a.values, b.values)
-
     def test_large_sum_near_normal(self):
         v, z, count = 0.9, 50, 2 * 10 ** 4
         mu, sd = float(z), math.sqrt(z * limit_variance(v))
         grid = np.linspace(mu - 5 * sd, mu + 5 * sd, 256)
-        est = limit_sum_density(v, z, count=count, grid=grid, seed=23)
+        est = limit_density(sample_limit(v, z=z, count=count, seed=23), grid)
         normal = np.exp(-0.5 * ((grid - mu) / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
         peak = normal.max()
         assert np.max(np.abs(est.values - normal)) < 0.05 * peak
-
-    def test_degenerate_refused(self):
-        with pytest.raises(PointMassError):
-            limit_sum_density(1.0, 3, count=10 ** 4, seed=2)
 
 
 class TestExport:
