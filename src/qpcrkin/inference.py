@@ -288,6 +288,23 @@ def copy_profile(
     stream tagged by z, so profiles are reproducible and candidates
     independent.
     """
+    return _profile(t, v, z_max, count, seed, n_gen)[0]
+
+
+def _nearest_samples(samples: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """The sample closest to each point (at least two samples)."""
+    ordered = np.sort(samples)
+    idx = np.clip(np.searchsorted(ordered, pts), 1, ordered.size - 1)
+    lo, hi = ordered[idx - 1], ordered[idx]
+    return np.where(pts - lo <= hi - pts, lo, hi)
+
+
+def _profile(t, v, z_max, count, seed, n_gen) -> tuple[np.ndarray, np.ndarray]:
+    """copy_profile and, in the same shape, each candidate's sample nearest t.
+
+    Each candidate ensemble is drawn once and serves both the density and
+    the out-of-support diagnosis.
+    """
     pts = np.atleast_1d(np.asarray(t, dtype=float))
     scalar = np.ndim(t) == 0
     if np.any(pts <= 0.0):
@@ -305,29 +322,23 @@ def copy_profile(
         raise ValueError(f"count must be at least {MIN_PROFILE_COUNT}")
 
     prof = np.empty((z_max, pts.size), dtype=float)
+    nearest = np.empty_like(prof)
     for z in range(1, z_max + 1):
-        ens = sample_limit(
+        samples = sample_limit(
             v, z=z, count=count, seed=seed, n_gen=n_gen,
             purpose=streams.MLE_SAMPLING, stream_tag=z,
-        )
-        prof[z - 1] = pointwise_density(ens.samples, pts)
-    return prof[:, 0] if scalar else prof
+        ).samples
+        prof[z - 1] = pointwise_density(samples, pts)
+        nearest[z - 1] = _nearest_samples(samples, pts)
+    return (prof[:, 0], nearest[:, 0]) if scalar else (prof, nearest)
 
 
 def _scan(t, v, z_max, count, seed, n_gen) -> tuple[int, np.ndarray]:
     """Likelihood scan over z = 1..z_max: (maximizer, profile at t)."""
-    prof = copy_profile(t, v, z_max=z_max, count=count, seed=seed, n_gen=n_gen)
+    prof, nearest = _profile(t, v, z_max, count, seed, n_gen)
     if not np.any(prof > 0.0):
-        nearest_z, nearest_sample, best = 0, math.inf, math.inf
-        for z in range(1, prof.size + 1):
-            ens = sample_limit(
-                v, z=z, count=count, seed=seed, n_gen=n_gen,
-                purpose=streams.MLE_SAMPLING, stream_tag=z,
-            )
-            idx = int(np.argmin(np.abs(ens.samples - t)))
-            gap = abs(float(ens.samples[idx]) - float(t))
-            if gap < best:
-                best, nearest_z, nearest_sample = gap, z, float(ens.samples[idx])
+        idx = int(np.argmin(np.abs(nearest - t)))
+        nearest_z, nearest_sample = idx + 1, float(nearest[idx])
         raise OutOfSupportError(
             f"t={t} is outside the sampled support of every candidate; "
             f"closest sample {nearest_sample:.6g} at z={nearest_z}",

@@ -101,6 +101,8 @@ class PrecisionError(RuntimeError):
 
 def _as_nonnegative_array(x, name):
     arr = np.asarray(x, dtype=float)
+    if arr.size and not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
     if arr.size and np.any(arr < 0.0):
         raise ValueError(f"{name} must be nonnegative")
     return arr

@@ -15,7 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from qpcrkin import streams
-from qpcrkin.kinetics import Precision, PrecisionError, _certified_depth
+from qpcrkin.kinetics import (
+    Precision,
+    PrecisionError,
+    _as_nonnegative_array,
+    _certified_depth,
+)
 
 __all__ = [
     "LimitEnsemble",
@@ -23,6 +28,7 @@ __all__ = [
     "PointMassError",
     "MGF_PRECISION",
     "TRUNCATION_SCALE",
+    "BLOCK_SIZE",
     "limit_variance",
     "sample_limit",
     "limit_mgf",
@@ -38,6 +44,11 @@ TRUNCATION_SCALE = 10 ** 6
 
 #: generation cap guarding absurd requests at tiny efficiencies
 MAX_GENERATIONS = 100_000
+
+#: samples per Philox block: sample i is lane i % BLOCK_SIZE of block
+#: i // BLOCK_SIZE.  Every ensemble size the package asks for (the scan
+#: floor, the default 10**4) is a multiple, so no drawn lane is discarded.
+BLOCK_SIZE = 1000
 
 MGF_PRECISION = Precision(tol=1e-12, max_iter=10_000)
 
@@ -127,9 +138,12 @@ def sample_limit(
     """Sample the scaled-growth limit by truncating at depth n_gen.
 
     Each sample runs an independent branching trajectory from z molecules
-    for n_gen generations and scales by b**n_gen; replicate i draws from
-    its own stream.  n_gen defaults to the smallest depth with
-    b**n_gen >= 10**6.
+    for n_gen generations and scales by b**n_gen.  Sample i is lane
+    i % BLOCK_SIZE of block i // BLOCK_SIZE; block k is the stream keyed
+    (seed, purpose, replicate=k, aux=stream_tag) and advances all its
+    lanes with one array binomial per generation.  Whole blocks are drawn
+    and the result cut to count, so the first samples do not depend on
+    count.  n_gen defaults to the smallest depth with b**n_gen >= 10**6.
     """
     if not 0.0 < v <= 1.0:
         raise ValueError("efficiency must be in (0, 1]")
@@ -147,18 +161,21 @@ def sample_limit(
             )
         if n_gen > MAX_GENERATIONS:
             raise ValueError("n_gen beyond the generation cap")
+    # lanes are int64: keep the mean count z*b**n_gen 64-fold below overflow
+    if math.log(z) + n_gen * math.log1p(v) > 57 * math.log(2.0):
+        raise ValueError(f"z={z} at n_gen={n_gen} overflows the int64 molecule count")
 
     scale = math.exp(-n_gen * math.log1p(v))
-    out = np.empty(count, dtype=float)
+    blocks = -(-count // BLOCK_SIZE)
+    out = np.empty((blocks, BLOCK_SIZE), dtype=float)
     pool = streams.ReusableStream()
-    for i in range(count):
-        gen = pool.reset(seed, purpose, i, stream_tag)
-        binom = gen.binomial
-        y = z
+    for k in range(blocks):
+        binom = pool.reset(seed, purpose, k, stream_tag).binomial
+        y = np.full(BLOCK_SIZE, z, dtype=np.int64)
         for _ in range(n_gen):
             y += binom(y, v)
-        out[i] = y * scale
-    return LimitEnsemble(out, v=v, z=z, n_gen=n_gen, seed=seed)
+        out[k] = y * scale
+    return LimitEnsemble(out.ravel()[:count], v=v, z=z, n_gen=n_gen, seed=seed)
 
 
 def limit_mgf(s, v: float, prec: Precision = MGF_PRECISION):
@@ -176,10 +193,8 @@ def limit_mgf(s, v: float, prec: Precision = MGF_PRECISION):
     """
     if not 0.0 < v <= 1.0:
         raise ValueError("efficiency must be in (0, 1]")
-    arr = np.asarray(s, dtype=float)
+    arr = _as_nonnegative_array(s, "s")
     scalar = np.ndim(s) == 0
-    if arr.size and np.any(arr < 0.0):
-        raise ValueError("s must be nonnegative")
     if arr.size == 0:
         return arr.copy()
 

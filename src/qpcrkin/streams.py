@@ -1,10 +1,21 @@
 """Counter-based RNG streams for reproducible, parallel-safe replicates.
 
-Each replicate of each kind of randomness gets its own Philox stream whose
-128-bit key packs (seed, purpose, aux, replicate).  Streams with distinct
-keys are statistically independent, so replicates can run in any order or
-in parallel without draw-order coupling, and a replicate's draws depend
-only on its own key.
+Every stream is a Philox generator whose 128-bit key packs (seed,
+purpose, aux, replicate).  Streams with distinct keys are statistically
+independent, so the units they feed can run in any order or in parallel
+without draw-order coupling, and a unit's draws depend only on its key.
+
+What one replicate index names depends on the consumer:
+
+- The trajectory simulators give each trajectory its own stream,
+  replicate = the trajectory's replicate_id.
+- Growth-limit ensembles (limit_law.sample_limit) draw in blocks of
+  limit_law.BLOCK_SIZE samples: sample i is lane i % BLOCK_SIZE of the
+  stream with replicate = i // BLOCK_SIZE and aux = the ensemble's
+  stream_tag.  A block's lanes share its stream in lockstep, one array
+  binomial per generation, so a single sample is reproducible only
+  together with its block, and the first n samples of an ensemble are
+  the same for every count >= n.
 """
 
 from __future__ import annotations
@@ -53,14 +64,14 @@ def stream(seed: int, purpose: int, replicate: int, aux: int = 0) -> np.random.G
 
 
 class ReusableStream:
-    """One generator recycled across the replicates of a hot loop.
+    """One generator recycled across the replicates or blocks of a loop.
 
-    Constructing a fresh Philox per replicate costs several microseconds;
+    Constructing a fresh Philox per key costs several microseconds;
     rewinding the state of a single one costs a fraction of that.  reset()
     rewinds to the stream identified by the key and returns the shared
     generator, whose draws then match stream() with the same key exactly.
     Any handle returned by an earlier reset() is invalidated, so consume
-    one replicate fully before resetting.
+    one key's draws fully before resetting.
     """
 
     def __init__(self):

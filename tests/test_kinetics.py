@@ -104,6 +104,20 @@ class TestMeanMap:
         assert out[0] == 0.0
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "fn, name",
+        [(mean_map, "density"), (limit_profile, "density"),
+         (inverse_profile, "profile value")],
+    )
+    def test_typed_error_naming_the_argument(self, fn, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            fn(bad, kin(0.5))
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            fn(np.array([0.5, bad]), kin(0.5))
+
+
 class TestIterate:
     def test_zero_iterations(self):
         assert iterate_mean_map(0.7, 0, kin(0.5)) == 0.7

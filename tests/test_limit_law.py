@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from qpcrkin import streams
 from qpcrkin.kinetics import Precision
 from qpcrkin.limit_law import (
+    BLOCK_SIZE,
     DensityEstimate,
     LimitEnsemble,
     PointMassError,
@@ -26,6 +28,7 @@ class TestSampling:
         ens = sample_limit(1.0, z=3, count=50, seed=1)
         assert np.all(ens.samples == 3.0)
         assert ens.n_gen == 20  # 2**20 is the first power above 10**6
+        assert np.all(sample_limit(1.0, z=7, count=2500, seed=2).samples == 7.0)
 
     def test_default_depth_reaches_scale(self):
         for v in (0.25, 0.5, 0.9):
@@ -72,6 +75,45 @@ class TestSampling:
             LimitEnsemble(np.array([0.5, 0.0]), v=0.5, z=1, n_gen=35)
 
 
+class TestBlockLayout:
+    def test_prefix_stable(self):
+        long = sample_limit(0.5, count=2500, seed=4).samples
+        assert np.array_equal(long[:1000], sample_limit(0.5, count=1000, seed=4).samples)
+        assert np.array_equal(long[:2000], sample_limit(0.5, count=2000, seed=4).samples)
+
+    def test_block_is_one_stream(self):
+        # block 1 advances its lanes in lockstep on the stream of replicate 1
+        v, n_gen = 0.5, 35
+        gen = streams.stream(4, streams.GROWTH_LIMIT, 1, 0)
+        y = np.full(BLOCK_SIZE, 2, dtype=np.int64)
+        for _ in range(n_gen):
+            y += gen.binomial(y, v)
+        got = sample_limit(v, z=2, count=2 * BLOCK_SIZE, seed=4, n_gen=n_gen).samples
+        assert np.array_equal(got[BLOCK_SIZE:], y * math.exp(-n_gen * math.log1p(v)))
+
+    def test_tag_and_purpose_select_distinct_blocks(self):
+        base = sample_limit(0.5, count=1000, seed=4).samples
+        tagged = sample_limit(0.5, count=1000, seed=4, stream_tag=1).samples
+        other = sample_limit(0.5, count=1000, seed=4, purpose=streams.REFERENCE).samples
+        assert not np.array_equal(base, tagged)
+        assert not np.array_equal(base, other)
+        assert not np.array_equal(tagged, other)
+
+    def test_mean_calibrated_across_seeds(self):
+        # standardised means of independent ensembles are close to N(0, 1)
+        v, count = 0.5, 1000
+        zs = []
+        for seed in range(200):
+            w = sample_limit(v, count=count, seed=seed).samples
+            zs.append((w.mean() - 1.0) / math.sqrt(w.var(ddof=1) / count))
+        assert abs(np.mean(zs)) < 0.25
+        assert 0.85 <= np.std(zs, ddof=1) <= 1.15
+
+    def test_overflowing_depth_refused(self):
+        with pytest.raises(ValueError, match="int64"):
+            sample_limit(1.0, count=10, n_gen=60)
+
+
 class TestTransform:
     def test_at_zero(self):
         assert limit_mgf(0.0, 0.5) == 1.0
@@ -115,6 +157,13 @@ class TestTransform:
     def test_rejects_negative_argument(self):
         with pytest.raises(ValueError):
             limit_mgf(-0.1, 0.5)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_argument(self, bad):
+        with pytest.raises(ValueError, match="s must be finite"):
+            limit_mgf(bad, 0.5)
+        with pytest.raises(ValueError, match="s must be finite"):
+            limit_mgf(np.array([1.0, bad]), 0.5)
 
 
 class TestDensity:
