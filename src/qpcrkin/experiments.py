@@ -2,7 +2,7 @@
 
 Three scenario kinds: convergence (trajectory densities at the scale
 cycle against the limit profile of the growth limit), estimation (the
-full detection-and-inversion chain, replicate by replicate), and
+full detection-and-inversion chain over all replicates at once), and
 coupling (pathwise order checks plus the scaled gap between the linear
 and saturating processes).  A fourth kind emits profile curves on a
 grid for plotting.  Every runner is bit-reproducible from its scenario:
@@ -33,15 +33,15 @@ from .simulate import (
     SimConfig,
     order_violations,
     simulate_coupled,
-    simulate_reaction,
+    simulate_replicates,
 )
 from .limit_law import sample_limit
 from .inference import (
-    NotDetectedError,
+    _log_scale_cycles,
+    efficiency_rows,
     estimate_copies_normal,
-    estimate_efficiency,
-    limit_observables_batch,
-    observe,
+    limit_observables_rows,
+    observe_rows,
 )
 
 __all__ = [
@@ -186,15 +186,9 @@ def run_convergence(spec: ScenarioSpec) -> ExperimentResult:
     kin = Kinetics.from_exponent(spec.v, spec.m)
     n_cycles = spec.m + spec.shift
 
-    x_m = np.empty(spec.replicates, dtype=float)
-    x_shift = np.empty(spec.replicates, dtype=float) if spec.shift else None
-    for i in range(spec.replicates):
-        cfg = SimConfig(kin, z0=spec.z0, n_cycles=n_cycles,
-                        seed=spec.seed, replicate_id=i)
-        traj = simulate_reaction(cfg)
-        x_m[i] = traj.counts[spec.m] / kin.K
-        if spec.shift:
-            x_shift[i] = traj.counts[n_cycles] / kin.K
+    counts = simulate_replicates(kin, spec.z0, n_cycles, spec.replicates, spec.seed)
+    x_m = counts[:, spec.m] / kin.K
+    x_shift = counts[:, n_cycles] / kin.K if spec.shift else None
 
     ref = _reference_profile_sample(spec, kin)
     ks_main = ks_distance(x_m, ref)
@@ -207,12 +201,12 @@ def run_convergence(spec: ScenarioSpec) -> ExperimentResult:
         "trajectory_deciles": [float(q) for q in np.percentile(x_m, deciles)],
         "reference_deciles": [float(q) for q in np.percentile(ref, deciles)],
     }
-    records = [{"replicate": i, "x_m": float(x_m[i])} for i in range(spec.replicates)]
+    records = [{"replicate": i, "x_m": x} for i, x in enumerate(x_m.tolist())]
     if spec.shift:
         ref_shifted = iterate_mean_map(ref, spec.shift, kin)
         summary["ks_shifted"] = ks_distance(x_shift, ref_shifted)
-        for i, rec in enumerate(records):
-            rec["x_shifted"] = float(x_shift[i])
+        for rec, x in zip(records, x_shift.tolist()):
+            rec["x_shifted"] = x
     return ExperimentResult(
         kind=spec.kind, spec=spec.to_json_dict(), summary=summary,
         records=records, runtime_seconds=time.perf_counter() - start,
@@ -234,60 +228,41 @@ def run_estimation(spec: ScenarioSpec) -> ExperimentResult:
     kin = Kinetics.from_exponent(spec.v, spec.m)
     n_cycles = spec.m + spec.extra_cycles
 
-    observations = []
-    replicate_ids = []
-    missed = 0
-    for i in range(spec.replicates):
-        cfg = SimConfig(kin, z0=spec.z0, n_cycles=n_cycles,
-                        seed=spec.seed, replicate_id=i)
-        traj = simulate_reaction(cfg)
-        try:
-            obs = observe(traj, spec.rho, v_known=spec.v)
-        except NotDetectedError:
-            missed += 1
-            continue
-        observations.append(obs)
-        replicate_ids.append(i)
+    counts = simulate_replicates(kin, spec.z0, n_cycles, spec.replicates, spec.seed)
+    n_hit, kappas = observe_rows(counts / kin.K, spec.rho)
+    replicate_ids = np.flatnonzero(n_hit >= 0)
+    kappas = kappas[replicate_ids]
+    tau = n_hit[replicate_ids] - _log_scale_cycles(kin.K, kin.b)
 
     records = []
     summary = {
         "replicates": spec.replicates,
-        "detected": len(observations),
-        "missed": missed,
+        "detected": int(replicate_ids.size),
+        "missed": int(spec.replicates - replicate_ids.size),
         "z0": spec.z0,
         "z_hat_mode": None,
         "fraction_within_one": None,
         "t_vs_limit_ks": None,
         "v_hat_median": None,
     }
-    if observations:
-        ts = limit_observables_batch(observations, v=spec.v)
-        t_means = np.array([float(t.mean()) for t in ts])
+    if replicate_ids.size:
+        t_means = np.nanmean(limit_observables_rows(kappas, tau, kin), axis=1)
         if spec.v == 1.0:
             z_hats = np.maximum(1, np.rint(t_means).astype(int))
         else:
-            z_hats = np.array([
-                estimate_copies_normal(t, spec.v, integer=True) for t in t_means
-            ])
-        v_hats = None
-        if spec.fit_efficiency:
-            v_hats = np.array([
-                estimate_efficiency(o.kappas) if o.kappas.size >= 2 else np.nan
-                for o in observations
-            ])
-        for idx, (i, obs) in enumerate(zip(replicate_ids, observations)):
-            rec = {
-                "replicate": i,
-                "tau": obs.tau,
-                "t_mean": float(t_means[idx]),
-                "z_hat": int(z_hats[idx]),
-            }
-            if v_hats is not None and not math.isnan(v_hats[idx]):
-                rec["v_hat"] = float(v_hats[idx])
-            records.append(rec)
+            z_hats = estimate_copies_normal(t_means, spec.v, integer=True)
+        v_hats = efficiency_rows(kappas) if spec.fit_efficiency else None
+        columns = zip(replicate_ids.tolist(), tau.tolist(), t_means.tolist(),
+                      z_hats.tolist())
+        records = [{"replicate": i, "tau": tau_i, "t_mean": t, "z_hat": z}
+                   for i, tau_i, t, z in columns]
+        if v_hats is not None:
+            for rec, v_hat in zip(records, v_hats.tolist()):
+                if not math.isnan(v_hat):
+                    rec["v_hat"] = v_hat
 
-        values, counts = np.unique(z_hats, return_counts=True)
-        summary["z_hat_mode"] = int(values[np.argmax(counts)])
+        values, freq = np.unique(z_hats, return_counts=True)
+        summary["z_hat_mode"] = int(values[np.argmax(freq)])
         summary["fraction_within_one"] = float(
             np.mean(np.abs(z_hats - spec.z0) <= 1)
         )

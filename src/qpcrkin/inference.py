@@ -41,9 +41,12 @@ __all__ = [
     "EstimateReport",
     "hitting_time",
     "observe",
+    "observe_rows",
     "estimate_efficiency",
+    "efficiency_rows",
     "limit_observables",
     "limit_observables_batch",
+    "limit_observables_rows",
     "invert_copies",
     "estimate_copies_normal",
     "copy_profile",
@@ -109,10 +112,7 @@ class Observation:
             raise ValueError("K must exceed 1")
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("kappas must be a nonempty 1-d sequence")
-        if arr[0] < self.rho:
-            raise ValueError("kappa_0 must be at least rho")
-        if np.any(np.diff(arr) <= 0.0):
-            raise ValueError("kappas must be strictly increasing")
+        _check_kappa_rows(arr[None, :], self.rho)
         if self.n_hit < 0:
             raise ValueError("n_hit must be a cycle index")
         if self.v_known is not None:
@@ -123,23 +123,59 @@ class Observation:
                 raise ValueError("tau inconsistent with n_hit and round(log_b K)")
 
 
+def _check_kappa_rows(kappas: np.ndarray, rho: float) -> None:
+    """Each NaN-padded row starts at or above rho and increases strictly."""
+    if np.any(kappas[:, 0] < rho):
+        raise ValueError("kappa_0 must be at least rho")
+    # NaN padding compares false, so only pairs of observed densities count
+    if np.any(np.diff(kappas, axis=1) <= 0.0):
+        raise ValueError("kappas must be strictly increasing")
+
+
+def observe_rows(x, rho: float, max_kappas: int = MAX_KAPPAS) -> tuple:
+    """Detection on many trajectories at once.
+
+    x is a (rows, cycles + 1) density matrix.  Returns (n_hit, kappas):
+    n_hit[i] is the first cycle at which row i reaches rho, -1 if it
+    never does, and kappas[i] holds x[i, n_hit[i] : n_hit[i] + max_kappas]
+    padded with NaN, all NaN for a row that never reaches rho.
+    """
+    if not 0.0 < rho < 1.0:
+        raise ValueError("rho must be in (0, 1)")
+    if max_kappas < 1:
+        raise ValueError("max_kappas must be positive")
+    x = np.asarray(x, dtype=float)
+    reached = x >= rho
+    detected = reached.any(axis=1)
+    n_hit = np.where(detected, reached.argmax(axis=1), -1)
+    cols = n_hit[:, None] + np.arange(max_kappas)
+    valid = detected[:, None] & (cols < x.shape[1])
+    kappas = np.take_along_axis(x, np.where(valid, cols, 0), axis=1)
+    kappas[~valid] = np.nan
+    _check_kappa_rows(kappas[detected], rho)
+    return n_hit, kappas
+
+
 def hitting_time(traj: Trajectory, rho: float) -> tuple[int, int]:
     """First cycle whose density reaches rho, absolute and centered.
 
     Returns (n_hit, tau) with tau = n_hit - round(log_b K).  Raises
     NotDetectedError when the trajectory never reaches the threshold.
     """
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must be in (0, 1)")
-    x = densities(traj)
-    hits = np.nonzero(x >= rho)[0]
-    if hits.size == 0:
+    n_hit = _observe_one(traj, rho, 1)[0]
+    kin = traj.kinetics
+    return n_hit, n_hit - _log_scale_cycles(kin.K, kin.b)
+
+
+def _observe_one(traj: Trajectory, rho: float, max_kappas: int) -> tuple:
+    """observe_rows on one trajectory: (n_hit, kappas without padding)."""
+    n_hit, kappas = observe_rows(densities(traj)[None, :], rho, max_kappas)
+    if n_hit[0] < 0:
         raise NotDetectedError(
             f"density never reached {rho} within {traj.n_cycles} cycles"
         )
-    n_hit = int(hits[0])
-    kin = traj.kinetics
-    return n_hit, n_hit - _log_scale_cycles(kin.K, kin.b)
+    row = kappas[0]
+    return int(n_hit[0]), row[~np.isnan(row)]
 
 
 def observe(
@@ -149,19 +185,24 @@ def observe(
     max_kappas: int = MAX_KAPPAS,
 ) -> Observation:
     """Detection-time observation; tau is centred with v_known if given."""
-    if max_kappas < 1:
-        raise ValueError("max_kappas must be positive")
-    n_hit, tau = hitting_time(traj, rho)
-    if v_known is not None:
-        if not 0.0 < v_known <= 1.0:
-            raise ValueError("v_known must be in (0, 1]")
-        tau = n_hit - _log_scale_cycles(traj.kinetics.K, 1.0 + v_known)
-    x = densities(traj)
-    kappas = x[n_hit : n_hit + max_kappas]
+    if v_known is not None and not 0.0 < v_known <= 1.0:
+        raise ValueError("v_known must be in (0, 1]")
+    n_hit, kappas = _observe_one(traj, rho, max_kappas)
+    b = traj.kinetics.b if v_known is None else 1.0 + v_known
+    tau = n_hit - _log_scale_cycles(traj.kinetics.K, b)
     return Observation(
         rho=rho, K=traj.kinetics.K, n_hit=n_hit, tau=tau,
         kappas=kappas, v_known=v_known,
     )
+
+
+def efficiency_rows(kappas) -> np.ndarray:
+    """estimate_efficiency of each NaN-padded row; NaN below two densities."""
+    arr = np.asarray(kappas, dtype=float)[:, :MAX_KAPPAS]
+    pair = (arr[:, 1:] - arr[:, :-1]) * (1.0 + arr[:, :-1]) / arr[:, :-1]
+    n_pairs = np.count_nonzero(~np.isnan(pair), axis=1)
+    total = np.nansum(pair, axis=1)
+    return np.where(n_pairs > 0, total / np.maximum(n_pairs, 1), np.nan)
 
 
 def estimate_efficiency(kappas) -> float:
@@ -176,8 +217,7 @@ def estimate_efficiency(kappas) -> float:
         raise ValueError("need at least two densities")
     if np.any(arr <= 0.0):
         raise ValueError("densities must be positive")
-    pair = (arr[1:] - arr[:-1]) * (1.0 + arr[:-1]) / arr[:-1]
-    return float(pair.mean())
+    return float(efficiency_rows(arr[None, :])[0])
 
 
 def _resolve_v(obs: Observation, v: float | None) -> float:
@@ -190,6 +230,25 @@ def _resolve_v(obs: Observation, v: float | None) -> float:
     return float(v)
 
 
+def limit_observables_rows(
+    kappas, tau, kin: Kinetics, prec: Precision = INVERSE_PRECISION
+) -> np.ndarray:
+    """t_j = b**(-tau-j) * G(kappa_j) for each NaN-padded row of kappas.
+
+    All observed kappas are inverted in one vectorized call; tau holds
+    one centred offset per row and padding stays NaN.  Only the first
+    MAX_KAPPAS columns are used.
+    """
+    arr = np.asarray(kappas, dtype=float)[:, :MAX_KAPPAS]
+    seen = ~np.isnan(arr)
+    exponent = np.asarray(tau)[:, None] + np.arange(arr.shape[1])
+    t = np.full(arr.shape, np.nan)
+    t[seen] = inverse_profile(arr[seen], kin, prec) * kin.b ** (
+        -exponent[seen].astype(float)
+    )
+    return t
+
+
 def limit_observables_batch(
     observations,
     v: float | None = None,
@@ -197,9 +256,8 @@ def limit_observables_batch(
 ) -> list[np.ndarray]:
     """Recover t_j = b**(-tau-j) * G(kappa_j) for many observations at once.
 
-    All kappas are inverted in a single vectorized call, which matters
-    when processing thousands of replicates.  Only the first MAX_KAPPAS
-    densities of each observation are used.
+    The rows of limit_observables_rows, one per observation.  Only the
+    first MAX_KAPPAS densities of each observation are used.
     """
     observations = list(observations)
     if not observations:
@@ -207,21 +265,15 @@ def limit_observables_batch(
     vs = {_resolve_v(o, v) for o in observations}
     if len(vs) > 1:
         raise ValueError("observations mix different efficiencies")
-    v_eff = vs.pop()
-    kin = Kinetics(v=v_eff, K=observations[0].K)
+    kin = Kinetics(v=vs.pop(), K=observations[0].K)
 
-    kappas = [o.kappas[:MAX_KAPPAS] for o in observations]
-    sizes = [k.size for k in kappas]
-    flat = np.concatenate(kappas)
-    w = inverse_profile(flat, kin, prec)
-    out = []
-    start = 0
-    for o, size in zip(observations, sizes):
-        j = np.arange(size)
-        scale = kin.b ** (-(o.tau + j).astype(float))
-        out.append(w[start : start + size] * scale)
-        start += size
-    return out
+    sizes = [min(o.kappas.size, MAX_KAPPAS) for o in observations]
+    kappas = np.full((len(observations), max(sizes)), np.nan)
+    for row, o, size in zip(kappas, observations, sizes):
+        row[:size] = o.kappas[:size]
+    tau = np.array([o.tau for o in observations])
+    t = limit_observables_rows(kappas, tau, kin, prec)
+    return [row[:size] for row, size in zip(t, sizes)]
 
 
 def limit_observables(

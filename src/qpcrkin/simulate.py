@@ -5,7 +5,9 @@ molecule independently with probability v*K/(K + z), z being the current
 count.  Two modes produce the same law: "fast-binomial" draws the whole
 cycle increment as one binomial variate, "coupled" simulates individual
 molecules on shared uniforms so the reaction can be compared pathwise
-against constant-probability branching references.
+against constant-probability branching references.  The experiment
+runners draw all their replicates at once with simulate_replicates, the
+fast-binomial law on lockstep blocks of trajectories.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 
 from qpcrkin import streams
 from qpcrkin.kinetics import Kinetics, mean_map
+from qpcrkin.limit_law import BLOCK_SIZE
 
 __all__ = [
     "SimConfig",
@@ -26,6 +29,7 @@ __all__ = [
     "CoupledCapError",
     "CouplingViolationError",
     "simulate_reaction",
+    "simulate_replicates",
     "simulate_linear",
     "simulate_coupled",
     "noise_sequence",
@@ -42,6 +46,15 @@ COUPLED_INDIVIDUAL_CAP = 10 ** 7
 
 FAST = "fast-binomial"
 COUPLED = "coupled"
+
+# aux tag of the replicate-block streams; aux 0 keys single trajectories
+REPLICATE_BLOCK_AUX = 1
+
+# One generator rewound per trajectory instead of a fresh Philox per call.
+# Each single-trajectory simulator consumes its draws fully before
+# returning, so the handles never overlap within a thread; the reset
+# rewinds the whole state, so no draw depends on an earlier call.
+_POOL = streams.ReusableStream()
 
 
 class SaturationError(OverflowError):
@@ -93,17 +106,23 @@ class Trajectory:
         object.__setattr__(self, "counts", arr)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("counts must be a nonempty 1-d sequence")
-        if np.any(arr < 0):
-            raise ValueError("counts must be nonnegative")
-        if np.any(np.diff(arr) < 0):
-            raise ValueError("counts must be nondecreasing")
-        # increment larger than the previous count means more than doubling
-        if np.any(arr[1:] - arr[:-1] > arr[:-1]):
-            raise ValueError("a cycle cannot more than double the count")
+        _check_count_rows(arr)
 
     @property
     def n_cycles(self) -> int:
         return self.counts.size - 1
+
+
+def _check_count_rows(arr: np.ndarray) -> None:
+    """Every row (the last axis) is a valid cycle-indexed count sequence."""
+    if np.any(arr < 0):
+        raise ValueError("counts must be nonnegative")
+    inc = np.diff(arr, axis=-1)
+    if np.any(inc < 0):
+        raise ValueError("counts must be nondecreasing")
+    # increment larger than the previous count means more than doubling
+    if np.any(inc > arr[..., :-1]):
+        raise ValueError("a cycle cannot more than double the count")
 
 
 def densities(traj: Trajectory) -> np.ndarray:
@@ -179,11 +198,54 @@ def simulate_reaction(cfg: SimConfig) -> Trajectory:
     if cfg.mode == COUPLED:
         return simulate_coupled(cfg).reaction
     v, K = cfg.kinetics.v, cfg.kinetics.K
-    gen = streams.stream(cfg.seed, streams.REACTION, cfg.replicate_id)
+    gen = _POOL.reset(cfg.seed, streams.REACTION, cfg.replicate_id)
     counts = _run_counting_process(
         cfg.z0, cfg.n_cycles, lambda z: v * K / (K + z), gen
     )
     return Trajectory(counts, cfg.kinetics, cfg.seed, cfg.replicate_id)
+
+
+def simulate_replicates(
+    kinetics: Kinetics, z0: int, n_cycles: int, replicates: int, seed: int = 0
+) -> np.ndarray:
+    """Many trajectories of the saturating process, simulated in lockstep.
+
+    Returns a (replicates, n_cycles + 1) int64 count matrix whose row i
+    is replicate i.  Replicate i is lane i % BLOCK_SIZE of the stream
+    keyed (seed, REACTION, replicate=i // BLOCK_SIZE, aux=1); a block
+    advances all its lanes with one array binomial(z, v*K/(K + z)) per
+    cycle.  Whole blocks are drawn and the result cut to replicates, so
+    the first rows do not depend on replicates.  simulate_reaction keys
+    its single trajectory with aux=0, so the two layouts never share a
+    stream.  Raises SaturationError before any count would leave the
+    64-bit range.
+    """
+    if z0 < 1:
+        raise ValueError("z0 must be at least 1")
+    if n_cycles < 1:
+        raise ValueError("n_cycles must be positive")
+    if replicates < 1:
+        raise ValueError("replicates must be positive")
+    v, K = kinetics.v, kinetics.K
+    blocks = -(-replicates // BLOCK_SIZE)
+    out = np.empty((blocks, n_cycles + 1, BLOCK_SIZE), dtype=np.int64)
+    pool = streams.ReusableStream()
+    for k in range(blocks):
+        binom = pool.reset(seed, streams.REACTION, k, REPLICATE_BLOCK_AUX).binomial
+        z = np.full(BLOCK_SIZE, z0, dtype=np.int64)
+        out[k, 0] = z
+        for n in range(1, n_cycles + 1):
+            inc = binom(z, v * K / (K + z))
+            if np.any(inc > INT64_MAX - z):
+                raise SaturationError(
+                    f"a count exceeds the 64-bit range at cycle {n}; "
+                    "reduce n_cycles or z0"
+                )
+            z = z + inc
+            out[k, n] = z
+    counts = out.transpose(0, 2, 1).reshape(-1, n_cycles + 1)[:replicates]
+    _check_count_rows(counts)
+    return counts
 
 
 def simulate_linear(cfg: SimConfig) -> Trajectory:
@@ -191,7 +253,7 @@ def simulate_linear(cfg: SimConfig) -> Trajectory:
     if cfg.mode == COUPLED:
         return simulate_coupled(cfg).upper
     v = cfg.kinetics.v
-    gen = streams.stream(cfg.seed, streams.LINEAR, cfg.replicate_id)
+    gen = _POOL.reset(cfg.seed, streams.LINEAR, cfg.replicate_id)
     counts = _run_counting_process(cfg.z0, cfg.n_cycles, lambda z: v, gen)
     return Trajectory(counts, cfg.kinetics, cfg.seed, cfg.replicate_id)
 
@@ -209,7 +271,7 @@ def simulate_coupled(cfg: SimConfig) -> CoupledRun:
     v, K = cfg.kinetics.v, cfg.kinetics.K
     threshold = K ** cfg.gamma
     p_lower = v * K / (K + threshold)
-    gen = streams.stream(cfg.seed, streams.COUPLED, cfg.replicate_id)
+    gen = _POOL.reset(cfg.seed, streams.COUPLED, cfg.replicate_id)
 
     z = y = w = cfg.z0
     zs, ys, ws = [z], [y], [w]

@@ -7,8 +7,15 @@ without draw-order coupling, and a unit's draws depend only on its key.
 
 What one replicate index names depends on the consumer:
 
-- The trajectory simulators give each trajectory its own stream,
-  replicate = the trajectory's replicate_id.
+- The single-trajectory simulators (simulate_reaction, simulate_linear,
+  simulate_coupled) give each trajectory its own stream, replicate = the
+  trajectory's replicate_id and aux = 0.
+- The experiment runners simulate their replicates in lockstep blocks
+  (simulate.simulate_replicates): replicate i is lane i % BLOCK_SIZE of
+  the REACTION stream with replicate = i // BLOCK_SIZE and aux = 1, so
+  runner blocks and single trajectories never share a key.  A block
+  advances its lanes with one array binomial per cycle, and the first n
+  replicates are the same for every replicate count >= n.
 - Growth-limit ensembles (limit_law.sample_limit) draw in blocks of
   limit_law.BLOCK_SIZE samples: sample i is lane i % BLOCK_SIZE of the
   stream with replicate = i // BLOCK_SIZE and aux = the ensemble's

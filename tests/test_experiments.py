@@ -17,7 +17,14 @@ import numpy as np
 import pytest
 
 from qpcrkin.kinetics import Kinetics, limit_profile
-from qpcrkin.simulate import SimConfig, simulate_reaction
+from qpcrkin.simulate import Trajectory, simulate_replicates
+from qpcrkin.inference import (
+    NotDetectedError,
+    estimate_copies_normal,
+    estimate_efficiency,
+    limit_observables,
+    observe,
+)
 from qpcrkin.limit_law import sample_limit
 from qpcrkin import streams
 from qpcrkin.experiments import (
@@ -133,13 +140,14 @@ class TestConvergence:
         assert a.records == b.records
 
     def test_streams_are_split(self):
-        # replicate 0 uses the reaction stream; the reference ensemble draws
-        # from its own purpose so the comparison is never self-referential
+        # replicate 0 is lane 0 of the first reaction block; the reference
+        # ensemble draws from its own purpose so the comparison is never
+        # self-referential
         spec = self.make(replicates=3, ref_count=50)
         res = run_convergence(spec)
         kin = Kinetics.from_exponent(spec.v, spec.m)
-        cfg = SimConfig(kin, z0=1, n_cycles=20, seed=3, replicate_id=0)
-        assert res.records[0]["x_m"] == simulate_reaction(cfg).counts[20] / kin.K
+        counts = simulate_replicates(kin, z0=1, n_cycles=20, replicates=1, seed=3)
+        assert res.records[0]["x_m"] == counts[0, 20] / kin.K
         ref = sample_limit(0.5, z=1, count=50, seed=3,
                            purpose=streams.REFERENCE)
         wrong = sample_limit(0.5, z=1, count=50, seed=3,
@@ -186,6 +194,47 @@ class TestEstimation:
         assert s["missed"] >= 1
         assert s["detected"] + s["missed"] == 60
         assert len(res.records) == s["detected"]
+
+    @pytest.mark.parametrize("overrides", [
+        dict(v=0.5, m=20, z0=2),
+        dict(v=1.0, m=16, z0=3),
+        dict(v=0.5, m=20, z0=1, rho=0.75, extra_cycles=0),
+    ])
+    def test_records_match_scalar_chain(self, overrides):
+        # the lockstep runner equals observe -> limit_observables ->
+        # estimate_efficiency applied to each simulated row on its own
+        spec = ScenarioSpec(kind="estimation", replicates=120, seed=9,
+                            ref_count=500, fit_efficiency=True, **overrides)
+        res = run_estimation(spec)
+        kin = Kinetics.from_exponent(spec.v, spec.m)
+        counts = simulate_replicates(kin, spec.z0, spec.m + spec.extra_cycles,
+                                     spec.replicates, spec.seed)
+        expected = []
+        for i, row in enumerate(counts):
+            try:
+                obs = observe(Trajectory(row, kin), spec.rho, v_known=spec.v)
+            except NotDetectedError:
+                continue
+            t_mean = float(limit_observables(obs).mean())
+            if spec.v == 1.0:
+                z_hat = max(1, round(t_mean))
+            else:
+                z_hat = estimate_copies_normal(t_mean, spec.v, integer=True)
+            rec = {"replicate": i, "tau": obs.tau, "t_mean": t_mean, "z_hat": z_hat}
+            if obs.kappas.size >= 2:
+                rec["v_hat"] = estimate_efficiency(obs.kappas)
+            expected.append(rec)
+        if "rho" in overrides:
+            assert res.summary["missed"] >= 1
+        assert res.summary["detected"] == len(expected)
+        assert len(res.records) == len(expected)
+        for got, want in zip(res.records, expected):
+            assert got.keys() == want.keys()
+            for key in ("replicate", "tau", "z_hat"):
+                assert got[key] == want[key]
+            for key in ("t_mean", "v_hat"):
+                if key in want:
+                    assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0)
 
     def test_reproducible(self):
         spec = ScenarioSpec(kind="estimation", v=0.5, m=20, z0=2,

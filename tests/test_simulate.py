@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from qpcrkin import streams
 from qpcrkin.kinetics import Kinetics, iterate_mean_map
+from qpcrkin.limit_law import BLOCK_SIZE
 from qpcrkin.simulate import (
     CoupledCapError,
     CoupledRun,
@@ -20,6 +22,7 @@ from qpcrkin.simulate import (
     simulate_coupled,
     simulate_linear,
     simulate_reaction,
+    simulate_replicates,
     write_trajectory_csv,
 )
 
@@ -121,6 +124,58 @@ class TestReaction:
         table = table[:, table.sum(axis=0) > 0]
         _, pvalue, _, _ = stats.chi2_contingency(table)
         assert pvalue > 1e-3
+
+
+class TestReplicateBlocks:
+    def test_block_is_one_stream(self):
+        # block 1 advances its lanes in lockstep on the aux=1 reaction stream
+        kin, n_cycles = Kinetics(v=0.5, K=200.0), 12
+        gen = streams.stream(6, streams.REACTION, 1, aux=1)
+        z = np.full(BLOCK_SIZE, 3, dtype=np.int64)
+        rows = [z]
+        for _ in range(n_cycles):
+            z = z + gen.binomial(z, kin.v * kin.K / (kin.K + z))
+            rows.append(z)
+        got = simulate_replicates(kin, 3, n_cycles, 2 * BLOCK_SIZE, seed=6)
+        assert got.shape == (2 * BLOCK_SIZE, n_cycles + 1)
+        assert got.dtype == np.int64
+        assert np.array_equal(got[BLOCK_SIZE:], np.stack(rows, axis=1))
+
+    def test_prefix_stable(self):
+        kin = Kinetics(v=0.5, K=1000.0)
+        long = simulate_replicates(kin, 2, 10, 2500, seed=4)
+        assert np.array_equal(long[:1000], simulate_replicates(kin, 2, 10, 1000, seed=4))
+        assert np.array_equal(long[:2000], simulate_replicates(kin, 2, 10, 2000, seed=4))
+
+    def test_disjoint_from_single_trajectories(self):
+        # on one shared key lane 0's first increment would be the single
+        # trajectory's first draw; a wide binomial makes a chance tie rare
+        kin = Kinetics(v=0.5, K=1e12)
+        lane0 = simulate_replicates(kin, 10 ** 6, 1, 1, seed=5)[0]
+        alone = simulate_reaction(SimConfig(kin, 10 ** 6, 1, seed=5, replicate_id=0))
+        assert not np.array_equal(lane0, alone.counts)
+
+    def test_one_step_law_matches_enumeration(self):
+        # z0=2, K=4, v=0.5: the increment is binomial(2, 1/3), pmf {4/9, 4/9, 1/9}
+        n = 10 ** 6
+        draws = simulate_replicates(Kinetics(v=0.5, K=4.0), 2, 1, n, seed=7)[:, 1]
+        freq = np.bincount(draws - 2, minlength=3) / n
+        expected = np.array([4 / 9, 4 / 9, 1 / 9])
+        se = np.sqrt(expected * (1 - expected) / n)
+        assert np.all(np.abs(freq - expected) < 4 * se)
+
+    def test_saturation_raises_not_wraps(self):
+        with pytest.raises(SaturationError):
+            simulate_replicates(Kinetics(v=1.0, K=1e40), 2 ** 62 + 1, 1, 3, seed=3)
+
+    @pytest.mark.parametrize("bad", [
+        dict(z0=0, n_cycles=1, replicates=1),
+        dict(z0=1, n_cycles=0, replicates=1),
+        dict(z0=1, n_cycles=1, replicates=0),
+    ])
+    def test_rejects_bad_sizes(self, bad):
+        with pytest.raises(ValueError):
+            simulate_replicates(Kinetics(v=0.5, K=10.0), **bad)
 
 
 class TestLinear:
