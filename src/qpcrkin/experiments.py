@@ -38,6 +38,7 @@ from .simulate import (
 from .limit_law import sample_limit
 from .inference import (
     _log_scale_cycles,
+    _read_json_object,
     efficiency_rows,
     estimate_copies_normal,
     limit_observables_rows,
@@ -61,6 +62,11 @@ __all__ = [
 KINDS = ("convergence", "estimation", "coupling", "curves")
 
 DEFAULT_CURVE_EFFICIENCIES = (0.25, 0.5, 0.9, 1.0)
+
+_RESULT_KEYS = ("kind", "spec", "summary", "records", "runtime_seconds")
+# records per json.dumps call in write_result_json: the C encoder keeps
+# every fragment of one call until it joins them, so chunks bound memory
+_RECORDS_PER_CHUNK = 100
 
 
 @dataclass(frozen=True)
@@ -402,21 +408,31 @@ def run_experiment(spec: ScenarioSpec) -> ExperimentResult:
 
 
 def write_result_json(result: ExperimentResult, path) -> None:
-    doc = {
+    """Write a result as compact single-line JSON with `records` last.
+
+    Everything goes through json's C encoder (on CPython 3.11 any
+    `indent` selects the pure-Python one).  The head is encoded before the file is opened, so
+    a value the encoder refuses there leaves an existing file untouched;
+    records follow in chunks of _RECORDS_PER_CHUNK to keep memory flat.
+    """
+    head = json.dumps({
         "kind": result.kind,
         "spec": result.spec,
         "summary": result.summary,
-        "records": result.records,
         "runtime_seconds": result.runtime_seconds,
-    }
+    })
+    records = result.records
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(head[:-1] + ', "records": [')
+        for start in range(0, len(records), _RECORDS_PER_CHUNK):
+            if start:
+                fh.write(", ")
+            fh.write(json.dumps(records[start:start + _RECORDS_PER_CHUNK])[1:-1])
+        fh.write("]}\n")
 
 
 def read_result_json(path) -> ExperimentResult:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json_object(path, _RESULT_KEYS)
     return ExperimentResult(
         kind=doc["kind"], spec=doc["spec"], summary=doc["summary"],
         records=doc["records"], runtime_seconds=doc["runtime_seconds"],

@@ -522,8 +522,17 @@ def estimate_from_trajectory(
     )
 
 
+_REPORT_KEYS = ("z_hat_mle", "z_hat_normal", "v_hat", "t_values", "tau",
+                "kappas", "settings", "diagnostics")
+
+
 def write_report_json(report: EstimateReport, path) -> None:
-    doc = {
+    """Write a report as compact single-line JSON.
+
+    The text is encoded before the file is opened, so a value the
+    encoder refuses leaves an existing file untouched.
+    """
+    text = json.dumps({
         "z_hat_mle": report.z_hat_mle,
         "z_hat_normal": report.z_hat_normal,
         "v_hat": report.v_hat,
@@ -532,15 +541,25 @@ def write_report_json(report: EstimateReport, path) -> None:
         "kappas": [float(k) for k in report.kappas],
         "settings": report.settings,
         "diagnostics": report.diagnostics,
-    }
+    })
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def _read_json_object(path, keys) -> dict:
+    """Load a JSON object holding every name in keys, else ValueError."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ValueError(f"{path}: missing keys {missing}")
+    return doc
 
 
 def read_report_json(path) -> EstimateReport:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json_object(path, _REPORT_KEYS)
     return EstimateReport(
         z_hat_mle=doc["z_hat_mle"],
         z_hat_normal=doc["z_hat_normal"],

@@ -26,7 +26,7 @@ from qpcrkin.inference import (
     observe,
 )
 from qpcrkin.limit_law import sample_limit
-from qpcrkin import streams
+from qpcrkin import experiments, streams
 from qpcrkin.experiments import (
     ExperimentResult,
     ScenarioSpec,
@@ -320,18 +320,81 @@ class TestCurves:
         assert path.exists()
 
 
+def _result_doc(res):
+    return {"kind": res.kind, "spec": res.spec, "summary": res.summary,
+            "records": res.records, "runtime_seconds": res.runtime_seconds}
+
+
 class TestResultIO:
-    def test_json_round_trip(self, tmp_path):
-        spec = ScenarioSpec(kind="convergence", v=0.5, m=14, replicates=30,
-                            ref_count=100, seed=2)
-        res = run_convergence(spec)
+    @pytest.mark.parametrize("spec", [
+        ScenarioSpec(kind="convergence", v=0.5, m=14, replicates=30,
+                     ref_count=100, seed=2),
+        ScenarioSpec(kind="convergence", v=0.5, m=14, replicates=30,
+                     ref_count=100, seed=2, shift=1),
+        # missed replicates, and records with and without v_hat
+        ScenarioSpec(kind="estimation", v=0.5, m=20, z0=1, rho=0.75,
+                     extra_cycles=0, replicates=120, seed=9, ref_count=500,
+                     fit_efficiency=True),
+        ScenarioSpec(kind="coupling", v=0.5, m=12, z0=1, replicates=20,
+                     seed=13),
+    ], ids=["convergence", "convergence-shift", "estimation-fit-missed",
+            "coupling"])
+    def test_json_round_trip(self, tmp_path, spec):
+        res = run_experiment(spec)
+        if spec.kind == "estimation":
+            assert res.summary["missed"] >= 1
+            with_v = sum("v_hat" in rec for rec in res.records)
+            assert 0 < with_v < len(res.records)
         path = tmp_path / "res.json"
         write_result_json(res, path)
+        with open(path) as fh:
+            assert json.load(fh) == json.loads(json.dumps(_result_doc(res)))
         back = read_result_json(path)
         assert back.kind == res.kind
         assert back.spec == res.spec
         assert back.summary == res.summary
         assert back.records == res.records
+
+    @pytest.mark.parametrize("size", ["empty", "one", "chunk", "chunk+1"])
+    def test_chunked_records_round_trip(self, tmp_path, size):
+        chunk = experiments._RECORDS_PER_CHUNK
+        n = {"empty": 0, "one": 1, "chunk": chunk, "chunk+1": chunk + 1}[size]
+        records = [{"replicate": i, "t_mean": i / 7.0, "z_hat": 1 + i % 3}
+                   for i in range(n)]
+        res = ExperimentResult(kind="estimation", spec={"seed": 1},
+                               summary={"ks": None},
+                               records=records, runtime_seconds=0.25)
+        path = tmp_path / "res.json"
+        write_result_json(res, path)
+        text = path.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        with open(path) as fh:
+            doc = json.load(fh)
+        assert list(doc)[-1] == "records"
+        assert doc == json.loads(json.dumps(_result_doc(res)))
+
+    def test_unencodable_head_keeps_old_file(self, tmp_path):
+        path = tmp_path / "res.json"
+        good = ExperimentResult(kind="estimation", spec={}, summary={"x": 1},
+                                records=[{"replicate": 0}], runtime_seconds=0.1)
+        write_result_json(good, path)
+        before = path.read_bytes()
+        bad = ExperimentResult(kind="estimation", spec={},
+                               summary={"x": np.int64(1)},
+                               records=[{"replicate": 0}], runtime_seconds=0.1)
+        with pytest.raises(TypeError):
+            write_result_json(bad, path)
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("text,named", [
+        ("[1, 2]", "JSON object"),
+        ('{"kind": "estimation", "spec": {}, "summary": {}}', "records"),
+    ], ids=["not-an-object", "missing-key"])
+    def test_reader_rejects_bad_document(self, tmp_path, text, named):
+        path = tmp_path / "res.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=named):
+            read_result_json(path)
 
     def test_dispatch(self):
         spec = ScenarioSpec(kind="convergence", replicates=10, ref_count=50,

@@ -18,6 +18,7 @@ Oracles:
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -419,8 +420,18 @@ class TestReportPipeline:
         with pytest.raises(ValueError):
             EstimateReport(**{**good, "t_values": np.array([2.8, -0.1])})
 
-    def test_json_round_trip(self, tmp_path):
-        rep = self.run_once(0.5, 30, 3, v_known=0.5, fit_efficiency=True)
+    @pytest.mark.parametrize("args,kw", [
+        # run_mle=False below v=1: z_hat_mle and mle_profile are None
+        ((0.5, 30, 3), dict(v_known=0.5, fit_efficiency=True)),
+        ((0.9, 25, 2), dict(v_known=0.9, run_mle=True, mle_count=2000,
+                            mle_seed=13)),
+        ((1.0, 16, 5), dict(v_known=1.0)),
+    ], ids=["no-mle", "mle", "exact"])
+    def test_json_round_trip(self, tmp_path, args, kw):
+        rep = self.run_once(*args, **kw)
+        run_mle = kw.get("run_mle", False)
+        assert (rep.diagnostics["mle_profile"] is None) == (not run_mle)
+        assert (rep.z_hat_mle is None) == (args[0] < 1.0 and not run_mle)
         path = tmp_path / "report.json"
         write_report_json(rep, path)
         back = read_report_json(path)
@@ -431,10 +442,36 @@ class TestReportPipeline:
         np.testing.assert_array_equal(back.t_values, rep.t_values)
         np.testing.assert_array_equal(back.kappas, rep.kappas)
         assert back.settings == rep.settings
-        raw = json.loads(path.read_text())
-        for key in ("z_hat_mle", "z_hat_normal", "v_hat", "t_values",
-                    "tau", "kappas", "settings", "diagnostics"):
-            assert key in raw
+        assert back.diagnostics == rep.diagnostics
+        doc = {
+            "z_hat_mle": rep.z_hat_mle, "z_hat_normal": rep.z_hat_normal,
+            "v_hat": rep.v_hat, "t_values": rep.t_values.tolist(),
+            "tau": rep.tau, "kappas": rep.kappas.tolist(),
+            "settings": rep.settings, "diagnostics": rep.diagnostics,
+        }
+        text = path.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert json.loads(text) == json.loads(json.dumps(doc))
+
+    def test_unencodable_report_keeps_old_file(self, tmp_path):
+        rep = self.run_once(0.5, 30, 3, v_known=0.5)
+        path = tmp_path / "report.json"
+        write_report_json(rep, path)
+        before = path.read_bytes()
+        bad = replace(rep, settings={**rep.settings, "z_max": np.int64(9)})
+        with pytest.raises(TypeError):
+            write_report_json(bad, path)
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("text,named", [
+        ('"report"', "JSON object"),
+        ('{"z_hat_mle": 3, "z_hat_normal": 2.9, "v_hat": null}', "t_values"),
+    ], ids=["not-an-object", "missing-key"])
+    def test_reader_rejects_bad_document(self, tmp_path, text, named):
+        path = tmp_path / "report.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=named):
+            read_report_json(path)
 
     def test_recovered_t_tracks_limit_law(self):
         # small-scale version of the distributional check: recovered t values
