@@ -26,9 +26,11 @@ from qpcrkin.simulate import (
     write_trajectory_csv,
 )
 from qpcrkin.limit_law import (
+    AncestorDensity,
     DensityEstimate,
     LimitEnsemble,
     PointMassError,
+    ancestor_density,
     limit_density,
     limit_mgf,
     limit_variance,

@@ -118,9 +118,12 @@ def _cmd_estimate(args) -> int:
     opts = _merged(args, {
         "v": None, "m": None, "z0": 1, "rho": 0.05, "seed": 0,
         "cycles": None, "traj": None, "fit_v": False, "run_mle": True,
-        "mle_count": 10 ** 4, "mle_seed": 0, "z_max": None, "out": None,
+        "mle_count": None, "mle_seed": None, "z_max": None, "out": None,
     })
     out = _require_out(opts)
+    if opts["mle_count"] is not None or opts["mle_seed"] is not None:
+        print("estimate: mle_count and mle_seed have no effect; the likelihood "
+              "scan is exact", file=sys.stderr)
     if opts["traj"] is not None:
         traj = read_trajectory_csv(opts["traj"])
         source = opts["traj"]
@@ -140,8 +143,7 @@ def _cmd_estimate(args) -> int:
         v_known = opts["v"] if opts["v"] is not None else traj.kinetics.v
     report = estimate_from_trajectory(
         traj, rho=opts["rho"], v_known=v_known, fit_efficiency=opts["fit_v"],
-        run_mle=opts["run_mle"], mle_count=opts["mle_count"],
-        mle_seed=opts["mle_seed"], z_max=opts["z_max"],
+        run_mle=opts["run_mle"], z_max=opts["z_max"],
     )
     write_report_json(report, out)
     print(f"estimate: {source}; tau={report.tau}, "
@@ -235,8 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="treat the efficiency as unknown and fit it")
     p.add_argument("--no-mle", dest="run_mle", action="store_const", const=False,
                    help="skip the likelihood scan")
-    p.add_argument("--mle-count", dest="mle_count", type=int)
-    p.add_argument("--mle-seed", dest="mle_seed", type=int)
+    p.add_argument("--mle-count", dest="mle_count", type=int,
+                   help="no effect: the likelihood scan is exact")
+    p.add_argument("--mle-seed", dest="mle_seed", type=int,
+                   help="no effect: the likelihood scan is exact")
     p.add_argument("--z-max", dest="z_max", type=int)
     p.set_defaults(handler=_cmd_estimate)
 

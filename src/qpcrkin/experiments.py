@@ -12,9 +12,12 @@ two sides of a distributional comparison never share random numbers.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import os
+import secrets
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -411,9 +414,11 @@ def write_result_json(result: ExperimentResult, path) -> None:
     """Write a result as compact single-line JSON with `records` last.
 
     Everything goes through json's C encoder (on CPython 3.11 any
-    `indent` selects the pure-Python one).  The head is encoded before the file is opened, so
-    a value the encoder refuses there leaves an existing file untouched;
-    records follow in chunks of _RECORDS_PER_CHUNK to keep memory flat.
+    `indent` selects the pure-Python one); records follow the head in
+    chunks of _RECORDS_PER_CHUNK to keep memory flat.  The text goes to
+    a new file beside path that then replaces path, so a value the
+    encoder refuses anywhere leaves an existing file as it was and no
+    partial file behind.
     """
     head = json.dumps({
         "kind": result.kind,
@@ -422,13 +427,22 @@ def write_result_json(result: ExperimentResult, path) -> None:
         "runtime_seconds": result.runtime_seconds,
     })
     records = result.records
-    with open(path, "w") as fh:
-        fh.write(head[:-1] + ', "records": [')
-        for start in range(0, len(records), _RECORDS_PER_CHUNK):
-            if start:
-                fh.write(", ")
-            fh.write(json.dumps(records[start:start + _RECORDS_PER_CHUNK])[1:-1])
-        fh.write("]}\n")
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path) or ".",
+                       f".{os.path.basename(path)}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "x") as fh:
+            fh.write(head[:-1] + ', "records": [')
+            for start in range(0, len(records), _RECORDS_PER_CHUNK):
+                if start:
+                    fh.write(", ")
+                fh.write(json.dumps(records[start:start + _RECORDS_PER_CHUNK])[1:-1])
+            fh.write("]}\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def read_result_json(path) -> ExperimentResult:

@@ -8,8 +8,8 @@ identity kappa_j ~ H(W(z) * b**(tau+j)) turns each kappa into an
 observation t_j = b**(-tau-j) * G(kappa_j) of the growth limit W(z).
 For efficiency 1 the limit is the copy number itself and inversion is
 exact up to rounding; below 1 the copy number sits behind the limit law
-and is estimated either by a likelihood scan over integer z or by a
-closed-form normal approximation.
+and is estimated either by a likelihood scan over integer z, on the exact
+density of the limit law, or by a closed-form normal approximation.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import streams
 from .kinetics import (
     INVERSE_PRECISION,
     Kinetics,
@@ -29,11 +28,10 @@ from .kinetics import (
     inverse_profile,
 )
 from .simulate import Trajectory, densities
-from .limit_law import limit_variance, pointwise_density, sample_limit
+from .limit_law import AncestorDensity, ancestor_density, limit_variance
 
 __all__ = [
     "MAX_KAPPAS",
-    "MIN_PROFILE_COUNT",
     "NotDetectedError",
     "OutOfSupportError",
     "BoundaryWarning",
@@ -60,22 +58,21 @@ __all__ = [
 # so estimation uses at most this many densities after the crossing.
 MAX_KAPPAS = 5
 
-# Floor on the per-candidate ensemble size in the likelihood scan.
-MIN_PROFILE_COUNT = 1000
-
 
 class NotDetectedError(RuntimeError):
     """No density in the trajectory reached the detection threshold."""
 
 
 class OutOfSupportError(ValueError):
-    """The observed value has vanishing density for every candidate."""
+    """Every candidate's density at the observed value is within its bound of 0.
 
-    def __init__(self, msg, point, nearest_z, nearest_sample):
+    bound is the largest of the candidates' certified bounds at point.
+    """
+
+    def __init__(self, msg, point, bound):
         super().__init__(msg)
         self.point = point
-        self.nearest_z = nearest_z
-        self.nearest_sample = nearest_sample
+        self.bound = bound
 
 
 class BoundaryWarning(UserWarning):
@@ -324,77 +321,34 @@ def default_z_max(t: float) -> int:
     return max(10, math.ceil(4.0 * float(t)))
 
 
-def copy_profile(
-    t,
-    v: float,
-    z_max: int | None = None,
-    count: int = 10 ** 4,
-    seed: int = 0,
-    n_gen: int | None = None,
-) -> np.ndarray:
+def copy_profile(t, v: float, z_max: int | None = None) -> np.ndarray:
     """Likelihood profile: density of the z-fold limit sum at t, z=1..z_max.
 
-    Row z-1 holds the kernel-density value of the simulated law of the
-    z-ancestor limit at each point of t.  Scalar t gives a flat profile
-    of shape (z_max,).  Each candidate z draws its own ensemble from a
-    stream tagged by z, so profiles are reproducible and candidates
-    independent.
+    Row z-1 holds the exact density of the z-ancestor limit W(z) at each
+    point of t, within limit_law.DENSITY_PRECISION.tol
+    (limit_law.ancestor_density).  Scalar t gives a flat profile of shape
+    (z_max,).
     """
-    return _profile(t, v, z_max, count, seed, n_gen)[0]
+    values = _profile(t, v, z_max).values
+    return values[:, 0] if np.ndim(t) == 0 else values
 
 
-def _nearest_samples(samples: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """The sample closest to each point (at least two samples)."""
-    ordered = np.sort(samples)
-    idx = np.clip(np.searchsorted(ordered, pts), 1, ordered.size - 1)
-    lo, hi = ordered[idx - 1], ordered[idx]
-    return np.where(pts - lo <= hi - pts, lo, hi)
-
-
-def _profile(t, v, z_max, count, seed, n_gen) -> tuple[np.ndarray, np.ndarray]:
-    """copy_profile and, in the same shape, each candidate's sample nearest t.
-
-    Each candidate ensemble is drawn once and serves both the density and
-    the out-of-support diagnosis.
-    """
-    pts = np.atleast_1d(np.asarray(t, dtype=float))
-    scalar = np.ndim(t) == 0
-    if np.any(pts <= 0.0):
-        raise ValueError("t must be positive")
-    if not 0.0 < v < 1.0:
-        raise ValueError(
-            "likelihood scan needs efficiency below 1; "
-            "the limit law at v=1 is a point mass, use invert_copies"
-        )
+def _profile(t, v, z_max) -> AncestorDensity:
+    """ancestor_density at t over the candidates 1..z_max (default 4t)."""
     if z_max is None:
-        z_max = default_z_max(pts.max())
-    if z_max < 1:
-        raise ValueError("z_max must be at least 1")
-    if count < MIN_PROFILE_COUNT:
-        raise ValueError(f"count must be at least {MIN_PROFILE_COUNT}")
-
-    prof = np.empty((z_max, pts.size), dtype=float)
-    nearest = np.empty_like(prof)
-    for z in range(1, z_max + 1):
-        samples = sample_limit(
-            v, z=z, count=count, seed=seed, n_gen=n_gen,
-            purpose=streams.MLE_SAMPLING, stream_tag=z,
-        ).samples
-        prof[z - 1] = pointwise_density(samples, pts)
-        nearest[z - 1] = _nearest_samples(samples, pts)
-    return (prof[:, 0], nearest[:, 0]) if scalar else (prof, nearest)
+        z_max = default_z_max(np.max(t))
+    return ancestor_density(t, v, z_max)
 
 
-def _scan(t, v, z_max, count, seed, n_gen) -> tuple[int, np.ndarray]:
-    """Likelihood scan over z = 1..z_max: (maximizer, profile at t)."""
-    prof, nearest = _profile(t, v, z_max, count, seed, n_gen)
-    if not np.any(prof > 0.0):
-        idx = int(np.argmin(np.abs(nearest - t)))
-        nearest_z, nearest_sample = idx + 1, float(nearest[idx])
+def _scan(t, v, z_max) -> tuple[int, AncestorDensity]:
+    """Likelihood scan over z = 1..z_max: (maximizer, densities at t)."""
+    dens = _profile(t, v, z_max)
+    prof, bound = dens.values[:, 0], dens.bounds[:, 0]
+    if np.all(np.abs(prof) <= bound):
         raise OutOfSupportError(
-            f"t={t} is outside the sampled support of every candidate; "
-            f"closest sample {nearest_sample:.6g} at z={nearest_z}",
-            point=float(t), nearest_z=nearest_z, nearest_sample=nearest_sample,
+            f"t={t} is outside the support of every candidate: each density "
+            f"is within its bound (at most {bound.max():.3g}) of 0",
+            point=float(t), bound=float(bound.max()),
         )
     z_hat = int(np.argmax(prof)) + 1
     if z_hat == prof.size:
@@ -402,25 +356,18 @@ def _scan(t, v, z_max, count, seed, n_gen) -> tuple[int, np.ndarray]:
             f"likelihood peaked at the scan boundary z_max={prof.size}",
             BoundaryWarning,
         )
-    return z_hat, prof
+    return z_hat, dens
 
 
-def estimate_copies_mle(
-    t: float,
-    v: float,
-    z_max: int | None = None,
-    count: int = 10 ** 4,
-    seed: int = 0,
-    n_gen: int | None = None,
-) -> int:
+def estimate_copies_mle(t: float, v: float, z_max: int | None = None) -> int:
     """Maximum-likelihood copy number over the integer scan 1..z_max.
 
     Ties break toward the smaller candidate.  A peak at z_max triggers
     BoundaryWarning since the true maximizer may lie beyond the scan;
-    if every candidate has vanishing density at t the scan aborts with
-    OutOfSupportError carrying the nearest sampled value.
+    if every candidate's density at t is within its certified bound of 0
+    the scan aborts with OutOfSupportError carrying that bound.
     """
-    return _scan(t, v, z_max, count, seed, n_gen)[0]
+    return _scan(t, v, z_max)[0]
 
 
 @dataclass(frozen=True)
@@ -453,8 +400,6 @@ def estimate_from_trajectory(
     v_known: float | None = None,
     fit_efficiency: bool = False,
     run_mle: bool = False,
-    mle_count: int = 10 ** 4,
-    mle_seed: int = 0,
     z_max: int | None = None,
     max_kappas: int = MAX_KAPPAS,
     prec: Precision = INVERSE_PRECISION,
@@ -464,7 +409,9 @@ def estimate_from_trajectory(
     The efficiency used for inversion, and for centring tau, is v_known
     when given, otherwise the fitted value (fit_efficiency=True).  At
     efficiency 1 the exact inversion fills z_hat_mle; below 1 the
-    likelihood scan does, when run_mle is set.
+    likelihood scan does, when run_mle is set, and the diagnostics record
+    its profile, the certified bound of each value, and the number of
+    frequencies and the transform depth of its inversion.
     """
     obs = observe(traj, rho, v_known=v_known, max_kappas=max_kappas)
     v_hat = None
@@ -487,13 +434,13 @@ def estimate_from_trajectory(
     z_normal = estimate_copies_normal(t_mean, v_eff)
 
     z_mle = None
-    profile = None
+    dens = None
     if v_eff == 1.0:
         z_mle = max(1, round(t_mean))
     elif run_mle:
         if z_max is None:
             z_max = default_z_max(t_mean)
-        z_mle, profile = _scan(t_mean, v_eff, z_max, mle_count, mle_seed, None)
+        z_mle, dens = _scan(t_mean, v_eff, z_max)
 
     settings = {
         "rho": rho,
@@ -501,14 +448,15 @@ def estimate_from_trajectory(
         "v_known": v_known,
         "fit_efficiency": fit_efficiency,
         "run_mle": run_mle,
-        "mle_count": mle_count,
-        "mle_seed": mle_seed,
         "z_max": z_max,
         "max_kappas": max_kappas,
     }
     diagnostics = {
         "t_spread": float(t_values.max() - t_values.min()),
-        "mle_profile": None if profile is None else [float(p) for p in profile],
+        "mle_profile": None if dens is None else dens.values[:, 0].tolist(),
+        "mle_bound": None if dens is None else dens.bounds[:, 0].tolist(),
+        "mle_points": None if dens is None else dens.points,
+        "mle_depth": None if dens is None else dens.depth,
     }
     return EstimateReport(
         z_hat_mle=z_mle,

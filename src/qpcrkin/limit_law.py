@@ -3,8 +3,10 @@
 Normalizing the branching reference by b**n gives a positive martingale
 whose almost-sure limit has mean 1 per starting molecule and variance
 (1-v)/(1+v).  This module samples that limit by deep truncation, evaluates
-its Laplace transform through the offspring fixed-point recursion at a
-certified depth, and estimates its density from samples.
+its Laplace transform and characteristic function through the offspring
+fixed-point recursion at a certified depth, inverts the latter for the
+exact density of the z-ancestor limit with a certified truncation bound,
+and estimates the density from samples.
 """
 
 from __future__ import annotations
@@ -25,14 +27,17 @@ from qpcrkin.kinetics import (
 __all__ = [
     "LimitEnsemble",
     "DensityEstimate",
+    "AncestorDensity",
     "PointMassError",
     "MGF_PRECISION",
+    "DENSITY_PRECISION",
     "TRUNCATION_SCALE",
     "BLOCK_SIZE",
     "limit_variance",
     "sample_limit",
     "limit_mgf",
     "limit_density",
+    "ancestor_density",
     "default_generations",
     "write_ensemble_csv",
     "read_ensemble_csv",
@@ -46,13 +51,23 @@ TRUNCATION_SCALE = 10 ** 6
 MAX_GENERATIONS = 100_000
 
 #: samples per Philox block: sample i is lane i % BLOCK_SIZE of block
-#: i // BLOCK_SIZE.  Every ensemble size the package asks for (the scan
-#: floor, the default 10**4) is a multiple, so no drawn lane is discarded.
+#: i // BLOCK_SIZE.  The default ensemble size 10**4 is a multiple, so
+#: no drawn lane is discarded.
 BLOCK_SIZE = 1000
 
 MGF_PRECISION = Precision(tol=1e-12, max_iter=10_000)
 
 MIN_DENSITY_COUNT = 10 ** 4
+
+#: absolute error allowed in an exact density value, and the cap on the
+#: number of frequencies of its inversion grid
+DENSITY_PRECISION = Precision(tol=1e-4, max_iter=2 ** 16)
+
+#: top frequency of the first segment of an inversion grid
+FIRST_FREQUENCY = 16.0
+
+#: frequencies per kernel call of the inversion, which bounds its arrays
+FREQUENCY_BLOCK = 1024
 
 
 class PointMassError(ValueError):
@@ -178,6 +193,60 @@ def sample_limit(
     return LimitEnsemble(out.ravel()[:count], v=v, z=z, n_gen=n_gen, seed=seed)
 
 
+def _complement_iteration(x, v: float, depth, slope: bool = False):
+    """The offspring map u -> (1-v)*u + v*u**2 applied depth times to exp(x/b**depth).
+
+    x = -s gives the Laplace transform E exp(-s W), x = i*omega the
+    characteristic function E exp(i omega W); both satisfy the map's
+    fixed-point equation.  It runs on the complement w = 1 - u, as
+    w -> b*w - v*w**2, which keeps relative precision once x/b**depth
+    underflows the spacing of floats near 1.  depth is one int, or one
+    per element of x in nondecreasing order: the deepest elements start
+    first and the others join as their own depth remains.  With
+    slope=True it also returns du/dx, carried along the same loop by
+    forward differentiation.
+    """
+    b = 1.0 + v
+    if np.ndim(depth) == 0:
+        scale = math.exp(-depth * math.log(b))
+        levels, parts = [depth], [...]
+    else:
+        scale = np.exp(-depth * math.log(b))
+        starts = np.flatnonzero(np.diff(depth, prepend=-1))
+        levels = depth[starts].tolist()
+        parts = [slice(lo, None) for lo in starts.tolist()]
+    # in place throughout: the working set is w, dw and two scratch arrays
+    w = np.asarray(x * scale)
+    np.expm1(w, out=w)
+    np.negative(w, out=w)
+    dw = None
+    if slope:
+        dw = 1.0 - w
+        dw *= -scale
+    vw = np.empty_like(w)
+    tmp = np.empty_like(w)
+    for k in range(len(levels) - 1, -1, -1):
+        part = parts[k]
+        steps = levels[k] - (levels[k - 1] if k else 0)
+        ws, vws, tmps = w[part], vw[part], tmp[part]
+        dws = dw[part] if slope else None
+        for _ in range(steps):
+            # in place, w = b*w - (v*w)*w and dw = dw*(b - 2*v*w)
+            np.multiply(ws, v, out=vws)
+            if slope:
+                np.multiply(vws, -2.0, out=tmps)
+                tmps += b
+                dws *= tmps
+            np.multiply(vws, ws, out=tmps)
+            ws *= b
+            ws -= tmps
+    np.subtract(1.0, w, out=w)
+    if slope:
+        np.negative(dw, out=dw)
+        return w, dw
+    return w
+
+
 def limit_mgf(s, v: float, prec: Precision = MGF_PRECISION):
     """Laplace transform E[exp(-s * limit)] for one starting molecule, s >= 0.
 
@@ -203,12 +272,7 @@ def limit_mgf(s, v: float, prec: Precision = MGF_PRECISION):
     c = 0.5 * limit_variance(v) * smax * smax
     n = _certified_depth(c, b, prec.tol)
     depth = min(n, prec.max_iter)
-    # Complement w = 1 - u keeps relative precision once s/b**n underflows
-    # the spacing of floats near 1; the map is 1 - h(1 - w).
-    w = -np.expm1(-arr * math.exp(-depth * math.log(b)))
-    for _ in range(depth):
-        w = b * w - v * w * w
-    u = 1.0 - w
+    u = _complement_iteration(-arr, v, depth)
     if n > prec.max_iter:
         raise PrecisionError(
             f"transform needs depth {n} for tol={prec.tol}, cap is {prec.max_iter}",
@@ -216,6 +280,170 @@ def limit_mgf(s, v: float, prec: Precision = MGF_PRECISION):
             bound=c * b ** -depth,
         )
     return float(u) if scalar else u
+
+
+@dataclass(frozen=True)
+class AncestorDensity:
+    """Densities of the z-ancestor limit W(z) at given points, z = 1..z_max.
+
+    values[z-1] and bounds[z-1] hold the density of W(z) at each point
+    and its certified truncation bound.  The point that stopped last
+    summed `points` frequencies, the highest at transform depth `depth`.
+    """
+
+    values: np.ndarray
+    bounds: np.ndarray
+    points: int
+    depth: int
+
+
+def ancestor_density(t, v: float, z_max: int,
+                     prec: Precision = DENSITY_PRECISION) -> AncestorDensity:
+    """Exact density of W(z) at each point of t, for every z = 1..z_max.
+
+    W(z) is the growth limit of z ancestors, the sum of z independent
+    copies of W, so its characteristic function is psi**z with
+    psi(w) = E exp(i w W).  The density is the trapezoid sum
+
+        f_z(t) ~ (h/pi) * (1/2 + sum_j Re(psi(w_j)**z * exp(-i w_j t)))
+
+    on w_j = j*h, h = 2*pi/T, built for every z by one running product.
+    psi comes from limit_mgf's complement iteration with argument i*w.
+    The full sum is sum_k f_z(t + k*T); the period T = 4*max(z_max, t) + 8
+    puts every aliased copy far out in the right tail of every candidate,
+    and that term is not part of the bound.
+
+    Frequencies come in segments: j <= N0 (N0*h just reaches
+    FIRST_FREQUENCY), then (N0*2**(k-1), N0*2**k].  Each segment has its
+    own transform depth, certified at its top frequency, and a point
+    stops at the end of the first segment where all its bounds are at
+    most prec.tol, so its value does not depend on the other points.
+
+    Bound.  Summation by parts bounds what the sum leaves out past the
+    top frequency Omega by (|psi(Omega)**z| + int_Omega^inf |(psi**z)'|)
+    * h / (2*pi*sin(h*t/2)), about 1/(pi*t) times the bracket.  Both
+    terms follow from the top octave [Omega/b, Omega]: psi(b*w) =
+    (1-v)*psi + v*psi**2 and b*psi'(b*w) = psi'(w)*(1-v+2*v*psi) shrink
+    |psi| by r = 1-v+v*M and |psi'| by q/b, q = 1-v+2*v*M, per octave,
+    M = max |psi| on the octave's grid points (psi' from the same loop by
+    forward differentiation), so the integral is at most
+    Omega*(v/b)*z*M**(z-1)*D*p/(1-p) with p = r**(z-1)*q and D = max |psi'|
+    there.  The transform error adds z*(h/pi) times the sum of psi's
+    certified errors.  Values are returned as computed, negative ones
+    included.
+
+    Raises PrecisionError when a point's bounds still exceed prec.tol at
+    prec.max_iter frequencies, carrying every value and bound there, or
+    when psi needs a depth beyond MGF_PRECISION.max_iter.
+    """
+    pts = np.atleast_1d(np.asarray(t, dtype=float))
+    if pts.ndim != 1 or pts.size == 0:
+        raise ValueError("t must be a scalar or a nonempty 1-d array")
+    if not np.all(np.isfinite(pts)) or np.any(pts <= 0.0):
+        raise ValueError("t must be positive and finite")
+    if not 0.0 < v < 1.0:
+        raise ValueError(
+            "density needs efficiency below 1; at v=1 the limit is the constant z"
+        )
+    if z_max < 1:
+        raise ValueError("z_max must be at least 1")
+
+    b = 1.0 + v
+    half_var = 0.5 * limit_variance(v)
+    period = 4.0 * max(z_max, float(pts.max())) + 8.0
+    h = 2.0 * math.pi / period
+    z = np.arange(1.0, z_max + 1.0)
+    abel = h / (2.0 * math.pi * np.sin(0.5 * h * pts))
+    # |psi| falls like w**(-a) at high frequency, so the bound roughly
+    # halves every 1/a segments: a kernel call reaches as far as that predicts
+    decay = -math.log1p(-v) / math.log(b)
+
+    ends = [min(math.ceil(FIRST_FREQUENCY / h), prec.max_iter)]
+    while ends[-1] < prec.max_iter:
+        ends.append(min(2 * ends[-1], prec.max_iter))
+    depths = []
+    pieces = []
+    for k, end in enumerate(ends):
+        # psi errs by at most var/2 * w**2 * b**-n at depth n; each segment
+        # keeps its share of a bound below prec.tol / 64
+        top = end * h
+        depths.append(_certified_depth(half_var * top * top, b,
+                                       math.pi * prec.tol / (64.0 * z_max * top)))
+        start = ends[k - 1] if k else 0
+        pieces += [(k, lo, min(lo + FREQUENCY_BLOCK, end))
+                   for lo in range(start, end, FREQUENCY_BLOCK)]
+
+    sums = np.zeros((z_max, pts.size))
+    values = np.empty_like(sums)
+    bounds = np.empty_like(sums)
+    todo = np.ones(pts.size, dtype=bool)
+    psi_error = m = d = 0.0
+    i = horizon = 0
+    while True:
+        # one kernel call over whole pieces: up to FREQUENCY_BLOCK
+        # frequencies and no further than segment `horizon`
+        batch = [pieces[i]]
+        for piece in pieces[i + 1:]:
+            if piece[0] > horizon or piece[2] - batch[0][1] > FREQUENCY_BLOCK:
+                break
+            batch.append(piece)
+        i += len(batch)
+        last = batch[-1]
+        if depths[last[0]] > MGF_PRECISION.max_iter:
+            raise PrecisionError(
+                f"characteristic function needs depth {depths[last[0]]} at "
+                f"frequency {h * last[2]:.4g}, cap is {MGF_PRECISION.max_iter}"
+            )
+        first = batch[0][1]
+        omega = h * np.arange(first + 1, last[2] + 1)
+        depth = np.concatenate([np.full(hi - lo, depths[k]) for k, lo, hi in batch])
+        psi, dpsi = _complement_iteration(1j * omega, v, depth, slope=True)
+
+        for k, lo, hi in batch:
+            part = slice(lo - first, hi - first)
+            om, ps, dps = omega[part], psi[part], dpsi[part]
+            psi_error += half_var * b ** -depths[k] * float(om @ om)
+            # one dot per open point, so a point's sum does not depend on
+            # the others
+            act = np.flatnonzero(todo)
+            phase = np.exp(-1j * np.outer(pts[act], om))
+            power = np.ones_like(ps)
+            for row in sums:
+                power *= ps
+                for j, wave in zip(act, phase):
+                    row[j] += (wave @ power).real
+            top = om >= h * ends[k] / b
+            if top.any():
+                m = max(m, float(np.abs(ps[top]).max()))
+                d = max(d, float(np.abs(dps[top]).max()))
+            if hi < ends[k]:
+                continue
+
+            # checkpoint at the end of segment k: the bound of every point
+            p = (1.0 - v + v * m) ** (z - 1.0) * (1.0 - v + 2.0 * v * m)
+            tail = np.full(z_max, np.inf)
+            ok = p < 1.0
+            tail[ok] = (om[-1] * (v / b) * d * z[ok] * m ** (z[ok] - 1.0)
+                        * p[ok] / (1.0 - p[ok]))
+            edge = np.abs(ps[-1]) ** z + tail
+            bound = edge[:, None] * abel + (z * (h / math.pi) * psi_error)[:, None]
+            values[:, todo] = (h / math.pi) * (0.5 + sums[:, todo])
+            bounds[:, todo] = bound[:, todo]
+            todo &= ~np.all(bound <= prec.tol, axis=0)
+            if not todo.any():
+                return AncestorDensity(values, bounds, hi, depths[k])
+            if k == len(ends) - 1:
+                raise PrecisionError(
+                    f"density bound {bounds[:, todo].max():.3g} above "
+                    f"tol={prec.tol} at the cap of {prec.max_iter} frequencies",
+                    value=values, bound=bounds,
+                )
+            worst = float(bounds[:, todo].max())
+            steps = 1
+            if math.isfinite(worst):
+                steps = min(5, max(1, math.ceil(math.log2(worst / prec.tol) / decay)))
+            horizon = k + steps
+            m = d = 0.0
 
 
 def _silverman_bandwidth(samples: np.ndarray) -> float:
@@ -246,7 +474,9 @@ def pointwise_density(samples, points) -> np.ndarray:
     """Gaussian kernel density of raw samples at arbitrary points.
 
     Same bandwidth rule as limit_density but without the grid and mass
-    checks; meant for likelihood evaluation at a handful of points.
+    checks.  The likelihood scan no longer uses it (it evaluates the
+    exact density, ancestor_density); it stays public for callers that
+    bind it by name.
     """
     samples = np.asarray(samples, dtype=float)
     pts = np.atleast_1d(np.asarray(points, dtype=float))

@@ -36,7 +36,6 @@ REACTION = 1  # saturating molecule-count process
 LINEAR = 2  # constant-probability branching reference
 COUPLED = 3  # shared-uniform coupled construction
 GROWTH_LIMIT = 4  # scaled-growth limit ensembles
-MLE_SAMPLING = 5  # per-candidate ensembles inside the likelihood scan
 REFERENCE = 6  # reference samples in experiments
 
 _MAX_SEED = 2 ** 64

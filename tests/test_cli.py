@@ -126,6 +126,40 @@ class TestEstimate:
         assert main(["estimate", "--v", "0.5"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_sampling_flags_have_no_effect(self, tmp_path, capsys):
+        # the likelihood scan is exact: --mle-seed and --mle-count are
+        # accepted and named on stderr as having no effect
+        out = tmp_path / "report.json"
+        rc = main(["estimate", "--v", "0.5", "--m", "30", "--z0", "3",
+                   "--seed", "4", "--mle-seed", "7", "--mle-count", "1000",
+                   "--z-max", "12", "--out", str(out)])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        notice = [line for line in captured.err.splitlines() if "no effect" in line]
+        assert len(notice) == 1 and "mle_count" in notice[0]
+        report = read_report_json(out)
+        profile = report.diagnostics["mle_profile"]
+        assert len(profile) == 12
+        assert report.z_hat_mle == int(np.argmax(profile)) + 1
+        assert "mle_count" not in report.settings
+
+    def test_sampling_config_keys_have_no_effect(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mle_seed": 3}))
+        out = tmp_path / "report.json"
+        rc = main(["estimate", "--config", str(cfg), "--v", "0.5", "--m", "30",
+                   "--seed", "4", "--out", str(out)])
+        assert rc == 0
+        assert "no effect" in capsys.readouterr().err
+        assert read_report_json(out).diagnostics["mle_profile"] is not None
+
+    def test_no_notice_without_sampling_flags(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["estimate", "--v", "0.5", "--m", "30", "--seed", "4",
+                     "--out", str(out)]) == 0
+        assert "no effect" not in capsys.readouterr().err
+
 
 class TestExperimentCommand:
     def test_convergence(self, tmp_path, capsys):

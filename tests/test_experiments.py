@@ -386,6 +386,21 @@ class TestResultIO:
             write_result_json(bad, path)
         assert path.read_bytes() == before
 
+    def test_unencodable_record_keeps_old_file(self, tmp_path):
+        path = tmp_path / "res.json"
+        good = ExperimentResult(kind="estimation", spec={}, summary={"x": 1},
+                                records=[{"replicate": 0}], runtime_seconds=0.1)
+        write_result_json(good, path)
+        before = path.read_bytes()
+        records = [{"replicate": i} for i in range(experiments._RECORDS_PER_CHUNK)]
+        records.append({"replicate": np.int64(7)})
+        bad = ExperimentResult(kind="estimation", spec={}, summary={"x": 1},
+                               records=records, runtime_seconds=0.1)
+        with pytest.raises(TypeError):
+            write_result_json(bad, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["res.json"]
+
     @pytest.mark.parametrize("text,named", [
         ("[1, 2]", "JSON object"),
         ('{"kind": "estimation", "spec": {}, "summary": {}}', "records"),

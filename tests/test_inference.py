@@ -10,7 +10,7 @@ Oracles:
     estimator returns 0.5 exactly.
   * likelihood scan at t=3, v=0.9: histogram densities (20k samples,
     window 0.15) are 0, 0, 0.92, 0.10, 0.003, 0 for z=1..6, so the
-    argmax is 3.
+    argmax is 3; the exact densities are 0, 0, 0.936, 0.101, 0.002, 0.
   * tau concentration (v=0.5, K=1.5**30, z0=1, rho=0.05): predicted
     tau = ceil(log_b(G(rho)/W)) over 1e5 limit draws puts 99.0% below
     zero and 92.3% inside [-9, -4].
@@ -33,7 +33,7 @@ from qpcrkin.kinetics import (
     mean_map,
 )
 from qpcrkin.simulate import SimConfig, Trajectory, simulate_reaction
-from qpcrkin.limit_law import limit_variance, sample_limit
+from qpcrkin.limit_law import DENSITY_PRECISION, limit_variance, sample_limit
 from qpcrkin.inference import (
     BoundaryWarning,
     EstimateReport,
@@ -315,36 +315,38 @@ class TestNormalEstimator:
 class TestMleEstimator:
     def test_profile_peak_at_three(self):
         # histogram oracle (module docstring): densities peak decisively at z=3
-        zhat = estimate_copies_mle(3.0, 0.9, seed=3)
+        zhat = estimate_copies_mle(3.0, 0.9)
         assert zhat == 3
 
     def test_low_t_prefers_single_copy(self):
-        assert estimate_copies_mle(1.0, 0.9, z_max=5, seed=5) == 1
+        assert estimate_copies_mle(1.0, 0.9, z_max=5) == 1
 
     def test_profile_shape_and_argmax(self):
-        prof = copy_profile(3.0, 0.9, z_max=6, seed=3)
+        prof = copy_profile(3.0, 0.9, z_max=6)
         assert prof.shape == (6,)
         assert int(np.argmax(prof)) + 1 == 3
 
     def test_profile_vector_points(self):
         pts = np.array([2.0, 3.0, 4.5])
-        prof = copy_profile(pts, 0.9, z_max=6, seed=3)
+        prof = copy_profile(pts, 0.9, z_max=6)
         assert prof.shape == (6, 3)
         # summation order differs with the point-vector shape: ulp-level gap
         np.testing.assert_allclose(
-            prof[:, 1], copy_profile(3.0, 0.9, z_max=6, seed=3), rtol=1e-12
+            prof[:, 1], copy_profile(3.0, 0.9, z_max=6), rtol=1e-12
         )
 
     def test_boundary_flagged(self):
+        # at t=3 the exact densities of z <= 2 are about 1e-11, inside their
+        # bounds; at t=2.6 they are about 0.083 (z=2) against 0.52 (z=3)
         with pytest.warns(BoundaryWarning):
-            zhat = estimate_copies_mle(3.0, 0.9, z_max=2, seed=3)
+            zhat = estimate_copies_mle(2.6, 0.9, z_max=2)
         assert zhat == 2
 
     def test_out_of_support(self):
         with pytest.raises(OutOfSupportError) as err:
-            estimate_copies_mle(500.0, 0.9, z_max=3, count=2000, seed=3)
-        assert err.value.nearest_z == 3
-        assert err.value.nearest_sample < 10.0
+            estimate_copies_mle(500.0, 0.9, z_max=3)
+        assert err.value.point == 500.0
+        assert 0.0 < err.value.bound <= DENSITY_PRECISION.tol
 
     def test_degenerate_law_rejected(self):
         with pytest.raises(ValueError):
@@ -354,7 +356,7 @@ class TestMleEstimator:
         # local-CLT regime: v=0.9, true z=30
         v, z_true = 0.9, 30
         draws = sample_limit(v, z=z_true, count=20, seed=7).samples
-        prof = copy_profile(draws, v, z_max=45, count=4000, seed=11)
+        prof = copy_profile(draws, v, z_max=45)
         mle = np.argmax(prof, axis=0) + 1
         normal = np.array([estimate_copies_normal(t, v) for t in draws])
         agree = np.abs(mle - normal) <= 0.1 * z_true
@@ -388,10 +390,18 @@ class TestReportPipeline:
 
     def test_mle_in_report(self):
         rep = self.run_once(
-            0.9, 25, 2, v_known=0.9, run_mle=True, mle_count=2000, mle_seed=13
+            0.9, 25, 2, v_known=0.9, run_mle=True
         )
         assert rep.z_hat_mle is not None and rep.z_hat_mle >= 1
         assert rep.diagnostics["mle_profile"] is not None
+
+    def test_mle_diagnostics(self):
+        rep = self.run_once(0.5, 30, 3, v_known=0.5, run_mle=True)
+        diag = rep.diagnostics
+        assert len(diag["mle_bound"]) == len(diag["mle_profile"]) == rep.settings["z_max"]
+        assert all(0.0 < b <= DENSITY_PRECISION.tol for b in diag["mle_bound"])
+        assert diag["mle_points"] > 0 and diag["mle_depth"] > 0
+        assert rep.z_hat_mle == int(np.argmax(diag["mle_profile"])) + 1
 
     def test_needs_v_somewhere(self):
         with pytest.raises(ValueError):
@@ -404,8 +414,7 @@ class TestReportPipeline:
         traj = simulate_reaction(SimConfig(kin, z0=40, n_cycles=34, seed=1))
         with pytest.raises(OutOfSupportError):
             estimate_from_trajectory(
-                traj, rho=0.05, v_known=0.5, run_mle=True, mle_count=1000,
-                z_max=1,
+                traj, rho=0.05, v_known=0.5, run_mle=True, z_max=1,
             )
 
     def test_report_validation(self):
@@ -423,8 +432,7 @@ class TestReportPipeline:
     @pytest.mark.parametrize("args,kw", [
         # run_mle=False below v=1: z_hat_mle and mle_profile are None
         ((0.5, 30, 3), dict(v_known=0.5, fit_efficiency=True)),
-        ((0.9, 25, 2), dict(v_known=0.9, run_mle=True, mle_count=2000,
-                            mle_seed=13)),
+        ((0.9, 25, 2), dict(v_known=0.9, run_mle=True)),
         ((1.0, 16, 5), dict(v_known=1.0)),
     ], ids=["no-mle", "mle", "exact"])
     def test_json_round_trip(self, tmp_path, args, kw):

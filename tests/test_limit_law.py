@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from qpcrkin import streams
-from qpcrkin.kinetics import Precision
+from qpcrkin.kinetics import Precision, PrecisionError, _certified_depth
 from qpcrkin.limit_law import (
     BLOCK_SIZE,
+    DENSITY_PRECISION,
     DensityEstimate,
     LimitEnsemble,
     PointMassError,
+    _complement_iteration,
+    ancestor_density,
     default_generations,
     limit_density,
     limit_mgf,
@@ -204,6 +207,117 @@ class TestDensity:
         grid = np.linspace(0.0, 1.0, 64)
         with pytest.raises(ValueError):
             DensityEstimate(grid, np.zeros(64), 0.1)
+
+
+class TestCharacteristicFunction:
+    @pytest.mark.parametrize("v", [0.25, 0.5, 0.9])
+    def test_offspring_equation_and_slope(self, v):
+        # psi(b*w) = (1-v)*psi(w) + v*psi(w)**2; the forward-differentiated
+        # slope matches a central difference of psi
+        b, om = 1 + v, np.linspace(0.5, 40.0, 80)
+        c = 0.5 * limit_variance(v) * (b * om[-1]) ** 2
+        n = _certified_depth(c, b, 1e-13)
+        psi, dpsi = _complement_iteration(1j * om, v, n, slope=True)
+        psi_b = _complement_iteration(1j * b * om, v, n)
+        assert np.max(np.abs(psi_b - (1 - v) * psi - v * psi * psi)) < 1e-10
+        eps = 1e-5
+        up = _complement_iteration(1j * (om + eps), v, n)
+        down = _complement_iteration(1j * (om - eps), v, n)
+        # d psi/d w = i * du/dx at x = i*w
+        assert np.max(np.abs(1j * dpsi - (up - down) / (2 * eps))) < 1e-7
+
+    def test_depth_per_element_matches_single_depth(self):
+        om = np.array([1.0, 2.0, 30.0, 40.0])
+        mixed = _complement_iteration(1j * om, 0.5, np.array([40, 40, 60, 60]))
+        assert np.array_equal(mixed[:2], _complement_iteration(1j * om[:2], 0.5, 40))
+        assert np.array_equal(mixed[2:], _complement_iteration(1j * om[2:], 0.5, 60))
+
+
+def _density_on_grid(t, v, z_max, points):
+    """Density values on exactly `points` frequencies (the cap), no bound met."""
+    with pytest.raises(PrecisionError) as err:
+        ancestor_density(t, v, z_max, Precision(tol=1e-15, max_iter=points))
+    return err.value.value
+
+
+class TestExactDensity:
+    @pytest.mark.parametrize("v", [0.5, 0.9])
+    @pytest.mark.parametrize("z", [1, 3])
+    def test_laplace_transform_matches_mgf(self, v, z):
+        # trapezoid Laplace transform of the density over a fine t-grid
+        # against limit_mgf(s)**z, a separate computation on the real axis
+        grid = np.linspace(0.0, 4.0 * z + 6.0, 801)
+        dens = np.zeros_like(grid)
+        dens[1:] = ancestor_density(grid[1:], v, z).values[z - 1]
+        for s in (0.5, 1.0, 2.0):
+            quad = np.trapezoid(np.exp(-s * grid) * dens, grid)
+            assert abs(quad - limit_mgf(s, v) ** z) < 5e-4
+
+    @pytest.mark.parametrize("v", [0.25, 0.5])
+    @pytest.mark.parametrize("z", [1, 3])
+    def test_matches_histogram(self, v, z):
+        n = 2 * 10 ** 5
+        w = sample_limit(v, z=z, count=n, seed=41 + z).samples
+        edges = np.linspace(*np.quantile(w, [0.05, 0.95]), 21)
+        counts = np.histogram(w, edges)[0]
+        # exact bin mass by Simpson's rule on 8 panels per bin
+        fine = np.linspace(edges[0], edges[-1], 20 * 8 + 1)
+        f = ancestor_density(fine, v, z).values[z - 1]
+        panels = np.lib.stride_tricks.sliding_window_view(f, 9)[::8]
+        simpson = np.array([1, 4, 2, 4, 2, 4, 2, 4, 1]) * (edges[1] - edges[0]) / 24
+        prob = panels @ simpson
+        se = np.sqrt(prob * (1 - prob) / n)
+        assert np.all(np.abs(counts / n - prob) < 4 * se)
+
+    @pytest.mark.parametrize("v,t,z_max", [
+        (0.5, 0.053, 1), (0.5, 0.3, 3), (0.5, 1.0, 4), (0.25, 2.0, 4),
+        (0.9, 3.0, 5),
+    ])
+    def test_bound_covers_finer_grid(self, v, t, z_max):
+        dens = ancestor_density(t, v, z_max)
+        assert np.all(dens.bounds <= DENSITY_PRECISION.tol)
+        fine = _density_on_grid(t, v, z_max, 16 * dens.points)
+        assert np.all(np.abs(dens.values - fine) <= dens.bounds)
+
+    def test_cap_raises_with_value_and_bound(self):
+        prec = Precision(tol=1e-6, max_iter=256)
+        with pytest.raises(PrecisionError) as err:
+            ancestor_density(1.0, 0.5, 3, prec)
+        value, bound = err.value.value, err.value.bound
+        assert value.shape == bound.shape == (3, 1)
+        assert np.any(bound > prec.tol)
+        # the bound at the cap holds against the full-precision density
+        full = ancestor_density(1.0, 0.5, 3)
+        assert np.all(np.abs(value - full.values) <= bound + full.bounds)
+
+    def test_depth_cap_raises(self):
+        with pytest.raises(PrecisionError, match="depth"):
+            ancestor_density(1.0, 1e-4, 2)
+
+    @pytest.mark.parametrize("v", [0.25, 0.5])
+    def test_period_keeps_aliases_out(self, v):
+        # the period grows with z_max; a copy aliased from t + T would make
+        # the narrow scan disagree with the wide one beyond the bounds
+        t = np.array([0.5, 1.5, 3.0])
+        narrow = ancestor_density(t, v, 2)
+        wide = ancestor_density(t, v, 12)
+        assert np.all(np.abs(narrow.values - wide.values[:2])
+                      <= narrow.bounds + wide.bounds[:2])
+
+    def test_point_does_not_depend_on_the_others(self):
+        alone = ancestor_density(0.8, 0.5, 4)
+        together = ancestor_density(np.array([0.2, 0.8, 3.0]), 0.5, 4)
+        assert np.array_equal(together.values[:, 1], alone.values[:, 0])
+        assert np.array_equal(together.bounds[:, 1], alone.bounds[:, 0])
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_points(self, bad):
+        with pytest.raises(ValueError):
+            ancestor_density(np.array([1.0, bad]), 0.5, 3)
+
+    def test_rejects_unit_efficiency(self):
+        with pytest.raises(ValueError):
+            ancestor_density(1.0, 1.0, 3)
 
 
 class TestSumDensity:
