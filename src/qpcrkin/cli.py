@@ -4,16 +4,16 @@ Subcommands write their outputs to files and keep progress chatter on
 standard error.  Every value can come from a JSON config object
 (--config), with explicit flags taking precedence over the file and the
 file over built-in defaults.  Exit status is 0 on success and 1 on any
-invariant violation or I/O failure.
+invariant violation or I/O failure.  The argument parser is built once
+per process, on the first call to main, and reused by later calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-
-import numpy as np
 
 from .kinetics import Kinetics
 from .simulate import (
@@ -29,6 +29,7 @@ from .inference import estimate_from_trajectory, write_report_json
 from .experiments import (
     DEFAULT_CURVE_EFFICIENCIES,
     ScenarioSpec,
+    curve_grid,
     emit_profile_curves,
     run_experiment,
     write_result_json,
@@ -93,8 +94,7 @@ def _cmd_h_curves(args) -> int:
     v_list = opts["v_list"]
     if isinstance(v_list, str):
         v_list = [float(tok) for tok in v_list.split(",") if tok]
-    steps = int(round(opts["x_max"] / opts["x_step"]))
-    grid = np.linspace(0.0, opts["x_max"], steps + 1)
+    grid = curve_grid(opts["x_max"], opts["x_step"])
     curves = emit_profile_curves(v_list, grid, out=out)
     print(f"h-curves: {len(curves)} efficiencies x {grid.size} grid points "
           f"-> {out}", file=sys.stderr)
@@ -265,9 +265,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import; parse_args leaves it as it
+    # was and returns a fresh Namespace each time
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except Exception as exc:  # noqa: BLE001 - single reporting point

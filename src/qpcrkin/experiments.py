@@ -56,6 +56,7 @@ __all__ = [
     "run_convergence",
     "run_estimation",
     "run_coupling",
+    "curve_grid",
     "emit_profile_curves",
     "run_experiment",
     "write_result_json",
@@ -342,6 +343,19 @@ def run_coupling(spec: ScenarioSpec) -> ExperimentResult:
     )
 
 
+def curve_grid(x_max: float, x_step: float) -> np.ndarray:
+    """Evenly spaced grid from 0 to x_max, spacing x_step rounded to fit.
+
+    Raises ValueError unless 0 < x_step <= x_max <= 4, both finite.
+    """
+    if not 0.0 < x_max <= 4.0:
+        raise ValueError(f"x_max must be in (0, 4], got {x_max}")
+    if not 0.0 < x_step <= x_max:
+        raise ValueError(f"x_step must be in (0, x_max], got {x_step}")
+    steps = int(round(x_max / x_step))
+    return np.linspace(0.0, x_max, steps + 1)
+
+
 def emit_profile_curves(
     v_list,
     x_grid,
@@ -382,8 +396,7 @@ def run_curves(spec: ScenarioSpec) -> ExperimentResult:
     if spec.out is None:
         raise ValueError("curves scenario needs an output path")
     start = time.perf_counter()
-    steps = int(round(spec.x_max / spec.x_step))
-    grid = np.linspace(0.0, spec.x_max, steps + 1)
+    grid = curve_grid(spec.x_max, spec.x_step)
     curves = emit_profile_curves(spec.v_list, grid, out=spec.out)
     summary = {
         "rows": sum(len(vals) for _, vals in curves),

@@ -122,10 +122,10 @@ class Observation:
 
 def _check_kappa_rows(kappas: np.ndarray, rho: float) -> None:
     """Each NaN-padded row starts at or above rho and increases strictly."""
-    if np.any(kappas[:, 0] < rho):
+    if (kappas[:, 0] < rho).any():
         raise ValueError("kappa_0 must be at least rho")
     # NaN padding compares false, so only pairs of observed densities count
-    if np.any(np.diff(kappas, axis=1) <= 0.0):
+    if (kappas[:, 1:] <= kappas[:, :-1]).any():
         raise ValueError("kappas must be strictly increasing")
 
 

@@ -101,9 +101,9 @@ class PrecisionError(RuntimeError):
 
 def _as_nonnegative_array(x, name):
     arr = np.asarray(x, dtype=float)
-    if arr.size and not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
-    if arr.size and np.any(arr < 0.0):
+    if (arr < 0.0).any():
         raise ValueError(f"{name} must be nonnegative")
     return arr
 
@@ -139,7 +139,8 @@ def _certified_depth(c: float, b: float, tol: float) -> int:
     After n steps H, G and phi are within c * b**-n of their limits, for
     a c fixed by the argument.  H and phi know c up front and raise
     PrecisionError past prec.max_iter; G learns c along the way and applies
-    the same test to each element at every step.
+    the same test to each open element at every step from the depth its
+    smallest input allows.
     """
     if c <= tol:
         return 0
@@ -201,9 +202,10 @@ def inverse_profile(y, kin: Kinetics, prec: Precision = INVERSE_PRECISION):
     gives G - g_n <= e*G**2 with e = b**(1-n).  Once 4*e*g_n < 1 this
     certifies G <= r_n = 2*g_n / (1 + sqrt(1 - 4*e*g_n)), so the gap is
     at most r_n - g_n = e*r_n**2.  Each element is frozen at the first n
-    where that bound is at most prec.tol: the result lies in
-    [true value - prec.tol, true value], and batched and scalar calls
-    agree bitwise.  Scalars map to floats, arrays map elementwise.
+    where that bound is at most prec.tol and leaves the working arrays:
+    the result lies in [true value - prec.tol, true value], and batched
+    and scalar calls agree bitwise.  Scalars map to floats, arrays map
+    elementwise.
 
     Raises PrecisionError when an element needs more than prec.max_iter
     steps, with the iterates, their bounds and the bracket of G.
@@ -211,22 +213,39 @@ def inverse_profile(y, kin: Kinetics, prec: Precision = INVERSE_PRECISION):
     arr = _as_nonnegative_array(y, "profile value")
     scalar = np.ndim(y) == 0
     b = kin.b
-    u = arr
-    g = np.zeros_like(arr)
-    bound = np.full_like(arr, np.inf)
-    todo = np.ones(arr.shape, dtype=bool)
+    g = np.zeros(arr.size)
+    bound = np.full(arr.size, np.inf)
+    # the working arrays hold only the open elements, at positions `open_`
+    open_ = np.arange(arr.size)
+    u = arr.ravel()
+    # g_n >= y puts every bound at or above b**(1-n) * y**2, so no element
+    # can be certified before the depth of the smallest positive y; zeros
+    # stay zero under the map.  Testing starts one step early, a margin
+    # against rounding.
+    y_min = u.min(initial=np.inf, where=u > 0.0)
+    first = 0
+    if y_min < np.inf:
+        first = min(_certified_depth(b * y_min * y_min, b, prec.tol) - 1,
+                    prec.max_iter)
     for n in range(prec.max_iter + 1):
         if n:
-            u = np.where(todo, _inverse_mean_map(u, b), u)
+            u = _inverse_mean_map(u, b)
+        if n < first:
+            continue
         e = b ** (1 - n)
         gn = u * b ** n
         q = 4.0 * e * gn
         r = 2.0 * gn / (1.0 + np.sqrt(np.maximum(1.0 - q, 0.0)))
-        g = np.where(todo, gn, g)
-        bound = np.where(todo, np.where(q < 1.0, e * r * r, np.inf), bound)
-        todo &= bound > prec.tol
-        if not todo.any():
+        bn = np.where(q < 1.0, e * r * r, np.inf)
+        g[open_] = gn
+        bound[open_] = bn
+        keep = bn > prec.tol
+        if not keep.all():
+            open_, u = open_[keep], u[keep]
+        if not open_.size:
+            g = g.reshape(arr.shape)
             return float(g) if scalar else g
+    g, bound = g.reshape(arr.shape), bound.reshape(arr.shape)
     raise PrecisionError(
         f"inverse not certified to tol={prec.tol} within {prec.max_iter} steps",
         value=float(g) if scalar else g,

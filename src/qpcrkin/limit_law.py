@@ -109,9 +109,9 @@ class LimitEnsemble:
         object.__setattr__(self, "samples", arr)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("samples must be a nonempty 1-d array")
-        if np.any(arr <= 0.0):
+        if (arr <= 0.0).any():
             raise ValueError("limit samples must be positive")
-        if self.v == 1.0 and not np.all(arr == float(self.z)):
+        if self.v == 1.0 and (arr != float(self.z)).any():
             raise ValueError("at efficiency 1 every sample must equal z")
 
     @property
@@ -354,9 +354,6 @@ def ancestor_density(t, v: float, z_max: int,
     h = 2.0 * math.pi / period
     z = np.arange(1.0, z_max + 1.0)
     abel = h / (2.0 * math.pi * np.sin(0.5 * h * pts))
-    # |psi| falls like w**(-a) at high frequency, so the bound roughly
-    # halves every 1/a segments: a kernel call reaches as far as that predicts
-    decay = -math.log1p(-v) / math.log(b)
 
     ends = [min(math.ceil(FIRST_FREQUENCY / h), prec.max_iter)]
     while ends[-1] < prec.max_iter:
@@ -378,13 +375,14 @@ def ancestor_density(t, v: float, z_max: int,
     bounds = np.empty_like(sums)
     todo = np.ones(pts.size, dtype=bool)
     psi_error = m = d = 0.0
-    i = horizon = 0
+    i = 0
     while True:
-        # one kernel call over whole pieces: up to FREQUENCY_BLOCK
-        # frequencies and no further than segment `horizon`
+        # one kernel call over whole pieces, up to FREQUENCY_BLOCK
+        # frequencies; a piece past the depth cap only ever comes first
         batch = [pieces[i]]
         for piece in pieces[i + 1:]:
-            if piece[0] > horizon or piece[2] - batch[0][1] > FREQUENCY_BLOCK:
+            if (piece[2] - batch[0][1] > FREQUENCY_BLOCK
+                    or depths[piece[0]] > MGF_PRECISION.max_iter):
                 break
             batch.append(piece)
         i += len(batch)
@@ -438,11 +436,6 @@ def ancestor_density(t, v: float, z_max: int,
                     f"tol={prec.tol} at the cap of {prec.max_iter} frequencies",
                     value=values, bound=bounds,
                 )
-            worst = float(bounds[:, todo].max())
-            steps = 1
-            if math.isfinite(worst):
-                steps = min(5, max(1, math.ceil(math.log2(worst / prec.tol) / decay)))
-            horizon = k + steps
             m = d = 0.0
 
 

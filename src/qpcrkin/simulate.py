@@ -115,13 +115,14 @@ class Trajectory:
 
 def _check_count_rows(arr: np.ndarray) -> None:
     """Every row (the last axis) is a valid cycle-indexed count sequence."""
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise ValueError("counts must be nonnegative")
-    inc = np.diff(arr, axis=-1)
-    if np.any(inc < 0):
+    head = arr[..., :-1]
+    inc = arr[..., 1:] - head
+    if (inc < 0).any():
         raise ValueError("counts must be nondecreasing")
     # increment larger than the previous count means more than doubling
-    if np.any(inc > arr[..., :-1]):
+    if (inc > head).any():
         raise ValueError("a cycle cannot more than double the count")
 
 

@@ -63,6 +63,22 @@ class TestHCurves:
         assert len(rows) == 1 + 2 * 2
 
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--x-step", "0"), ("--x-step", "-0.25"), ("--x-step", "nan"),
+        ("--x-step", "inf"), ("--x-step", "2.0"), ("--x-max", "0"),
+        ("--x-max", "-1"), ("--x-max", "nan"), ("--x-max", "inf"),
+        ("--x-max", "4.5"),
+    ])
+    def test_bad_grid_option_named(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "curves.csv"
+        args = {"--x-max": "1.0", "--x-step": "0.25", flag: value}
+        assert main(["h-curves", "--x-max", args["--x-max"],
+                     "--x-step", args["--x-step"], "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag[2:].replace('-', '_')} must be")
+        assert not out.exists()
+
+
 class TestWSample:
     def test_round_trip_matches_library(self, tmp_path):
         out = tmp_path / "w.csv"
@@ -159,6 +175,29 @@ class TestEstimate:
         assert main(["estimate", "--v", "0.5", "--m", "30", "--seed", "4",
                      "--out", str(out)]) == 0
         assert "no effect" not in capsys.readouterr().err
+
+
+def test_repeated_calls_share_no_state(tmp_path):
+    # one parser serves every call in a process: a flag or a rejected
+    # call must not carry over into the next one
+    fitted, plain = tmp_path / "fitted.json", tmp_path / "plain.json"
+    base = ["estimate", "--v", "0.5", "--m", "25", "--z0", "2", "--seed", "5",
+            "--no-mle"]
+    assert main(base + ["--fit-v", "--out", str(fitted)]) == 0
+    assert read_report_json(fitted).v_hat is not None
+    assert main(base + ["--out", str(plain)]) == 0
+    report = read_report_json(plain)
+    assert report.v_hat is None
+    assert report.settings["fit_efficiency"] is False
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--z-max", "many", "--out", str(plain)])
+    assert exc.value.code == 2
+    out = tmp_path / "res.json"
+    assert main(["experiment", "--kind", "estimation", "--v", "1.0",
+                 "--m", "12", "--z0", "2", "--replicates", "30",
+                 "--seed", "2", "--out", str(out)]) == 0
+    res = read_result_json(out)
+    assert res.spec["fit_efficiency"] is False and res.spec["z0"] == 2
 
 
 class TestExperimentCommand:
