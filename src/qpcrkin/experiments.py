@@ -24,13 +24,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import streams
-from .kinetics import (
-    PROFILE_PRECISION,
-    Kinetics,
-    Precision,
-    iterate_mean_map,
-    limit_profile,
-)
+from .kinetics import Kinetics, iterate_mean_map, limit_profile
 from .simulate import (
     COUPLED,
     SimConfig,
@@ -66,6 +60,8 @@ __all__ = [
 KINDS = ("convergence", "estimation", "coupling", "curves")
 
 DEFAULT_CURVE_EFFICIENCIES = (0.25, 0.5, 0.9, 1.0)
+# most grid intervals curve_grid accepts: 10**6 points hold 8 MB per efficiency
+MAX_CURVE_INTERVALS = 10 ** 6
 
 _RESULT_KEYS = ("kind", "spec", "summary", "records", "runtime_seconds")
 # records per json.dumps call in write_result_json: the C encoder keeps
@@ -242,7 +238,7 @@ def run_estimation(spec: ScenarioSpec) -> ExperimentResult:
     n_hit, kappas = observe_rows(counts / kin.K, spec.rho)
     replicate_ids = np.flatnonzero(n_hit >= 0)
     kappas = kappas[replicate_ids]
-    tau = n_hit[replicate_ids] - _log_scale_cycles(kin.K, kin.b)
+    n_hit = n_hit[replicate_ids]
 
     records = []
     summary = {
@@ -256,12 +252,13 @@ def run_estimation(spec: ScenarioSpec) -> ExperimentResult:
         "v_hat_median": None,
     }
     if replicate_ids.size:
-        t_means = np.nanmean(limit_observables_rows(kappas, tau, kin), axis=1)
+        t_means = np.nanmean(limit_observables_rows(kappas, n_hit, kin), axis=1)
         if spec.v == 1.0:
             z_hats = np.maximum(1, np.rint(t_means).astype(int))
         else:
             z_hats = estimate_copies_normal(t_means, spec.v, integer=True)
         v_hats = efficiency_rows(kappas) if spec.fit_efficiency else None
+        tau = n_hit - _log_scale_cycles(kin.K, kin.b)
         columns = zip(replicate_ids.tolist(), tau.tolist(), t_means.tolist(),
                       z_hats.tolist())
         records = [{"replicate": i, "tau": tau_i, "t_mean": t, "z_hat": z}
@@ -346,22 +343,23 @@ def run_coupling(spec: ScenarioSpec) -> ExperimentResult:
 def curve_grid(x_max: float, x_step: float) -> np.ndarray:
     """Evenly spaced grid from 0 to x_max, spacing x_step rounded to fit.
 
-    Raises ValueError unless 0 < x_step <= x_max <= 4, both finite.
+    Raises ValueError unless 0 < x_step <= x_max <= 4, both finite, and
+    x_max / x_step is at most MAX_CURVE_INTERVALS.
     """
     if not 0.0 < x_max <= 4.0:
         raise ValueError(f"x_max must be in (0, 4], got {x_max}")
     if not 0.0 < x_step <= x_max:
         raise ValueError(f"x_step must be in (0, x_max], got {x_step}")
-    steps = int(round(x_max / x_step))
-    return np.linspace(0.0, x_max, steps + 1)
+    intervals = x_max / x_step
+    if intervals > MAX_CURVE_INTERVALS:
+        raise ValueError(
+            f"x_step must be at least x_max / {MAX_CURVE_INTERVALS} = "
+            f"{x_max / MAX_CURVE_INTERVALS:.3g}, got {x_step}"
+        )
+    return np.linspace(0.0, x_max, int(round(intervals)) + 1)
 
 
-def emit_profile_curves(
-    v_list,
-    x_grid,
-    prec: Precision = PROFILE_PRECISION,
-    out=None,
-) -> list[tuple[float, np.ndarray]]:
+def emit_profile_curves(v_list, x_grid, out=None) -> list[tuple[float, np.ndarray]]:
     """Tabulate the limit profile on a grid for each efficiency.
 
     Returns [(v, values)] and, when out is given, writes CSV rows
@@ -377,7 +375,7 @@ def emit_profile_curves(
     curves = []
     for v in v_list:
         kin = Kinetics(v=float(v), K=2.0)  # K is irrelevant to the profile
-        curves.append((float(v), limit_profile(grid, kin, prec)))
+        curves.append((float(v), limit_profile(grid, kin)))
     if out is not None:
         with open(out, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -2,10 +2,11 @@
 
 The observable side of the model: a trajectory is reduced to the first
 cycle at which the density reaches a detection threshold rho, plus the
-densities kappa_0, kappa_1, ... recorded from that cycle on.  Centering
-the crossing cycle by round(log_b K) gives the offset tau, and the limit
-identity kappa_j ~ H(W(z) * b**(tau+j)) turns each kappa into an
-observation t_j = b**(-tau-j) * G(kappa_j) of the growth limit W(z).
+densities kappa_0, kappa_1, ... recorded from that cycle on.  The limit
+identity kappa_j ~ H(W(z) * b**(n_hit+j) / K) turns each kappa into an
+observation t_j = K * b**-(n_hit+j) * G(kappa_j) of the growth limit
+W(z), scaled by K itself.  The centred offset tau = n_hit - round(log_b K)
+is derived for reports only; it enters no estimate.
 For efficiency 1 the limit is the copy number itself and inversion is
 exact up to rounding; below 1 the copy number sits behind the limit law
 and is estimated either by a likelihood scan over integer z, on the exact
@@ -17,16 +18,11 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kinetics import (
-    INVERSE_PRECISION,
-    Kinetics,
-    Precision,
-    inverse_profile,
-)
+from .kinetics import Kinetics, inverse_profile
 from .simulate import Trajectory, densities
 from .limit_law import AncestorDensity, ancestor_density, limit_variance
 
@@ -87,16 +83,16 @@ def _log_scale_cycles(K: float, b: float) -> int:
 class Observation:
     """Detection data extracted from one trajectory.
 
-    n_hit is the absolute crossing cycle and tau = n_hit - round(log_b K)
-    its centered offset, negative in the usual regime where detection
-    happens before the scale cycle.  kappas holds the densities at and
-    after the crossing.
+    n_hit is the absolute crossing cycle and kappas holds the densities
+    at and after the crossing; with K they fix the limit observables
+    t_j = K * b**-(n_hit+j) * G(kappa_j) for whichever efficiency inverts
+    them.  The offset tau = n_hit - round(log_b K) enters no estimate;
+    hitting_time and EstimateReport derive it for reference.
     """
 
     rho: float
     K: float
     n_hit: int
-    tau: int
     kappas: np.ndarray
     v_known: float | None = None
 
@@ -112,12 +108,8 @@ class Observation:
         _check_kappa_rows(arr[None, :], self.rho)
         if self.n_hit < 0:
             raise ValueError("n_hit must be a cycle index")
-        if self.v_known is not None:
-            if not 0.0 < self.v_known <= 1.0:
-                raise ValueError("v_known must be in (0, 1]")
-            b = 1.0 + self.v_known
-            if self.tau != self.n_hit - _log_scale_cycles(self.K, b):
-                raise ValueError("tau inconsistent with n_hit and round(log_b K)")
+        if self.v_known is not None and not 0.0 < self.v_known <= 1.0:
+            raise ValueError("v_known must be in (0, 1]")
 
 
 def _check_kappa_rows(kappas: np.ndarray, rho: float) -> None:
@@ -181,15 +173,10 @@ def observe(
     v_known: float | None = None,
     max_kappas: int = MAX_KAPPAS,
 ) -> Observation:
-    """Detection-time observation; tau is centred with v_known if given."""
-    if v_known is not None and not 0.0 < v_known <= 1.0:
-        raise ValueError("v_known must be in (0, 1]")
+    """Detection-time observation of a trajectory, efficiency v_known if known."""
     n_hit, kappas = _observe_one(traj, rho, max_kappas)
-    b = traj.kinetics.b if v_known is None else 1.0 + v_known
-    tau = n_hit - _log_scale_cycles(traj.kinetics.K, b)
     return Observation(
-        rho=rho, K=traj.kinetics.K, n_hit=n_hit, tau=tau,
-        kappas=kappas, v_known=v_known,
+        rho=rho, K=traj.kinetics.K, n_hit=n_hit, kappas=kappas, v_known=v_known,
     )
 
 
@@ -227,34 +214,29 @@ def _resolve_v(obs: Observation, v: float | None) -> float:
     return float(v)
 
 
-def limit_observables_rows(
-    kappas, tau, kin: Kinetics, prec: Precision = INVERSE_PRECISION
-) -> np.ndarray:
-    """t_j = b**(-tau-j) * G(kappa_j) for each NaN-padded row of kappas.
+def limit_observables_rows(kappas, n_hit, kin: Kinetics) -> np.ndarray:
+    """t_j = K * b**-(n_hit+j) * G(kappa_j) for each NaN-padded row of kappas.
 
-    All observed kappas are inverted in one vectorized call; tau holds
-    one centred offset per row and padding stays NaN.  Only the first
-    MAX_KAPPAS columns are used.
+    All observed kappas are inverted in one vectorized call with kin's
+    efficiency and scale; n_hit holds one crossing cycle per row and
+    padding stays NaN.  Only the first MAX_KAPPAS columns are used.
     """
     arr = np.asarray(kappas, dtype=float)[:, :MAX_KAPPAS]
     seen = ~np.isnan(arr)
-    exponent = np.asarray(tau)[:, None] + np.arange(arr.shape[1])
+    cycle = np.asarray(n_hit)[:, None] + np.arange(arr.shape[1])
     t = np.full(arr.shape, np.nan)
-    t[seen] = inverse_profile(arr[seen], kin, prec) * kin.b ** (
-        -exponent[seen].astype(float)
+    t[seen] = inverse_profile(arr[seen], kin) * (
+        kin.K * kin.b ** -cycle[seen].astype(float)
     )
     return t
 
 
-def limit_observables_batch(
-    observations,
-    v: float | None = None,
-    prec: Precision = INVERSE_PRECISION,
-) -> list[np.ndarray]:
-    """Recover t_j = b**(-tau-j) * G(kappa_j) for many observations at once.
+def limit_observables_batch(observations, v: float | None = None) -> list[np.ndarray]:
+    """Recover t_j = K * b**-(n_hit+j) * G(kappa_j) for many observations at once.
 
     The rows of limit_observables_rows, one per observation.  Only the
-    first MAX_KAPPAS densities of each observation are used.
+    first MAX_KAPPAS densities of each observation are used.  All
+    observations must share one efficiency and one scale K.
     """
     observations = list(observations)
     if not observations:
@@ -262,27 +244,26 @@ def limit_observables_batch(
     vs = {_resolve_v(o, v) for o in observations}
     if len(vs) > 1:
         raise ValueError("observations mix different efficiencies")
-    kin = Kinetics(v=vs.pop(), K=observations[0].K)
+    scales = {o.K for o in observations}
+    if len(scales) > 1:
+        raise ValueError("observations mix different scales K")
+    kin = Kinetics(v=vs.pop(), K=scales.pop())
 
     sizes = [min(o.kappas.size, MAX_KAPPAS) for o in observations]
     kappas = np.full((len(observations), max(sizes)), np.nan)
     for row, o, size in zip(kappas, observations, sizes):
         row[:size] = o.kappas[:size]
-    tau = np.array([o.tau for o in observations])
-    t = limit_observables_rows(kappas, tau, kin, prec)
+    n_hit = np.array([o.n_hit for o in observations])
+    t = limit_observables_rows(kappas, n_hit, kin)
     return [row[:size] for row, size in zip(t, sizes)]
 
 
-def limit_observables(
-    obs: Observation,
-    v: float | None = None,
-    prec: Precision = INVERSE_PRECISION,
-) -> np.ndarray:
+def limit_observables(obs: Observation, v: float | None = None) -> np.ndarray:
     """Recover the limit observables t_j for a single observation."""
-    return limit_observables_batch([obs], v, prec)[0]
+    return limit_observables_batch([obs], v)[0]
 
 
-def invert_copies(obs: Observation, prec: Precision = INVERSE_PRECISION) -> int:
+def invert_copies(obs: Observation) -> int:
     """Exact copy-number inversion, valid only at efficiency 1.
 
     At v=1 the growth limit is the copy number itself, so each t_j equals
@@ -291,7 +272,7 @@ def invert_copies(obs: Observation, prec: Precision = INVERSE_PRECISION) -> int:
     """
     if obs.v_known != 1.0:
         raise ValueError("exact inversion requires v_known = 1")
-    t = limit_observables(obs, prec=prec)
+    t = limit_observables(obs)
     return max(1, round(float(t.mean())))
 
 
@@ -401,19 +382,18 @@ def estimate_from_trajectory(
     fit_efficiency: bool = False,
     run_mle: bool = False,
     z_max: int | None = None,
-    max_kappas: int = MAX_KAPPAS,
-    prec: Precision = INVERSE_PRECISION,
 ) -> EstimateReport:
     """Run the whole chain: detect, recover limit observables, estimate.
 
-    The efficiency used for inversion, and for centring tau, is v_known
-    when given, otherwise the fitted value (fit_efficiency=True).  At
-    efficiency 1 the exact inversion fills z_hat_mle; below 1 the
-    likelihood scan does, when run_mle is set, and the diagnostics record
-    its profile, the certified bound of each value, and the number of
-    frequencies and the transform depth of its inversion.
+    The efficiency used for inversion, and for the reported offset
+    tau = n_hit - round(log_b K), is v_known when given, otherwise the
+    fitted value (fit_efficiency=True).  At efficiency 1 the exact
+    inversion fills z_hat_mle; below 1 the likelihood scan does, when
+    run_mle is set, and the diagnostics record its profile, the
+    certified bound of each value, and the number of frequencies and the
+    transform depth of its inversion.
     """
-    obs = observe(traj, rho, v_known=v_known, max_kappas=max_kappas)
+    obs = observe(traj, rho, v_known=v_known)
     v_hat = None
     if fit_efficiency and obs.kappas.size >= 2:
         v_hat = estimate_efficiency(obs.kappas)
@@ -425,11 +405,8 @@ def estimate_from_trajectory(
         )
     if not 0.0 < v_eff <= 1.0:
         raise ValueError(f"fitted efficiency {v_eff:.6g} outside (0, 1]")
-    if v_known is None:
-        tau = obs.n_hit - _log_scale_cycles(obs.K, 1.0 + v_eff)
-        obs = replace(obs, tau=tau)
 
-    t_values = limit_observables(obs, v=v_eff, prec=prec)
+    t_values = limit_observables(obs, v=v_eff)
     t_mean = float(t_values.mean())
     z_normal = estimate_copies_normal(t_mean, v_eff)
 
@@ -449,7 +426,7 @@ def estimate_from_trajectory(
         "fit_efficiency": fit_efficiency,
         "run_mle": run_mle,
         "z_max": z_max,
-        "max_kappas": max_kappas,
+        "max_kappas": MAX_KAPPAS,
     }
     diagnostics = {
         "t_spread": float(t_values.max() - t_values.min()),
@@ -463,7 +440,7 @@ def estimate_from_trajectory(
         z_hat_normal=float(z_normal),
         v_hat=v_hat,
         t_values=t_values,
-        tau=obs.tau,
+        tau=obs.n_hit - _log_scale_cycles(obs.K, 1.0 + v_eff),
         kappas=obs.kappas,
         settings=settings,
         diagnostics=diagnostics,

@@ -148,17 +148,16 @@ def sample_limit(
     seed: int = 0,
     n_gen: int | None = None,
     purpose: int = streams.GROWTH_LIMIT,
-    stream_tag: int = 0,
 ) -> LimitEnsemble:
     """Sample the scaled-growth limit by truncating at depth n_gen.
 
     Each sample runs an independent branching trajectory from z molecules
     for n_gen generations and scales by b**n_gen.  Sample i is lane
     i % BLOCK_SIZE of block i // BLOCK_SIZE; block k is the stream keyed
-    (seed, purpose, replicate=k, aux=stream_tag) and advances all its
-    lanes with one array binomial per generation.  Whole blocks are drawn
-    and the result cut to count, so the first samples do not depend on
-    count.  n_gen defaults to the smallest depth with b**n_gen >= 10**6.
+    (seed, purpose, replicate=k, aux=0) and advances all its lanes with
+    one array binomial per generation.  Whole blocks are drawn and the
+    result cut to count, so the first samples do not depend on count.
+    n_gen defaults to the smallest depth with b**n_gen >= 10**6.
     """
     if not 0.0 < v <= 1.0:
         raise ValueError("efficiency must be in (0, 1]")
@@ -185,7 +184,7 @@ def sample_limit(
     out = np.empty((blocks, BLOCK_SIZE), dtype=float)
     pool = streams.ReusableStream()
     for k in range(blocks):
-        binom = pool.reset(seed, purpose, k, stream_tag).binomial
+        binom = pool.reset(seed, purpose, k).binomial
         y = np.full(BLOCK_SIZE, z, dtype=np.int64)
         for _ in range(n_gen):
             y += binom(y, v)

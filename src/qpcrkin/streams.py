@@ -18,11 +18,12 @@ What one replicate index names depends on the consumer:
   replicates are the same for every replicate count >= n.
 - Growth-limit ensembles (limit_law.sample_limit) draw in blocks of
   limit_law.BLOCK_SIZE samples: sample i is lane i % BLOCK_SIZE of the
-  stream with replicate = i // BLOCK_SIZE and aux = the ensemble's
-  stream_tag.  A block's lanes share its stream in lockstep, one array
-  binomial per generation, so a single sample is reproducible only
-  together with its block, and the first n samples of an ensemble are
-  the same for every count >= n.
+  stream with replicate = i // BLOCK_SIZE and aux = 0; their purposes
+  (GROWTH_LIMIT, or REFERENCE in the experiment runners) keep them off
+  the trajectories' keys.  A block's lanes share its stream in lockstep,
+  one array binomial per generation, so a single sample is reproducible
+  only together with its block, and the first n samples of an ensemble
+  are the same for every count >= n.
 """
 
 from __future__ import annotations

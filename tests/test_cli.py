@@ -13,8 +13,13 @@ import numpy as np
 import pytest
 
 from qpcrkin.cli import main
-from qpcrkin.kinetics import Kinetics
-from qpcrkin.simulate import SimConfig, simulate_reaction, read_trajectory_csv
+from qpcrkin.kinetics import Kinetics, inverse_profile
+from qpcrkin.simulate import (
+    SimConfig,
+    read_trajectory_csv,
+    simulate_reaction,
+    write_trajectory_csv,
+)
 from qpcrkin.limit_law import sample_limit, read_ensemble_csv
 from qpcrkin.inference import read_report_json
 from qpcrkin.experiments import read_result_json
@@ -63,19 +68,23 @@ class TestHCurves:
         assert len(rows) == 1 + 2 * 2
 
 
-    @pytest.mark.parametrize("flag,value", [
+    # each case overrides --x-max 1.0 --x-step 0.25; its last flag is named
+    @pytest.mark.parametrize("override", [
         ("--x-step", "0"), ("--x-step", "-0.25"), ("--x-step", "nan"),
         ("--x-step", "inf"), ("--x-step", "2.0"), ("--x-max", "0"),
         ("--x-max", "-1"), ("--x-max", "nan"), ("--x-max", "inf"),
         ("--x-max", "4.5"),
-    ])
-    def test_bad_grid_option_named(self, tmp_path, capsys, flag, value):
+        # more than 10**6 grid intervals
+        ("--x-step", "1e-300"), ("--x-max", "4", "--x-step", "3e-6"),
+    ], ids="-".join)
+    def test_bad_grid_option_named(self, tmp_path, capsys, override):
         out = tmp_path / "curves.csv"
-        args = {"--x-max": "1.0", "--x-step": "0.25", flag: value}
+        args = {"--x-max": "1.0", "--x-step": "0.25",
+                **dict(zip(override[::2], override[1::2]))}
         assert main(["h-curves", "--x-max", args["--x-max"],
                      "--x-step", args["--x-step"], "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {flag[2:].replace('-', '_')} must be")
+        assert err.startswith(f"error: {override[-2][2:].replace('-', '_')} must be")
         assert not out.exists()
 
 
@@ -115,9 +124,27 @@ class TestEstimate:
         assert report.settings["v_known"] == 0.5
         assert len(report.t_values) == 5
 
+    def test_scale_not_a_power_of_b(self, tmp_path):
+        # t_j = K * b**-(n_hit+j) * G(kappa_j) with the file's own K = 1e5,
+        # which lies between 1.5**28 and 1.5**29
+        kin = Kinetics(v=0.5, K=1e5)
+        traj = simulate_reaction(SimConfig(kin, z0=3, n_cycles=34, seed=4))
+        traj_path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, traj_path)
+        out = tmp_path / "report.json"
+        assert main(["estimate", "--traj", str(traj_path), "--no-mle",
+                     "--out", str(out)]) == 0
+        report = read_report_json(out)
+        n_hit = int(np.argmax(traj.counts / kin.K >= report.settings["rho"]))
+        kappas = traj.counts[n_hit:n_hit + 5] / kin.K
+        np.testing.assert_array_equal(report.kappas, kappas)
+        cycles = n_hit + np.arange(5)
+        expected = 1e5 * 1.5 ** -cycles.astype(float) * inverse_profile(kappas, kin)
+        np.testing.assert_allclose(report.t_values, expected, rtol=1e-14, atol=0)
+
     def test_supplied_efficiency_centres_tau(self, tmp_path):
-        # --v differing from the file's efficiency used to fail the
-        # Observation check "tau inconsistent with n_hit and round(log_b K)"
+        # --v may differ from the file's efficiency; it is the one that
+        # inverts the densities
         traj_path = tmp_path / "traj.csv"
         assert main(["simulate", "--v", "0.5", "--m", "25", "--z0", "2",
                      "--seed", "3", "--out", str(traj_path)]) == 0

@@ -22,6 +22,7 @@ from qpcrkin.inference import (
     NotDetectedError,
     estimate_copies_normal,
     estimate_efficiency,
+    hitting_time,
     limit_observables,
     observe,
 )
@@ -211,16 +212,18 @@ class TestEstimation:
                                      spec.replicates, spec.seed)
         expected = []
         for i, row in enumerate(counts):
+            traj = Trajectory(row, kin)
             try:
-                obs = observe(Trajectory(row, kin), spec.rho, v_known=spec.v)
+                obs = observe(traj, spec.rho, v_known=spec.v)
             except NotDetectedError:
                 continue
+            tau = hitting_time(traj, spec.rho)[1]
             t_mean = float(limit_observables(obs).mean())
             if spec.v == 1.0:
                 z_hat = max(1, round(t_mean))
             else:
                 z_hat = estimate_copies_normal(t_mean, spec.v, integer=True)
-            rec = {"replicate": i, "tau": obs.tau, "t_mean": t_mean, "z_hat": z_hat}
+            rec = {"replicate": i, "tau": tau, "t_mean": t_mean, "z_hat": z_hat}
             if obs.kappas.size >= 2:
                 rec["v_hat"] = estimate_efficiency(obs.kappas)
             expected.append(rec)

@@ -59,15 +59,16 @@ def make_traj(counts, v, K):
     return Trajectory(np.asarray(counts, dtype=np.int64), Kinetics(v=v, K=K))
 
 
-def synthetic_observation(z, tau, v, m=30, n_kappas=5):
-    """Noiseless observation built from the limit identity kappa_j = H(w*b^(tau+j))."""
+def synthetic_observation(z, n_hit, v, m=30, n_kappas=5):
+    """Noiseless observation from the limit identity kappa_j = H(w*b^(n_hit+j)/K).
+
+    K = (1+v)**m; a non-integer m puts K between powers of b.
+    """
     kin = Kinetics(v=v, K=(1.0 + v) ** m)
     j = np.arange(n_kappas)
-    kappas = limit_profile(float(z) * kin.b ** (tau + j), kin)
+    kappas = limit_profile(float(z) * kin.b ** (n_hit + j) / kin.K, kin)
     rho = min(0.05, float(kappas[0]))  # threshold sits at or below kappa_0
-    return Observation(
-        rho=rho, K=kin.K, n_hit=m + tau, tau=tau, kappas=kappas, v_known=v
-    )
+    return Observation(rho=rho, K=kin.K, n_hit=n_hit, kappas=kappas, v_known=v)
 
 
 class TestHittingTime:
@@ -112,7 +113,7 @@ class TestObservation:
         counts = [1, 2, 4, 8, 16, 32, 64]
         traj = make_traj(counts, v=1.0, K=2.0 ** 6)
         obs = observe(traj, rho=0.05)
-        assert obs.n_hit == 2 and obs.tau == -4
+        assert obs.n_hit == 2
         np.testing.assert_allclose(obs.kappas, np.array([4, 8, 16, 32, 64]) / 64.0)
         assert obs.v_known is None
 
@@ -130,22 +131,15 @@ class TestObservation:
     def test_kappas_must_increase(self):
         with pytest.raises(ValueError):
             Observation(
-                rho=0.05, K=64.0, n_hit=2, tau=-4,
+                rho=0.05, K=64.0, n_hit=2,
                 kappas=np.array([0.1, 0.1, 0.2]), v_known=None,
             )
 
     def test_kappa0_at_least_rho(self):
         with pytest.raises(ValueError):
             Observation(
-                rho=0.5, K=64.0, n_hit=2, tau=-4,
+                rho=0.5, K=64.0, n_hit=2,
                 kappas=np.array([0.1, 0.2]), v_known=None,
-            )
-
-    def test_tau_consistent_with_scale(self):
-        with pytest.raises(ValueError):
-            Observation(
-                rho=0.05, K=64.0, n_hit=2, tau=0,
-                kappas=np.array([0.1, 0.2]), v_known=1.0,
             )
 
 
@@ -201,21 +195,27 @@ class TestEfficiencyEstimate:
 class TestLimitObservables:
     def test_noiseless_recovery(self):
         w = 2.3
-        obs = synthetic_observation(w, tau=-3, v=0.5)
+        obs = synthetic_observation(w, n_hit=27, v=0.5)
         t = limit_observables(obs)
         assert t.shape == (5,)
         np.testing.assert_allclose(t, w, rtol=0, atol=2e-8)
 
+    def test_scale_between_powers_of_b(self):
+        # K = 1.5**30.4: rounding log_b K to 30 would leave t off by b**0.4
+        w = 2.3
+        obs = synthetic_observation(w, n_hit=27, v=0.5, m=30.4)
+        np.testing.assert_allclose(limit_observables(obs), w, rtol=0, atol=2e-8)
+
     def test_positive_and_capped_at_five(self):
-        obs = synthetic_observation(1.0, tau=-2, v=0.9, n_kappas=7)
+        obs = synthetic_observation(1.0, n_hit=28, v=0.9, n_kappas=7)
         t = limit_observables(obs)
         assert len(t) == 5 and np.all(t > 0)
 
     def test_batch_matches_single(self):
         obs = [
-            synthetic_observation(0.7, tau=-4, v=0.5),
-            synthetic_observation(3.1, tau=-1, v=0.5, n_kappas=3),
-            synthetic_observation(1.9, tau=2, v=0.5),
+            synthetic_observation(0.7, n_hit=26, v=0.5),
+            synthetic_observation(3.1, n_hit=29, v=0.5, n_kappas=3),
+            synthetic_observation(1.9, n_hit=32, v=0.5),
         ]
         batch = limit_observables_batch(obs, v=0.5)
         for o, t in zip(obs, batch):
@@ -226,21 +226,29 @@ class TestLimitObservables:
             )
 
     def test_needs_some_efficiency(self):
-        obs = synthetic_observation(1.0, tau=-2, v=0.5)
+        obs = synthetic_observation(1.0, n_hit=28, v=0.5)
         object.__setattr__(obs, "v_known", None)
         with pytest.raises(ValueError):
             limit_observables(obs)
 
+    def test_batch_rejects_mixed_scales(self):
+        obs = [
+            synthetic_observation(1.0, n_hit=28, v=0.5),
+            synthetic_observation(1.0, n_hit=28, v=0.5, m=31),
+        ]
+        with pytest.raises(ValueError, match="scales"):
+            limit_observables_batch(obs)
+
 
 class TestExactInversion:
     def test_single_copy_round_trip(self):
-        obs = synthetic_observation(7, tau=-4, v=1.0)
+        obs = synthetic_observation(7, n_hit=26, v=1.0)
         assert invert_copies(obs) == 7
 
     def test_round_trip_spot_checks(self):
         for z in (1, 3, 17, 56, 100):
-            for tau in (-5, -2, 0, 3, 5):
-                obs = synthetic_observation(z, tau=tau, v=1.0, m=20)
+            for n_hit in (15, 18, 20, 23, 25):
+                obs = synthetic_observation(z, n_hit=n_hit, v=1.0, m=20)
                 assert invert_copies(obs) == z
 
     def test_round_trip_identity_full_grid(self):
@@ -254,13 +262,13 @@ class TestExactInversion:
                 assert np.array_equal(np.rint(back), z)
 
     def test_requires_unit_efficiency(self):
-        obs = synthetic_observation(4, tau=-2, v=0.5)
+        obs = synthetic_observation(4, n_hit=28, v=0.5)
         with pytest.raises(ValueError):
             invert_copies(obs)
 
     def test_clamps_to_one(self):
         # kappas from w = 0.2 < 1: the mean rounds to 0, reported as 1
-        obs = synthetic_observation(0.2, tau=-2, v=1.0)
+        obs = synthetic_observation(0.2, n_hit=28, v=1.0)
         assert invert_copies(obs) == 1
 
 

@@ -94,13 +94,10 @@ class TestBlockLayout:
         got = sample_limit(v, z=2, count=2 * BLOCK_SIZE, seed=4, n_gen=n_gen).samples
         assert np.array_equal(got[BLOCK_SIZE:], y * math.exp(-n_gen * math.log1p(v)))
 
-    def test_tag_and_purpose_select_distinct_blocks(self):
+    def test_purpose_selects_distinct_blocks(self):
         base = sample_limit(0.5, count=1000, seed=4).samples
-        tagged = sample_limit(0.5, count=1000, seed=4, stream_tag=1).samples
         other = sample_limit(0.5, count=1000, seed=4, purpose=streams.REFERENCE).samples
-        assert not np.array_equal(base, tagged)
         assert not np.array_equal(base, other)
-        assert not np.array_equal(tagged, other)
 
     def test_mean_calibrated_across_seeds(self):
         # standardised means of independent ensembles are close to N(0, 1)
