@@ -11,7 +11,10 @@ that map: the saturation profile is the pointwise limit of n-fold iterates
 applied to x/b**n with b = 1 + v, and its inverse G is the limit of b**n
 times n-fold inverse iterates.  Both stop at a certified depth: after n
 steps the tail is at most c * b**-n, with c = b*x**2 for the profile and
-c = b*G**2 for G.  The transform in qpcrkin.limit_law shares the rule.
+c = b*G**2 for G.  G learns its constant along the way, so each element
+is tested at every step; a screen on the iterate reduces that test to one
+comparison for the elements that cannot stop yet.  The transform in
+qpcrkin.limit_law shares the rule.
 """
 
 from __future__ import annotations
@@ -183,9 +186,14 @@ def limit_profile(x, kin: Kinetics, prec: Precision = PROFILE_PRECISION):
     c = b * xmax * xmax
     n = _certified_depth(c, b, prec.tol)
     depth = min(n, prec.max_iter)
-    u = arr * math.exp(-depth * math.log(b))
+    # u + (v*u)/(1+u), in place on u and two scratch arrays
+    u, w, t = np.empty_like(arr), np.empty_like(arr), np.empty_like(arr)
+    np.multiply(arr, math.exp(-depth * math.log(b)), out=u)
     for _ in range(depth):
-        u = u + v * u / (1.0 + u)
+        np.add(u, 1.0, out=t)
+        np.multiply(u, v, out=w)
+        w /= t
+        u += w
     if n > prec.max_iter:
         raise PrecisionError(
             f"profile needs {n} iterations for tol={prec.tol}, cap is {prec.max_iter}",
@@ -195,6 +203,62 @@ def limit_profile(x, kin: Kinetics, prec: Precision = PROFILE_PRECISION):
     return float(u) if scalar else u
 
 
+def _stop_bound(u, e: float, scale: float):
+    """Iterate g_n = scale*u of G and the bound e*r_n**2 it stops on.
+
+    e = b**(1-n) and scale = b**n at step n; the bound is inf where
+    q = 4*e*g_n >= 1 certifies nothing.  See inverse_profile.
+    """
+    gn = u * scale
+    q = 4.0 * e * gn
+    r = 2.0 * gn / (1.0 + np.sqrt(np.maximum(1.0 - q, 0.0)))
+    return gn, np.where(q < 1.0, e * r * r, np.inf)
+
+
+#: relative margin of the stop screen, far above the few ulps it must absorb
+_SCREEN_MARGIN = 1e-6
+#: the screen is off below this, where subnormal rounding could eat the margin
+_SCREEN_TINY = 2.0 ** -1000
+
+
+def _stop_screen(e: float, scale: float, tol: float) -> float:
+    """Bound on the iterates u that can stop at a step of G; inf when off.
+
+    At the step with e = b**(1-n) and scale = b**n, g = scale*u stops when
+    its bound is at most tol (_stop_bound).  For q = 4*e*g < 1 the bound
+    is r - g, r the smaller root of e*r**2 - r + g, so it is at most tol
+    exactly when the parabola is at or below zero at g + tol, that is
+    e*(g + tol)**2 <= tol or g <= sqrt(tol/e) - tol, as long as g + tol
+    lies left of the vertex 1/(2*e); 32*e*tol < 1 ensures that.
+    (r - g)/g rises with g, so an iterate above the threshold by the
+    relative margin has a bound above tol by at least that margin.  The
+    float bound and this threshold are off by a few ulps (about 1e-8
+    where 1 - q cancels), so such an element cannot stop.  The screen is
+    off when 32*e*tol >= 1 and where subnormal rounding could eat the
+    margin.
+    """
+    if not 32.0 * e * tol < 1.0 or min(e, tol) < _SCREEN_TINY:
+        return math.inf
+    lim = (math.sqrt(tol) / math.sqrt(e) - tol) / scale * (1.0 + _SCREEN_MARGIN)
+    return lim if lim >= _SCREEN_TINY else math.inf
+
+
+def _inverse_map_below_b(u, b: float, d, t):
+    """_inverse_mean_map of u <= b in place, on scratch arrays d and t.
+
+    Only the 2y/((b-y) + r) branch, with the same float operations;
+    2y is taken as (4y)/2, which is exact.
+    """
+    np.subtract(b, u, out=d)
+    np.multiply(d, d, out=t)
+    np.multiply(u, 4.0, out=u)
+    np.add(t, u, out=t)
+    np.sqrt(t, out=t)
+    np.add(d, t, out=d)
+    np.multiply(u, 0.5, out=u)
+    np.divide(u, d, out=u)
+
+
 def inverse_profile(y, kin: Kinetics, prec: Precision = INVERSE_PRECISION):
     """Inverse G of the saturation profile, G(y) = lim b**n * f^{-n}(y).
 
@@ -202,22 +266,34 @@ def inverse_profile(y, kin: Kinetics, prec: Precision = INVERSE_PRECISION):
     gives G - g_n <= e*G**2 with e = b**(1-n).  Once 4*e*g_n < 1 this
     certifies G <= r_n = 2*g_n / (1 + sqrt(1 - 4*e*g_n)), so the gap is
     at most r_n - g_n = e*r_n**2.  Each element is frozen at the first n
-    where that bound is at most prec.tol and leaves the working arrays:
-    the result lies in [true value - prec.tol, true value], and batched
-    and scalar calls agree bitwise.  Scalars map to floats, arrays map
-    elementwise.
+    where that bound is at most prec.tol: the result lies in
+    [true value - prec.tol, true value], and batched and scalar calls
+    agree bitwise.  Scalars map to floats, arrays map elementwise.
+
+    Only open elements are iterated, in a window sorted by y.  A screen
+    (_stop_screen) decides with one comparison per element which of them
+    can stop at a step; only those go through the bound, so each stops
+    with the same g_n and bound as if all were tested.  The map keeps the
+    order, so stopped elements leave the window from the front; where
+    rounding breaks the order, the window is compacted instead.  Once no
+    open value exceeds b, the map runs in place.
 
     Raises PrecisionError when an element needs more than prec.max_iter
     steps, with the iterates, their bounds and the bracket of G.
     """
     arr = _as_nonnegative_array(y, "profile value")
     scalar = np.ndim(y) == 0
-    b = kin.b
+    b, tol, cap = kin.b, prec.tol, prec.max_iter
     g = np.zeros(arr.size)
     bound = np.full(arr.size, np.inf)
-    # the working arrays hold only the open elements, at positions `open_`
-    open_ = np.arange(arr.size)
-    u = arr.ravel()
+    if not arr.size:
+        return g.reshape(arr.shape)
+    flat = arr.ravel()
+    # the window u holds the open elements sorted by y, from positions open_
+    open_ = np.argsort(flat, kind="stable")
+    u = flat[open_]
+    d, t = np.empty(u.size), np.empty(u.size)
+    in_place = False
     # g_n >= y puts every bound at or above b**(1-n) * y**2, so no element
     # can be certified before the depth of the smallest positive y; zeros
     # stay zero under the map.  Testing starts one step early, a margin
@@ -225,33 +301,52 @@ def inverse_profile(y, kin: Kinetics, prec: Precision = INVERSE_PRECISION):
     y_min = u.min(initial=np.inf, where=u > 0.0)
     first = 0
     if y_min < np.inf:
-        first = min(_certified_depth(b * y_min * y_min, b, prec.tol) - 1,
-                    prec.max_iter)
-    for n in range(prec.max_iter + 1):
+        first = min(_certified_depth(b * y_min * y_min, b, tol) - 1, cap)
+    for n in range(cap + 1):
         if n:
-            u = _inverse_mean_map(u, b)
+            in_place = in_place or u.max() <= b
+            if in_place:
+                _inverse_map_below_b(u, b, d[:u.size], t[:u.size])
+            else:
+                u = _inverse_mean_map(u, b)
         if n < first:
             continue
         e = b ** (1 - n)
-        gn = u * b ** n
-        q = 4.0 * e * gn
-        r = 2.0 * gn / (1.0 + np.sqrt(np.maximum(1.0 - q, 0.0)))
-        bn = np.where(q < 1.0, e * r * r, np.inf)
-        g[open_] = gn
-        bound[open_] = bn
-        keep = bn > prec.tol
-        if not keep.all():
-            open_, u = open_[keep], u[keep]
-        if not open_.size:
-            g = g.reshape(arr.shape)
-            return float(g) if scalar else g
-    g, bound = g.reshape(arr.shape), bound.reshape(arr.shape)
-    raise PrecisionError(
-        f"inverse not certified to tol={prec.tol} within {prec.max_iter} steps",
-        value=float(g) if scalar else g,
-        bound=float(bound) if scalar else bound,
-        bracket=(g, g + bound),
-    )
+        scale = b ** n
+        lim = _stop_screen(e, scale, tol) if n < cap else math.inf
+        k = u.size
+        if lim < math.inf:
+            if u.min() > lim:
+                continue
+            # the bound runs up to the last element the screen lets through
+            k -= (u[::-1] <= lim).argmax()
+        gn, bn = _stop_bound(u[:k], e, scale)
+        stop = bn <= tol
+        if n == cap:
+            g[open_], bound[open_] = gn, bn
+            if stop.all():
+                break
+            g, bound = g.reshape(arr.shape), bound.reshape(arr.shape)
+            raise PrecisionError(
+                f"inverse not certified to tol={tol} within {cap} steps",
+                value=float(g) if scalar else g,
+                bound=float(bound) if scalar else bound,
+                bracket=(g, g + bound),
+            )
+        j = np.count_nonzero(stop)
+        if not j:
+            continue
+        # stopped elements leave from the front, unless rounding broke the order
+        at = slice(j) if stop[:j].all() else np.flatnonzero(stop)
+        g[open_[at]], bound[open_[at]] = gn[at], bn[at]
+        if isinstance(at, slice):
+            open_, u = open_[j:], u[j:]
+        else:
+            open_, u = np.delete(open_, at), np.delete(u, at)
+        if not u.size:
+            break
+    g = g.reshape(arr.shape)
+    return float(g) if scalar else g
 
 
 def limit_sequence(x0: float, kin: Kinetics, n_lo: int, n_hi: int) -> np.ndarray:

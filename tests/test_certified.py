@@ -1,16 +1,24 @@
 """Certified stopping of the conjugacy limits H, G and phi at the cap."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpcrkin.kinetics import (
     INVERSE_PRECISION,
+    PROFILE_PRECISION,
     Kinetics,
     Precision,
     PrecisionError,
     _certified_depth,
     _inverse_mean_map,
+    _stop_bound,
+    _stop_screen,
     inverse_profile,
+    limit_profile,
 )
 from qpcrkin.limit_law import limit_mgf
 
@@ -106,6 +114,10 @@ def test_inverse_certified_where_the_depth_estimate_rounds_up():
     assert ok and _same_bits(inverse_profile(1e-19, k, prec), g)
 
 
+#: MIXED shuffled with repeated values: the window reorders it internally
+SHUFFLED = np.random.default_rng(3).permutation(np.concatenate([MIXED, MIXED[::3]]))
+
+
 @pytest.mark.parametrize("v", [0.25, 1.0])
 def test_inverse_cap_equals_masked_loop(v):
     # the smallest values are certified before the cap, the largest not
@@ -113,9 +125,122 @@ def test_inverse_cap_equals_masked_loop(v):
     prec = Precision(tol=1e-8, max_iter=30)
     g, bound, ok = _masked_inverse(MIXED, k, prec)
     assert not ok and (bound[:3] <= 1e-8).all() and (bound[-3:] > 1e-8).all()
-    with pytest.raises(PrecisionError) as err:
-        inverse_profile(MIXED, k, prec)
-    assert _same_bits(err.value.value, g)
-    assert _same_bits(err.value.bound, bound)
-    lo, hi = err.value.bracket
-    assert _same_bits(lo, g) and _same_bits(hi, g + bound)
+    for y in (MIXED, SHUFFLED):
+        g, bound, _ = _masked_inverse(y, k, prec)
+        with pytest.raises(PrecisionError) as err:
+            inverse_profile(y, k, prec)
+        assert _same_bits(err.value.value, g)
+        assert _same_bits(err.value.bound, bound)
+        lo, hi = err.value.bracket
+        assert _same_bits(lo, g) and _same_bits(hi, g + bound)
+
+
+@st.composite
+def _profile_values(draw):
+    """Unsorted values with repeats, float neighbours and zeros of both signs."""
+    base = draw(st.lists(
+        st.one_of(st.floats(min_value=0.0, max_value=30.0),
+                  st.floats(min_value=1e-12, max_value=1e-3),
+                  st.sampled_from([0.0, -0.0])),
+        min_size=1, max_size=12))
+    values = []
+    for y in base:
+        values.append(y)
+        kind = draw(st.sampled_from(["alone", "repeat", "up", "down"]))
+        if kind == "repeat":
+            values.append(y)
+        elif kind == "up":
+            values.append(float(np.nextafter(y, np.inf)))
+        elif kind == "down" and y > 0.0:
+            values.append(float(np.nextafter(y, 0.0)))
+    return np.array(draw(st.permutations(values)))
+
+
+def _inputs(values):
+    """The values as a 1-d array, a 2-d array and a scalar."""
+    shape = (2, -1) if values.size % 2 == 0 else (-1, 1)
+    return values, values.reshape(shape), float(values[0])
+
+
+@given(values=_profile_values(), v=st.sampled_from([0.1, 0.25, 0.5, 0.9, 1.0]))
+@settings(max_examples=100, deadline=None)
+def test_inverse_equals_masked_loop_on_any_order(values, v):
+    k = Kinetics(v=v, K=1000.0)
+    for y in _inputs(values):
+        g, _, ok = _masked_inverse(y, k)
+        out = inverse_profile(y, k)
+        assert ok and _same_bits(out, g) and (type(out) is float) == (np.ndim(y) == 0)
+
+
+def _plain_profile(x, kin, prec=PROFILE_PRECISION):
+    """Reference H: the forward loop with a fresh array per step."""
+    arr = np.asarray(x, dtype=float)
+    b = kin.b
+    xmax = float(arr.max())
+    if xmax == 0.0:
+        return np.zeros_like(arr)
+    n = _certified_depth(b * xmax * xmax, b, prec.tol)
+    u = arr * math.exp(-n * math.log(b))
+    for _ in range(n):
+        u = u + kin.v * u / (1.0 + u)
+    return u
+
+
+@given(values=_profile_values(), v=st.sampled_from([0.1, 0.25, 0.5, 0.9, 1.0]))
+@settings(max_examples=100, deadline=None)
+def test_profile_equals_plain_loop(values, v):
+    k = Kinetics(v=v, K=1000.0)
+    for x in _inputs(values):
+        out = limit_profile(x, k)
+        assert _same_bits(out, _plain_profile(x, k))
+        assert isinstance(out, float) == (np.ndim(x) == 0)
+
+
+@pytest.mark.parametrize("tol", [1e-38, 1e-12, 1e-8, 1e-4, 1.0])
+@pytest.mark.parametrize("v", [0.1, 0.5, 1.0])
+def test_screen_lets_through_every_element_that_stops(v, tol):
+    # iterates within a few ulps of the exact threshold sqrt(tol/e) - tol
+    # and of the screen itself, at every depth up to the cap
+    b = 1.0 + v
+    cap = 400
+    screened = 0
+    for n in range(cap + 1):
+        e, scale = b ** (1 - n), b ** n
+        lim = _stop_screen(e, scale, tol)
+        if 32.0 * e * tol >= 1.0:
+            assert lim == math.inf
+            continue
+        assert lim < math.inf
+        edge = (math.sqrt(tol / e) - tol) / scale
+        u = np.concatenate([edge + np.arange(-8, 9) * np.spacing(edge),
+                            lim + np.arange(-8, 9) * np.spacing(lim),
+                            edge * (1.0 + np.linspace(-4e-6, 4e-6, 33))])
+        _, bound = _stop_bound(u, e, scale)
+        stops = bound <= tol
+        assert (u[stops] <= lim).all()
+        # not vacuous: some iterates near the edge stop, the highest does not
+        assert stops.any() and not stops[-1]
+        screened += 1
+    assert screened > 0
+
+
+@pytest.mark.parametrize("v", [0.25, 0.5, 1.0])
+def test_inverse_where_rounding_breaks_the_order(v):
+    # neighbouring inputs whose iterates swap order under rounding; tol is
+    # the later input's bound at that step, so it stops one step before the
+    # earlier one and leaves from the middle of the window
+    k = Kinetics(v=v, K=1000.0)
+    ys = 0.3 + np.arange(2000) * np.spacing(0.3)
+    u = ys
+    for n in range(1, 200):
+        u = _inverse_mean_map(u, k.b)
+        e, scale = k.b ** (1 - n), k.b ** n
+        _, bound = _stop_bound(u, e, scale)
+        swapped = np.flatnonzero((np.diff(u) < 0.0) & (bound[1:] < bound[:-1])
+                                 & (32.0 * e * bound[1:] < 1.0))
+        if swapped.size:
+            break
+    i = swapped[0]
+    prec = Precision(tol=float(bound[i + 1]))
+    g, _, ok = _masked_inverse(ys[i:i + 2], k, prec)
+    assert ok and _same_bits(inverse_profile(ys[i:i + 2], k, prec), g)
