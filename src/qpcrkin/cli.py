@@ -20,6 +20,7 @@ from .simulate import (
     COUPLED,
     FAST,
     SimConfig,
+    densities,
     read_trajectory_csv,
     simulate_reaction,
     write_trajectory_csv,
@@ -34,6 +35,13 @@ from .experiments import (
     run_experiment,
     write_result_json,
 )
+
+
+#: without --cycles, `estimate` simulates m + _HORIZON_STEP cycles, and
+#: _HORIZON_STEP more at a time while the run is unobservable, up to
+#: m + _HORIZON_CAP
+_HORIZON_STEP = 5
+_HORIZON_CAP = 20
 
 
 def _load_config(path):
@@ -114,6 +122,25 @@ def _cmd_w_sample(args) -> int:
     return 0
 
 
+def _simulate_observable(kin, m, z0, seed, rho, fit_v):
+    """One trajectory, simulated m + 5 cycles or longer until it is observable.
+
+    A run is observable when its density reaches rho, with at least two
+    densities from that cycle on when the efficiency is fitted.  While it
+    is not, the same seed runs _HORIZON_STEP cycles longer, up to
+    m + _HORIZON_CAP; a trajectory is prefix-stable, so the longer run
+    extends the shorter one.  Past the cap the last run is returned and
+    the estimate raises its usual error.
+    """
+    for n_cycles in range(m + _HORIZON_STEP, m + _HORIZON_CAP + 1, _HORIZON_STEP):
+        traj = simulate_reaction(SimConfig(kin, z0=z0, n_cycles=n_cycles, seed=seed))
+        # counts never fall, so the densities from the crossing on are
+        # exactly those at or above rho
+        if (densities(traj) >= rho).sum() >= (2 if fit_v else 1):
+            break
+    return traj
+
+
 def _cmd_estimate(args) -> int:
     opts = _merged(args, {
         "v": None, "m": None, "z0": 1, "rho": 0.05, "seed": 0,
@@ -131,10 +158,14 @@ def _cmd_estimate(args) -> int:
         if opts["v"] is None or opts["m"] is None:
             raise ValueError("estimate needs --traj or both --v and --m")
         kin = Kinetics.from_exponent(opts["v"], opts["m"])
-        n_cycles = opts["cycles"] if opts["cycles"] is not None else opts["m"] + 5
-        cfg = SimConfig(kin, z0=opts["z0"], n_cycles=n_cycles, seed=opts["seed"])
-        traj = simulate_reaction(cfg)
-        source = f"simulated m={opts['m']}, z0={opts['z0']}, seed={opts['seed']}"
+        if opts["cycles"] is not None:
+            traj = simulate_reaction(SimConfig(kin, z0=opts["z0"], n_cycles=opts["cycles"],
+                                               seed=opts["seed"]))
+        else:
+            traj = _simulate_observable(kin, opts["m"], opts["z0"], opts["seed"],
+                                        opts["rho"], opts["fit_v"])
+        source = (f"simulated m={opts['m']}, z0={opts['z0']}, seed={opts['seed']}, "
+                  f"{traj.n_cycles} cycles")
     # --fit-v treats the efficiency as unknown; otherwise it is v or the
     # trajectory's own value
     if opts["fit_v"]:
@@ -231,7 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=float, help="known efficiency")
     p.add_argument("--m", type=int)
     p.add_argument("--z0", type=int)
-    p.add_argument("--cycles", type=int)
+    p.add_argument("--cycles", type=int,
+                   help="cycles to simulate (default m+5, longer by 5 at a "
+                        "time up to m+20 while the run is unobservable)")
     p.add_argument("--rho", type=float, help="detection threshold density")
     p.add_argument("--fit-v", dest="fit_v", action="store_const", const=True,
                    help="treat the efficiency as unknown and fit it")

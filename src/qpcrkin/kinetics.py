@@ -14,7 +14,7 @@ steps the tail is at most c * b**-n, with c = b*x**2 for the profile and
 c = b*G**2 for G.  G learns its constant along the way, so each element
 is tested at every step; a screen on the iterate reduces that test to one
 comparison for the elements that cannot stop yet.  The transform in
-qpcrkin.limit_law shares the rule.
+qpcrkin.limit_law shares the rule, with b**3 in place of b.
 """
 
 from __future__ import annotations
@@ -140,14 +140,18 @@ def _certified_depth(c: float, b: float, tol: float) -> int:
     """Smallest n >= 0 with c * b**-n <= tol.
 
     After n steps H, G and phi are within c * b**-n of their limits, for
-    a c fixed by the argument.  H and phi know c up front and raise
-    PrecisionError past prec.max_iter; G learns c along the way and applies
-    the same test to each open element at every step from the depth its
-    smallest input allows.
+    a c fixed by the argument (phi steps by b**3).  H and phi know c up
+    front and raise PrecisionError past prec.max_iter; G learns c along
+    the way and applies the same test to each open element at every step
+    from the depth its smallest input allows.  It works with
+    log(c) - log(tol), which stays finite where c/tol overflows; a c
+    that overflowed to inf gives the depth inf, beyond every cap.
     """
     if c <= tol:
         return 0
-    return math.ceil(math.log(c / tol) / math.log(b))
+    if c == math.inf:
+        return math.inf
+    return math.ceil((math.log(c) - math.log(tol)) / math.log(b))
 
 
 def _inverse_mean_map(y, b: float):
@@ -158,7 +162,13 @@ def _inverse_mean_map(y, b: float):
     """
     d = b - y
     r = np.sqrt(d * d + 4.0 * y)
-    return np.where(d >= 0.0, 2.0 * y / (d + r), 0.5 * (r - d))
+    # each branch only on its own elements: where y is huge, d + r
+    # rounds to 0 on the branch not taken
+    low = d >= 0.0
+    out = np.empty_like(r)
+    np.divide(2.0 * y, d + r, out=out, where=low)
+    np.multiply(0.5, r - d, out=out, where=np.logical_not(low))
+    return out
 
 
 def limit_profile(x, kin: Kinetics, prec: Precision = PROFILE_PRECISION):
@@ -215,6 +225,9 @@ def _stop_bound(u, e: float, scale: float):
     return gn, np.where(q < 1.0, e * r * r, np.inf)
 
 
+#: log of the largest float: b**n overflows past n = this / log(b)
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
 #: relative margin of the stop screen, far above the few ulps it must absorb
 _SCREEN_MARGIN = 1e-6
 #: the screen is off below this, where subnormal rounding could eat the margin
@@ -259,6 +272,9 @@ def _inverse_map_below_b(u, b: float, d, t):
     np.divide(u, d, out=u)
 
 
+# a G beyond the float range overflows g_n and its bound to inf, which
+# certifies nothing and ends in PrecisionError at the cap
+@np.errstate(over="ignore")
 def inverse_profile(y, kin: Kinetics, prec: Precision = INVERSE_PRECISION):
     """Inverse G of the saturation profile, G(y) = lim b**n * f^{-n}(y).
 
@@ -279,11 +295,14 @@ def inverse_profile(y, kin: Kinetics, prec: Precision = INVERSE_PRECISION):
     open value exceeds b, the map runs in place.
 
     Raises PrecisionError when an element needs more than prec.max_iter
-    steps, with the iterates, their bounds and the bracket of G.
+    steps, or more than the depth where b**n leaves the float range,
+    with the iterates, their bounds and the bracket of G.
     """
     arr = _as_nonnegative_array(y, "profile value")
     scalar = np.ndim(y) == 0
-    b, tol, cap = kin.b, prec.tol, prec.max_iter
+    b, tol = kin.b, prec.tol
+    # b**n must stay a finite float, so that depth caps the loop as well
+    cap = min(prec.max_iter, math.floor(_LOG_FLOAT_MAX / math.log(b)) - 1)
     g = np.zeros(arr.size)
     bound = np.full(arr.size, np.inf)
     if not arr.size:

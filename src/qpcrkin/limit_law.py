@@ -6,7 +6,10 @@ whose almost-sure limit has mean 1 per starting molecule and variance
 its Laplace transform and characteristic function through the offspring
 fixed-point recursion at a certified depth, inverts the latter for the
 exact density of the z-ancestor limit with a certified truncation bound,
-and estimates the density from samples.
+and estimates the density from samples.  The recursion starts from the
+Taylor polynomial of order 4 of E exp(y*W), whose moments follow exactly
+from the offspring equation, so its error bound falls by b**3 per step
+of depth.
 """
 
 from __future__ import annotations
@@ -192,18 +195,71 @@ def sample_limit(
     return LimitEnsemble(out.ravel()[:count], v=v, z=z, n_gen=n_gen, seed=seed)
 
 
+#: the transform kernel's seed is the Taylor polynomial of E exp(y*W) of
+#: this order: its terms up to y**3, with remainder at most m_4 |y|**4/4!
+_SEED_ORDER = 4
+
+
+def _limit_moments(v: float) -> list:
+    """Moments m_0..m_4 of the growth limit W, exact from the offspring equation.
+
+    M(y) = E exp(y*W) solves M(b*y) = (1-v)*M(y) + v*M(y)**2.  Matching
+    the terms in y**k/k! gives, from m_0 = m_1 = 1,
+
+        m_k = v * sum_{j=1}^{k-1} C(k, j) * m_j * m_{k-j} / (b**k - b),
+
+    so m_2 = 2/b, the variance is (1-v)/(1+v), and m_k tends to k!
+    (the exponential law) as v goes to 0.
+    """
+    b = 1.0 + v
+    m = [1.0, 1.0]
+    for k in range(2, _SEED_ORDER + 1):
+        # b**k - b, without the cancellation of small v
+        gap = b * math.expm1((k - 1) * math.log1p(v))
+        m.append(v * sum(math.comb(k, j) * m[j] * m[k - j] for j in range(1, k)) / gap)
+    return m
+
+
+def _remainder_coefficient(v: float) -> float:
+    """m_4/4!: the seed P(y) errs by at most this times |y|**4."""
+    return _limit_moments(v)[_SEED_ORDER] / math.factorial(_SEED_ORDER)
+
+
+def _seed_depth(c: float, top: float, b: float, tol: float) -> int:
+    """Certified kernel depth for arguments |x| <= top, c = m_4/4! * top**4.
+
+    At depth n the seed errs by at most c * b**(-4n) (_complement_iteration),
+    and the n steps of the map, Lipschitz with constant b on the closed
+    unit disk, widen that to c * b**(-3n): the depth is the smallest n
+    with that at most tol.  It is also at least the depth that brings
+    top/b**n to 1/2, so the seed lies in the unit disk with room for
+    rounding.
+    """
+    return max(_certified_depth(c, b ** 3, tol), _certified_depth(2.0 * top, b, 1.0))
+
+
 def _complement_iteration(x, v: float, depth, slope: bool = False):
-    """The offspring map u -> (1-v)*u + v*u**2 applied depth times to exp(x/b**depth).
+    """The offspring map u -> (1-v)*u + v*u**2 applied depth times to P(x/b**depth).
 
     x = -s gives the Laplace transform E exp(-s W), x = i*omega the
     characteristic function E exp(i omega W); both satisfy the map's
-    fixed-point equation.  It runs on the complement w = 1 - u, as
-    w -> b*w - v*w**2, which keeps relative precision once x/b**depth
-    underflows the spacing of floats near 1.  depth is one int, or one
-    per element of x in nondecreasing order: the deepest elements start
-    first and the others join as their own depth remains.  With
-    slope=True it also returns du/dx, carried along the same loop by
-    forward differentiation.
+    fixed-point equation.  The seed P(y) = 1 + y + m_2 y**2/2 + m_3 y**3/6
+    is the Taylor polynomial of E exp(y W) of order 4 (_limit_moments).
+    For y on the nonpositive real axis or the imaginary axis it errs by
+    at most m_4 |y|**4/4!, and for |y| <= 1 it lies in the closed unit
+    disk, which the map keeps and on which its slope is at most b: with
+    m_2 = 2/b and m_3 = 12/(b**2 (b+1)), |P(i t)|**2 = 1 - var t**2 -
+    (3-b) t**4/(b**2 (b+1)) + m_3**2 t**6/36 <= 1 while t**2 <= (3-b)
+    b**2 (b+1)/4, which is at least 1; and for 0 <= s <= 1, 1 - P(-s) =
+    s (1 - s/b + m_3 s**2/6) >= 0 and P(-s) >= 1 - s - m_3 s**3/6 >= -1.
+    Raises PrecisionError when some |x|/b**depth exceeds 1.
+
+    It runs on the complement w = 1 - u, as w -> w*(b - v*w), which
+    keeps relative precision once x/b**depth underflows the spacing of
+    floats near 1.  depth is one int, or one per element of x in
+    nondecreasing order: the deepest elements start first and the others
+    join as their own depth remains.  With slope=True it also returns
+    du/dx, carried along the same loop by forward differentiation.
     """
     b = 1.0 + v
     if np.ndim(depth) == 0:
@@ -214,15 +270,30 @@ def _complement_iteration(x, v: float, depth, slope: bool = False):
         starts = np.flatnonzero(np.diff(depth, prepend=-1))
         levels = depth[starts].tolist()
         parts = [slice(lo, None) for lo in starts.tolist()]
-    # in place throughout: the working set is w, dw and two scratch arrays
-    w = np.asarray(x * scale)
-    np.expm1(w, out=w)
-    np.negative(w, out=w)
+    y = np.asarray(x * scale)
+    top = float(np.abs(y).max(initial=0.0))
+    if not top <= 1.0:
+        raise PrecisionError(
+            f"transform argument reaches {top:.4g} at depth {np.max(depth)}; "
+            f"the seed needs at most 1"
+        )
+    _, _, m2, m3, _ = _limit_moments(v)
+    # in place throughout: the working set is w, dw and two scratch arrays;
+    # w = -(y + m2/2 y**2 + m3/6 y**3) by Horner
+    w = np.multiply(y, -m3 / 6.0, out=np.empty_like(y))
+    w -= 0.5 * m2
+    w *= y
+    w -= 1.0
+    w *= y
     dw = None
     if slope:
-        dw = 1.0 - w
+        # dw/dx = -scale * P'(y)
+        dw = np.multiply(y, 0.5 * m3, out=np.empty_like(y))
+        dw += m2
+        dw *= y
+        dw += 1.0
         dw *= -scale
-    vw = np.empty_like(w)
+    vw = y
     tmp = np.empty_like(w)
     for k in range(len(levels) - 1, -1, -1):
         part = parts[k]
@@ -230,15 +301,13 @@ def _complement_iteration(x, v: float, depth, slope: bool = False):
         ws, vws, tmps = w[part], vw[part], tmp[part]
         dws = dw[part] if slope else None
         for _ in range(steps):
-            # in place, w = b*w - (v*w)*w and dw = dw*(b - 2*v*w)
+            # in place, w = w*(b - v*w) and dw = dw*(b - 2*v*w)
             np.multiply(ws, v, out=vws)
+            np.subtract(b, vws, out=tmps)
             if slope:
-                np.multiply(vws, -2.0, out=tmps)
-                tmps += b
-                dws *= tmps
-            np.multiply(vws, ws, out=tmps)
-            ws *= b
-            ws -= tmps
+                np.subtract(tmps, vws, out=vws)
+                dws *= vws
+            ws *= tmps
     np.subtract(1.0, w, out=w)
     if slope:
         np.negative(dw, out=dw)
@@ -250,11 +319,13 @@ def limit_mgf(s, v: float, prec: Precision = MGF_PRECISION):
     """Laplace transform E[exp(-s * limit)] for one starting molecule, s >= 0.
 
     Evaluated as the n-fold offspring map u -> (1-v)*u + v*u**2 applied
-    to exp(-s/b**n), at one depth n.  The seed exp(-x) errs by at most
-    x**2 * var/2 with var = (1-v)/(1+v), and the map's slope is at most b,
-    so the result is within s**2 * var/2 * b**-n of the transform; n is
-    the certified depth for prec.tol (0 at v = 1, where the transform is
-    exp(-s)).  Scalars map to floats, arrays map elementwise.
+    to the order-4 seed P(-s/b**n) (_complement_iteration), at one depth
+    n.  The seed errs by at most m_4/4! * (s/b**n)**4 and the map's slope
+    is at most b, so the result is within m_4/4! * s**4 * b**(-3n) of the
+    transform; n is the certified depth for prec.tol at the largest s
+    (_seed_depth).  At v = 1 the limit is the constant 1 and the result
+    is exp(-s), at depth 0.  Scalars map to floats, arrays map
+    elementwise.
 
     Raises PrecisionError when that depth exceeds prec.max_iter; the
     exception carries the value at the cap and its error bound.
@@ -265,18 +336,22 @@ def limit_mgf(s, v: float, prec: Precision = MGF_PRECISION):
     scalar = np.ndim(s) == 0
     if arr.size == 0:
         return arr.copy()
+    if v == 1.0:
+        u = np.exp(-arr)
+        return float(u) if scalar else u
 
     b = 1.0 + v
     smax = float(arr.max())
-    c = 0.5 * limit_variance(v) * smax * smax
-    n = _certified_depth(c, b, prec.tol)
+    # a product overflows to inf (depth inf, past every cap), where ** raises
+    c = _remainder_coefficient(v) * (smax * smax) * (smax * smax)
+    n = _seed_depth(c, smax, b, prec.tol)
     depth = min(n, prec.max_iter)
     u = _complement_iteration(-arr, v, depth)
     if n > prec.max_iter:
         raise PrecisionError(
             f"transform needs depth {n} for tol={prec.tol}, cap is {prec.max_iter}",
             value=float(u) if scalar else u,
-            bound=c * b ** -depth,
+            bound=c * b ** (-3 * depth) if c < math.inf else math.inf,
         )
     return float(u) if scalar else u
 
@@ -306,8 +381,12 @@ def ancestor_density(t, v: float, z_max: int,
 
         f_z(t) ~ (h/pi) * (1/2 + sum_j Re(psi(w_j)**z * exp(-i w_j t)))
 
-    on w_j = j*h, h = 2*pi/T, built for every z by one running product.
-    psi comes from limit_mgf's complement iteration with argument i*w.
+    on w_j = j*h, h = 2*pi/T, for every z at once: per piece of
+    frequencies, one table holds psi**z for z = 1..z_max, filled by
+    in-place multiplies, and each point takes one real matrix-vector
+    product of it with the interleaved cos and sin of w_j*t.  psi comes
+    from limit_mgf's complement iteration with argument i*w; at depth n
+    it errs by at most m_4/4! * w**4 * b**(-3n) (_complement_iteration).
     The full sum is sum_k f_z(t + k*T); the period T = 4*max(z_max, t) + 8
     puts every aliased copy far out in the right tail of every candidate,
     and that term is not part of the bound.
@@ -328,8 +407,8 @@ def ancestor_density(t, v: float, z_max: int,
     forward differentiation), so the integral is at most
     Omega*(v/b)*z*M**(z-1)*D*p/(1-p) with p = r**(z-1)*q and D = max |psi'|
     there.  The transform error adds z*(h/pi) times the sum of psi's
-    certified errors.  Values are returned as computed, negative ones
-    included.
+    certified errors over the frequencies.  Values are returned as
+    computed, negative ones included.
 
     Raises PrecisionError when a point's bounds still exceed prec.tol at
     prec.max_iter frequencies, carrying every value and bound there, or
@@ -348,7 +427,6 @@ def ancestor_density(t, v: float, z_max: int,
         raise ValueError("z_max must be at least 1")
 
     b = 1.0 + v
-    half_var = 0.5 * limit_variance(v)
     period = 4.0 * max(z_max, float(pts.max())) + 8.0
     h = 2.0 * math.pi / period
     z = np.arange(1.0, z_max + 1.0)
@@ -357,14 +435,15 @@ def ancestor_density(t, v: float, z_max: int,
     ends = [min(math.ceil(FIRST_FREQUENCY / h), prec.max_iter)]
     while ends[-1] < prec.max_iter:
         ends.append(min(2 * ends[-1], prec.max_iter))
+    coef = _remainder_coefficient(v)
     depths = []
     pieces = []
     for k, end in enumerate(ends):
-        # psi errs by at most var/2 * w**2 * b**-n at depth n; each segment
-        # keeps its share of a bound below prec.tol / 64
+        # psi errs by at most coef * w**4 * b**(-3n) at depth n; each
+        # segment keeps its share of a bound below prec.tol / 64
         top = end * h
-        depths.append(_certified_depth(half_var * top * top, b,
-                                       math.pi * prec.tol / (64.0 * z_max * top)))
+        depths.append(_seed_depth(coef * top ** 4, top, b,
+                                  math.pi * prec.tol / (64.0 * z_max * top)))
         start = ends[k - 1] if k else 0
         pieces += [(k, lo, min(lo + FREQUENCY_BLOCK, end))
                    for lo in range(start, end, FREQUENCY_BLOCK)]
@@ -399,16 +478,21 @@ def ancestor_density(t, v: float, z_max: int,
         for k, lo, hi in batch:
             part = slice(lo - first, hi - first)
             om, ps, dps = omega[part], psi[part], dpsi[part]
-            psi_error += half_var * b ** -depths[k] * float(om @ om)
-            # one dot per open point, so a point's sum does not depend on
-            # the others
+            om2 = om * om
+            psi_error += coef * b ** (-3 * depths[k]) * float(om2 @ om2)
+            # powers[z-1] = ps**z, each row by one in-place multiply of the last
+            powers = np.empty((z_max, ps.size), dtype=complex)
+            powers[0] = ps
+            for r in range(1, z_max):
+                np.multiply(powers[r - 1], ps, out=powers[r])
+            # Re(p * exp(-i w t)) = Re(p) cos(w t) + Im(p) sin(w t): one real
+            # matrix-vector product per open point on the interleaved parts,
+            # so a point's sum does not depend on the others
+            table = powers.view(float)
             act = np.flatnonzero(todo)
-            phase = np.exp(-1j * np.outer(pts[act], om))
-            power = np.ones_like(ps)
-            for row in sums:
-                power *= ps
-                for j, wave in zip(act, phase):
-                    row[j] += (wave @ power).real
+            phase = np.exp(1j * np.outer(pts[act], om))
+            for j, wave in zip(act, phase):
+                sums[:, j] += table @ wave.view(float)
             top = om >= h * ends[k] / b
             if top.any():
                 m = max(m, float(np.abs(ps[top]).max()))

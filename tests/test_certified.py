@@ -244,3 +244,26 @@ def test_inverse_where_rounding_breaks_the_order(v):
     prec = Precision(tol=float(bound[i + 1]))
     g, _, ok = _masked_inverse(ys[i:i + 2], k, prec)
     assert ok and _same_bits(inverse_profile(ys[i:i + 2], k, prec), g)
+
+
+def test_inverse_of_a_value_beyond_the_float_range():
+    # G(1e17) at v=1 exceeds every float: the inverse map's branch not
+    # taken divides by zero there and must not be evaluated, and the
+    # iterates overflow to inf, which certifies nothing; a RuntimeWarning
+    # would fail here
+    y = np.array([0.5, 2.0, 1e17])
+    x = _inverse_mean_map(y, 2.0)
+    assert np.all(np.isfinite(x)) and np.all(x <= y) and x[-1] > 0.5 * y[-1]
+    with pytest.raises(PrecisionError) as err:
+        inverse_profile(1e17, Kinetics(1.0, 10.0))
+    assert err.value.bound == math.inf
+
+
+def test_unreachable_tolerance_is_a_precision_error():
+    # c/tol overflows at tol=5e-324; the depth works with log(c) - log(tol)
+    n = _certified_depth(2e12, 2.0, 5e-324)
+    assert n == math.ceil((math.log(2e12) - math.log(5e-324)) / math.log(2.0))
+    assert _certified_depth(math.inf, 2.0, 1e-8) == math.inf
+    # that depth is past the one where 2**n overflows, which caps G too
+    with pytest.raises(PrecisionError, match="within 1023 steps"):
+        inverse_profile(1e6, Kinetics(1.0, 10.0), Precision(5e-324))

@@ -204,6 +204,63 @@ class TestEstimate:
         assert "no effect" not in capsys.readouterr().err
 
 
+class TestEstimateHorizon:
+    """Without --cycles, an unobservable run is simulated 5 cycles longer."""
+
+    @pytest.mark.parametrize("index", [169, 540])
+    def test_benchmark_ops_past_the_short_horizon(self, tmp_path, capsys, index):
+        # ops 169 (--fit-v) and 540 of the benchmark's estimate-scan
+        # workload at seed 1103, whose argv draws the trajectory seed from
+        # default_rng([1103, index]); both are z0=1 runs at v=0.5, m=30 that
+        # have no crossing, or a single density, within m+5 cycles
+        seed = int(np.random.default_rng([1103, index]).integers(2 ** 31, size=2)[0])
+        out = tmp_path / "report.json"
+        argv = ["estimate", "--v", "0.5", "--m", "30", "--z0", "1",
+                "--seed", str(seed), "--z-max", "10", "--out", str(out)]
+        if index % 2:
+            argv.append("--fit-v")
+        assert main(argv + ["--cycles", "35"]) == 1
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert "40 cycles" in capsys.readouterr().err
+        report = read_report_json(out)
+        assert report.z_hat_mle == int(np.argmax(report.diagnostics["mle_profile"])) + 1
+
+    @pytest.mark.parametrize("fit", [False, True])
+    def test_readme_reports_keep_the_old_horizon(self, tmp_path, capsys, fit):
+        # the README's inline estimate, and one without --fit-v, are
+        # observable at m+5: that run is kept, and the default report is
+        # byte for byte the one of an explicit --cycles m+5, the old default
+        argv = ["estimate", "--v", "0.5", "--m", "30", "--z0", "5", "--seed", "1"]
+        if fit:
+            argv.append("--fit-v")
+        default, explicit = tmp_path / "default.json", tmp_path / "explicit.json"
+        assert main(argv + ["--out", str(default)]) == 0
+        assert "seed=1, 35 cycles;" in capsys.readouterr().err
+        assert main(argv + ["--cycles", "35", "--out", str(explicit)]) == 0
+        assert default.read_bytes() == explicit.read_bytes()
+
+    def test_readme_trajectory_report_unchanged(self, tmp_path):
+        # a stored trajectory is never re-simulated
+        traj = tmp_path / "traj.csv"
+        assert main(["simulate", "--v", "0.5", "--m", "30", "--z0", "5",
+                     "--seed", "1", "--out", str(traj)]) == 0
+        assert read_trajectory_csv(traj).n_cycles == 35
+        out = tmp_path / "report.json"
+        assert main(["estimate", "--traj", str(traj), "--out", str(out)]) == 0
+        report = read_report_json(out)
+        assert report.z_hat_mle >= 1 and len(report.t_values) == 5
+
+    def test_past_the_cap_the_usual_error(self, tmp_path, capsys):
+        # this run stays below rho = 0.9 through m+20 cycles
+        out = tmp_path / "report.json"
+        assert main(["estimate", "--v", "0.1", "--m", "100", "--z0", "1",
+                     "--seed", "1", "--rho", "0.9", "--no-mle",
+                     "--out", str(out)]) == 1
+        assert "density never reached 0.9 within 120 cycles" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_repeated_calls_share_no_state(tmp_path):
     # one parser serves every call in a process: a flag or a rejected
     # call must not carry over into the next one

@@ -10,10 +10,14 @@ from qpcrkin.kinetics import Precision, PrecisionError, _certified_depth
 from qpcrkin.limit_law import (
     BLOCK_SIZE,
     DENSITY_PRECISION,
+    MGF_PRECISION,
     DensityEstimate,
     LimitEnsemble,
     PointMassError,
     _complement_iteration,
+    _limit_moments,
+    _remainder_coefficient,
+    _seed_depth,
     ancestor_density,
     default_generations,
     limit_density,
@@ -230,6 +234,99 @@ class TestCharacteristicFunction:
         assert np.array_equal(mixed[2:], _complement_iteration(1j * om[2:], 0.5, 60))
 
 
+def _expm1_reference(x, v, depth):
+    """The kernel with the seed exp(x/b**depth), which matches only the mean.
+
+    That seed errs by at most var/2 * |x/b**depth|**2 and the map's slope
+    is at most b, so the result is within var/2 * |x|**2 * b**-depth of
+    the transform.  Returns (value, that bound).
+    """
+    b = 1.0 + v
+    w = -np.expm1(x * b ** -depth)
+    for _ in range(depth):
+        w = b * w - v * w * w
+    return 1.0 - w, 0.5 * limit_variance(v) * np.abs(x) ** 2 * b ** -depth
+
+
+def _reference_depth(top, v, depth, tol):
+    """At least 40 steps past depth, and deep enough for the expm1 seed to reach tol."""
+    b = 1.0 + v
+    return max(depth + 40, _certified_depth(0.5 * limit_variance(v) * top * top, b, tol))
+
+
+class TestSeed:
+    @pytest.mark.parametrize("v", [0.25, 0.5, 0.9])
+    def test_moments_match_samples(self, v):
+        m = _limit_moments(v)
+        assert m[:3] == [1.0, 1.0, pytest.approx(2.0 / (1.0 + v), rel=1e-15)]
+        w = sample_limit(v, count=4 * 10 ** 4, seed=101).samples
+        for k in (2, 3, 4):
+            wk = w ** k
+            se = wk.std(ddof=1) / math.sqrt(w.size)
+            assert abs(wk.mean() - m[k]) < 4 * se
+
+    def test_moments_tend_to_the_exponential_law(self):
+        # as v goes to 0, W tends to the unit exponential, whose m_k is k!
+        for v in (1e-2, 1e-4, 1e-8):
+            m = _limit_moments(v)
+            for k in (2, 3, 4):
+                assert abs(m[k] / math.factorial(k) - 1.0) <= 5.0 * v
+
+    @pytest.mark.parametrize("v", [0.05, 0.25, 0.5, 0.9, 0.999])
+    def test_seed_meets_its_remainder_bound(self, v):
+        # at depth 0 the kernel returns the seed P(x) itself
+        size = np.array([0.01, 0.03, 0.1, 0.3, 0.6, 1.0])
+        x = np.concatenate([-size, 1j * size])
+        seed = _complement_iteration(x, v, 0)
+        remainder = _remainder_coefficient(v) * np.abs(x) ** 4
+        depth = _reference_depth(1.0, v, 0, 1e-6 * remainder.min())
+        ref, ref_bound = _expm1_reference(x, v, depth)
+        err = np.abs(seed - ref)
+        assert np.all(err <= remainder + ref_bound)
+        # on the real axis the remainder is m_4 s**4/4! to leading order,
+        # so the bound is sharp there: the order and m_4 are right
+        small = size <= 0.1
+        assert np.all(err[:size.size][small] >= 0.9 * remainder[:size.size][small])
+
+    @pytest.mark.parametrize("v", [0.05, 0.25, 0.5, 0.9, 0.999])
+    def test_transforms_within_their_certified_error(self, v):
+        b, coef = 1.0 + v, _remainder_coefficient(v)
+        # phi at its certified depth for MGF_PRECISION.tol
+        s = np.linspace(0.0, 20.0, 41)
+        depth = _seed_depth(coef * 20.0 ** 4, 20.0, b, MGF_PRECISION.tol)
+        ref, ref_bound = _expm1_reference(-s, v, _reference_depth(20.0, v, depth, 1e-15))
+        assert np.all(np.abs(limit_mgf(s, v) - ref) <= MGF_PRECISION.tol + ref_bound)
+        # psi at the certified depth for tol, each frequency within its
+        # own error coef * w**4 * b**(-3n), plus rounding far below tol
+        om, tol = np.linspace(0.25, 64.0, 60), 1e-9
+        depth = _seed_depth(coef * om[-1] ** 4, om[-1], b, tol)
+        psi = _complement_iteration(1j * om, v, depth)
+        bound = coef * om ** 4 * b ** (-3 * depth)
+        assert np.all(bound <= tol)
+        ref, ref_bound = _expm1_reference(1j * om, v, _reference_depth(64.0, v, depth, 1e-13))
+        assert np.all(np.abs(psi - ref) <= bound + ref_bound + 1e-13)
+
+    @pytest.mark.parametrize("v", [0.05, 0.5, 0.999])
+    def test_seed_in_the_unit_disk(self, v):
+        # for |y| <= 1 on both axes the seed lies in the closed unit disk
+        y = np.linspace(0.0, 1.0, 2001)
+        seed = _complement_iteration(np.concatenate([-y, 1j * y]), v, 0)
+        assert np.all(np.abs(seed) <= 1.0 + 4 * np.finfo(float).eps)
+        # a large tolerance still leaves the certified depth inside it
+        assert 0.0 < limit_mgf(20.0, v, Precision(tol=10.0)) < 1.0
+
+    @pytest.mark.parametrize("x,depth", [(-3.0, 0), (2j, 1), (-1.6, 1)])
+    def test_seed_outside_the_unit_disk_raises(self, x, depth):
+        # x/b**depth beyond 1 in modulus, at v = 0.5
+        with pytest.raises(PrecisionError, match="seed"):
+            _complement_iteration(np.array([0.5, x]), 0.5, depth)
+
+    def test_full_efficiency_is_exp_exactly(self):
+        s = np.linspace(0.0, 30.0, 61)
+        assert np.array_equal(limit_mgf(s, 1.0), np.exp(-s))
+        assert limit_mgf(2.0, 1.0) == math.exp(-2.0)
+
+
 def _density_on_grid(t, v, z_max, points):
     """Density values on exactly `points` frequencies (the cap), no bound met."""
     with pytest.raises(PrecisionError) as err:
@@ -306,6 +403,18 @@ class TestExactDensity:
         together = ancestor_density(np.array([0.2, 0.8, 3.0]), 0.5, 4)
         assert np.array_equal(together.values[:, 1], alone.values[:, 0])
         assert np.array_equal(together.bounds[:, 1], alone.bounds[:, 0])
+
+    def test_point_does_not_depend_on_its_position(self):
+        # each point has its own matrix-vector product on the power table;
+        # its value is the same wherever it sits among other points
+        pts = np.array([0.35, 0.9, 1.7, 2.6, 4.1])
+        together = ancestor_density(pts, 0.25, 7)
+        for i, t in enumerate(pts):
+            alone = ancestor_density(t, 0.25, 7)
+            assert np.array_equal(together.values[:, i], alone.values[:, 0])
+            assert np.array_equal(together.bounds[:, i], alone.bounds[:, 0])
+        shifted = ancestor_density(np.concatenate([[0.6], pts[::-1]]), 0.25, 7)
+        assert np.array_equal(shifted.values[:, 1:], together.values[:, ::-1])
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_points(self, bad):
