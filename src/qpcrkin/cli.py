@@ -17,8 +17,6 @@ import sys
 
 from .kinetics import Kinetics
 from .simulate import (
-    COUPLED,
-    FAST,
     SimConfig,
     densities,
     read_trajectory_csv,
@@ -78,13 +76,12 @@ def _require_out(opts):
 def _cmd_simulate(args) -> int:
     opts = _merged(args, {
         "v": 0.5, "m": 30, "z0": 1, "seed": 0, "replicate": 0,
-        "cycles": None, "mode": FAST, "gamma": 0.75, "out": None,
+        "cycles": None, "out": None,
     })
     out = _require_out(opts)
     kin = Kinetics.from_exponent(opts["v"], opts["m"])
     n_cycles = opts["cycles"] if opts["cycles"] is not None else opts["m"] + 5
-    cfg = SimConfig(kin, z0=opts["z0"], n_cycles=n_cycles, mode=opts["mode"],
-                    gamma=opts["gamma"], seed=opts["seed"],
+    cfg = SimConfig(kin, z0=opts["z0"], n_cycles=n_cycles, seed=opts["seed"],
                     replicate_id=opts["replicate"])
     traj = simulate_reaction(cfg)
     write_trajectory_csv(traj, out)
@@ -236,8 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z0", type=int, help="initial copy number")
     p.add_argument("--cycles", type=int, help="number of cycles (default m+5)")
     p.add_argument("--replicate", type=int, help="replicate stream index")
-    p.add_argument("--mode", choices=[FAST, COUPLED])
-    p.add_argument("--gamma", type=float, help="coupling cutoff exponent")
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("h-curves", help="tabulate the limit profile on a grid")

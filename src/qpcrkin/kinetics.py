@@ -158,16 +158,19 @@ def _inverse_mean_map(y, b: float):
     """Inverse of the mean map: the positive root of x**2 + (b-y)*x - y.
 
     With r = sqrt((b-y)**2 + 4y) it is 2y/((b-y) + r) for y <= b and
-    ((y-b) + r)/2 above, so neither side cancels.
+    ((y-b) + r)/2 above, so neither side cancels.  Where (b-y)**2
+    overflows (y above about 1e154), r is y - b, and the high branch halves
+    before it subtracts; both are exact otherwise.  Callers ignore overflow.
     """
     d = b - y
     r = np.sqrt(d * d + 4.0 * y)
+    r = np.where(r < np.inf, r, -d)
     # each branch only on its own elements: where y is huge, d + r
     # rounds to 0 on the branch not taken
     low = d >= 0.0
     out = np.empty_like(r)
     np.divide(2.0 * y, d + r, out=out, where=low)
-    np.multiply(0.5, r - d, out=out, where=np.logical_not(low))
+    np.subtract(0.5 * r, 0.5 * d, out=out, where=np.logical_not(low))
     return out
 
 
@@ -368,6 +371,7 @@ def inverse_profile(y, kin: Kinetics, prec: Precision = INVERSE_PRECISION):
     return float(g) if scalar else g
 
 
+@np.errstate(over="ignore")  # in _inverse_mean_map, which stays finite
 def limit_sequence(x0: float, kin: Kinetics, n_lo: int, n_hi: int) -> np.ndarray:
     """Two-sided deterministic density sequence through x0 at index 0.
 

@@ -2,12 +2,10 @@
 
 The reaction starts from z0 molecules and each cycle replicates every
 molecule independently with probability v*K/(K + z), z being the current
-count.  Two modes produce the same law: "fast-binomial" draws the whole
-cycle increment as one binomial variate, "coupled" simulates individual
-molecules on shared uniforms so the reaction can be compared pathwise
-against constant-probability branching references.  The experiment
-runners draw all their replicates at once with simulate_replicates, the
-fast-binomial law on lockstep blocks of trajectories.
+count, so a cycle's increment is one binomial variate.  The coupled
+construction draws the reaction and two constant-probability branching
+references on shared per-molecule uniforms, as counts, for pathwise
+comparison.  The experiment runners draw their replicates in lockstep blocks.
 """
 
 from __future__ import annotations
@@ -26,12 +24,12 @@ __all__ = [
     "Trajectory",
     "CoupledRun",
     "SaturationError",
-    "CoupledCapError",
     "CouplingViolationError",
     "simulate_reaction",
     "simulate_replicates",
     "simulate_linear",
     "simulate_coupled",
+    "simulate_coupled_replicates",
     "noise_sequence",
     "densities",
     "order_violations",
@@ -40,12 +38,6 @@ __all__ = [
 ]
 
 INT64_MAX = np.iinfo(np.int64).max
-
-# per-individual simulation stores one uniform per molecule and cycle
-COUPLED_INDIVIDUAL_CAP = 10 ** 7
-
-FAST = "fast-binomial"
-COUPLED = "coupled"
 
 # aux tag of the replicate-block streams; aux 0 keys single trajectories
 REPLICATE_BLOCK_AUX = 1
@@ -61,12 +53,19 @@ class SaturationError(OverflowError):
     """Molecule count left the 64-bit range; results would wrap silently."""
 
 
-class CoupledCapError(RuntimeError):
-    """Per-individual simulation asked to store too many molecules."""
-
-
 class CouplingViolationError(RuntimeError):
     """A pathwise order relation of the coupled construction failed."""
+
+
+def _check_settings(z0: int, n_cycles: int, replicates: int, gamma: float = 0.75) -> None:
+    if z0 < 1:
+        raise ValueError("z0 must be at least 1")
+    if n_cycles < 1:
+        raise ValueError("n_cycles must be positive")
+    if replicates < 1:
+        raise ValueError("replicates must be positive")
+    if not 0.0 < gamma < 1.0:
+        raise ValueError("gamma must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -76,20 +75,12 @@ class SimConfig:
     kinetics: Kinetics
     z0: int
     n_cycles: int
-    mode: str = FAST
     gamma: float = 0.75
     seed: int = 0
     replicate_id: int = 0
 
     def __post_init__(self):
-        if self.z0 < 1:
-            raise ValueError("z0 must be at least 1")
-        if self.n_cycles < 1:
-            raise ValueError("n_cycles must be positive")
-        if self.mode not in (FAST, COUPLED):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == COUPLED and not 0.0 < self.gamma < 1.0:
-            raise ValueError("coupled mode needs gamma in (0, 1)")
+        _check_settings(self.z0, self.n_cycles, 1, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -154,26 +145,24 @@ class CoupledRun:
             raise CouplingViolationError(f"pathwise order violated: {bad}")
 
 
-def order_violations(run: CoupledRun) -> dict:
-    """Count violations of each pathwise order relation (all must be 0)."""
-    z = run.reaction.counts
-    y = run.upper.counts
-    w = run.lower.counts
-    pre_crossing = slice(None)
-    if run.reaction_crossing is not None:
-        pre_crossing = slice(0, run.reaction_crossing)
-    crossing_ok = run.upper_crossing is None or (
-        run.reaction_crossing is None
-        or run.upper_crossing <= run.reaction_crossing
-    )
-    # upper must cross no later than the reaction whenever the reaction crosses
-    if run.reaction_crossing is not None and run.upper_crossing is None:
-        crossing_ok = False
+def order_violations(runs, threshold: float | None = None) -> dict:
+    """Violations of each pathwise order relation, summed over runs (all 0).
+
+    runs is a reaction, upper, lower count array from
+    simulate_coupled_replicates with its crossing level threshold =
+    K**gamma, or a CoupledRun.  Counts never fall, so the reaction is
+    before its crossing where it is at most the threshold.
+    """
+    if isinstance(runs, CoupledRun):
+        threshold = runs.reaction.kinetics.K ** runs.gamma
+        runs = runs.reaction.counts, runs.upper.counts, runs.lower.counts
+    z, y, w = runs
     return {
-        "reaction_above_upper": int(np.sum(z > y)),
-        "lower_above_upper": int(np.sum(w > y)),
-        "lower_above_reaction_before_crossing": int(np.sum(w[pre_crossing] > z[pre_crossing])),
-        "crossing_order": 0 if crossing_ok else 1,
+        "reaction_above_upper": int((z > y).sum()),
+        "lower_above_upper": int((w > y).sum()),
+        "lower_above_reaction_before_crossing": int(((w > z) & (z <= threshold)).sum()),
+        # runs whose upper process crosses after the reaction
+        "crossing_order": int(((z > threshold) & (y <= threshold)).any(axis=-1).sum()),
     }
 
 
@@ -196,8 +185,6 @@ def _run_counting_process(z0, n_cycles, prob_of_count, gen):
 
 def simulate_reaction(cfg: SimConfig) -> Trajectory:
     """One trajectory of the saturating molecule-count process."""
-    if cfg.mode == COUPLED:
-        return simulate_coupled(cfg).reaction
     v, K = cfg.kinetics.v, cfg.kinetics.K
     gen = _POOL.reset(cfg.seed, streams.REACTION, cfg.replicate_id)
     counts = _run_counting_process(
@@ -221,96 +208,115 @@ def simulate_replicates(
     stream.  Raises SaturationError before any count would leave the
     64-bit range.
     """
-    if z0 < 1:
-        raise ValueError("z0 must be at least 1")
-    if n_cycles < 1:
-        raise ValueError("n_cycles must be positive")
-    if replicates < 1:
-        raise ValueError("replicates must be positive")
+    _check_settings(z0, n_cycles, replicates)
     v, K = kinetics.v, kinetics.K
-    blocks = -(-replicates // BLOCK_SIZE)
-    out = np.empty((blocks, n_cycles + 1, BLOCK_SIZE), dtype=np.int64)
-    pool = streams.ReusableStream()
-    for k in range(blocks):
-        binom = pool.reset(seed, streams.REACTION, k, REPLICATE_BLOCK_AUX).binomial
-        z = np.full(BLOCK_SIZE, z0, dtype=np.int64)
-        out[k, 0] = z
+
+    def lanes(gen):
+        out = np.empty((n_cycles + 1, BLOCK_SIZE), dtype=np.int64)
+        out[0] = z = np.full(BLOCK_SIZE, z0, dtype=np.int64)
         for n in range(1, n_cycles + 1):
-            inc = binom(z, v * K / (K + z))
-            if np.any(inc > INT64_MAX - z):
-                raise SaturationError(
-                    f"a count exceeds the 64-bit range at cycle {n}; "
-                    "reduce n_cycles or z0"
-                )
-            z = z + inc
-            out[k, n] = z
-    counts = out.transpose(0, 2, 1).reshape(-1, n_cycles + 1)[:replicates]
+            inc = gen.binomial(z, v * K / (K + z))
+            _check_range(inc, z, n)
+            out[n] = z = z + inc
+        return out.T
+
+    return _lockstep(streams.REACTION, seed, replicates, lanes)
+
+
+def _check_range(inc: np.ndarray, count: np.ndarray, n: int) -> None:
+    if (inc > INT64_MAX - count).any():
+        raise SaturationError(
+            f"a count exceeds the 64-bit range at cycle {n}; reduce n_cycles or z0"
+        )
+
+
+def _lockstep(purpose: int, seed: int, replicates: int, lanes) -> np.ndarray:
+    """Rows 0..replicates-1 of lanes(gen), the (..., BLOCK_SIZE, n_cycles + 1)
+    counts of block k drawn from the stream (seed, purpose, k, aux=1)."""
+    pool = streams.ReusableStream()
+    counts = np.concatenate([
+        lanes(pool.reset(seed, purpose, k, REPLICATE_BLOCK_AUX))
+        for k in range(-(-replicates // BLOCK_SIZE))
+    ], axis=-2)[..., :replicates, :]
     _check_count_rows(counts)
     return counts
 
 
 def simulate_linear(cfg: SimConfig) -> Trajectory:
     """Constant-probability branching reference: replication probability v."""
-    if cfg.mode == COUPLED:
-        return simulate_coupled(cfg).upper
     v = cfg.kinetics.v
     gen = _POOL.reset(cfg.seed, streams.LINEAR, cfg.replicate_id)
     counts = _run_counting_process(cfg.z0, cfg.n_cycles, lambda z: v, gen)
     return Trajectory(counts, cfg.kinetics, cfg.seed, cfg.replicate_id)
 
 
-def simulate_coupled(cfg: SimConfig) -> CoupledRun:
-    """Reaction and both branching references on shared per-molecule uniforms.
+# entry [s, c, k] is 1 when a uniform of segment s in interval c (numbered
+# as in _coupled_lanes) replicates its molecule in process k = Z, Y, W
+_CELLS = np.zeros((4, 5, 3), dtype=np.int64)
+_CELLS[:, :4, 1] = 1  # Y: j < y and u < v
+_CELLS[:2, :2, 0] = 1  # Z: j < z and u < p_reaction
+_CELLS[1:3, 1:3, 2] = 1  # W: j < w and u < p_lower
+_CELLS = _CELLS.reshape(20, 3)
 
-    Molecule j replicates in a cycle when its uniform falls below the
-    process's replication probability; since the probabilities are ordered
-    wherever the counts are, the order relations hold pathwise and any
-    violation raises.
+
+def _coupled_lanes(gen, kinetics: Kinetics, gamma: float, z0: int,
+                   n_cycles: int, lanes: int) -> np.ndarray:
+    """Coupled runs in lockstep: a (3, lanes, n_cycles + 1) count array.
+
+    Rows are Z, Y and W of the shared-uniform construction (README, notes
+    on numerics).  Each cycle draws how many uniforms of each index
+    segment, 0: w <= j < z, 1: j < min(z, w), 2: z <= j < w,
+    3: max(z, w) <= j < y, fall in each interval, 0: [p_lower, p_reaction),
+    1: [0, min), 2: [p_reaction, p_lower), 3: [max, v), 4: [v, 1), as one
+    multinomial per segment: the exact joint law of the per-molecule form.
     """
-    if not 0.0 < cfg.gamma < 1.0:
-        raise ValueError("coupled mode needs gamma in (0, 1)")
-    v, K = cfg.kinetics.v, cfg.kinetics.K
-    threshold = K ** cfg.gamma
-    p_lower = v * K / (K + threshold)
+    v, K = kinetics.v, kinetics.K
+    # capped at v, so that rounding cannot make an interval negative
+    p_lower = min(v * K / (K + K ** gamma), v)
+    out = np.empty((n_cycles + 1, lanes, 3), dtype=np.int64)
+    out[0] = z0
+    size = np.empty((lanes, 4), dtype=np.int64)
+    p = np.empty((lanes, 5))
+    p[:, 4] = 1.0 - v
+    for n in range(1, n_cycles + 1):
+        prev = out[n - 1]
+        z, y, w = prev.T
+        both = np.minimum(z, w, out=size[:, 1])
+        np.subtract(z, both, out=size[:, 0])
+        np.subtract(w, both, out=size[:, 2])
+        np.subtract(y - z, size[:, 2], out=size[:, 3])
+        p_reaction = np.minimum(v * K / (K + z), v)
+        low = np.minimum(p_reaction, p_lower, out=p[:, 1])
+        np.subtract(p_reaction, low, out=p[:, 0])
+        np.subtract(p_lower, low, out=p[:, 2])
+        np.subtract(v - p_reaction, p[:, 2], out=p[:, 3])
+        inc = gen.multinomial(size, p[:, None]).reshape(lanes, 20) @ _CELLS
+        _check_range(inc[:, 1], y, n)
+        np.add(prev, inc, out=out[n])
+    return out.transpose(2, 1, 0)
+
+
+def simulate_coupled(cfg: SimConfig) -> CoupledRun:
+    """One coupled run: _coupled_lanes on the stream (seed, COUPLED, replicate_id)."""
     gen = _POOL.reset(cfg.seed, streams.COUPLED, cfg.replicate_id)
+    counts = _coupled_lanes(gen, cfg.kinetics, cfg.gamma, cfg.z0, cfg.n_cycles, 1)
+    z, y, w = (Trajectory(c[0], cfg.kinetics, cfg.seed, cfg.replicate_id) for c in counts)
+    thr = cfg.kinetics.K ** cfg.gamma
+    crossing = [int(np.argmax(c > thr)) if c[-1] > thr else None for c in counts[:2, 0]]
+    return CoupledRun(z, y, w, cfg.gamma, *crossing)
 
-    z = y = w = cfg.z0
-    zs, ys, ws = [z], [y], [w]
-    z_cross = 0 if z > threshold else None
-    y_cross = 0 if y > threshold else None
 
-    for _ in range(cfg.n_cycles):
-        if y > COUPLED_INDIVIDUAL_CAP:
-            raise CoupledCapError(
-                f"{y} molecules exceed the per-individual cap "
-                f"{COUPLED_INDIVIDUAL_CAP}; use {FAST!r} mode"
-            )
-        u = gen.random(y)
-        p_reaction = v * K / (K + z)
-        y_next = y + int(np.count_nonzero(u < v))
-        z_next = z + int(np.count_nonzero(u[:z] < p_reaction))
-        w_next = w + int(np.count_nonzero(u[:w] < p_lower))
-        if y_next > INT64_MAX:
-            raise SaturationError("count exceeds the 64-bit range")
-        z, y, w = z_next, y_next, w_next
-        zs.append(z)
-        ys.append(y)
-        ws.append(w)
-        n = len(zs) - 1
-        if z_cross is None and z > threshold:
-            z_cross = n
-        if y_cross is None and y > threshold:
-            y_cross = n
+def simulate_coupled_replicates(
+    kinetics: Kinetics, z0: int, n_cycles: int, replicates: int,
+    gamma: float = 0.75, seed: int = 0,
+) -> np.ndarray:
+    """Coupled runs in the block layout of simulate_replicates, on COUPLED streams.
 
-    kin, seed, rid = cfg.kinetics, cfg.seed, cfg.replicate_id
-    return CoupledRun(
-        reaction=Trajectory(np.array(zs, dtype=np.int64), kin, seed, rid),
-        upper=Trajectory(np.array(ys, dtype=np.int64), kin, seed, rid),
-        lower=Trajectory(np.array(ws, dtype=np.int64), kin, seed, rid),
-        gamma=cfg.gamma,
-        reaction_crossing=z_cross,
-        upper_crossing=y_cross,
-    )
+    Returns the (3, replicates, n_cycles + 1) reaction, upper, lower counts.
+    """
+    _check_settings(z0, n_cycles, replicates, gamma)
+    return _lockstep(streams.COUPLED, seed, replicates, lambda gen: _coupled_lanes(
+        gen, kinetics, gamma, z0, n_cycles, BLOCK_SIZE))
 
 
 def noise_sequence(traj: Trajectory) -> np.ndarray:

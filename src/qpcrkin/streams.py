@@ -11,11 +11,12 @@ What one replicate index names depends on the consumer:
   simulate_coupled) give each trajectory its own stream, replicate = the
   trajectory's replicate_id and aux = 0.
 - The experiment runners simulate their replicates in lockstep blocks
-  (simulate.simulate_replicates): replicate i is lane i % BLOCK_SIZE of
-  the REACTION stream with replicate = i // BLOCK_SIZE and aux = 1, so
-  runner blocks and single trajectories never share a key.  A block
-  advances its lanes with one array binomial per cycle, and the first n
-  replicates are the same for every replicate count >= n.
+  (simulate.simulate_replicates, simulate.simulate_coupled_replicates):
+  replicate i is lane i % BLOCK_SIZE of the REACTION or COUPLED stream
+  with replicate = i // BLOCK_SIZE and aux = 1, so runner blocks and
+  single trajectories never share a key.  A block advances its lanes
+  with one array draw per cycle, and the first n replicates are the same
+  for every replicate count >= n.
 - Growth-limit ensembles (limit_law.sample_limit) draw in blocks of
   limit_law.BLOCK_SIZE samples: sample i is lane i % BLOCK_SIZE of the
   stream with replicate = i // BLOCK_SIZE and aux = 0; their purposes
@@ -35,7 +36,7 @@ __all__ = ["stream", "ReusableStream"]
 # purpose tags keep the different consumers of randomness on disjoint keys
 REACTION = 1  # saturating molecule-count process
 LINEAR = 2  # constant-probability branching reference
-COUPLED = 3  # shared-uniform coupled construction
+COUPLED = 3  # coupled reaction and branching references, drawn as counts
 GROWTH_LIMIT = 4  # scaled-growth limit ensembles
 REFERENCE = 6  # reference samples in experiments
 

@@ -18,7 +18,6 @@ from qpcrkin.kinetics import (
     mean_map,
 )
 from qpcrkin.simulate import (
-    COUPLED,
     SimConfig,
     noise_sequence,
     order_violations,
@@ -162,7 +161,7 @@ def test_08_coupling_order():
         kin = Kinetics.from_exponent(v, 10)
         for i in range(1000):
             run = simulate_coupled(SimConfig(
-                kin, z0=1, n_cycles=10, mode=COUPLED, gamma=0.75,
+                kin, z0=1, n_cycles=10, gamma=0.75,
                 seed=80, replicate_id=i))
             total += sum(order_violations(run).values())
             runs += 1

@@ -259,6 +259,20 @@ def test_inverse_of_a_value_beyond_the_float_range():
     assert err.value.bound == math.inf
 
 
+@pytest.mark.parametrize("y", [1e155, 1e160, 1e300, np.finfo(float).max])
+def test_inverse_of_a_value_whose_square_overflows(y):
+    # (b - y)**2 overflows past about 1e154, which callers ignore; the map
+    # still returns a finite value below y, and G fails with PrecisionError
+    # at the cap, not with an inf - inf that a RuntimeWarning would fail here
+    with np.errstate(over="ignore"):
+        x = _inverse_mean_map(np.array([y, 0.5]), 1.5)
+    assert np.all(np.isfinite(x)) and x[0] <= y and x[0] > 0.5 * y
+    assert x[1] == _inverse_mean_map(np.array([0.5]), 1.5)[0]
+    with pytest.raises(PrecisionError) as err:
+        inverse_profile(y, Kinetics(0.5, 10.0))
+    assert err.value.bound == math.inf
+
+
 def test_unreachable_tolerance_is_a_precision_error():
     # c/tol overflows at tol=5e-324; the depth works with log(c) - log(tol)
     n = _certified_depth(2e12, 2.0, 5e-324)

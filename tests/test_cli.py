@@ -5,6 +5,7 @@ via the package readers, so the CLI is held to the same bit-level
 reproducibility as the library calls it wraps.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -47,6 +48,29 @@ class TestSimulate:
     def test_requires_out(self, capsys):
         assert main(["simulate", "--m", "10"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_no_mode_flag(self, tmp_path, capsys):
+        # argparse rejects the removed --mode with its usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--mode", "coupled", "--out", str(tmp_path / "t.csv")])
+        assert exc.value.code == 2
+        assert "--mode" in capsys.readouterr().err
+
+    def test_no_mode_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"m": 10, "mode": "coupled"}))
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "t.csv")]) == 1
+        assert "unknown config keys: ['mode']" in capsys.readouterr().err
+
+    def test_readme_command_output_unchanged(self, tmp_path):
+        # the README's simulate command, byte for byte as before the coupled
+        # construction moved to lockstep blocks
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--v", "0.5", "--m", "30", "--z0", "5",
+                     "--seed", "1", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "d466369f57204a3a741c10a3e039fa5de270361a647a4e1a931b511173dcbb36")
 
 
 class TestHCurves:

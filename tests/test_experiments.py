@@ -271,6 +271,16 @@ class TestCoupling:
         res = run_coupling(spec)
         assert res.summary["m_values"] == [6, 8, 10, 12]
 
+    def test_large_scale(self):
+        # K = 1.5**80: a run holds about 3e9 molecules by cycle 48; the
+        # count form draws no uniform per molecule, so nothing caps it
+        spec = ScenarioSpec(kind="coupling", v=0.5, z0=10, replicates=200,
+                            seed=11, m_values=(50, 80))
+        s = run_coupling(spec).summary
+        assert s["max_violations"] == 0
+        assert s["n1_values"] == [30, 48]
+        assert s["median_scaled_gap"][1] < s["median_scaled_gap"][0]
+
 
 class TestCurves:
     def test_csv_contents(self, tmp_path):

@@ -1,5 +1,6 @@
 """Tests for the stochastic molecule-count simulators."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,16 +11,18 @@ from qpcrkin import streams
 from qpcrkin.kinetics import Kinetics, iterate_mean_map
 from qpcrkin.limit_law import BLOCK_SIZE
 from qpcrkin.simulate import (
-    CoupledCapError,
     CoupledRun,
+    CouplingViolationError,
     SaturationError,
     SimConfig,
     Trajectory,
+    _coupled_lanes,
     densities,
     noise_sequence,
     order_violations,
     read_trajectory_csv,
     simulate_coupled,
+    simulate_coupled_replicates,
     simulate_linear,
     simulate_reaction,
     simulate_replicates,
@@ -40,13 +43,9 @@ class TestConfigAndTrajectory:
         with pytest.raises(ValueError):
             cfg(n_cycles=0)
 
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            cfg(mode="exact")
-
     def test_coupled_needs_gamma_in_unit_interval(self):
         with pytest.raises(ValueError):
-            cfg(mode="coupled", gamma=1.0)
+            cfg(gamma=1.0)
 
     def test_trajectory_rejects_decreasing(self):
         with pytest.raises(ValueError):
@@ -104,26 +103,6 @@ class TestReaction:
         big = 2 ** 62 + 1
         with pytest.raises(SaturationError):
             simulate_reaction(cfg(v=1.0, K=1e40, z0=big, n_cycles=1, seed=3))
-
-    def test_modes_share_one_step_law(self):
-        # chi-square homogeneity of Z_1 across the two modes at tiny K
-        n = 10 ** 5
-        fast = np.empty(n, dtype=np.int64)
-        coup = np.empty(n, dtype=np.int64)
-        kin = Kinetics(v=0.5, K=4.0)
-        for i in range(n):
-            fast[i] = simulate_reaction(
-                SimConfig(kin, 4, 1, seed=13, replicate_id=i)
-            ).counts[1]
-            coup[i] = simulate_coupled(
-                SimConfig(kin, 4, 1, mode="coupled", seed=13, replicate_id=i)
-            ).reaction.counts[1]
-        table = np.array(
-            [np.bincount(fast - 4, minlength=5), np.bincount(coup - 4, minlength=5)]
-        )
-        table = table[:, table.sum(axis=0) > 0]
-        _, pvalue, _, _ = stats.chi2_contingency(table)
-        assert pvalue > 1e-3
 
 
 class TestReplicateBlocks:
@@ -222,7 +201,7 @@ class TestCoupled:
     @pytest.mark.parametrize("seed", [101, 202, 303])
     def test_pathwise_order(self, v, seed):
         run = simulate_coupled(
-            cfg(v=v, K=(1 + v) ** 10, z0=5, n_cycles=10, mode="coupled", seed=seed)
+            cfg(v=v, K=(1 + v) ** 10, z0=5, n_cycles=10, seed=seed)
         )
         assert all(count == 0 for count in order_violations(run).values())
         z, y = run.reaction.counts, run.upper.counts
@@ -230,7 +209,7 @@ class TestCoupled:
 
     def test_crossing_indices_ordered(self):
         run = simulate_coupled(
-            cfg(v=1.0, K=2.0 ** 10, z0=5, n_cycles=10, mode="coupled", seed=9)
+            cfg(v=1.0, K=2.0 ** 10, z0=5, n_cycles=10, seed=9)
         )
         assert run.upper_crossing is not None
         assert run.reaction_crossing is not None
@@ -238,23 +217,141 @@ class TestCoupled:
 
     def test_initial_crossing_at_zero(self):
         run = simulate_coupled(
-            cfg(v=0.5, K=16.0, z0=15, n_cycles=2, mode="coupled", seed=4)
+            cfg(v=0.5, K=16.0, z0=15, n_cycles=2, seed=4)
         )
         # K**0.75 = 8 < 15, so both processes start above the threshold
         assert run.reaction_crossing == 0
         assert run.upper_crossing == 0
 
-    def test_individual_cap(self):
-        with pytest.raises(CoupledCapError):
-            simulate_coupled(
-                cfg(v=0.5, K=1e12, z0=2 * 10 ** 7, n_cycles=1, mode="coupled", seed=1)
-            )
+    def test_one_lane_case_of_the_block_construction(self):
+        c = cfg(v=0.5, K=200.0, z0=3, n_cycles=12, seed=21, replicate_id=4)
+        run = simulate_coupled(c)
+        gen = streams.stream(21, streams.COUPLED, 4, aux=0)
+        lanes = _coupled_lanes(gen, c.kinetics, c.gamma, 3, 12, 1)
+        assert np.array_equal(lanes[:, 0], np.stack(
+            [run.reaction.counts, run.upper.counts, run.lower.counts]))
 
-    def test_reaction_mode_dispatch(self):
-        a = simulate_reaction(cfg(z0=4, mode="coupled", seed=31, n_cycles=6))
-        b = simulate_coupled(cfg(z0=4, mode="coupled", seed=31, n_cycles=6)).reaction
-        assert np.array_equal(a.counts, b.counts)
+    def test_count_at_the_crossing_level_has_not_crossed(self):
+        # K**gamma = 8 exactly, and the run starts at 8
+        run = simulate_coupled(cfg(v=0.5, K=16.0, z0=8, n_cycles=3, seed=5))
+        assert run.reaction_crossing != 0 and run.upper_crossing != 0
 
+    def test_block_is_one_stream_and_prefix_stable(self):
+        # block 1 is the lane construction on the aux=1 coupled stream
+        kin = Kinetics(v=0.5, K=200.0)
+        got = simulate_coupled_replicates(kin, 3, 12, 2 * BLOCK_SIZE, seed=6)
+        assert got.shape == (3, 2 * BLOCK_SIZE, 13) and got.dtype == np.int64
+        gen = streams.stream(6, streams.COUPLED, 1, aux=1)
+        lanes = _coupled_lanes(gen, kin, 0.75, 3, 12, BLOCK_SIZE)
+        assert np.array_equal(got[:, BLOCK_SIZE:], lanes)
+        short = simulate_coupled_replicates(kin, 3, 12, 1500, seed=6)
+        assert np.array_equal(short, got[:, :1500])
+
+    @pytest.mark.parametrize("bad", [
+        dict(z0=0), dict(n_cycles=0), dict(replicates=0), dict(gamma=1.0),
+    ])
+    def test_replicates_reject_bad_sizes(self, bad):
+        args = dict(z0=1, n_cycles=1, replicates=1, gamma=0.75) | bad
+        with pytest.raises(ValueError):
+            simulate_coupled_replicates(Kinetics(v=0.5, K=10.0), **args)
+
+    def test_probability_rounded_above_v(self):
+        # at K = 1.9**65, v*K/(K + 1) rounds one ulp above v = 0.9
+        kin = Kinetics.from_exponent(0.9, 65)
+        assert kin.v * kin.K / (kin.K + 1) > kin.v
+        run = simulate_coupled(SimConfig(kin, z0=1, n_cycles=3, seed=1))
+        assert run.upper.counts[-1] <= 8
+
+    def test_saturation_raises_not_wraps(self):
+        with pytest.raises(SaturationError):
+            simulate_coupled(cfg(v=1.0, K=1e40, z0=2 ** 62 + 1, n_cycles=1, seed=3))
+
+    def test_order_violations_counts_each_relation(self):
+        # rows reaction, upper, lower of two runs; crossing level 5
+        runs = np.array([
+            [[1, 2, 6], [1, 1, 1]],
+            [[1, 3, 5], [1, 1, 2]],
+            [[1, 3, 3], [1, 2, 2]],
+        ])
+        assert order_violations(runs, 5.0) == {
+            "reaction_above_upper": 1,  # run 0, cycle 2
+            "lower_above_upper": 1,  # run 1, cycle 1
+            "lower_above_reaction_before_crossing": 3,  # run 0 cycle 1, run 1 cycles 1-2
+            "crossing_order": 1,  # run 0 crosses at cycle 2, its upper never does
+        }
+        # a reaction at the crossing level has not crossed
+        assert order_violations(np.array([[[5]], [[5]], [[6]]]), 5.0) == {
+            "reaction_above_upper": 0, "lower_above_upper": 1,
+            "lower_above_reaction_before_crossing": 1, "crossing_order": 0,
+        }
+        kin = Kinetics(0.5, 16.0)
+        with pytest.raises(CouplingViolationError):
+            CoupledRun(Trajectory([1, 2, 4], kin), Trajectory([1, 2, 3], kin),
+                       Trajectory([1, 1, 1], kin), 0.75, None, None)
+
+    @pytest.mark.parametrize("case", [
+        # K**gamma = 8 stays above z for both cycles: p_lower < p_reaction, w <= z
+        dict(kin=Kinetics(0.5, 16.0), gamma=0.75, seed=1),
+        # z0 = 3 starts above K**gamma = 1.41: p_reaction < p_lower, so the
+        # lower process can overtake the reaction in cycle 1, and cycle 2
+        # starts from states with w > z
+        dict(kin=Kinetics(0.9, 2.0), gamma=0.5, seed=2),
+    ], ids=["before-crossing", "after-crossing"])
+    def test_joint_law_matches_enumeration(self, case):
+        z0, n_cycles, n = 3, 2, 10 ** 5
+        law = _per_molecule_path_law(case["kin"], case["gamma"], z0, n_cycles)
+        counts = simulate_coupled_replicates(
+            case["kin"], z0, n_cycles, n, gamma=case["gamma"], seed=case["seed"])
+        assert order_violations(counts, case["kin"].K ** case["gamma"]) == dict.fromkeys(
+            ["reaction_above_upper", "lower_above_upper",
+             "lower_above_reaction_before_crossing", "crossing_order"], 0)
+        if case["gamma"] == 0.5:
+            assert (counts[2, :, 1] > counts[0, :, 1]).mean() > 0.1
+        paths, observed = np.unique(
+            counts.transpose(1, 2, 0).reshape(n, -1), axis=0, return_counts=True)
+        index = {tuple(p): i for i, p in enumerate(law)}
+        assert all(tuple(p) in index for p in paths.tolist())
+        obs = np.zeros(len(law))
+        obs[[index[tuple(p)] for p in paths.tolist()]] = observed
+        exp = n * np.array(list(law.values()))
+        # cells expected fewer than 5 times are pooled into one
+        small = exp < 5
+        obs = np.append(obs[~small], obs[small].sum())
+        exp = np.append(exp[~small], exp[small].sum())
+        assert stats.chisquare(obs, exp).pvalue > 1e-3
+
+
+def _per_molecule_path_law(kin, gamma, z0, n_cycles):
+    """Exact law of the coupled path by enumeration of the per-molecule form.
+
+    Maps each path (Z_0, Y_0, W_0, ..., Z_n, Y_n, W_n) to its probability.
+    Every cycle, molecule j < y draws a uniform u_j and replicates in Y
+    when u_j < v, in Z when j < z and u_j < v*K/(K + z), and in W when
+    j < w and u_j < v*K/(K + K**gamma); the enumeration runs over the
+    interval between consecutive probabilities that each u_j falls in.
+    """
+    v, K = kin.v, kin.K
+    p_lower = v * K / (K + K ** gamma)
+    law = {(z0, z0, z0): 1.0}
+    for _ in range(n_cycles):
+        nxt = {}
+        for path, mass in law.items():
+            z, y, w = path[-3:]
+            p_reaction = v * K / (K + z)
+            cuts = np.array(sorted({0.0, p_lower, p_reaction, v, 1.0}))
+            lo, hi = cuts[:-1], cuts[1:]
+            # every assignment of the y uniforms to intervals, one per row
+            pick = np.array(list(itertools.product(range(lo.size), repeat=y)))
+            prob = mass * np.prod(hi[pick] - lo[pick], axis=1)
+            j = np.arange(y)
+            dy = (hi[pick] <= v).sum(axis=1)
+            dz = ((hi[pick] <= p_reaction) & (j < z)).sum(axis=1)
+            dw = ((hi[pick] <= p_lower) & (j < w)).sum(axis=1)
+            for step, p in zip(zip(z + dz, y + dy, w + dw), prob):
+                key = path + tuple(int(x) for x in step)
+                nxt[key] = nxt.get(key, 0.0) + p
+        law = nxt
+    return law
 
 class TestNoise:
     def test_centering_single_cycle(self):
