@@ -7,14 +7,17 @@ units x = z/K the mean of one cycle is
     mean_map(x) = x + v*x/(1 + x)
 
 and the whole deterministic theory of the reaction lives in the iterates of
-that map: the saturation profile is the pointwise limit of n-fold iterates
+that map: the saturation profile H is the pointwise limit of n-fold iterates
 applied to x/b**n with b = 1 + v, and its inverse G is the limit of b**n
-times n-fold inverse iterates.  Both stop at a certified depth: after n
-steps the tail is at most c * b**-n, with c = b*x**2 for the profile and
-c = b*G**2 for G.  G learns its constant along the way, so each element
-is tested at every step; a screen on the iterate reduces that test to one
-comparison for the elements that cannot stop yet.  The transform in
-qpcrkin.limit_law shares the rule, with b**3 in place of b.
+times n-fold inverse iterates.  Both start from their Taylor polynomials,
+to third order for H and to second order for G, with c3 = (b+2)/(b**2
+(b+1)) the cubic coefficient of H, and stop at a certified depth: after n
+steps the tail is at most c * b**(-2n), with c = c3*x**3 for H and
+c = (c3 + 2/b**2)*G**3 for G.  G learns its constant along the way, so
+each element is tested at every step; a screen on the iterate reduces
+that test to two comparisons for all but the elements within a relative
+1e-6 of the threshold.  The transform in qpcrkin.limit_law shares the
+rule, with b**3 in place of b**2.
 """
 
 from __future__ import annotations
@@ -140,18 +143,41 @@ def _certified_depth(c: float, b: float, tol: float) -> int:
     """Smallest n >= 0 with c * b**-n <= tol.
 
     After n steps H, G and phi are within c * b**-n of their limits, for
-    a c fixed by the argument (phi steps by b**3).  H and phi know c up
-    front and raise PrecisionError past prec.max_iter; G learns c along
-    the way and applies the same test to each open element at every step
-    from the depth its smallest input allows.  It works with
-    log(c) - log(tol), which stays finite where c/tol overflows; a c
-    that overflowed to inf gives the depth inf, beyond every cap.
+    a c fixed by the argument and a base b that is the growth factor
+    squared for H and G and cubed for phi.  H and phi know c up front and
+    raise PrecisionError past prec.max_iter; G learns c along the way
+    and applies the same test to each open element at every step from
+    the depth its smallest input allows.  A c that overflowed to inf
+    gives the depth inf, beyond every cap; H and G, whose c overflows
+    long before their argument does, pass log(c) to _log_depth instead.
     """
-    if c <= tol:
+    return 0 if c <= tol else _log_depth(math.log(c), b, tol)
+
+
+def _log_depth(log_c: float, b: float, tol: float) -> int:
+    """_certified_depth from log_c = log(c).
+
+    It works with log(c) - log(tol), which stays finite where c or c/tol
+    overflow; log_c = inf gives the depth inf.
+    """
+    gap = log_c - math.log(tol)
+    if gap <= 0.0:
         return 0
-    if c == math.inf:
+    if gap == math.inf:
         return math.inf
-    return math.ceil((math.log(c) - math.log(tol)) / math.log(b))
+    return math.ceil(gap / math.log(b))
+
+
+def _cubic_coefficient(b: float) -> float:
+    """c3 = (b+2)/(b**2 (b+1)), the coefficient of x**3 in H's Taylor series.
+
+    H(x) = x - x**2/b + c3*x**3 + ..., from H(b*x) = f(H(x)).  With y = x/b,
+    x - H(x) = b*(y - H(y)) + v*H(y)**2/(1 + H(y)) telescopes to
+    0 <= x - H(x) <= x**2/b, and D(x) = H(x) - x + x**2/b =
+    b*D(y) + v*(y**2 - H(y)**2/(1 + H(y))) to 0 <= D(x) <= c3*x**3, for
+    every x >= 0.
+    """
+    return (b + 2.0) / (b * b * (b + 1.0))
 
 
 def _inverse_mean_map(y, b: float):
@@ -177,10 +203,15 @@ def _inverse_mean_map(y, b: float):
 def limit_profile(x, kin: Kinetics, prec: Precision = PROFILE_PRECISION):
     """Saturation profile: limit of n-fold mean-map iterates of x/b**n.
 
-    The returned value lies in [true value, true value + prec.tol]: the
-    iterates fall monotonically and their tail after n steps is at most
-    x**2 * b**(1-n), certified at the largest argument.  Scalars map to
-    floats, arrays map elementwise.
+    The iterates start from the upper seed P(u) = u - u**2/b + c3*u**3 at
+    u = x/b**n, H's Taylor polynomial of order 3 (_cubic_coefficient):
+    H(u) <= P(u) <= H(u) + c3*u**3, and the mean map is increasing with
+    slope in [1, b], so after n steps the result lies in [H(x), H(x) +
+    c3*x**3*b**(-2n)].  n is the certified depth of that tail at the
+    largest argument, so the returned value lies in [true value, true
+    value + prec.tol].  The depth and the start are taken in logs,
+    log(c3) + 3*log(x) and exp(log(x) - n*log(b)), which stay finite for
+    every float x.  Scalars map to floats, arrays map elementwise.
 
     Raises PrecisionError when the certified depth exceeds prec.max_iter;
     the exception carries the best value and its tail bound.
@@ -196,36 +227,57 @@ def limit_profile(x, kin: Kinetics, prec: Precision = PROFILE_PRECISION):
 
     v = kin.v
     b = 1.0 + v
-    c = b * xmax * xmax
-    n = _certified_depth(c, b, prec.tol)
+    c3 = _cubic_coefficient(b)
+    log_c = math.log(c3) + 3.0 * math.log(xmax)
+    n = _log_depth(log_c, b * b, prec.tol)
     depth = min(n, prec.max_iter)
-    # u + (v*u)/(1+u), in place on u and two scratch arrays
+    # u = exp(log(x) - depth*log(b)), zeros to zero, then P(u) by Horner as
+    # u*(1 + u*(c3*u - 1/b)); the loop is u + (v*u)/(1+u), all in place on
+    # u and two scratch arrays
     u, w, t = np.empty_like(arr), np.empty_like(arr), np.empty_like(arr)
-    np.multiply(arr, math.exp(-depth * math.log(b)), out=u)
+    with np.errstate(divide="ignore"):
+        np.log(arr, out=u)
+    u -= depth * math.log(b)
+    np.exp(u, out=u)
+    np.multiply(u, c3, out=t)
+    t -= 1.0 / b
+    t *= u
+    t += 1.0
+    u *= t
     for _ in range(depth):
         np.add(u, 1.0, out=t)
         np.multiply(u, v, out=w)
         w /= t
         u += w
     if n > prec.max_iter:
+        log_bound = log_c - depth * math.log(b * b)
         raise PrecisionError(
             f"profile needs {n} iterations for tol={prec.tol}, cap is {prec.max_iter}",
             value=float(u) if scalar else u,
-            bound=c * b ** -depth,
+            bound=math.exp(log_bound) if log_bound < _LOG_FLOAT_MAX else math.inf,
         )
     return float(u) if scalar else u
 
 
-def _stop_bound(u, e: float, scale: float):
-    """Iterate g_n = scale*u of G and the bound e*r_n**2 it stops on.
+def _stop_bound(u, scale, b: float, c3: float, kc: float):
+    """Lower seed of G at one step and the bound it stops on.
 
-    e = b**(1-n) and scale = b**n at step n; the bound is inf where
-    q = 4*e*g_n >= 1 certifies nothing.  See inverse_profile.
+    At step n, u = f^{-n}(y) and scale = b**n; the iterate is g_n =
+    scale*u, and where q = 4*b*u < 1, r_n = scale*s with s = 2*u/(1 +
+    sqrt(1 - q)) bounds G from above.  The seed g_n + g_n*u/b -
+    c3*r_n**3*b**(-2n) lies below G and within kc*r_n**3*b**(-2n) of it,
+    kc = c3 + 2/b**2; r_n**3*b**(-2n) is formed as s*r_n*s, which stays
+    in the float range.  Where q >= 1 nothing is certified: the value is
+    g_n and the bound inf.  scale may be one float or one per element.
+    See inverse_profile.
     """
+    q = 4.0 * b * u
+    ok = q < 1.0
+    s = np.where(ok, (u + u) / (1.0 + np.sqrt(np.maximum(1.0 - q, 0.0))), 0.0)
+    cube = s * (s * scale) * s
     gn = u * scale
-    q = 4.0 * e * gn
-    r = 2.0 * gn / (1.0 + np.sqrt(np.maximum(1.0 - q, 0.0)))
-    return gn, np.where(q < 1.0, e * r * r, np.inf)
+    value = np.where(ok, gn + gn * u / b - c3 * cube, gn)
+    return value, np.where(ok, kc * cube, np.inf)
 
 
 #: log of the largest float: b**n overflows past n = this / log(b)
@@ -235,28 +287,38 @@ _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _SCREEN_MARGIN = 1e-6
 #: the screen is off below this, where subnormal rounding could eat the margin
 _SCREEN_TINY = 2.0 ** -1000
+#: elements per pass of G's closing seed evaluation, which bounds its arrays
+_SEED_BLOCK = 4096
 
 
-def _stop_screen(e: float, scale: float, tol: float) -> float:
-    """Bound on the iterates u that can stop at a step of G; inf when off.
+def _stop_screen(scale: float, b: float, tol: float, kc: float) -> tuple:
+    """Bounds (lim, sure) on the iterates u of a step of G; (inf, -inf) when off.
 
-    At the step with e = b**(1-n) and scale = b**n, g = scale*u stops when
-    its bound is at most tol (_stop_bound).  For q = 4*e*g < 1 the bound
-    is r - g, r the smaller root of e*r**2 - r + g, so it is at most tol
-    exactly when the parabola is at or below zero at g + tol, that is
-    e*(g + tol)**2 <= tol or g <= sqrt(tol/e) - tol, as long as g + tol
-    lies left of the vertex 1/(2*e); 32*e*tol < 1 ensures that.
-    (r - g)/g rises with g, so an iterate above the threshold by the
-    relative margin has a bound above tol by at least that margin.  The
-    float bound and this threshold are off by a few ulps (about 1e-8
-    where 1 - q cancels), so such an element cannot stop.  The screen is
-    off when 32*e*tol >= 1 and where subnormal rounding could eat the
-    margin.
+    At the step with scale = b**n and e = b/scale, g = scale*u stops when
+    its bound kc*r**3*b**(-2n) is at most tol (_stop_bound), that is when
+    r <= rho = (tol*b**(2n)/kc)**(1/3).  For q = 4*e*g < 1, r is the
+    smaller root of e*r**2 - r + g, and g = r - e*r**2 rises with r left
+    of the vertex 1/(2*e), so r <= rho exactly when g <= rho - e*rho**2,
+    as long as rho lies left of the vertex; 4*e*rho < 1 ensures that, and
+    keeps 1 - q above 1/4 at the threshold, so the root does not cancel.
+    r/g rises with g, so an iterate off the threshold by the relative
+    margin has r off rho by at least that margin, and a bound off tol by
+    three times it.  The float bound and this threshold are off by a few
+    ulps, so an iterate above lim, the threshold widened by the margin,
+    cannot stop, and one at or below sure, the threshold narrowed by it,
+    stops.  Only those in between need the bound.  The screen is off when
+    4*e*rho >= 1 and where subnormal rounding could eat the margin.
     """
-    if not 32.0 * e * tol < 1.0 or min(e, tol) < _SCREEN_TINY:
-        return math.inf
-    lim = (math.sqrt(tol) / math.sqrt(e) - tol) / scale * (1.0 + _SCREEN_MARGIN)
-    return lim if lim >= _SCREEN_TINY else math.inf
+    off = math.inf, -math.inf
+    e = b / scale
+    if min(e, tol) < _SCREEN_TINY:
+        return off
+    rho = (tol / kc) ** (1.0 / 3.0) * scale ** (2.0 / 3.0)
+    if not 4.0 * e * rho < 1.0:
+        return off
+    edge = rho * (1.0 - e * rho) / scale
+    sure = edge * (1.0 - _SCREEN_MARGIN)
+    return (edge * (1.0 + _SCREEN_MARGIN), sure) if sure >= _SCREEN_TINY else off
 
 
 def _inverse_map_below_b(u, b: float, d, t):
@@ -281,29 +343,37 @@ def _inverse_map_below_b(u, b: float, d, t):
 def inverse_profile(y, kin: Kinetics, prec: Precision = INVERSE_PRECISION):
     """Inverse G of the saturation profile, G(y) = lim b**n * f^{-n}(y).
 
-    The iterates g_n = b**n * f^{-n}(y) rise to G, and x - H(x) <= b*x**2
-    gives G - g_n <= e*G**2 with e = b**(1-n).  Once 4*e*g_n < 1 this
-    certifies G <= r_n = 2*g_n / (1 + sqrt(1 - 4*e*g_n)), so the gap is
-    at most r_n - g_n = e*r_n**2.  Each element is frozen at the first n
-    where that bound is at most prec.tol: the result lies in
-    [true value - prec.tol, true value], and batched and scalar calls
-    agree bitwise.  Scalars map to floats, arrays map elementwise.
+    The iterates g_n = b**n * f^{-n}(y) rise to G, and x - H(x) <= x**2/b
+    gives G - g_n <= e*G**2 with e = b**(1-n), a factor b**2 to spare, so
+    once q = 4*e*g_n < 1, G <= r_n = 2*g_n / (1 + sqrt(1 - q)).  With
+    w = G(u) and u = H(w), G(u) - u - u**2/b = (w - u)*(w + u)/b - D(w)
+    lies in [-c3*w**3, 2*w**3/b**2] (_cubic_coefficient), so at
+    u = f^{-n}(y) the lower seed g_n + g_n**2*b**(-n-1) - c3*r_n**3*b**(-2n)
+    lies below G and within (c3 + 2/b**2)*r_n**3*b**(-2n) of it
+    (_stop_bound).  Each element is frozen at the first n where that
+    bound is at most prec.tol: the result lies in [true value - prec.tol,
+    true value], and batched and scalar calls agree bitwise.  Scalars map
+    to floats, arrays map elementwise.
 
     Only open elements are iterated, in a window sorted by y.  A screen
     (_stop_screen) decides with one comparison per element which of them
-    can stop at a step; only those go through the bound, so each stops
-    with the same g_n and bound as if all were tested.  The map keeps the
-    order, so stopped elements leave the window from the front; where
-    rounding breaks the order, the window is compacted instead.  Once no
-    open value exceeds b, the map runs in place.
+    can stop at a step, and with a second which of them surely stop; only
+    the few in between go through the bound, so each stops at the same
+    step as if all were tested.  The map keeps the order, so stopped
+    elements leave the window from the front; where rounding breaks the
+    order, the window is compacted instead.  Once no open value exceeds
+    b, the map runs in place.  Seeds and bounds are formed in one pass at
+    the end, from the iterate and the step at which each element stopped.
 
     Raises PrecisionError when an element needs more than prec.max_iter
     steps, or more than the depth where b**n leaves the float range,
-    with the iterates, their bounds and the bracket of G.
+    with the seeds, their bounds and the bracket of G.
     """
     arr = _as_nonnegative_array(y, "profile value")
     scalar = np.ndim(y) == 0
     b, tol = kin.b, prec.tol
+    c3 = _cubic_coefficient(b)
+    kc = c3 + 2.0 / (b * b)
     # b**n must stay a finite float, so that depth caps the loop as well
     cap = min(prec.max_iter, math.floor(_LOG_FLOAT_MAX / math.log(b)) - 1)
     g = np.zeros(arr.size)
@@ -316,14 +386,17 @@ def inverse_profile(y, kin: Kinetics, prec: Precision = INVERSE_PRECISION):
     u = flat[open_]
     d, t = np.empty(u.size), np.empty(u.size)
     in_place = False
-    # g_n >= y puts every bound at or above b**(1-n) * y**2, so no element
-    # can be certified before the depth of the smallest positive y; zeros
-    # stay zero under the map.  Testing starts one step early, a margin
-    # against rounding.
+    # r_n >= g_n >= y puts every bound at or above kc * y**3 * b**(-2n), so
+    # no element can be certified before the depth of the smallest positive
+    # y; zeros stay zero under the map.  Testing starts one step early, a
+    # margin against rounding.
     y_min = u.min(initial=np.inf, where=u > 0.0)
     first = 0
     if y_min < np.inf:
-        first = min(_certified_depth(b * y_min * y_min, b, tol) - 1, cap)
+        log_c = math.log(kc) + 3.0 * math.log(y_min)
+        first = min(_log_depth(log_c, b * b, tol) - 1, cap)
+    # until the end, g and bound hold each element's iterate and scale at
+    # the step it stopped
     for n in range(cap + 1):
         if n:
             in_place = in_place or u.max() <= b
@@ -333,41 +406,43 @@ def inverse_profile(y, kin: Kinetics, prec: Precision = INVERSE_PRECISION):
                 u = _inverse_mean_map(u, b)
         if n < first:
             continue
-        e = b ** (1 - n)
         scale = b ** n
-        lim = _stop_screen(e, scale, tol) if n < cap else math.inf
-        k = u.size
-        if lim < math.inf:
-            if u.min() > lim:
-                continue
-            # the bound runs up to the last element the screen lets through
-            k -= (u[::-1] <= lim).argmax()
-        gn, bn = _stop_bound(u[:k], e, scale)
-        stop = bn <= tol
         if n == cap:
-            g[open_], bound[open_] = gn, bn
-            if stop.all():
-                break
-            g, bound = g.reshape(arr.shape), bound.reshape(arr.shape)
-            raise PrecisionError(
-                f"inverse not certified to tol={tol} within {cap} steps",
-                value=float(g) if scalar else g,
-                bound=float(bound) if scalar else bound,
-                bracket=(g, g + bound),
-            )
+            g[open_], bound[open_] = u, scale
+            break
+        lim, sure = _stop_screen(scale, b, tol, kc)
+        if u.min() > lim:
+            continue
+        # the bound runs on the elements up to the last one the screen lets
+        # through that are not sure to stop
+        k = u.size - (u[::-1] <= lim).argmax()
+        stop = u[:k] <= sure
+        if not stop.all():
+            edge = np.flatnonzero(~stop)
+            stop[edge] = _stop_bound(u[edge], scale, b, c3, kc)[1] <= tol
         j = np.count_nonzero(stop)
         if not j:
             continue
         # stopped elements leave from the front, unless rounding broke the order
         at = slice(j) if stop[:j].all() else np.flatnonzero(stop)
-        g[open_[at]], bound[open_[at]] = gn[at], bn[at]
+        g[open_[at]], bound[open_[at]] = u[at], scale
         if isinstance(at, slice):
             open_, u = open_[j:], u[j:]
         else:
             open_, u = np.delete(open_, at), np.delete(u, at)
         if not u.size:
             break
-    g = g.reshape(arr.shape)
+    for lo in range(0, g.size, _SEED_BLOCK):
+        part = slice(lo, lo + _SEED_BLOCK)
+        g[part], bound[part] = _stop_bound(g[part], bound[part], b, c3, kc)
+    g, bound = g.reshape(arr.shape), bound.reshape(arr.shape)
+    if not (bound <= tol).all():
+        raise PrecisionError(
+            f"inverse not certified to tol={tol} within {cap} steps",
+            value=float(g) if scalar else g,
+            bound=float(bound) if scalar else bound,
+            bracket=(g, g + bound),
+        )
     return float(g) if scalar else g
 
 

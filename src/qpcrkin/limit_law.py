@@ -393,9 +393,10 @@ def ancestor_density(t, v: float, z_max: int,
 
     Frequencies come in segments: j <= N0 (N0*h just reaches
     FIRST_FREQUENCY), then (N0*2**(k-1), N0*2**k].  Each segment has its
-    own transform depth, certified at its top frequency, and a point
-    stops at the end of the first segment where all its bounds are at
-    most prec.tol, so its value does not depend on the other points.
+    own transform depth, certified at its top frequency once the scan
+    reaches it, and a point stops at the end of the first segment where
+    all its bounds are at most prec.tol, so its value does not depend on
+    the other points.
 
     Bound.  Summation by parts bounds what the sum leaves out past the
     top frequency Omega by (|psi(Omega)**z| + int_Omega^inf |(psi**z)'|)
@@ -436,43 +437,47 @@ def ancestor_density(t, v: float, z_max: int,
     while ends[-1] < prec.max_iter:
         ends.append(min(2 * ends[-1], prec.max_iter))
     coef = _remainder_coefficient(v)
-    depths = []
-    pieces = []
-    for k, end in enumerate(ends):
+    depths = {}
+
+    def depth_of(k):
         # psi errs by at most coef * w**4 * b**(-3n) at depth n; each
-        # segment keeps its share of a bound below prec.tol / 64
-        top = end * h
-        depths.append(_seed_depth(coef * top ** 4, top, b,
-                                  math.pi * prec.tol / (64.0 * z_max * top)))
-        start = ends[k - 1] if k else 0
-        pieces += [(k, lo, min(lo + FREQUENCY_BLOCK, end))
-                   for lo in range(start, end, FREQUENCY_BLOCK)]
+        # segment keeps its share of a bound below prec.tol / 64.  A
+        # segment's depth is certified when the scan first reaches it.
+        if k not in depths:
+            top = ends[k] * h
+            depths[k] = _seed_depth(coef * top ** 4, top, b,
+                                    math.pi * prec.tol / (64.0 * z_max * top))
+        return depths[k]
+
+    pieces = ((k, lo, min(lo + FREQUENCY_BLOCK, end))
+              for k, end in enumerate(ends)
+              for lo in range(ends[k - 1] if k else 0, end, FREQUENCY_BLOCK))
 
     sums = np.zeros((z_max, pts.size))
     values = np.empty_like(sums)
     bounds = np.empty_like(sums)
     todo = np.ones(pts.size, dtype=bool)
     psi_error = m = d = 0.0
-    i = 0
+    pending = next(pieces)
     while True:
         # one kernel call over whole pieces, up to FREQUENCY_BLOCK
         # frequencies; a piece past the depth cap only ever comes first
-        batch = [pieces[i]]
-        for piece in pieces[i + 1:]:
+        batch, pending = [pending], None
+        for piece in pieces:
             if (piece[2] - batch[0][1] > FREQUENCY_BLOCK
-                    or depths[piece[0]] > MGF_PRECISION.max_iter):
+                    or depth_of(piece[0]) > MGF_PRECISION.max_iter):
+                pending = piece
                 break
             batch.append(piece)
-        i += len(batch)
         last = batch[-1]
-        if depths[last[0]] > MGF_PRECISION.max_iter:
+        if depth_of(last[0]) > MGF_PRECISION.max_iter:
             raise PrecisionError(
-                f"characteristic function needs depth {depths[last[0]]} at "
+                f"characteristic function needs depth {depth_of(last[0])} at "
                 f"frequency {h * last[2]:.4g}, cap is {MGF_PRECISION.max_iter}"
             )
         first = batch[0][1]
         omega = h * np.arange(first + 1, last[2] + 1)
-        depth = np.concatenate([np.full(hi - lo, depths[k]) for k, lo, hi in batch])
+        depth = np.concatenate([np.full(hi - lo, depth_of(k)) for k, lo, hi in batch])
         psi, dpsi = _complement_iteration(1j * omega, v, depth, slope=True)
 
         for k, lo, hi in batch:

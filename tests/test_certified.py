@@ -13,12 +13,16 @@ from qpcrkin.kinetics import (
     Kinetics,
     Precision,
     PrecisionError,
+    _SEED_BLOCK,
     _certified_depth,
+    _cubic_coefficient,
     _inverse_mean_map,
+    _log_depth,
     _stop_bound,
     _stop_screen,
     inverse_profile,
     limit_profile,
+    mean_map,
 )
 from qpcrkin.limit_law import limit_mgf
 
@@ -53,6 +57,26 @@ def test_inverse_cap_bracket_holds_value():
     assert np.all(lo <= full) and np.all(full <= hi)
 
 
+def _constants(b):
+    """c3 = (b+2)/(b**2 (b+1)), the cubic coefficient of H, and c3 + 2/b**2."""
+    c3 = (b + 2.0) / (b * b * (b + 1.0))
+    return c3, c3 + 2.0 / (b * b)
+
+
+def _seed_and_bound(u, n, b):
+    """Lower seed of G at step n from the backward iterate u, and its bound."""
+    c3, kc = _constants(b)
+    scale = b ** n
+    # G <= r = scale*s where 4*b*u < 1, from G - g_n <= b**(1-n) * G**2
+    q = 4.0 * b * u
+    ok = q < 1.0
+    s = np.where(ok, 2.0 * u / (1.0 + np.sqrt(np.maximum(1.0 - q, 0.0))), 0.0)
+    cube = s * (s * scale) * s
+    gn = u * scale
+    return (np.where(ok, gn + gn * u / b - c3 * cube, gn),
+            np.where(ok, kc * cube, np.inf))
+
+
 def _masked_inverse(y, kin, prec=INVERSE_PRECISION):
     """Reference G: every step runs over all elements, finished ones masked.
 
@@ -67,12 +91,9 @@ def _masked_inverse(y, kin, prec=INVERSE_PRECISION):
     for n in range(prec.max_iter + 1):
         if n:
             u = np.where(todo, _inverse_mean_map(u, b), u)
-        e = b ** (1 - n)
-        gn = u * b ** n
-        q = 4.0 * e * gn
-        r = 2.0 * gn / (1.0 + np.sqrt(np.maximum(1.0 - q, 0.0)))
-        g = np.where(todo, gn, g)
-        bound = np.where(todo, np.where(q < 1.0, e * r * r, np.inf), bound)
+        seed, bn = _seed_and_bound(u, n, b)
+        g = np.where(todo, seed, g)
+        bound = np.where(todo, bn, bound)
         todo &= bound > prec.tol
         if not todo.any():
             return g, bound, True
@@ -103,15 +124,29 @@ def test_inverse_equals_masked_loop_bitwise(v):
         assert isinstance(out, float) and _same_bits(out, g)
 
 
+def test_inverse_of_many_values_equals_masked_loop_bitwise():
+    # more values than one block of the closing seed evaluation
+    k = Kinetics(v=0.5, K=1000.0)
+    y = np.random.default_rng(5).uniform(0.0, 30.0, 3 * _SEED_BLOCK + 7)
+    g, _, ok = _masked_inverse(y, k)
+    assert ok and _same_bits(inverse_profile(y, k), g)
+
+
 def test_inverse_certified_where_the_depth_estimate_rounds_up():
     # tol is exactly the bound after one step, so the reference certifies
-    # y at n = 1; log(b*y**2/tol)/log(b) rounds to just above 1 and the
-    # depth estimate reads 2, one step late
-    k = Kinetics(v=0.25, K=1000.0)
-    prec = Precision(tol=1e-38)
-    assert _certified_depth(k.b * 1e-19 * 1e-19, k.b, prec.tol) == 2
-    g, _, ok = _masked_inverse(1e-19, k, prec)
-    assert ok and _same_bits(inverse_profile(1e-19, k, prec), g)
+    # y at n = 1; log(kc*y**3/tol)/log(b**2) rounds to just above 1 and the
+    # depth estimate reads 2, one step late; the seed at n = 2 differs in
+    # its last bits
+    k, y = Kinetics(v=0.25, K=1000.0), 1.3e-18
+    _, bound = _seed_and_bound(_inverse_mean_map(np.array([y]), k.b), 1, k.b)
+    prec = Precision(tol=float(bound[0]))
+    _, kc = _constants(k.b)
+    assert _log_depth(math.log(kc) + 3.0 * math.log(y), k.b * k.b, prec.tol) == 2
+    g, _, ok = _masked_inverse(y, k, prec)
+    assert ok and _same_bits(inverse_profile(y, k, prec), g)
+    u2 = _inverse_mean_map(_inverse_mean_map(np.array([y]), k.b), k.b)
+    late, _ = _seed_and_bound(u2, 2, k.b)
+    assert not _same_bits(late[0], g)
 
 
 #: MIXED shuffled with repeated values: the window reorders it internally
@@ -122,7 +157,7 @@ SHUFFLED = np.random.default_rng(3).permutation(np.concatenate([MIXED, MIXED[::3
 def test_inverse_cap_equals_masked_loop(v):
     # the smallest values are certified before the cap, the largest not
     k = Kinetics(v=v, K=1000.0)
-    prec = Precision(tol=1e-8, max_iter=30)
+    prec = Precision(tol=1e-8, max_iter=15)
     g, bound, ok = _masked_inverse(MIXED, k, prec)
     assert not ok and (bound[:3] <= 1e-8).all() and (bound[-3:] > 1e-8).all()
     for y in (MIXED, SHUFFLED):
@@ -179,8 +214,12 @@ def _plain_profile(x, kin, prec=PROFILE_PRECISION):
     xmax = float(arr.max())
     if xmax == 0.0:
         return np.zeros_like(arr)
-    n = _certified_depth(b * xmax * xmax, b, prec.tol)
-    u = arr * math.exp(-n * math.log(b))
+    c3, _ = _constants(b)
+    gap = math.log(c3) + 3.0 * math.log(xmax) - math.log(prec.tol)
+    n = max(math.ceil(gap / math.log(b * b)), 0)
+    with np.errstate(divide="ignore"):
+        u = np.exp(np.log(arr) - n * math.log(b))
+    u = u * ((u * c3 - 1.0 / b) * u + 1.0)
     for _ in range(n):
         u = u + kin.v * u / (1.0 + u)
     return u
@@ -199,27 +238,33 @@ def test_profile_equals_plain_loop(values, v):
 @pytest.mark.parametrize("tol", [1e-38, 1e-12, 1e-8, 1e-4, 1.0])
 @pytest.mark.parametrize("v", [0.1, 0.5, 1.0])
 def test_screen_lets_through_every_element_that_stops(v, tol):
-    # iterates within a few ulps of the exact threshold sqrt(tol/e) - tol
-    # and of the screen itself, at every depth up to the cap
+    # iterates within a few ulps of the exact threshold rho - e*rho**2,
+    # rho = (tol*b**(2n)/kc)**(1/3), and of both screen bounds, at every
+    # depth up to the cap: all that stop are at or below lim, and all at
+    # or below sure stop
     b = 1.0 + v
+    c3, kc = _constants(b)
     cap = 400
     screened = 0
     for n in range(cap + 1):
-        e, scale = b ** (1 - n), b ** n
-        lim = _stop_screen(e, scale, tol)
-        if 32.0 * e * tol >= 1.0:
-            assert lim == math.inf
+        scale = b ** n
+        e = b / scale
+        lim, sure = _stop_screen(scale, b, tol, kc)
+        rho = (tol * scale * scale / kc) ** (1.0 / 3.0)
+        if 4.0 * e * rho >= 1.0:
+            assert (lim, sure) == (math.inf, -math.inf)
             continue
-        assert lim < math.inf
-        edge = (math.sqrt(tol / e) - tol) / scale
+        assert 0.0 < sure < lim < math.inf
+        edge = rho * (1.0 - e * rho) / scale
         u = np.concatenate([edge + np.arange(-8, 9) * np.spacing(edge),
                             lim + np.arange(-8, 9) * np.spacing(lim),
+                            sure + np.arange(-8, 9) * np.spacing(sure),
                             edge * (1.0 + np.linspace(-4e-6, 4e-6, 33))])
-        _, bound = _stop_bound(u, e, scale)
+        _, bound = _stop_bound(u, scale, b, c3, kc)
         stops = bound <= tol
-        assert (u[stops] <= lim).all()
-        # not vacuous: some iterates near the edge stop, the highest does not
-        assert stops.any() and not stops[-1]
+        assert (u[stops] <= lim).all() and stops[u <= sure].all()
+        # not vacuous: some iterates above sure stop, the highest does not
+        assert (stops & (u > sure)).any() and not stops[-1]
         screened += 1
     assert screened > 0
 
@@ -232,12 +277,14 @@ def test_inverse_where_rounding_breaks_the_order(v):
     k = Kinetics(v=v, K=1000.0)
     ys = 0.3 + np.arange(2000) * np.spacing(0.3)
     u = ys
+    _, kc = _constants(k.b)
     for n in range(1, 200):
         u = _inverse_mean_map(u, k.b)
-        e, scale = k.b ** (1 - n), k.b ** n
-        _, bound = _stop_bound(u, e, scale)
+        _, bound = _seed_and_bound(u, n, k.b)
+        # the screen is on at tol = bound[1:]
+        rho = (bound[1:] * k.b ** (2 * n) / kc) ** (1.0 / 3.0)
         swapped = np.flatnonzero((np.diff(u) < 0.0) & (bound[1:] < bound[:-1])
-                                 & (32.0 * e * bound[1:] < 1.0))
+                                 & (4.0 * k.b ** (1 - n) * rho < 1.0))
         if swapped.size:
             break
     i = swapped[0]
@@ -281,3 +328,103 @@ def test_unreachable_tolerance_is_a_precision_error():
     # that depth is past the one where 2**n overflows, which caps G too
     with pytest.raises(PrecisionError, match="within 1023 steps"):
         inverse_profile(1e6, Kinetics(1.0, 10.0), Precision(5e-324))
+
+
+SEED_VS = [0.05, 0.1, 0.25, 0.5, 0.9, 1.0]
+#: x in (0, 4]; the deep reference is within about 1e-13 of H there
+GRID = np.arange(1, 401) * 0.01
+SLACK = 1e-12
+
+
+def _first_order_profile(x, v, tol=1e-14):
+    """Deep reference H: the identity seed x/b**n, tail at most b*x**2*b**(-n)."""
+    b = 1.0 + v
+    n = math.ceil(math.log(b * float(np.max(x)) ** 2 / tol) / math.log(b))
+    u = x / b ** n
+    for _ in range(n):
+        u = u + v * u / (1.0 + u)
+    return u
+
+
+@pytest.mark.parametrize("v", SEED_VS)
+def test_seed_brackets(v):
+    b, x = 1.0 + v, GRID
+    c3 = _cubic_coefficient(b)
+    assert c3 == _constants(b)[0]
+    h = _first_order_profile(x, v)
+    cube = c3 * x ** 3
+    # 0 <= x - H(x) <= x**2/b
+    assert np.all(x - h >= -SLACK) and np.all(x - h <= x * x / b + SLACK)
+    # 0 <= D(x) = H(x) - (x - x**2/b) <= c3*x**3, and c3 is nearly sharp
+    d = h - (x - x * x / b)
+    assert np.all(d >= -SLACK) and np.all(d <= cube + SLACK)
+    assert np.max(d / cube) > 0.9
+    # with w = x and u = H(w): G(u) - u - u**2/b lies in [-c3 w**3, 2 w**3/b**2]
+    gap = x - h - h * h / b
+    assert np.all(gap >= -cube - SLACK)
+    assert np.all(gap <= 2.0 * x ** 3 / (b * b) + SLACK)
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8, 1e-10])
+@pytest.mark.parametrize("v", SEED_VS)
+def test_profile_and_inverse_within_tolerance(v, tol):
+    # H lies in [H, H + tol] and G in [G - tol, G], against the deep reference
+    k = Kinetics(v=v, K=2.0)
+    h = _first_order_profile(GRID, v)
+    out = limit_profile(GRID, k, Precision(tol=tol))
+    assert np.all(out >= h - SLACK) and np.all(out <= h + tol + SLACK)
+    # G's slope is below 8 on H([0.01, 4]), so the reference is good to 1e-11 there
+    g = inverse_profile(h, k, Precision(tol=tol))
+    assert np.all(g <= GRID + 1e-11) and np.all(g >= GRID - tol - 1e-11)
+
+
+@pytest.mark.parametrize("v, depth, steps",
+                         [(0.1, 144, 124), (0.5, 33, 29), (1.0, 19, 17)])
+def test_certified_depths(v, depth, steps):
+    # H(4) at tol 1e-10 takes depth steps (272, 65, 39 with the identity
+    # seed), and G(H(4)) at tol 1e-8 takes steps steps (224, 54, 32)
+    k = Kinetics(v=v, K=2.0)
+    y = limit_profile(4.0, k, Precision(tol=1e-10, max_iter=depth))
+    with pytest.raises(PrecisionError, match=f"needs {depth} iterations"):
+        limit_profile(4.0, k, Precision(tol=1e-10, max_iter=depth - 1))
+    inverse_profile(y, k, Precision(tol=1e-8, max_iter=steps))
+    with pytest.raises(PrecisionError):
+        inverse_profile(y, k, Precision(tol=1e-8, max_iter=steps - 1))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x", [1e100, 1e200, 1e300])
+def test_profile_at_huge_arguments(x):
+    # c3*x**3 and b**-n leave the float range here, their logs do not
+    k = Kinetics(v=0.5, K=2.0)
+    h = limit_profile(x, k)
+    assert 0.0 < h < x and h == limit_profile(np.array([0.5, x]), k)[1]
+    assert abs(limit_profile(k.b * x, k) - mean_map(h, k)) <= 1e-9
+    if x == 1e100:
+        assert round(h, 2) == 278.28
+    # one step short of the certified depth: a finite bound above tol
+    c3, _ = _constants(k.b)
+    n = _log_depth(math.log(c3) + 3.0 * math.log(x), k.b * k.b, 1e-10)
+    with pytest.raises(PrecisionError) as err:
+        limit_profile(x, k, Precision(tol=1e-10, max_iter=n - 1))
+    assert math.isfinite(err.value.value)
+    assert 1e-10 < err.value.bound <= 1e-10 * k.b ** 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x", [1e100, 1e200, 1e300])
+def test_inverse_at_huge_arguments(x):
+    k = Kinetics(v=0.5, K=2.0)
+    y = limit_profile(x, k)
+    if x < 1e300:
+        assert inverse_profile(y, k) == pytest.approx(x, rel=1e-10)
+    else:
+        # b**n leaves the float range before the bound reaches tol
+        with pytest.raises(PrecisionError) as err:
+            inverse_profile(y, k)
+        assert err.value.value == pytest.approx(x, rel=1e-10)
+        assert 1e-8 < err.value.bound < math.inf
+    # G(x) itself exceeds every float: the bound is inf, nothing is nan
+    with pytest.raises(PrecisionError) as err:
+        inverse_profile(x, k)
+    assert err.value.bound == math.inf and not math.isnan(err.value.value)

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from qpcrkin import streams
+from qpcrkin import limit_law, streams
 from qpcrkin.kinetics import Precision, PrecisionError, _certified_depth
 from qpcrkin.limit_law import (
     BLOCK_SIZE,
     DENSITY_PRECISION,
+    FIRST_FREQUENCY,
     MGF_PRECISION,
     DensityEstimate,
     LimitEnsemble,
@@ -387,6 +388,33 @@ class TestExactDensity:
     def test_depth_cap_raises(self):
         with pytest.raises(PrecisionError, match="depth"):
             ancestor_density(1.0, 1e-4, 2)
+
+    def test_one_depth_per_segment_reached(self, monkeypatch):
+        # a segment's transform depth is certified once, when the scan
+        # first sends one of its frequencies to the kernel, and never for
+        # the segments past the one where every point stops
+        tops, reach = [], [0.0]
+
+        def seed_depth(c, top, b, tol):
+            tops.append(top)
+            return _seed_depth(c, top, b, tol)
+
+        def kernel(x, v, depth, slope=False):
+            reach[0] = max(reach[0], float(np.abs(x).max()))
+            return _complement_iteration(x, v, depth, slope)
+
+        monkeypatch.setattr(limit_law, "_seed_depth", seed_depth)
+        monkeypatch.setattr(limit_law, "_complement_iteration", kernel)
+        t, v, z_max = np.array([1.0, 6.0]), 0.5, 24
+        ancestor_density(t, v, z_max)
+        h = 2.0 * math.pi / (4.0 * max(z_max, 6.0) + 8.0)
+        ends = [math.ceil(FIRST_FREQUENCY / h)]
+        while ends[-1] < DENSITY_PRECISION.max_iter:
+            ends.append(min(2 * ends[-1], DENSITY_PRECISION.max_iter))
+        starts = [0] + ends[:-1]
+        reached = sum(start * h < reach[0] for start in starts)
+        assert sorted(tops) == [end * h for end in ends[:reached]]
+        assert reached < len(ends)
 
     @pytest.mark.parametrize("v", [0.25, 0.5])
     def test_period_keeps_aliases_out(self, v):
