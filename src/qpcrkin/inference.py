@@ -285,8 +285,8 @@ def estimate_copies_normal(t, v: float, integer: bool = False):
     With integer=True the value is rounded and clamped to at least 1.
     """
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("t must be nonnegative")
+    if not np.all(np.isfinite(arr) & (arr >= 0.0)):
+        raise ValueError("t must be finite and nonnegative")
     if not 0.0 < v <= 1.0:
         raise ValueError("efficiency must be in (0, 1]")
     s2 = limit_variance(v)

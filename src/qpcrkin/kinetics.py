@@ -9,15 +9,16 @@ units x = z/K the mean of one cycle is
 and the whole deterministic theory of the reaction lives in the iterates of
 that map: the saturation profile H is the pointwise limit of n-fold iterates
 applied to x/b**n with b = 1 + v, and its inverse G is the limit of b**n
-times n-fold inverse iterates.  Both start from their Taylor polynomials,
-to third order for H and to second order for G, with c3 = (b+2)/(b**2
-(b+1)) the cubic coefficient of H, and stop at a certified depth: after n
-steps the tail is at most c * b**(-2n), with c = c3*x**3 for H and
-c = (c3 + 2/b**2)*G**3 for G.  G learns its constant along the way, so
-each element is tested at every step; a screen on the iterate reduces
-that test to two comparisons for all but the elements within a relative
-1e-6 of the threshold.  The transform in qpcrkin.limit_law shares the
-rule, with b**3 in place of b**2.
+times n-fold inverse iterates.  Both start from their Taylor polynomials of
+degree d = _SEED_ORDER, with coefficients computed per call from the
+functional equations, and stop at a certified depth: after n steps the tail
+is at most c * b**(-d*n), with c proportional to x**(d+1) for H and to
+G**(d+1) for G.  One telescoping lemma bounds both remainders
+(_remainder_constant).  G learns its constant along the way, so each
+element is tested at every step; a screen on the iterate reduces that test
+to one comparison for all but the elements within a relative 1e-6 of the
+threshold.  The transform in qpcrkin.limit_law shares the rule, with b**3
+in place of b**d.
 """
 
 from __future__ import annotations
@@ -68,7 +69,12 @@ class Kinetics:
     @classmethod
     def from_exponent(cls, v: float, m: int) -> "Kinetics":
         """Kinetics with K = (1+v)**m, so log_b(K) is the integer m."""
-        return cls(v=v, K=(1.0 + v) ** m)
+        try:
+            scale = (1.0 + v) ** m
+        except OverflowError:
+            raise ValueError(
+                f"K = (1+v)**m overflows a float at v={v}, m={m}") from None
+        return cls(v=v, K=scale)
 
 
 @dataclass(frozen=True)
@@ -143,13 +149,14 @@ def _certified_depth(c: float, b: float, tol: float) -> int:
     """Smallest n >= 0 with c * b**-n <= tol.
 
     After n steps H, G and phi are within c * b**-n of their limits, for
-    a c fixed by the argument and a base b that is the growth factor
-    squared for H and G and cubed for phi.  H and phi know c up front and
-    raise PrecisionError past prec.max_iter; G learns c along the way
-    and applies the same test to each open element at every step from
-    the depth its smallest input allows.  A c that overflowed to inf
-    gives the depth inf, beyond every cap; H and G, whose c overflows
-    long before their argument does, pass log(c) to _log_depth instead.
+    a c fixed by the argument and a base b that is the growth factor to
+    the power d = _SEED_ORDER for H and G and cubed for phi.  H and phi
+    know c up front and raise PrecisionError past prec.max_iter; G learns
+    c along the way and applies the same test to each open element at
+    every step from the depth its smallest input allows.  A c that
+    overflowed to inf gives the depth inf, beyond every cap; H and G,
+    whose c overflows long before their argument does, pass log(c) to
+    _log_depth instead.
     """
     return 0 if c <= tol else _log_depth(math.log(c), b, tol)
 
@@ -168,16 +175,139 @@ def _log_depth(log_c: float, b: float, tol: float) -> int:
     return math.ceil(gap / math.log(b))
 
 
-def _cubic_coefficient(b: float) -> float:
-    """c3 = (b+2)/(b**2 (b+1)), the coefficient of x**3 in H's Taylor series.
+#: H and G start from their Taylor polynomials of this degree d, so their
+#: tails fall by b**d per step of depth
+_SEED_ORDER = 8
+#: rounding allowance on each computed defect coefficient, relative to the
+#: magnitudes of the terms that make it; the coefficients that are exactly
+#: 0 come out within about 1e-16 of them
+_ROUNDING = 2.0 ** -44
+#: H starts where x/b**n is at most this, where its Taylor polynomial is
+#: nonnegative
+_PROFILE_DOMAIN = 0.25
 
-    H(x) = x - x**2/b + c3*x**3 + ..., from H(b*x) = f(H(x)).  With y = x/b,
-    x - H(x) = b*(y - H(y)) + v*H(y)**2/(1 + H(y)) telescopes to
-    0 <= x - H(x) <= x**2/b, and D(x) = H(x) - x + x**2/b =
-    b*D(y) + v*(y**2 - H(y)**2/(1 + H(y))) to 0 <= D(x) <= c3*x**3, for
-    every x >= 0.
+
+def _growth_gaps(v: float) -> list:
+    """b**m - 1 for m = 0..d, with b = 1 + v, without the cancellation of small v."""
+    log_b = math.log1p(v)
+    return [math.expm1(m * log_b) for m in range(_SEED_ORDER + 1)]
+
+
+def _remainder_constant(b: float, gap: float, high, size, top: float) -> float:
+    """Constant c with |limit - seed| <= c * w**(d+1), from the seed's defect.
+
+    Lemma.  If E = limit - seed obeys |E(y)| <= b*|E(phi(y))| +
+    |R(phi(y))|, with |R(x)| <= sigma * x**(d+1) and phi**k(y) <= w/b**k
+    for k >= 1, and b**k * E(phi**k(y)) -> 0, then summing b**(k-1) *
+    sigma * (w/b**k)**(d+1) over k >= 1 gives |E(y)| <= sigma * w**(d+1) /
+    (b (b**d - 1)).  For H: phi(x) = x/b, w = x, and R(s) = f(P(s)) -
+    P(b*s) = -N(s)/(1 + P(s)); the inequality holds where P >= 0, since f
+    has slope in [1, b] on [0, inf).  For G: phi is the inverse mean map,
+    w = G(y), as G(phi(y)) = G(y)/b and G(x) >= x, and R(x) = b*Q(x) -
+    Q(f(x)), a polynomial over (1 + x)**d, with E(y) = b*E(phi(y)) +
+    R(phi(y)) exactly.  Both defect polynomials vanish to order d, and
+    sigma bounds their quotient by x**(d+1) for 0 <= x <= top: high[j] is
+    its coefficient of x**j, size[j] the sum of the magnitudes of the
+    terms that make it, and each coefficient enters in magnitude plus the
+    rounding allowance _ROUNDING * size[j].  gap is b**d - 1.  The bound
+    is for the exact Taylor polynomials: their float coefficients shift a
+    seed by about 1e-16 of its value, a rounding that, like the seed's and
+    the loop's own, stays outside the certified bound.
     """
-    return (b + 2.0) / (b * b * (b + 1.0))
+    sigma = sum((abs(h) + _ROUNDING * m) * top ** j
+                for j, (h, m) in enumerate(zip(high, size)))
+    return sigma / (b * gap)
+
+
+def _profile_coefficients(v: float) -> tuple:
+    """H's Taylor polynomial P of degree d and its remainder constant.
+
+    H(b*x) = f(H(x)) reads (1 + H)(H(b*.) - H) = v*H, and matching the
+    terms in x**k gives, from a_1 = 1,
+
+        a_k = -sum_{j=1}^{k-1} a_j a_{k-j} (b**(k-j) - 1) / (b**k - b),
+
+    so a_2 = -1/b and a_3 = (b+2)/(b**2 (b+1)).  The same sums past
+    degree d are the coefficients of N(s) = (1 + P(s))(P(b*s) - P(s)) -
+    v*P(s), which vanishes to order d.  Returns (a, c): a[k] = a_k for k =
+    0..d, and c with |H(u) - P(u)| <= c*u**(d+1) for 0 <= u <=
+    _PROFILE_DOMAIN (_remainder_constant), where P >= 0.
+    """
+    d = _SEED_ORDER
+    b = 1.0 + v
+    e = _growth_gaps(v)
+    a, ae = [0.0, 1.0], [0.0, e[1]]  # ae[k] = a_k (b**k - 1)
+    for k in range(2, d + 1):
+        s = 0.0
+        for j in range(1, k):
+            s += a[j] * ae[k - j]
+        a.append(-s / (b * e[k - 1]))
+        ae.append(a[k] * e[k])
+    high, size = [], []
+    for k in range(d + 1, 2 * d + 1):
+        s = m = 0.0
+        for j in range(k - d, d + 1):
+            t = a[j] * ae[k - j]
+            s += t
+            m += abs(t)
+        high.append(s)
+        size.append(m)
+    return a, _remainder_constant(b, e[d], high, size, _PROFILE_DOMAIN)
+
+
+def _defect_weights() -> np.ndarray:
+    """Integer weights W[j, i, k] of G's defect polynomial in q_j and v**i.
+
+    With B = 1 + x, b = 1 + v and (b + x)**j = sum_i C(j, i) v**i
+    B**(j-i), (1 + x)**d (b*Q(x) - Q(f(x))) = sum_j q_j x**j (b*B**d -
+    (b + x)**j B**(d-j)) = sum_j q_j x**j (v*B**d - sum_{i=1}^j C(j, i)
+    v**i B**(d-i)): every term carries a power of v, so nothing cancels
+    for small v.  W[j, i, k] is the coefficient of q_j v**i x**k.
+    """
+    d = _SEED_ORDER
+    w = np.zeros((d + 1, d + 1, 2 * d + 1))
+    for j in range(1, d + 1):
+        for m in range(d + 1):
+            w[j, 1, j + m] += math.comb(d, m)
+            for i in range(1, j + 1):
+                w[j, i, j + m] -= math.comb(j, i) * math.comb(d - i, m)
+    return w
+
+
+#: _defect_weights, a constant of the seed degree; the magnitudes of its
+#: terms of degree above d; and the powers 0..d
+_DEFECT_WEIGHTS = _defect_weights()
+_DEFECT_SIZES = np.abs(_DEFECT_WEIGHTS[:, :, _SEED_ORDER + 1:])
+_DEGREES = np.arange(_SEED_ORDER + 1.0)
+
+
+def _inverse_coefficients(v: float) -> tuple:
+    """G's Taylor polynomial Q of degree d and its remainder constant.
+
+    G(f(y)) = b*G(y) for f(y) = y*(b + y)/(1 + y).  Times (1 + x)**d,
+    b*Q(x) - Q(f(x)) is the polynomial sum_j q_j (sum_i v**i W[j, i, :])
+    (_defect_weights); its coefficient of x**k is q_k (b - b**k) plus
+    terms in q_1..q_{k-1}, so setting it to 0 for k = 2..d gives q_k
+    from q_1 = 1, with q_2 = 1/b.  Returns (q, c): q[k] = q_k for k =
+    0..d, and c with |G(y) - Q(y)| <= c*G(y)**(d+1) wherever G(y) <
+    1/(2b) (_remainder_constant on [0, 1/(2b**2)]).
+    """
+    d = _SEED_ORDER
+    b = 1.0 + v
+    e = _growth_gaps(v)
+    powers = v ** _DEGREES
+    rows = np.matmul(powers, _DEFECT_WEIGHTS)
+    table = rows.tolist()
+    q = [0.0, 1.0]
+    for k in range(2, d + 1):
+        s = 0.0
+        for j in range(1, k):
+            s += q[j] * table[j][k]
+        q.append(s / (b * e[k - 1]))
+    coef = np.array(q)
+    high = (coef @ rows[:, d + 1:]).tolist()
+    size = (np.abs(coef) @ np.matmul(powers, _DEFECT_SIZES)).tolist()
+    return q, _remainder_constant(b, e[d], high, size, 0.5 / (b * b))
 
 
 def _inverse_mean_map(y, b: float):
@@ -203,18 +333,22 @@ def _inverse_mean_map(y, b: float):
 def limit_profile(x, kin: Kinetics, prec: Precision = PROFILE_PRECISION):
     """Saturation profile: limit of n-fold mean-map iterates of x/b**n.
 
-    The iterates start from the upper seed P(u) = u - u**2/b + c3*u**3 at
-    u = x/b**n, H's Taylor polynomial of order 3 (_cubic_coefficient):
-    H(u) <= P(u) <= H(u) + c3*u**3, and the mean map is increasing with
-    slope in [1, b], so after n steps the result lies in [H(x), H(x) +
-    c3*x**3*b**(-2n)].  n is the certified depth of that tail at the
-    largest argument, so the returned value lies in [true value, true
-    value + prec.tol].  The depth and the start are taken in logs,
-    log(c3) + 3*log(x) and exp(log(x) - n*log(b)), which stay finite for
-    every float x.  Scalars map to floats, arrays map elementwise.
+    The iterates start from the upper seed P(u) + c*u**(d+1) at u =
+    x/b**n, where P is H's Taylor polynomial of degree d = _SEED_ORDER
+    (_profile_coefficients) and |H - P| <= c*u**(d+1) while u is at most
+    _PROFILE_DOMAIN, where P >= 0 (_remainder_constant).  The seed lies in
+    [H(u), H(u) + 2c*u**(d+1)], and the mean map is increasing with slope
+    in [1, b], so after n steps the result lies in [H(x), H(x) +
+    2c*x**(d+1)*b**(-d*n)].  n is the certified depth of that tail at the
+    largest argument, and at least the depth that brings it into the
+    domain, so the returned value lies in [true value, true value +
+    prec.tol].  The depth and the start are taken in logs, log(2c) +
+    (d+1)*log(x) and exp(log(x) - n*log(b)), which stay finite for every
+    float x.  Scalars map to floats, arrays map elementwise.
 
     Raises PrecisionError when the certified depth exceeds prec.max_iter;
-    the exception carries the best value and its tail bound.
+    the exception carries the best value and its tail bound, inf short of
+    the domain.
     """
     arr = _as_nonnegative_array(x, "density")
     scalar = np.ndim(x) == 0
@@ -227,21 +361,24 @@ def limit_profile(x, kin: Kinetics, prec: Precision = PROFILE_PRECISION):
 
     v = kin.v
     b = 1.0 + v
-    c3 = _cubic_coefficient(b)
-    log_c = math.log(c3) + 3.0 * math.log(xmax)
-    n = _log_depth(log_c, b * b, prec.tol)
+    d = _SEED_ORDER
+    a, c = _profile_coefficients(v)
+    log_c = math.log(2.0 * c) + (d + 1) * math.log(xmax)
+    floor = _log_depth(math.log(xmax), b, _PROFILE_DOMAIN)
+    n = max(_log_depth(log_c, b ** d, prec.tol), floor)
     depth = min(n, prec.max_iter)
-    # u = exp(log(x) - depth*log(b)), zeros to zero, then P(u) by Horner as
-    # u*(1 + u*(c3*u - 1/b)); the loop is u + (v*u)/(1+u), all in place on
-    # u and two scratch arrays
+    # u = exp(log(x) - depth*log(b)), zeros to zero, then the seed by Horner
+    # as u*(1 + u*(a_2 + ... + u*(a_d + u*c))); the loop is u + (v*u)/(1+u),
+    # all in place on u and two scratch arrays
     u, w, t = np.empty_like(arr), np.empty_like(arr), np.empty_like(arr)
     with np.errstate(divide="ignore"):
         np.log(arr, out=u)
     u -= depth * math.log(b)
     np.exp(u, out=u)
-    np.multiply(u, c3, out=t)
-    t -= 1.0 / b
-    t *= u
+    np.multiply(u, c, out=t)
+    for k in range(d, 1, -1):
+        t += a[k]
+        t *= u
     t += 1.0
     u *= t
     for _ in range(depth):
@@ -250,7 +387,7 @@ def limit_profile(x, kin: Kinetics, prec: Precision = PROFILE_PRECISION):
         w /= t
         u += w
     if n > prec.max_iter:
-        log_bound = log_c - depth * math.log(b * b)
+        log_bound = log_c - depth * math.log(b ** d) if depth >= floor else math.inf
         raise PrecisionError(
             f"profile needs {n} iterations for tol={prec.tol}, cap is {prec.max_iter}",
             value=float(u) if scalar else u,
@@ -259,25 +396,35 @@ def limit_profile(x, kin: Kinetics, prec: Precision = PROFILE_PRECISION):
     return float(u) if scalar else u
 
 
-def _stop_bound(u, scale, b: float, c3: float, kc: float):
+def _stop_bound(u, scale, b: float, q: list, c: float):
     """Lower seed of G at one step and the bound it stops on.
 
     At step n, u = f^{-n}(y) and scale = b**n; the iterate is g_n =
-    scale*u, and where q = 4*b*u < 1, r_n = scale*s with s = 2*u/(1 +
-    sqrt(1 - q)) bounds G from above.  The seed g_n + g_n*u/b -
-    c3*r_n**3*b**(-2n) lies below G and within kc*r_n**3*b**(-2n) of it,
-    kc = c3 + 2/b**2; r_n**3*b**(-2n) is formed as s*r_n*s, which stays
-    in the float range.  Where q >= 1 nothing is certified: the value is
-    g_n and the bound inf.  scale may be one float or one per element.
-    See inverse_profile.
+    scale*u, and where t = 4*b*u < 1, r_n = scale*s with s = 2*u/(1 +
+    sqrt(1 - t)) bounds G from above, and G(u) <= s < 1/(2b).  With Q
+    G's Taylor polynomial (_inverse_coefficients) and |G - Q| <=
+    c*G**(d+1) (_remainder_constant), G(y) = scale*G(u) lies within
+    c*r_n**(d+1)*b**(-d*n) of scale*Q(u): the seed is scale*Q(u) minus
+    that, and the bound twice that.  r_n**(d+1)*b**(-d*n) is formed as
+    r_n*s*...*s, d factors s, which stays in the float range.  Where t >=
+    1 nothing is certified: the value is g_n and the bound inf.  scale
+    may be one float or one per element.  See inverse_profile.
     """
-    q = 4.0 * b * u
-    ok = q < 1.0
-    s = np.where(ok, (u + u) / (1.0 + np.sqrt(np.maximum(1.0 - q, 0.0))), 0.0)
-    cube = s * (s * scale) * s
+    t = 4.0 * b * u
+    ok = t < 1.0
+    s = np.where(ok, (u + u) / (1.0 + np.sqrt(np.maximum(1.0 - t, 0.0))), 0.0)
+    tail = s * scale
+    for _ in range(_SEED_ORDER):
+        tail *= s
+    tail *= c
+    # Q(u)/u by Horner, as 1 + u*(q_2 + ... + u*q_d)
+    poly = u * q[_SEED_ORDER]
+    for k in range(_SEED_ORDER - 1, 1, -1):
+        poly += q[k]
+        poly *= u
+    poly += 1.0
     gn = u * scale
-    value = np.where(ok, gn + gn * u / b - c3 * cube, gn)
-    return value, np.where(ok, kc * cube, np.inf)
+    return np.where(ok, gn * poly - tail, gn), np.where(ok, tail + tail, np.inf)
 
 
 #: log of the largest float: b**n overflows past n = this / log(b)
@@ -287,38 +434,43 @@ _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _SCREEN_MARGIN = 1e-6
 #: the screen is off below this, where subnormal rounding could eat the margin
 _SCREEN_TINY = 2.0 ** -1000
+#: largest 4*b*s at the screen's threshold; past it lim is the vertex 1/(4b)
+_SCREEN_VERTEX = 1.99
 #: elements per pass of G's closing seed evaluation, which bounds its arrays
 _SEED_BLOCK = 4096
 
 
-def _stop_screen(scale: float, b: float, tol: float, kc: float) -> tuple:
+def _stop_screen(scale: float, b: float, tol: float, c: float) -> tuple:
     """Bounds (lim, sure) on the iterates u of a step of G; (inf, -inf) when off.
 
-    At the step with scale = b**n and e = b/scale, g = scale*u stops when
-    its bound kc*r**3*b**(-2n) is at most tol (_stop_bound), that is when
-    r <= rho = (tol*b**(2n)/kc)**(1/3).  For q = 4*e*g < 1, r is the
-    smaller root of e*r**2 - r + g, and g = r - e*r**2 rises with r left
-    of the vertex 1/(2*e), so r <= rho exactly when g <= rho - e*rho**2,
-    as long as rho lies left of the vertex; 4*e*rho < 1 ensures that, and
-    keeps 1 - q above 1/4 at the threshold, so the root does not cancel.
-    r/g rises with g, so an iterate off the threshold by the relative
-    margin has r off rho by at least that margin, and a bound off tol by
-    three times it.  The float bound and this threshold are off by a few
-    ulps, so an iterate above lim, the threshold widened by the margin,
-    cannot stop, and one at or below sure, the threshold narrowed by it,
-    stops.  Only those in between need the bound.  The screen is off when
-    4*e*rho >= 1 and where subnormal rounding could eat the margin.
+    At the step with scale = b**n, u stops when its bound
+    2c*scale*s**(d+1) is at most tol (_stop_bound), that is when s <=
+    s_top = (tol/(2c*scale))**(1/(d+1)).  For t = 4*b*u < 1, s is the
+    smaller root of b*s**2 - s + u, and u = s - b*s**2 rises with s left
+    of the vertex 1/(2b), where t = 1, so s <= s_top exactly when u <=
+    s_top - b*s_top**2; with z = 4*b*s_top that threshold is z*(1 -
+    z/4)/(4b), and 1 - t there is (1 - z/2)**2.  s/u rises with u, so an
+    iterate off the threshold by the relative margin has s off s_top by
+    at least that margin, and a bound off tol by d+1 times it.  While z <
+    _SCREEN_VERTEX, sqrt(1 - t) stays above 0.005 at the threshold, so
+    the root loses at most a few hundred ulps to cancellation, and the
+    float bound and the threshold are off by far less than the margin: an
+    iterate above lim, the threshold widened by the margin, cannot stop,
+    and one at or below sure, the threshold narrowed by it, stops.  Only
+    those in between need the bound.  From z = _SCREEN_VERTEX on, sure
+    stays at that threshold and lim moves to 1/(4b), past which t >= 1
+    and nothing stops.  The screen is off where subnormal rounding could
+    eat the margin.
     """
     off = math.inf, -math.inf
-    e = b / scale
-    if min(e, tol) < _SCREEN_TINY:
+    if min(b / scale, tol) < _SCREEN_TINY:
         return off
-    rho = (tol / kc) ** (1.0 / 3.0) * scale ** (2.0 / 3.0)
-    if not 4.0 * e * rho < 1.0:
-        return off
-    edge = rho * (1.0 - e * rho) / scale
+    d = _SEED_ORDER
+    z = min(4.0 * b * (tol / (2.0 * c * scale)) ** (1.0 / (d + 1)), _SCREEN_VERTEX)
+    edge = z * (1.0 - 0.25 * z) / (4.0 * b)
     sure = edge * (1.0 - _SCREEN_MARGIN)
-    return (edge * (1.0 + _SCREEN_MARGIN), sure) if sure >= _SCREEN_TINY else off
+    lim = (edge if z < _SCREEN_VERTEX else 0.25 / b) * (1.0 + _SCREEN_MARGIN)
+    return (lim, sure) if sure >= _SCREEN_TINY else off
 
 
 def _inverse_map_below_b(u, b: float, d, t):
@@ -345,15 +497,15 @@ def inverse_profile(y, kin: Kinetics, prec: Precision = INVERSE_PRECISION):
 
     The iterates g_n = b**n * f^{-n}(y) rise to G, and x - H(x) <= x**2/b
     gives G - g_n <= e*G**2 with e = b**(1-n), a factor b**2 to spare, so
-    once q = 4*e*g_n < 1, G <= r_n = 2*g_n / (1 + sqrt(1 - q)).  With
-    w = G(u) and u = H(w), G(u) - u - u**2/b = (w - u)*(w + u)/b - D(w)
-    lies in [-c3*w**3, 2*w**3/b**2] (_cubic_coefficient), so at
-    u = f^{-n}(y) the lower seed g_n + g_n**2*b**(-n-1) - c3*r_n**3*b**(-2n)
-    lies below G and within (c3 + 2/b**2)*r_n**3*b**(-2n) of it
-    (_stop_bound).  Each element is frozen at the first n where that
-    bound is at most prec.tol: the result lies in [true value - prec.tol,
-    true value], and batched and scalar calls agree bitwise.  Scalars map
-    to floats, arrays map elementwise.
+    once t = 4*e*g_n < 1, G <= r_n = 2*g_n / (1 + sqrt(1 - t)).  G's
+    Taylor polynomial Q of degree d = _SEED_ORDER (_inverse_coefficients)
+    errs by at most c*G**(d+1) there (_remainder_constant), so at u =
+    f^{-n}(y) the lower seed b**n*Q(u) - c*r_n**(d+1)*b**(-d*n) lies below
+    G and within 2c*r_n**(d+1)*b**(-d*n) of it (_stop_bound).  Each
+    element is frozen at the first n where that bound is at most
+    prec.tol: the result lies in [true value - prec.tol, true value], and
+    batched and scalar calls agree bitwise.  Scalars map to floats, arrays
+    map elementwise.
 
     Only open elements are iterated, in a window sorted by y.  A screen
     (_stop_screen) decides with one comparison per element which of them
@@ -372,8 +524,7 @@ def inverse_profile(y, kin: Kinetics, prec: Precision = INVERSE_PRECISION):
     arr = _as_nonnegative_array(y, "profile value")
     scalar = np.ndim(y) == 0
     b, tol = kin.b, prec.tol
-    c3 = _cubic_coefficient(b)
-    kc = c3 + 2.0 / (b * b)
+    q, c = _inverse_coefficients(kin.v)
     # b**n must stay a finite float, so that depth caps the loop as well
     cap = min(prec.max_iter, math.floor(_LOG_FLOAT_MAX / math.log(b)) - 1)
     g = np.zeros(arr.size)
@@ -386,15 +537,15 @@ def inverse_profile(y, kin: Kinetics, prec: Precision = INVERSE_PRECISION):
     u = flat[open_]
     d, t = np.empty(u.size), np.empty(u.size)
     in_place = False
-    # r_n >= g_n >= y puts every bound at or above kc * y**3 * b**(-2n), so
-    # no element can be certified before the depth of the smallest positive
-    # y; zeros stay zero under the map.  Testing starts one step early, a
-    # margin against rounding.
+    # r_n >= g_n >= y puts every bound at or above 2c * y**(d+1) * b**(-d*n),
+    # so no element can be certified before the depth of the smallest
+    # positive y; zeros stay zero under the map.  Testing starts one step
+    # early, a margin against rounding.
     y_min = u.min(initial=np.inf, where=u > 0.0)
     first = 0
     if y_min < np.inf:
-        log_c = math.log(kc) + 3.0 * math.log(y_min)
-        first = min(_log_depth(log_c, b * b, tol) - 1, cap)
+        log_c = math.log(2.0 * c) + (_SEED_ORDER + 1) * math.log(y_min)
+        first = min(_log_depth(log_c, b ** _SEED_ORDER, tol) - 1, cap)
     # until the end, g and bound hold each element's iterate and scale at
     # the step it stopped
     for n in range(cap + 1):
@@ -410,7 +561,7 @@ def inverse_profile(y, kin: Kinetics, prec: Precision = INVERSE_PRECISION):
         if n == cap:
             g[open_], bound[open_] = u, scale
             break
-        lim, sure = _stop_screen(scale, b, tol, kc)
+        lim, sure = _stop_screen(scale, b, tol, c)
         if u.min() > lim:
             continue
         # the bound runs on the elements up to the last one the screen lets
@@ -419,7 +570,7 @@ def inverse_profile(y, kin: Kinetics, prec: Precision = INVERSE_PRECISION):
         stop = u[:k] <= sure
         if not stop.all():
             edge = np.flatnonzero(~stop)
-            stop[edge] = _stop_bound(u[edge], scale, b, c3, kc)[1] <= tol
+            stop[edge] = _stop_bound(u[edge], scale, b, q, c)[1] <= tol
         j = np.count_nonzero(stop)
         if not j:
             continue
@@ -434,7 +585,7 @@ def inverse_profile(y, kin: Kinetics, prec: Precision = INVERSE_PRECISION):
             break
     for lo in range(0, g.size, _SEED_BLOCK):
         part = slice(lo, lo + _SEED_BLOCK)
-        g[part], bound[part] = _stop_bound(g[part], bound[part], b, c3, kc)
+        g[part], bound[part] = _stop_bound(g[part], bound[part], b, q, c)
     g, bound = g.reshape(arr.shape), bound.reshape(arr.shape)
     if not (bound <= tol).all():
         raise PrecisionError(
@@ -446,6 +597,7 @@ def inverse_profile(y, kin: Kinetics, prec: Precision = INVERSE_PRECISION):
     return float(g) if scalar else g
 
 
+@np.errstate(over="ignore")  # in _inverse_mean_map, which stays finite
 @np.errstate(over="ignore")  # in _inverse_mean_map, which stays finite
 def limit_sequence(x0: float, kin: Kinetics, n_lo: int, n_hi: int) -> np.ndarray:
     """Two-sided deterministic density sequence through x0 at index 0.

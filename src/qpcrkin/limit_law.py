@@ -424,6 +424,9 @@ def ancestor_density(t, v: float, z_max: int,
         raise ValueError(
             "density needs efficiency below 1; at v=1 the limit is the constant z"
         )
+    if not float(z_max).is_integer():
+        raise ValueError("z_max must be an integer")
+    z_max = int(z_max)
     if z_max < 1:
         raise ValueError("z_max must be at least 1")
 

@@ -1,7 +1,9 @@
 """Certified stopping of the conjugacy limits H, G and phi at the cap."""
 
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,11 +15,16 @@ from qpcrkin.kinetics import (
     Kinetics,
     Precision,
     PrecisionError,
+    _PROFILE_DOMAIN,
+    _ROUNDING,
+    _SCREEN_VERTEX,
     _SEED_BLOCK,
+    _SEED_ORDER,
     _certified_depth,
-    _cubic_coefficient,
+    _inverse_coefficients,
     _inverse_mean_map,
     _log_depth,
+    _profile_coefficients,
     _stop_bound,
     _stop_screen,
     inverse_profile,
@@ -46,35 +53,49 @@ def test_inverse_batch_equals_scalar_bitwise(v):
 
 
 def test_inverse_cap_bracket_holds_value():
+    # inputs whose bounds are finite but above tol at the cap: the seed's
+    # bound falls by b**d per step, so that holds for a cluster of inputs
+    # at one step only
     k = Kinetics(v=0.5, K=1000.0)
-    ys = np.array([0.05, 0.8, 2.0])
+    ys = np.array([0.77, 0.79, 0.8])
     full = inverse_profile(ys, k, Precision(tol=1e-12))
     with pytest.raises(PrecisionError) as err:
-        inverse_profile(ys, k, Precision(tol=1e-8, max_iter=12))
+        inverse_profile(ys, k, Precision(tol=1e-8, max_iter=5))
     lo, hi = err.value.bracket
     assert np.array_equal(lo, err.value.value)
     assert np.all(np.isfinite(hi)) and np.all(hi - lo > 1e-8)
     assert np.all(lo <= full) and np.all(full <= hi)
 
 
-def _constants(b):
-    """c3 = (b+2)/(b**2 (b+1)), the cubic coefficient of H, and c3 + 2/b**2."""
-    c3 = (b + 2.0) / (b * b * (b + 1.0))
-    return c3, c3 + 2.0 / (b * b)
+D = _SEED_ORDER
 
 
-def _seed_and_bound(u, n, b):
+def _constants(v):
+    """The seeds' coefficients and remainder constants: (a, c_H, q, c_G)."""
+    a, c_h = _profile_coefficients(v)
+    q, c_g = _inverse_coefficients(v)
+    return a, c_h, q, c_g
+
+
+def _seed_and_bound(u, n, kin):
     """Lower seed of G at step n from the backward iterate u, and its bound."""
-    c3, kc = _constants(b)
+    b = kin.b
+    _, _, q, c = _constants(kin.v)
     scale = b ** n
-    # G <= r = scale*s where 4*b*u < 1, from G - g_n <= b**(1-n) * G**2
-    q = 4.0 * b * u
-    ok = q < 1.0
-    s = np.where(ok, 2.0 * u / (1.0 + np.sqrt(np.maximum(1.0 - q, 0.0))), 0.0)
-    cube = s * (s * scale) * s
+    # G <= r = scale*s where 4*b*u < 1, from G - g_n <= b**(1-n) * G**2;
+    # the bound is 2c * r**(d+1) * b**(-d*n) = 2c * r * s**d
+    t = 4.0 * b * u
+    ok = t < 1.0
+    s = np.where(ok, 2.0 * u / (1.0 + np.sqrt(np.maximum(1.0 - t, 0.0))), 0.0)
+    tail = s * scale
+    for _ in range(D):
+        tail = tail * s
+    bound = np.where(ok, tail * c * 2.0, np.inf)
+    poly = u * q[D]
+    for k in range(D - 1, 1, -1):
+        poly = (poly + q[k]) * u
     gn = u * scale
-    return (np.where(ok, gn + gn * u / b - c3 * cube, gn),
-            np.where(ok, kc * cube, np.inf))
+    return np.where(ok, gn * (poly + 1.0) - tail * c, gn), bound
 
 
 def _masked_inverse(y, kin, prec=INVERSE_PRECISION):
@@ -91,7 +112,7 @@ def _masked_inverse(y, kin, prec=INVERSE_PRECISION):
     for n in range(prec.max_iter + 1):
         if n:
             u = np.where(todo, _inverse_mean_map(u, b), u)
-        seed, bn = _seed_and_bound(u, n, b)
+        seed, bn = _seed_and_bound(u, n, kin)
         g = np.where(todo, seed, g)
         bound = np.where(todo, bn, bound)
         todo &= bound > prec.tol
@@ -134,18 +155,19 @@ def test_inverse_of_many_values_equals_masked_loop_bitwise():
 
 def test_inverse_certified_where_the_depth_estimate_rounds_up():
     # tol is exactly the bound after one step, so the reference certifies
-    # y at n = 1; log(kc*y**3/tol)/log(b**2) rounds to just above 1 and the
-    # depth estimate reads 2, one step late; the seed at n = 2 differs in
-    # its last bits
+    # y at n = 1; log(2c*y**(d+1)/tol)/log(b**d) rounds to just above 1 and
+    # the depth estimate reads 2, one step late; the seed at n = 2 differs
+    # in its last bits
     k, y = Kinetics(v=0.25, K=1000.0), 1.3e-18
-    _, bound = _seed_and_bound(_inverse_mean_map(np.array([y]), k.b), 1, k.b)
+    _, bound = _seed_and_bound(_inverse_mean_map(np.array([y]), k.b), 1, k)
     prec = Precision(tol=float(bound[0]))
-    _, kc = _constants(k.b)
-    assert _log_depth(math.log(kc) + 3.0 * math.log(y), k.b * k.b, prec.tol) == 2
+    c = _constants(k.v)[3]
+    log_c = math.log(2.0 * c) + (D + 1) * math.log(y)
+    assert _log_depth(log_c, k.b ** D, prec.tol) == 2
     g, _, ok = _masked_inverse(y, k, prec)
     assert ok and _same_bits(inverse_profile(y, k, prec), g)
     u2 = _inverse_mean_map(_inverse_mean_map(np.array([y]), k.b), k.b)
-    late, _ = _seed_and_bound(u2, 2, k.b)
+    late, _ = _seed_and_bound(u2, 2, k)
     assert not _same_bits(late[0], g)
 
 
@@ -157,7 +179,7 @@ SHUFFLED = np.random.default_rng(3).permutation(np.concatenate([MIXED, MIXED[::3
 def test_inverse_cap_equals_masked_loop(v):
     # the smallest values are certified before the cap, the largest not
     k = Kinetics(v=v, K=1000.0)
-    prec = Precision(tol=1e-8, max_iter=15)
+    prec = Precision(tol=1e-8, max_iter=8)
     g, bound, ok = _masked_inverse(MIXED, k, prec)
     assert not ok and (bound[:3] <= 1e-8).all() and (bound[-3:] > 1e-8).all()
     for y in (MIXED, SHUFFLED):
@@ -214,12 +236,18 @@ def _plain_profile(x, kin, prec=PROFILE_PRECISION):
     xmax = float(arr.max())
     if xmax == 0.0:
         return np.zeros_like(arr)
-    c3, _ = _constants(b)
-    gap = math.log(c3) + 3.0 * math.log(xmax) - math.log(prec.tol)
-    n = max(math.ceil(gap / math.log(b * b)), 0)
+    a, c, _, _ = _constants(kin.v)
+    gap = math.log(2.0 * c) + (D + 1) * math.log(xmax) - math.log(prec.tol)
+    # at least the depth that brings x/b**n into the seed's domain
+    floor = math.ceil((math.log(xmax) - math.log(_PROFILE_DOMAIN)) / math.log(b))
+    n = max(math.ceil(gap / math.log(b ** D)), floor, 0)
     with np.errstate(divide="ignore"):
         u = np.exp(np.log(arr) - n * math.log(b))
-    u = u * ((u * c3 - 1.0 / b) * u + 1.0)
+    # the upper seed P(u) + c*u**(d+1) by Horner
+    t = u * c
+    for k in range(D, 1, -1):
+        t = (t + a[k]) * u
+    u = u * (t + 1.0)
     for _ in range(n):
         u = u + kin.v * u / (1.0 + u)
     return u
@@ -238,35 +266,33 @@ def test_profile_equals_plain_loop(values, v):
 @pytest.mark.parametrize("tol", [1e-38, 1e-12, 1e-8, 1e-4, 1.0])
 @pytest.mark.parametrize("v", [0.1, 0.5, 1.0])
 def test_screen_lets_through_every_element_that_stops(v, tol):
-    # iterates within a few ulps of the exact threshold rho - e*rho**2,
-    # rho = (tol*b**(2n)/kc)**(1/3), and of both screen bounds, at every
-    # depth up to the cap: all that stop are at or below lim, and all at
-    # or below sure stop
+    # iterates within a few ulps of the exact threshold u = s - b*s**2 at
+    # s = (tol/(2c*b**n))**(1/(d+1)), of both screen bounds and of the
+    # vertex 1/(4b), at every depth up to the cap: all that stop are at or
+    # below lim, and all at or below sure stop
     b = 1.0 + v
-    c3, kc = _constants(b)
-    cap = 400
-    screened = 0
-    for n in range(cap + 1):
+    _, _, q, c = _constants(v)
+    uncapped = 0
+    for n in range(401):
         scale = b ** n
-        e = b / scale
-        lim, sure = _stop_screen(scale, b, tol, kc)
-        rho = (tol * scale * scale / kc) ** (1.0 / 3.0)
-        if 4.0 * e * rho >= 1.0:
-            assert (lim, sure) == (math.inf, -math.inf)
-            continue
+        lim, sure = _stop_screen(scale, b, tol, c)
         assert 0.0 < sure < lim < math.inf
-        edge = rho * (1.0 - e * rho) / scale
+        s = (tol / (2.0 * c * scale)) ** (1.0 / (D + 1))
+        vertex = 0.25 / b
+        edge = s * (1.0 - b * s) if 4.0 * b * s < _SCREEN_VERTEX else vertex
         u = np.concatenate([edge + np.arange(-8, 9) * np.spacing(edge),
                             lim + np.arange(-8, 9) * np.spacing(lim),
                             sure + np.arange(-8, 9) * np.spacing(sure),
+                            vertex + np.arange(-8, 9) * np.spacing(vertex),
                             edge * (1.0 + np.linspace(-4e-6, 4e-6, 33))])
-        _, bound = _stop_bound(u, scale, b, c3, kc)
-        stops = bound <= tol
+        stops = _stop_bound(u, scale, b, q, c)[1] <= tol
         assert (u[stops] <= lim).all() and stops[u <= sure].all()
-        # not vacuous: some iterates above sure stop, the highest does not
-        assert (stops & (u > sure)).any() and not stops[-1]
-        screened += 1
-    assert screened > 0
+        assert stops.any() and not stops.all()
+        if edge < vertex:
+            # some iterates above sure stop, the highest near the edge does not
+            assert (stops & (u > sure)).any() and not stops[-1]
+            uncapped += 1
+    assert uncapped > 0
 
 
 @pytest.mark.parametrize("v", [0.25, 0.5, 1.0])
@@ -277,14 +303,14 @@ def test_inverse_where_rounding_breaks_the_order(v):
     k = Kinetics(v=v, K=1000.0)
     ys = 0.3 + np.arange(2000) * np.spacing(0.3)
     u = ys
-    _, kc = _constants(k.b)
+    c = _constants(v)[3]
     for n in range(1, 200):
         u = _inverse_mean_map(u, k.b)
-        _, bound = _seed_and_bound(u, n, k.b)
-        # the screen is on at tol = bound[1:]
-        rho = (bound[1:] * k.b ** (2 * n) / kc) ** (1.0 / 3.0)
+        _, bound = _seed_and_bound(u, n, k)
+        # the screen's threshold is below its cap at tol = bound[1:]
+        s = (bound[1:] / (2.0 * c * k.b ** n)) ** (1.0 / (D + 1))
         swapped = np.flatnonzero((np.diff(u) < 0.0) & (bound[1:] < bound[:-1])
-                                 & (4.0 * k.b ** (1 - n) * rho < 1.0))
+                                 & (4.0 * k.b * s < _SCREEN_VERTEX))
         if swapped.size:
             break
     i = swapped[0]
@@ -346,23 +372,180 @@ def _first_order_profile(x, v, tol=1e-14):
     return u
 
 
+@functools.lru_cache(maxsize=None)
+def _exact_profile(v):
+    """H on a grid in [0.001, 4] to about 1e-30, as (x, H(x)) pairs of mpf.
+
+    The identity seed x0/b**N iterated forward is, after k steps, within
+    x**2 * b**(-k-1) of H(x) at x = x0*b**(k-N), as 0 <= x - H(x) <= x**2/b
+    and the mean map has slope in [1, b].  Five base points x0 in (4/b, 4]
+    and the last steps of each run give H on the orbits x0*b**(-j).
+    """
+    with mpmath.workdps(50):
+        vm = mpmath.mpf(v)
+        b = 1 + vm
+        span = int(mpmath.ceil(mpmath.log(4000) / mpmath.log(b)))
+        n = span + int(mpmath.ceil(mpmath.log(mpmath.mpf(16) * 10 ** 30) / mpmath.log(b)))
+        pairs = []
+        for t in range(5):
+            x0 = 4 * b ** (mpmath.mpf(-t) / 5)
+            u = x0 / b ** n
+            for k in range(1, n + 1):
+                u = u + vm * u / (1 + u)
+                if k >= n - span:
+                    pairs.append((x0 * b ** (k - n), u))
+    return tuple(pairs)
+
+
+def _mp_poly(coef, x):
+    """sum_k coef[k] x**k by Horner."""
+    out = 0
+    for c in reversed(coef):
+        out = out * x + c
+    return out
+
+
+def _mp_mul(p, r):
+    out = [mpmath.mpf(0)] * (len(p) + len(r) - 1)
+    for i, pi in enumerate(p):
+        for j, rj in enumerate(r):
+            out[i + j] += pi * rj
+    return out
+
+
+def _mp_taylor(v):
+    """The Taylor coefficients of H and G to degree d, exactly.
+
+    a from the recursion of _profile_coefficients, and q by reverting P:
+    the terms of sum_j q_j P**j up to degree d are those of the identity.
+    """
+    vm = mpmath.mpf(v)
+    b = 1 + vm
+    a = [mpmath.mpf(0), mpmath.mpf(1)]
+    for k in range(2, D + 1):
+        a.append(-sum(a[j] * a[k - j] * (b ** (k - j) - 1) for j in range(1, k))
+                 / (b ** k - b))
+    powers = [None, a]
+    for j in range(2, D + 1):
+        powers.append(_mp_mul(powers[-1], a)[:D + 1])
+    q = [mpmath.mpf(0), mpmath.mpf(1)]
+    for k in range(2, D + 1):
+        q.append(-sum(q[j] * powers[j][k] for j in range(1, k)))
+    return a, q
+
+
+def _mp_defects(v):
+    """Both defect polynomials, exactly, for the float coefficients a and q.
+
+    N(s) = (1 + P(s))(P(b*s) - P(s)) - v*P(s) and (1 + x)**d (b*Q(x) -
+    Q(f(x))) = b*Q*B**d - sum_j q_j x**j (b + x)**j B**(d-j), B = 1 + x.
+    """
+    a, _, q, _ = _constants(v)
+    vm = mpmath.mpf(v)
+    b = 1 + vm
+    pa = [mpmath.mpf(c) for c in a]
+    shifted = [c * (b ** k - 1) for k, c in enumerate(pa)]
+    n = _mp_mul([1 + pa[0]] + pa[1:], shifted)
+    n = [c - (vm * pa[k] if k <= D else 0) for k, c in enumerate(n)]
+    pq = [mpmath.mpf(c) for c in q]
+    one = [mpmath.mpf(1), mpmath.mpf(1)]
+    power = [mpmath.mpf(1)]
+    for _ in range(D):
+        power = _mp_mul(power, one)
+    s = [b * c for c in _mp_mul(pq, power)]
+    for j in range(1, D + 1):
+        term = [mpmath.mpf(0)] * j + [pq[j]]
+        for _ in range(j):
+            term = _mp_mul(term, [b, mpmath.mpf(1)])
+        for _ in range(D - j):
+            term = _mp_mul(term, one)
+        s = [c - (term[k] if k < len(term) else 0) for k, c in enumerate(s)]
+    return n, s
+
+
+def _mp_constant(high, v, top):
+    """The remainder constant of _remainder_constant without its rounding allowance."""
+    b = 1 + mpmath.mpf(v)
+    return sum(abs(h) * mpmath.mpf(top) ** j for j, h in enumerate(high)) / (b * (b ** D - 1))
+
+
+@pytest.mark.parametrize("v", SEED_VS)
+def test_seed_coefficients(v):
+    b = 1.0 + v
+    a, c_h, q, c_g = _constants(v)
+    assert a[1] == 1.0 and q[1] == 1.0
+    assert a[2] == pytest.approx(-1.0 / b, rel=1e-15)
+    assert a[3] == pytest.approx((b + 2.0) / (b * b * (b + 1.0)), rel=1e-15)
+    assert q[2] == pytest.approx(1.0 / b, rel=1e-15)
+    # Q o P = id + O(w**(d+1)), in floats: the terms up to w**d cancel to
+    # rounding, relative to the magnitudes that make them
+    comp, size = np.zeros(D + 1), np.zeros(D + 1)
+    power, mag = np.array([1.0]), np.array([1.0])
+    for j in range(1, D + 1):
+        power = np.convolve(power, a)[:D + 1]
+        mag = np.convolve(mag, np.abs(a))[:D + 1]
+        comp[:power.size] += q[j] * power
+        size[:mag.size] += abs(q[j]) * mag
+    assert comp[1] == 1.0
+    assert np.all(np.abs(comp[2:]) <= 1e-12 * size[2:])
+    with mpmath.workdps(50):
+        # the float coefficients are the exact ones up to rounding
+        exact_a, exact_q = _mp_taylor(v)
+        for got, exact in ((a, exact_a), (q, exact_q)):
+            scale = max(abs(c) for c in exact)
+            assert all(abs(g - e) <= 1e-13 * scale for g, e in zip(got, exact))
+        # the defects of the float coefficients vanish to order d: their low
+        # coefficients are rounding
+        n, s = _mp_defects(v)
+        for poly in (n, s):
+            scale = max(abs(c) for c in poly)
+            assert all(abs(c) <= 1e-12 * scale for c in poly[1:D + 1])
+        # each constant is the exact coefficient sum plus its rounding
+        # allowance, which is at least _ROUNDING times the sum
+        for got, high, top in ((c_h, n[D + 1:], _PROFILE_DOMAIN),
+                               (c_g, s[D + 1:], 0.5 / (b * b))):
+            exact = _mp_constant(high, v, top)
+            assert exact * (1 + _ROUNDING / 2) <= got <= exact * (1 + 1e-9)
+
+
 @pytest.mark.parametrize("v", SEED_VS)
 def test_seed_brackets(v):
-    b, x = 1.0 + v, GRID
-    c3 = _cubic_coefficient(b)
-    assert c3 == _constants(b)[0]
-    h = _first_order_profile(x, v)
-    cube = c3 * x ** 3
-    # 0 <= x - H(x) <= x**2/b
-    assert np.all(x - h >= -SLACK) and np.all(x - h <= x * x / b + SLACK)
-    # 0 <= D(x) = H(x) - (x - x**2/b) <= c3*x**3, and c3 is nearly sharp
-    d = h - (x - x * x / b)
-    assert np.all(d >= -SLACK) and np.all(d <= cube + SLACK)
-    assert np.max(d / cube) > 0.9
-    # with w = x and u = H(w): G(u) - u - u**2/b lies in [-c3 w**3, 2 w**3/b**2]
-    gap = x - h - h * h / b
-    assert np.all(gap >= -cube - SLACK)
-    assert np.all(gap <= 2.0 * x ** 3 / (b * b) + SLACK)
+    # against H to 50 digits on (0, 4]: 0 <= x - H(x) <= x**2/b, G(u) >=
+    # u + u**2/b, |H - P| <= c_H x**(d+1) on the seed domain x <= 1/4,
+    # where P >= 0, and |G - Q| <= c_G G**(d+1) where G < 1/(2b).  P and Q
+    # have the exact Taylor coefficients; the float ones differ by a
+    # rounding of the seed's value (test_seed_coefficients)
+    _, c_h, _, c_g = _constants(v)
+    with mpmath.workdps(50):
+        b = 1 + mpmath.mpf(v)
+        pa, pq = _mp_taylor(v)
+        worst_h = worst_g = 0
+        for x, h in _exact_profile(v):
+            assert 0 <= x - h <= x * x / b
+            assert x >= h + h * h / b
+            if x <= _PROFILE_DOMAIN:
+                p = _mp_poly(pa, x)
+                assert p >= 0
+                worst_h = max(worst_h, abs(h - p) / (c_h * x ** (D + 1)))
+            if x < 1 / (2 * b):
+                worst_g = max(worst_g, abs(x - _mp_poly(pq, h)) / (c_g * x ** (D + 1)))
+    # the brackets hold, and are within a factor 2 (H) and 20 (G) of sharp
+    assert 0.5 < worst_h <= 1 and 0.05 < worst_g <= 1
+
+
+@pytest.mark.parametrize("v", SEED_VS)
+def test_profile_and_inverse_against_exact(v):
+    # the certified results: H in [H, H + tol], G in [G - tol, G], and G(u)
+    # >= u + u**2/b - tol, on the 50-digit grid of (0, 4]
+    k = Kinetics(v=v, K=2.0)
+    pairs = _exact_profile(v)
+    x = np.array([float(p[0]) for p in pairs])
+    h = np.array([float(p[1]) for p in pairs])
+    out = limit_profile(x, k, Precision(tol=1e-10))
+    assert np.all(out >= h - SLACK) and np.all(out <= h + 1e-10 + SLACK)
+    g = inverse_profile(h, k, Precision(tol=1e-8))
+    assert np.all(g <= x + 1e-11) and np.all(g >= x - 1e-8 - 1e-11)
+    assert np.all(g >= h + h * h / k.b - 1e-8 - SLACK)
 
 
 @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8, 1e-10])
@@ -379,10 +562,11 @@ def test_profile_and_inverse_within_tolerance(v, tol):
 
 
 @pytest.mark.parametrize("v, depth, steps",
-                         [(0.1, 144, 124), (0.5, 33, 29), (1.0, 19, 17)])
+                         [(0.1, 53, 32), (0.5, 12, 8), (1.0, 7, 5)])
 def test_certified_depths(v, depth, steps):
-    # H(4) at tol 1e-10 takes depth steps (272, 65, 39 with the identity
-    # seed), and G(H(4)) at tol 1e-8 takes steps steps (224, 54, 32)
+    # H(4) at tol 1e-10 takes depth steps (144, 33, 19 from the seeds of
+    # degree 2, 272, 65, 39 from the identity), and G(H(4)) at tol 1e-8
+    # takes steps steps (124, 29, 17; 224, 54, 32)
     k = Kinetics(v=v, K=2.0)
     y = limit_profile(4.0, k, Precision(tol=1e-10, max_iter=depth))
     with pytest.raises(PrecisionError, match=f"needs {depth} iterations"):
@@ -395,7 +579,7 @@ def test_certified_depths(v, depth, steps):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("x", [1e100, 1e200, 1e300])
 def test_profile_at_huge_arguments(x):
-    # c3*x**3 and b**-n leave the float range here, their logs do not
+    # c*x**(d+1) and b**-n leave the float range here, their logs do not
     k = Kinetics(v=0.5, K=2.0)
     h = limit_profile(x, k)
     assert 0.0 < h < x and h == limit_profile(np.array([0.5, x]), k)[1]
@@ -403,12 +587,12 @@ def test_profile_at_huge_arguments(x):
     if x == 1e100:
         assert round(h, 2) == 278.28
     # one step short of the certified depth: a finite bound above tol
-    c3, _ = _constants(k.b)
-    n = _log_depth(math.log(c3) + 3.0 * math.log(x), k.b * k.b, 1e-10)
+    c = _constants(k.v)[1]
+    n = _log_depth(math.log(2.0 * c) + (D + 1) * math.log(x), k.b ** D, 1e-10)
     with pytest.raises(PrecisionError) as err:
         limit_profile(x, k, Precision(tol=1e-10, max_iter=n - 1))
     assert math.isfinite(err.value.value)
-    assert 1e-10 < err.value.bound <= 1e-10 * k.b ** 2
+    assert 1e-10 < err.value.bound <= 1e-10 * k.b ** D
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -428,3 +612,41 @@ def test_inverse_at_huge_arguments(x):
     with pytest.raises(PrecisionError) as err:
         inverse_profile(x, k)
     assert err.value.bound == math.inf and not math.isnan(err.value.value)
+
+
+@pytest.mark.parametrize("v", np.geomspace(1e-12, 1.0, 13))
+def test_profile_seed_nonnegative_on_its_domain(v):
+    # P(u) >= u*(1 - sum_{k>=2} |a_k| u**(k-1)) >= 0 for u <= 1/4, where
+    # the telescoping lemma needs P >= 0, down to the smallest efficiencies
+    a = _constants(v)[0]
+    assert sum(abs(a[k]) * _PROFILE_DOMAIN ** (k - 1) for k in range(2, D + 1)) < 0.5
+
+
+def test_inverse_first_tested_step_is_not_late():
+    # y is so small that G(y) is y to a few parts in 1e3 and r_n barely
+    # exceeds it, so y stops at the depth its own bound gives, past step 50
+    # at tol 1e-60: testing from one step before that depth, as the skip
+    # does, finds it, and a later start would not
+    k = Kinetics(v=0.25, K=1000.0)
+    prec = Precision(tol=1e-60)
+    for y in (0.01, np.array([0.01, 0.02, 0.5])):
+        g, bound, ok = _masked_inverse(y, k, prec)
+        assert ok and _same_bits(inverse_profile(y, k, prec), g)
+    c = _constants(k.v)[3]
+    log_c = math.log(2.0 * c) + (D + 1) * math.log(0.01)
+    n = _log_depth(log_c, k.b ** D, prec.tol)
+    assert n > 50
+    with pytest.raises(PrecisionError):
+        inverse_profile(0.01, k, Precision(tol=1e-60, max_iter=n - 1))
+    inverse_profile(0.01, k, Precision(tol=1e-60, max_iter=n + 1))
+
+
+def test_profile_depth_reaches_the_seed_domain():
+    # at tol 1 the tail bound alone would allow depth 2 for H(4) at v = 1;
+    # the seed needs 4/b**n <= 1/4, depth 4, and short of it the bound is inf
+    k = Kinetics(v=1.0, K=2.0)
+    assert _same_bits(limit_profile(4.0, k, Precision(tol=1.0)),
+                      _plain_profile(np.array(4.0), k, Precision(tol=1.0)))
+    with pytest.raises(PrecisionError, match="needs 4 iterations") as err:
+        limit_profile(4.0, k, Precision(tol=1.0, max_iter=3))
+    assert err.value.bound == math.inf

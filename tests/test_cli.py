@@ -193,6 +193,14 @@ class TestEstimate:
         assert main(["estimate", "--v", "0.5"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_scale_past_the_float_range_names_m(self, tmp_path, capsys):
+        # K = 1.5**2000 overflows: exit 1 with a message naming m
+        rc = main(["estimate", "--v", "0.5", "--m", "2000",
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "m=2000" in err
+
     def test_sampling_flags_have_no_effect(self, tmp_path, capsys):
         # the likelihood scan is exact: --mle-seed and --mle-count are
         # accepted and named on stderr as having no effect

@@ -308,6 +308,15 @@ class TestNormalEstimator:
         assert estimate_copies_normal(1e-9, 0.5, integer=True) == 1
         assert estimate_copies_normal(10.0, 0.5, integer=True) == 10
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("integer", [False, True])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_non_finite_or_negative_t(self, bad, integer):
+        # no nan, no silent 1 and no numpy cast warning: a ValueError
+        for t in (bad, np.array([2.0, bad])):
+            with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+                estimate_copies_normal(t, 0.5, integer=integer)
+
     def test_monotone_in_t(self):
         ts = np.linspace(0.1, 20.0, 50)
         zs = [estimate_copies_normal(t, 0.4) for t in ts]

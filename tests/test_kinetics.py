@@ -52,6 +52,11 @@ class TestKinetics:
         k = Kinetics.from_exponent(0.5, 10)
         assert k.K == pytest.approx(1.5 ** 10)
 
+    def test_from_exponent_overflow_names_v_and_m(self):
+        # 1.5**2000 overflows a float: a ValueError, not an OverflowError
+        with pytest.raises(ValueError, match=r"v=0\.5, m=2000"):
+            Kinetics.from_exponent(0.5, 2000)
+
     @pytest.mark.parametrize("v", [0.0, -0.1, 1.5])
     def test_rejects_bad_efficiency(self, v):
         with pytest.raises(ValueError):

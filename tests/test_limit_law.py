@@ -453,6 +453,15 @@ class TestExactDensity:
         with pytest.raises(ValueError):
             ancestor_density(1.0, 1.0, 3)
 
+    @pytest.mark.parametrize("bad", [2.5, math.inf, math.nan])
+    def test_rejects_non_integer_z_max(self, bad):
+        with pytest.raises(ValueError, match="z_max must be an integer"):
+            ancestor_density(1.0, 0.5, bad)
+
+    def test_integral_float_z_max_is_its_integer(self):
+        a, b = ancestor_density(1.0, 0.5, 3.0), ancestor_density(1.0, 0.5, 3)
+        assert np.array_equal(a.values, b.values)
+
 
 class TestSumDensity:
     def test_large_sum_near_normal(self):
