@@ -26,10 +26,12 @@ from qpcrkin.simulate import (
     write_trajectory_csv,
 )
 from qpcrkin.limit_law import (
+    AncestorCDF,
     AncestorDensity,
     DensityEstimate,
     LimitEnsemble,
     PointMassError,
+    ancestor_cdf,
     ancestor_density,
     limit_density,
     limit_mgf,

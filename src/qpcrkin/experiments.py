@@ -5,9 +5,10 @@ cycle against the limit profile of the growth limit), estimation (the
 full detection-and-inversion chain over all replicates at once), and
 coupling (pathwise order checks plus the scaled gap between the linear
 and saturating processes).  A fourth kind emits profile curves on a
-grid for plotting.  Every runner is bit-reproducible from its scenario:
-trajectory streams and reference streams use distinct purposes, so the
-two sides of a distributional comparison never share random numbers.
+grid for plotting.  Every runner is bit-reproducible from its scenario.
+Distributional comparisons are one-sample: simulated values against the
+exact law of the growth limit (limit_law.ancestor_cdf), whose certified
+error bound is reported with the statistic.
 """
 
 from __future__ import annotations
@@ -23,14 +24,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import streams
-from .kinetics import Kinetics, iterate_mean_map, limit_profile
+from .kinetics import Kinetics, inverse_profile, limit_profile
 from .simulate import (
     order_violations,
     simulate_coupled_replicates,
     simulate_replicates,
 )
-from .limit_law import sample_limit
+from .limit_law import ancestor_cdf
 from .inference import (
     _log_scale_cycles,
     _read_json_object,
@@ -79,7 +79,6 @@ class ScenarioSpec:
     replicates: int = 200
     seed: int = 0
     out: str | None = None
-    ref_count: int = 10 ** 5
     shift: int = 0
     extra_cycles: int = 6
     m_values: tuple | None = None
@@ -103,8 +102,6 @@ class ScenarioSpec:
             raise ValueError("rho must be in (0, 1)")
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
-        if self.ref_count < 2:
-            raise ValueError("ref_count must be at least 2")
         if self.shift < 0:
             raise ValueError("shift must be nonnegative")
         if self.extra_cycles < 0:
@@ -167,22 +164,26 @@ def ks_distance(a, b) -> float:
     return float(np.max(np.abs(fa - fb)))
 
 
-def _reference_profile_sample(spec: ScenarioSpec, kin: Kinetics) -> np.ndarray:
-    ens = sample_limit(
-        spec.v, z=spec.z0, count=spec.ref_count, seed=spec.seed,
-        purpose=streams.REFERENCE,
-    )
-    return limit_profile(ens.samples, kin)
+def _ks_to_law(cdf) -> float:
+    """One-sample KS statistic from the law's CDF at each sample.
+
+    Exact unless a sample sits on an atom of the law.
+    """
+    u = np.sort(cdf)
+    i = np.arange(1.0, u.size + 1.0)
+    return float(max(np.max(i / u.size - u), np.max(u - (i - 1.0) / u.size)))
 
 
 def run_convergence(spec: ScenarioSpec) -> ExperimentResult:
-    """Compare scale-cycle densities against the limit profile of the growth limit.
+    """Compare scale-cycle densities with the limit profile of the growth limit.
 
-    Simulates spec.replicates trajectories to cycle m (+shift) and an
-    independent reference sample H(W(z0)); reports the two-sample KS
-    distance and a decile table.  With shift=n the trajectories at cycle
-    m+n are also compared against the n-fold mean map applied to the
-    reference sample.
+    Simulates spec.replicates trajectories to cycle m (+shift) and
+    reports the one-sample KS distance of X_m/K from the law of
+    H(W(z0)), whose CDF at x is F_{z0}(G(x)) (H is increasing), and a
+    decile table.  With shift=n the trajectories at cycle m+n are also
+    compared with the law of f^n(H(W(z0))), F_{z0}(G(x)/b**n) since
+    G(f(y)) = b*G(y).  ks_bound is the certified CDF error at the
+    compared points, so each KS value is exact to within it.
     """
     if spec.kind != "convergence":
         raise ValueError("spec.kind must be 'convergence'")
@@ -192,23 +193,26 @@ def run_convergence(spec: ScenarioSpec) -> ExperimentResult:
 
     counts = simulate_replicates(kin, spec.z0, n_cycles, spec.replicates, spec.seed)
     x_m = counts[:, spec.m] / kin.K
-    x_shift = counts[:, n_cycles] / kin.K if spec.shift else None
-
-    ref = _reference_profile_sample(spec, kin)
-    ks_main = ks_distance(x_m, ref)
-    deciles = np.arange(10, 100, 10)
+    deciles = np.percentile(x_m, np.arange(10, 100, 10))
+    # one CDF call for every compared point: x_m, the deciles, x_shifted
+    t = [inverse_profile(x_m, kin), inverse_profile(deciles, kin)]
+    if spec.shift:
+        x_shift = counts[:, n_cycles] / kin.K
+        t.append(inverse_profile(x_shift, kin) / kin.b ** spec.shift)
+    law = ancestor_cdf(np.concatenate(t), spec.v, spec.z0)
+    n, nd = spec.replicates, spec.replicates + deciles.size
     summary = {
         "m": spec.m,
         "shift": spec.shift,
-        "ks": ks_main,
-        "ks_shifted": None,
-        "trajectory_deciles": [float(q) for q in np.percentile(x_m, deciles)],
-        "reference_deciles": [float(q) for q in np.percentile(ref, deciles)],
+        "ks": _ks_to_law(law.values[:n]),
+        "ks_shifted": _ks_to_law(law.values[nd:]) if spec.shift else None,
+        "ks_bound": law.bound,
+        "limit_cdf_points": law.points,
+        "trajectory_deciles": deciles.tolist(),
+        "limit_cdf_at_deciles": law.values[n:nd].tolist(),
     }
     records = [{"replicate": i, "x_m": x} for i, x in enumerate(x_m.tolist())]
     if spec.shift:
-        ref_shifted = iterate_mean_map(ref, spec.shift, kin)
-        summary["ks_shifted"] = ks_distance(x_shift, ref_shifted)
         for rec, x in zip(records, x_shift.tolist()):
             rec["x_shifted"] = x
     return ExperimentResult(
@@ -223,8 +227,10 @@ def run_estimation(spec: ScenarioSpec) -> ExperimentResult:
     Replicates whose density never reaches rho are counted as missed and
     excluded.  With v=1 copies are recovered by exact inversion; below 1
     the normal-approximation estimate is reported (the likelihood scan
-    is left to the single-trajectory pipeline).  fit_efficiency adds a
-    per-replicate efficiency estimate.
+    is left to the single-trajectory pipeline), and t_vs_limit_ks is the
+    one-sample KS distance of the recovered t means from the exact law
+    of W(z0), within ks_bound.  fit_efficiency adds a per-replicate
+    efficiency estimate.
     """
     if spec.kind != "estimation":
         raise ValueError("spec.kind must be 'estimation'")
@@ -247,6 +253,7 @@ def run_estimation(spec: ScenarioSpec) -> ExperimentResult:
         "z_hat_mode": None,
         "fraction_within_one": None,
         "t_vs_limit_ks": None,
+        "ks_bound": None,
         "v_hat_median": None,
     }
     if replicate_ids.size:
@@ -272,11 +279,9 @@ def run_estimation(spec: ScenarioSpec) -> ExperimentResult:
             np.mean(np.abs(z_hats - spec.z0) <= 1)
         )
         if spec.v < 1.0:
-            ref = sample_limit(
-                spec.v, z=spec.z0, count=spec.ref_count, seed=spec.seed,
-                purpose=streams.REFERENCE,
-            ).samples
-            summary["t_vs_limit_ks"] = ks_distance(t_means, ref)
+            law = ancestor_cdf(t_means, spec.v, spec.z0)
+            summary["t_vs_limit_ks"] = _ks_to_law(law.values)
+            summary["ks_bound"] = law.bound
         if v_hats is not None and np.any(~np.isnan(v_hats)):
             summary["v_hat_median"] = float(np.nanmedian(v_hats))
     return ExperimentResult(

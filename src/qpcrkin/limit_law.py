@@ -5,8 +5,8 @@ whose almost-sure limit has mean 1 per starting molecule and variance
 (1-v)/(1+v).  This module samples that limit by deep truncation, evaluates
 its Laplace transform and characteristic function through the offspring
 fixed-point recursion at a certified depth, inverts the latter for the
-exact density of the z-ancestor limit with a certified truncation bound,
-and estimates the density from samples.  The recursion starts from the
+exact density and distribution function of the z-ancestor limit with
+certified truncation bounds, and estimates the density from samples.  The recursion starts from the
 Taylor polynomial of order 4 of E exp(y*W), whose moments follow exactly
 from the offspring equation, so its error bound falls by b**3 per step
 of depth.
@@ -31,6 +31,7 @@ __all__ = [
     "LimitEnsemble",
     "DensityEstimate",
     "AncestorDensity",
+    "AncestorCDF",
     "PointMassError",
     "MGF_PRECISION",
     "DENSITY_PRECISION",
@@ -41,6 +42,7 @@ __all__ = [
     "limit_mgf",
     "limit_density",
     "ancestor_density",
+    "ancestor_cdf",
     "default_generations",
     "write_ensemble_csv",
     "read_ensemble_csv",
@@ -356,6 +358,81 @@ def limit_mgf(s, v: float, prec: Precision = MGF_PRECISION):
     return float(u) if scalar else u
 
 
+def _transform_pieces(h: float, v: float, z_max: int, prec: Precision,
+                      slope: bool):
+    """psi(w) = E exp(i w W) on w_j = j*h, j >= 1, piece by piece.
+
+    Frequencies come in segments: j <= N0 (N0*h just reaches
+    FIRST_FREQUENCY), then (N0*2**(k-1), N0*2**k], up to prec.max_iter.
+    Yields (om, ps, dps, err, end) per piece of at most FREQUENCY_BLOCK
+    frequencies: psi (and psi' with slope=True) at om, within err * om**4;
+    end is None but at a segment's last piece, where it holds (frequencies
+    so far, depth, M, D), M and D the largest |psi| and |psi'| on the
+    segment's top octave [top/b, top].  The segment that ends at
+    prec.max_iter is the last.  Raises PrecisionError when psi needs a
+    depth beyond MGF_PRECISION.max_iter.
+    """
+    b = 1.0 + v
+    ends = [min(math.ceil(FIRST_FREQUENCY / h), prec.max_iter)]
+    while ends[-1] < prec.max_iter:
+        ends.append(min(2 * ends[-1], prec.max_iter))
+    coef = _remainder_coefficient(v)
+    depths = {}
+
+    def depth_of(k):
+        # psi errs by at most coef * w**4 * b**(-3n) at depth n; each
+        # segment keeps its share of a bound below prec.tol / 64.  A
+        # segment's depth is certified when the scan first reaches it.
+        if k not in depths:
+            top = ends[k] * h
+            depths[k] = _seed_depth(coef * top ** 4, top, b,
+                                    math.pi * prec.tol / (64.0 * z_max * top))
+        return depths[k]
+
+    pieces = ((k, lo, min(lo + FREQUENCY_BLOCK, end))
+              for k, end in enumerate(ends)
+              for lo in range(ends[k - 1] if k else 0, end, FREQUENCY_BLOCK))
+
+    m = d = 0.0
+    pending = next(pieces)
+    while True:
+        # one kernel call over whole pieces, up to FREQUENCY_BLOCK
+        # frequencies; a piece past the depth cap only ever comes first
+        batch, pending = [pending], None
+        for piece in pieces:
+            if (piece[2] - batch[0][1] > FREQUENCY_BLOCK
+                    or depth_of(piece[0]) > MGF_PRECISION.max_iter):
+                pending = piece
+                break
+            batch.append(piece)
+        last = batch[-1]
+        if depth_of(last[0]) > MGF_PRECISION.max_iter:
+            raise PrecisionError(
+                f"characteristic function needs depth {depth_of(last[0])} at "
+                f"frequency {h * last[2]:.4g}, cap is {MGF_PRECISION.max_iter}"
+            )
+        first = batch[0][1]
+        omega = h * np.arange(first + 1, last[2] + 1)
+        depth = np.concatenate([np.full(hi - lo, depth_of(k)) for k, lo, hi in batch])
+        psi, dpsi = (_complement_iteration(1j * omega, v, depth, slope=True) if slope
+                     else (_complement_iteration(1j * omega, v, depth), None))
+
+        for k, lo, hi in batch:
+            part = slice(lo - first, hi - first)
+            om, ps, dps = omega[part], psi[part], dpsi[part] if slope else None
+            top = om >= h * ends[k] / b
+            if top.any():
+                m = max(m, float(np.abs(ps[top]).max()))
+                if slope:
+                    d = max(d, float(np.abs(dps[top]).max()))
+            end = (hi, depths[k], m, d) if hi == ends[k] else None
+            yield om, ps, dps, coef * b ** (-3 * depths[k]), end
+            if end:
+                if hi == prec.max_iter:
+                    return
+                m = d = 0.0
+
+
 @dataclass(frozen=True)
 class AncestorDensity:
     """Densities of the z-ancestor limit W(z) at given points, z = 1..z_max.
@@ -385,18 +462,14 @@ def ancestor_density(t, v: float, z_max: int,
     frequencies, one table holds psi**z for z = 1..z_max, filled by
     in-place multiplies, and each point takes one real matrix-vector
     product of it with the interleaved cos and sin of w_j*t.  psi comes
-    from limit_mgf's complement iteration with argument i*w; at depth n
-    it errs by at most m_4/4! * w**4 * b**(-3n) (_complement_iteration).
-    The full sum is sum_k f_z(t + k*T); the period T = 4*max(z_max, t) + 8
-    puts every aliased copy far out in the right tail of every candidate,
-    and that term is not part of the bound.
+    piece by piece, each segment at its own certified transform depth
+    (_transform_pieces).  The full sum is sum_k f_z(t + k*T); the period
+    T = 4*max(z_max, t) + 8 puts every aliased copy far out in the right
+    tail of every candidate, and that term is not part of the bound.
 
-    Frequencies come in segments: j <= N0 (N0*h just reaches
-    FIRST_FREQUENCY), then (N0*2**(k-1), N0*2**k].  Each segment has its
-    own transform depth, certified at its top frequency once the scan
-    reaches it, and a point stops at the end of the first segment where
-    all its bounds are at most prec.tol, so its value does not depend on
-    the other points.
+    A point stops at the end of the first segment where all its bounds
+    are at most prec.tol, so its value does not depend on the other
+    points.
 
     Bound.  Summation by parts bounds what the sum leaves out past the
     top frequency Omega by (|psi(Omega)**z| + int_Omega^inf |(psi**z)'|)
@@ -436,98 +509,148 @@ def ancestor_density(t, v: float, z_max: int,
     z = np.arange(1.0, z_max + 1.0)
     abel = h / (2.0 * math.pi * np.sin(0.5 * h * pts))
 
-    ends = [min(math.ceil(FIRST_FREQUENCY / h), prec.max_iter)]
-    while ends[-1] < prec.max_iter:
-        ends.append(min(2 * ends[-1], prec.max_iter))
-    coef = _remainder_coefficient(v)
-    depths = {}
-
-    def depth_of(k):
-        # psi errs by at most coef * w**4 * b**(-3n) at depth n; each
-        # segment keeps its share of a bound below prec.tol / 64.  A
-        # segment's depth is certified when the scan first reaches it.
-        if k not in depths:
-            top = ends[k] * h
-            depths[k] = _seed_depth(coef * top ** 4, top, b,
-                                    math.pi * prec.tol / (64.0 * z_max * top))
-        return depths[k]
-
-    pieces = ((k, lo, min(lo + FREQUENCY_BLOCK, end))
-              for k, end in enumerate(ends)
-              for lo in range(ends[k - 1] if k else 0, end, FREQUENCY_BLOCK))
-
     sums = np.zeros((z_max, pts.size))
     values = np.empty_like(sums)
     bounds = np.empty_like(sums)
     todo = np.ones(pts.size, dtype=bool)
-    psi_error = m = d = 0.0
-    pending = next(pieces)
-    while True:
-        # one kernel call over whole pieces, up to FREQUENCY_BLOCK
-        # frequencies; a piece past the depth cap only ever comes first
-        batch, pending = [pending], None
-        for piece in pieces:
-            if (piece[2] - batch[0][1] > FREQUENCY_BLOCK
-                    or depth_of(piece[0]) > MGF_PRECISION.max_iter):
-                pending = piece
-                break
-            batch.append(piece)
-        last = batch[-1]
-        if depth_of(last[0]) > MGF_PRECISION.max_iter:
-            raise PrecisionError(
-                f"characteristic function needs depth {depth_of(last[0])} at "
-                f"frequency {h * last[2]:.4g}, cap is {MGF_PRECISION.max_iter}"
-            )
-        first = batch[0][1]
-        omega = h * np.arange(first + 1, last[2] + 1)
-        depth = np.concatenate([np.full(hi - lo, depth_of(k)) for k, lo, hi in batch])
-        psi, dpsi = _complement_iteration(1j * omega, v, depth, slope=True)
+    psi_error = 0.0
+    for om, ps, _, err, end in _transform_pieces(h, v, z_max, prec, slope=True):
+        om2 = om * om
+        psi_error += err * float(om2 @ om2)
+        # powers[z-1] = ps**z, each row by one in-place multiply of the last
+        powers = np.empty((z_max, ps.size), dtype=complex)
+        powers[0] = ps
+        for r in range(1, z_max):
+            np.multiply(powers[r - 1], ps, out=powers[r])
+        # Re(p * exp(-i w t)) = Re(p) cos(w t) + Im(p) sin(w t): one real
+        # matrix-vector product per open point on the interleaved parts,
+        # so a point's sum does not depend on the others
+        table = powers.view(float)
+        act = np.flatnonzero(todo)
+        phase = np.exp(1j * np.outer(pts[act], om))
+        for j, wave in zip(act, phase):
+            sums[:, j] += table @ wave.view(float)
+        if end is None:
+            continue
 
-        for k, lo, hi in batch:
-            part = slice(lo - first, hi - first)
-            om, ps, dps = omega[part], psi[part], dpsi[part]
-            om2 = om * om
-            psi_error += coef * b ** (-3 * depths[k]) * float(om2 @ om2)
-            # powers[z-1] = ps**z, each row by one in-place multiply of the last
-            powers = np.empty((z_max, ps.size), dtype=complex)
-            powers[0] = ps
-            for r in range(1, z_max):
-                np.multiply(powers[r - 1], ps, out=powers[r])
-            # Re(p * exp(-i w t)) = Re(p) cos(w t) + Im(p) sin(w t): one real
-            # matrix-vector product per open point on the interleaved parts,
-            # so a point's sum does not depend on the others
-            table = powers.view(float)
-            act = np.flatnonzero(todo)
-            phase = np.exp(1j * np.outer(pts[act], om))
-            for j, wave in zip(act, phase):
-                sums[:, j] += table @ wave.view(float)
-            top = om >= h * ends[k] / b
-            if top.any():
-                m = max(m, float(np.abs(ps[top]).max()))
-                d = max(d, float(np.abs(dps[top]).max()))
-            if hi < ends[k]:
-                continue
+        # checkpoint at the end of a segment: the bound of every point
+        points, depth, m, d = end
+        p = (1.0 - v + v * m) ** (z - 1.0) * (1.0 - v + 2.0 * v * m)
+        tail = np.full(z_max, np.inf)
+        ok = p < 1.0
+        tail[ok] = (om[-1] * (v / b) * d * z[ok] * m ** (z[ok] - 1.0)
+                    * p[ok] / (1.0 - p[ok]))
+        edge = np.abs(ps[-1]) ** z + tail
+        bound = edge[:, None] * abel + (z * (h / math.pi) * psi_error)[:, None]
+        values[:, todo] = (h / math.pi) * (0.5 + sums[:, todo])
+        bounds[:, todo] = bound[:, todo]
+        todo &= ~np.all(bound <= prec.tol, axis=0)
+        if not todo.any():
+            return AncestorDensity(values, bounds, points, depth)
+    raise PrecisionError(
+        f"density bound {bounds[:, todo].max():.3g} above "
+        f"tol={prec.tol} at the cap of {prec.max_iter} frequencies",
+        value=values, bound=bounds,
+    )
 
-            # checkpoint at the end of segment k: the bound of every point
-            p = (1.0 - v + v * m) ** (z - 1.0) * (1.0 - v + 2.0 * v * m)
-            tail = np.full(z_max, np.inf)
-            ok = p < 1.0
-            tail[ok] = (om[-1] * (v / b) * d * z[ok] * m ** (z[ok] - 1.0)
-                        * p[ok] / (1.0 - p[ok]))
-            edge = np.abs(ps[-1]) ** z + tail
-            bound = edge[:, None] * abel + (z * (h / math.pi) * psi_error)[:, None]
-            values[:, todo] = (h / math.pi) * (0.5 + sums[:, todo])
-            bounds[:, todo] = bound[:, todo]
-            todo &= ~np.all(bound <= prec.tol, axis=0)
-            if not todo.any():
-                return AncestorDensity(values, bounds, hi, depths[k])
-            if k == len(ends) - 1:
-                raise PrecisionError(
-                    f"density bound {bounds[:, todo].max():.3g} above "
-                    f"tol={prec.tol} at the cap of {prec.max_iter} frequencies",
-                    value=values, bound=bounds,
-                )
-            m = d = 0.0
+
+@dataclass(frozen=True)
+class AncestorCDF:
+    """Distribution function of the z-ancestor limit W(z) at given points.
+
+    values holds P(W(z) <= t) at each point, each within the certified
+    bound, which is one for all points.  The sum took `points`
+    frequencies, the highest at transform depth `depth`.
+    """
+
+    values: np.ndarray
+    bound: float
+    points: int
+    depth: int
+
+
+def ancestor_cdf(t, v: float, z: int,
+                 prec: Precision = DENSITY_PRECISION) -> AncestorCDF:
+    """Exact distribution function of W(z) at each point of t.
+
+    Integrating ancestor_density's trapezoid sum term by term from 0 gives
+
+        F_z(t) ~ (h/pi) * (t/2 + sum_j Re(psi_j**z * (1 - exp(-i w_j t)) / (i w_j)))
+
+    on the same grid w_j = j*h, h = 2*pi/T, T = 4*max(z, t) + 8, with
+    psi_j = psi(w_j) from the same segments, transform depths and kernel
+    calls (_transform_pieces).  The sum over j is a Horner recursion in
+    q = exp(-i h t), elementwise, so a point's value depends on the others
+    only through the period.
+
+    Bound.  |1 - exp(-i w t)| <= 2, so the frequencies past the top
+    Omega leave out at most (2h/pi) * sum_{j>N} |psi_j|**z / w_j.  On the
+    k-th octave past Omega, (Omega*b**(k-1), Omega*b**k], |psi| is at most
+    M*r**k with r = 1-v+v*M and M = max |psi| on the top octave's grid
+    points (ancestor_density), and the octave holds at most
+    (b-1)*Omega*b**(k-1)/h + 1 frequencies, each with 1/w_j at most
+    1/(Omega*b**(k-1)); summed over k >= 1 that is at most
+    ((b-1)*Omega/h + 1) * M**z * r**z / (Omega*(1 - r**z)).  The transform error
+    adds z*(2h/pi) * sum_j err_j / w_j, err_j psi_j's certified error.
+    Neither term depends on t, so one stop serves every point: the end of
+    the first segment where the bound is at most prec.tol.
+
+    Aliasing.  The sum integrates sum_k f_z(t + k*T) from 0, which
+    exceeds F_z(t) by sum_{k>=1} P(kT < W(z) <= kT + t) <= P(W(z) > T);
+    the period puts that far out in the right tail, and it is not part of
+    the bound.  Values are returned as computed, even slightly outside
+    [0, 1].
+
+    At v = 1, W(z) = z, so F is the step at z, exact with bound 0 and no
+    frequencies.  Raises PrecisionError when the bound still exceeds
+    prec.tol at prec.max_iter frequencies, carrying the values and the
+    bound there, or when psi needs a depth beyond MGF_PRECISION.max_iter.
+    """
+    pts = np.atleast_1d(_as_nonnegative_array(t, "t"))
+    if pts.ndim != 1 or pts.size == 0:
+        raise ValueError("t must be a scalar or a nonempty 1-d array")
+    if not 0.0 < v <= 1.0:
+        raise ValueError("efficiency must be in (0, 1]")
+    if not float(z).is_integer():
+        raise ValueError("z must be an integer")
+    z = int(z)
+    if z < 1:
+        raise ValueError("z must be at least 1")
+    if v == 1.0:
+        return AncestorCDF((pts >= z).astype(float), 0.0, 0, 0)
+
+    b = 1.0 + v
+    period = 4.0 * max(z, float(pts.max())) + 8.0
+    h = 2.0 * math.pi / period
+    coefs = []
+    psi_error = 0.0
+    for om, ps, _, err, end in _transform_pieces(h, v, z, prec, slope=False):
+        coefs.append(ps ** z / (1j * om))
+        psi_error += err * float(np.sum(om * om * om))
+        if end is None:
+            continue
+        points, depth, m, _ = end
+        top, r = float(om[-1]), 1.0 - v + v * m
+        rz = r ** z
+        tail = (((b - 1.0) * top / h + 1.0) * m ** z * rz / (top * (1.0 - rz))
+                if rz < 1.0 else math.inf)
+        bound = (2.0 * h / math.pi) * (tail + z * psi_error)
+        if bound <= prec.tol or points == prec.max_iter:
+            break
+    c = np.concatenate(coefs)
+    q = np.exp(-1j * h * pts)
+    acc = np.full(pts.size, c[-1])
+    for cj in c[-2::-1]:
+        acc *= q
+        acc += cj
+    acc *= q
+    values = (h / math.pi) * (0.5 * pts + (float(c.real.sum()) - acc.real))
+    if not bound <= prec.tol:
+        raise PrecisionError(
+            f"distribution bound {bound:.3g} above tol={prec.tol} at the cap "
+            f"of {prec.max_iter} frequencies", value=values, bound=bound,
+        )
+    return AncestorCDF(values, bound, points, depth)
 
 
 def _silverman_bandwidth(samples: np.ndarray) -> float:

@@ -19,9 +19,8 @@ What one replicate index names depends on the consumer:
   for every replicate count >= n.
 - Growth-limit ensembles (limit_law.sample_limit) draw in blocks of
   limit_law.BLOCK_SIZE samples: sample i is lane i % BLOCK_SIZE of the
-  stream with replicate = i // BLOCK_SIZE and aux = 0; their purposes
-  (GROWTH_LIMIT, or REFERENCE in the experiment runners) keep them off
-  the trajectories' keys.  A block's lanes share its stream in lockstep,
+  stream with replicate = i // BLOCK_SIZE and aux = 0; their purpose
+  (GROWTH_LIMIT by default) keeps them off the trajectories' keys.  A block's lanes share its stream in lockstep,
   one array binomial per generation, so a single sample is reproducible
   only together with its block, and the first n samples of an ensemble
   are the same for every count >= n.
@@ -38,7 +37,8 @@ REACTION = 1  # saturating molecule-count process
 LINEAR = 2  # constant-probability branching reference
 COUPLED = 3  # coupled reaction and branching references, drawn as counts
 GROWTH_LIMIT = 4  # scaled-growth limit ensembles
-REFERENCE = 6  # reference samples in experiments
+# tag 6 stays unused: earlier versions drew the experiment runners'
+# reference samples with it
 
 _MAX_SEED = 2 ** 64
 _MAX_REPLICATE = 2 ** 32

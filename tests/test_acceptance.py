@@ -126,10 +126,10 @@ def convergence_medians():
     for seed in range(5):
         r35 = run_convergence(ScenarioSpec(
             kind="convergence", v=0.5, m=35, z0=1, replicates=5000,
-            ref_count=10 ** 5, seed=seed, shift=1))
+            seed=seed, shift=1))
         r25 = run_convergence(ScenarioSpec(
             kind="convergence", v=0.5, m=25, z0=1, replicates=5000,
-            ref_count=10 ** 5, seed=seed))
+            seed=seed))
         ks35.append(r35.summary["ks"])
         shifted.append(r35.summary["ks_shifted"])
         ks25.append(r25.summary["ks"])
@@ -223,8 +223,7 @@ def _golden_max(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
 
 def test_11_estimation_chain():
     res = run_estimation(ScenarioSpec(
-        kind="estimation", v=0.5, m=35, z0=3, replicates=500, seed=311,
-        ref_count=10 ** 4))
+        kind="estimation", v=0.5, m=35, z0=3, replicates=500, seed=311))
     ks = res.summary["t_vs_limit_ks"]
 
     sigma_sq = limit_variance(0.5)

@@ -330,6 +330,20 @@ class TestExperimentCommand:
         assert res.kind == "convergence"
         assert 0.0 <= res.summary["ks"] <= 1.0
 
+    def test_reference_count_has_no_effect(self, tmp_path, capsys):
+        # runs are compared with the exact law: --ref-count is accepted
+        # and named once on stderr as having no effect
+        out = tmp_path / "res.json"
+        rc = main(["experiment", "--kind", "convergence", "--m", "12",
+                   "--replicates", "40", "--ref-count", "300", "--seed", "6",
+                   "--out", str(out)])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        notice = [line for line in captured.err.splitlines() if "no effect" in line]
+        assert len(notice) == 1 and "ref_count" in notice[0]
+        assert "ref_count" not in read_result_json(out).spec
+
     def test_estimation(self, tmp_path):
         out = tmp_path / "res.json"
         rc = main(["experiment", "--kind", "estimation", "--v", "1.0",

@@ -16,7 +16,7 @@ import json
 import numpy as np
 import pytest
 
-from qpcrkin.kinetics import Kinetics, limit_profile
+from qpcrkin.kinetics import Kinetics, inverse_profile, limit_profile
 from qpcrkin.simulate import Trajectory, simulate_replicates
 from qpcrkin.inference import (
     NotDetectedError,
@@ -26,8 +26,8 @@ from qpcrkin.inference import (
     limit_observables,
     observe,
 )
-from qpcrkin.limit_law import sample_limit
-from qpcrkin import experiments, streams
+from qpcrkin.limit_law import DENSITY_PRECISION, ancestor_cdf
+from qpcrkin import experiments
 from qpcrkin.experiments import (
     ExperimentResult,
     ScenarioSpec,
@@ -105,8 +105,7 @@ class TestScenarioSpec:
 
 class TestConvergence:
     def make(self, **kw):
-        base = dict(kind="convergence", v=0.5, m=20, z0=1, replicates=400,
-                    ref_count=5000, seed=3)
+        base = dict(kind="convergence", v=0.5, m=20, z0=1, replicates=400, seed=3)
         base.update(kw)
         return ScenarioSpec(**base)
 
@@ -124,39 +123,55 @@ class TestConvergence:
         assert all("x_shifted" in rec for rec in res.records)
 
     def test_degenerate_reference_at_unit_efficiency(self):
-        spec = self.make(v=1.0, m=16, z0=2, replicates=200, ref_count=1000,
-                         seed=4)
+        # at v=1 the law of H(W(z0)) is the point mass at H(z0): its CDF is
+        # the step at G(x) = z0, exact without any frequencies
+        spec = self.make(v=1.0, m=16, z0=2, replicates=200, seed=4)
         res = run_convergence(spec)
-        ref = res.summary["reference_deciles"]
-        assert all(q == ref[0] for q in ref)
-        target = float(limit_profile(2.0, Kinetics.from_exponent(1.0, 16)))
-        assert ref[0] == pytest.approx(target, abs=1e-9)
-        median_x = res.summary["trajectory_deciles"][4]
+        s = res.summary
+        kin = Kinetics.from_exponent(1.0, 16)
+        deciles = np.array(s["trajectory_deciles"])
+        steps = (inverse_profile(deciles, kin) >= 2).astype(float)
+        assert s["limit_cdf_at_deciles"] == steps.tolist()
+        assert s["ks_bound"] == 0.0 and s["limit_cdf_points"] == 0
+        target = float(limit_profile(2.0, kin))
+        below = np.mean([rec["x_m"] < target for rec in res.records])
+        assert s["ks"] == pytest.approx(max(below, 1.0 - below), abs=1e-12)
+        median_x = s["trajectory_deciles"][4]
         assert abs(median_x - target) < 0.05
 
     def test_reproducible(self):
-        a = run_convergence(self.make(replicates=100, ref_count=500))
-        b = run_convergence(self.make(replicates=100, ref_count=500))
+        a = run_convergence(self.make(replicates=100))
+        b = run_convergence(self.make(replicates=100))
         assert a.summary == b.summary
         assert a.records == b.records
 
     def test_streams_are_split(self):
-        # replicate 0 is lane 0 of the first reaction block; the reference
-        # ensemble draws from its own purpose so the comparison is never
-        # self-referential
-        spec = self.make(replicates=3, ref_count=50)
+        # replicate 0 is lane 0 of the first reaction block; the law side
+        # draws no random numbers, so the statistic is the one-sample KS
+        # of the trajectories against the exact CDF of H(W(z0))
+        stats = pytest.importorskip("scipy.stats")
+        spec = self.make(replicates=300)
         res = run_convergence(spec)
         kin = Kinetics.from_exponent(spec.v, spec.m)
         counts = simulate_replicates(kin, z0=1, n_cycles=20, replicates=1, seed=3)
         assert res.records[0]["x_m"] == counts[0, 20] / kin.K
-        ref = sample_limit(0.5, z=1, count=50, seed=3,
-                           purpose=streams.REFERENCE)
-        wrong = sample_limit(0.5, z=1, count=50, seed=3,
-                             purpose=streams.REACTION)
-        assert not np.array_equal(ref.samples, wrong.samples)
-        expected_median = float(np.quantile(limit_profile(ref.samples, kin), 0.5))
-        assert res.summary["reference_deciles"][4] == pytest.approx(
-            expected_median, rel=1e-12)
+        x_m = np.array([rec["x_m"] for rec in res.records])
+
+        def law(x):
+            return ancestor_cdf(inverse_profile(x, kin), 0.5, 1).values
+
+        assert res.summary["ks"] == pytest.approx(
+            stats.kstest(x_m, law).statistic, abs=2 * res.summary["ks_bound"])
+        median = res.summary["trajectory_deciles"][4]
+        assert res.summary["limit_cdf_at_deciles"][4] == pytest.approx(
+            float(law(np.array([median]))[0]), abs=2 * res.summary["ks_bound"])
+
+    def test_accuracy_reported(self):
+        s = run_convergence(self.make(shift=1)).summary
+        assert 0.0 < s["ks_bound"] <= DENSITY_PRECISION.tol
+        assert s["limit_cdf_points"] > 0
+        cdf = np.array(s["limit_cdf_at_deciles"])
+        assert np.all(np.abs(cdf - np.arange(0.1, 0.95, 0.1)) < 0.05)
 
     def test_wrong_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -177,8 +192,7 @@ class TestEstimation:
 
     def test_fitted_efficiency_and_t_law(self):
         spec = ScenarioSpec(kind="estimation", v=0.5, m=25, z0=2,
-                            replicates=80, seed=6, ref_count=4000,
-                            fit_efficiency=True)
+                            replicates=80, seed=6, fit_efficiency=True)
         res = run_estimation(spec)
         s = res.summary
         assert s["detected"] == 80
@@ -188,8 +202,7 @@ class TestEstimation:
 
     def test_missed_replicates_counted(self):
         spec = ScenarioSpec(kind="estimation", v=0.5, m=20, z0=1, rho=0.75,
-                            extra_cycles=0, replicates=60, seed=7,
-                            ref_count=2000)
+                            extra_cycles=0, replicates=60, seed=7)
         res = run_estimation(spec)
         s = res.summary
         assert s["missed"] >= 1
@@ -205,7 +218,7 @@ class TestEstimation:
         # the lockstep runner equals observe -> limit_observables ->
         # estimate_efficiency applied to each simulated row on its own
         spec = ScenarioSpec(kind="estimation", replicates=120, seed=9,
-                            ref_count=500, fit_efficiency=True, **overrides)
+                            fit_efficiency=True, **overrides)
         res = run_estimation(spec)
         kin = Kinetics.from_exponent(spec.v, spec.m)
         counts = simulate_replicates(kin, spec.z0, spec.m + spec.extra_cycles,
@@ -241,7 +254,7 @@ class TestEstimation:
 
     def test_reproducible(self):
         spec = ScenarioSpec(kind="estimation", v=0.5, m=20, z0=2,
-                            replicates=40, seed=8, ref_count=500)
+                            replicates=40, seed=8)
         a, b = run_estimation(spec), run_estimation(spec)
         assert a.summary == b.summary and a.records == b.records
 
@@ -340,13 +353,12 @@ def _result_doc(res):
 
 class TestResultIO:
     @pytest.mark.parametrize("spec", [
-        ScenarioSpec(kind="convergence", v=0.5, m=14, replicates=30,
-                     ref_count=100, seed=2),
-        ScenarioSpec(kind="convergence", v=0.5, m=14, replicates=30,
-                     ref_count=100, seed=2, shift=1),
+        ScenarioSpec(kind="convergence", v=0.5, m=14, replicates=30, seed=2),
+        ScenarioSpec(kind="convergence", v=0.5, m=14, replicates=30, seed=2,
+                     shift=1),
         # missed replicates, and records with and without v_hat
         ScenarioSpec(kind="estimation", v=0.5, m=20, z0=1, rho=0.75,
-                     extra_cycles=0, replicates=120, seed=9, ref_count=500,
+                     extra_cycles=0, replicates=120, seed=9,
                      fit_efficiency=True),
         ScenarioSpec(kind="coupling", v=0.5, m=12, z0=1, replicates=20,
                      seed=13),
@@ -425,6 +437,5 @@ class TestResultIO:
             read_result_json(path)
 
     def test_dispatch(self):
-        spec = ScenarioSpec(kind="convergence", replicates=10, ref_count=50,
-                            m=10)
+        spec = ScenarioSpec(kind="convergence", replicates=10, m=10)
         assert run_experiment(spec).kind == "convergence"

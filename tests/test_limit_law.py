@@ -19,6 +19,7 @@ from qpcrkin.limit_law import (
     _limit_moments,
     _remainder_coefficient,
     _seed_depth,
+    ancestor_cdf,
     ancestor_density,
     default_generations,
     limit_density,
@@ -101,7 +102,7 @@ class TestBlockLayout:
 
     def test_purpose_selects_distinct_blocks(self):
         base = sample_limit(0.5, count=1000, seed=4).samples
-        other = sample_limit(0.5, count=1000, seed=4, purpose=streams.REFERENCE).samples
+        other = sample_limit(0.5, count=1000, seed=4, purpose=streams.REACTION).samples
         assert not np.array_equal(base, other)
 
     def test_mean_calibrated_across_seeds(self):
@@ -328,6 +329,11 @@ class TestSeed:
         assert limit_mgf(2.0, 1.0) == math.exp(-2.0)
 
 
+#: a tolerance the CDF reaches well inside the frequency cap at the
+#: efficiencies and ancestor counts the tests use it with
+FINE = Precision(tol=1e-8, max_iter=2 ** 16)
+
+
 def _density_on_grid(t, v, z_max, points):
     """Density values on exactly `points` frequencies (the cap), no bound met."""
     with pytest.raises(PrecisionError) as err:
@@ -461,6 +467,97 @@ class TestExactDensity:
     def test_integral_float_z_max_is_its_integer(self):
         a, b = ancestor_density(1.0, 0.5, 3.0), ancestor_density(1.0, 0.5, 3)
         assert np.array_equal(a.values, b.values)
+
+
+class TestExactCDF:
+    @pytest.mark.parametrize("v", [0.25, 0.5, 0.9])
+    @pytest.mark.parametrize("z", [1, 3])
+    def test_laplace_transform_matches_mgf(self, v, z):
+        # int_0^inf s exp(-s t) F(t) dt = E exp(-s W(z)): trapezoid rule up
+        # to L, where F is 1 to far below the tolerance, then exp(-s L)
+        L = 4.0 * z + 6.0
+        grid = np.linspace(0.0, L, 1601)
+        cdf = ancestor_cdf(grid, v, z)
+        for s in (0.5, 1.0, 2.0):
+            quad = np.trapezoid(s * np.exp(-s * grid) * cdf.values, grid)
+            assert abs(quad + math.exp(-s * L) - limit_mgf(s, v) ** z) < 3e-4
+
+    @pytest.mark.parametrize("v", [0.25, 0.5, 0.9])
+    @pytest.mark.parametrize("z", [1, 3])
+    def test_one_sample_ks_against_draws(self, v, z):
+        # the sup gap to the empirical CDF of 10**5 draws, below the
+        # asymptotic 0.1% critical value 1.95/sqrt(n)
+        n = 10 ** 5
+        w = np.sort(sample_limit(v, z=z, count=n, seed=61 + z).samples)
+        cdf = ancestor_cdf(w, v, z)
+        assert cdf.bound <= DENSITY_PRECISION.tol
+        i = np.arange(1, n + 1)
+        ks = max(np.max(i / n - cdf.values), np.max(cdf.values - (i - 1) / n))
+        assert ks < 1.95 / math.sqrt(n)
+
+    @pytest.mark.parametrize("v,z", [(0.9, 1), (0.5, 3), (0.25, 4)])
+    def test_central_difference_is_the_density(self, v, z):
+        # (F(t+d) - F(t-d)) / 2d against ancestor_density; at d = 1e-4 the
+        # Taylor term is far below both bounds
+        t, d = np.linspace(0.2, 2.0 * z + 1.0, 9), 1e-4
+        hi = ancestor_cdf(t + d, v, z, FINE)
+        lo = ancestor_cdf(t - d, v, z, FINE)
+        dens = ancestor_density(t, v, z)
+        slope = (hi.values - lo.values) / (2.0 * d)
+        gap = np.abs(slope - dens.values[z - 1])
+        assert np.all(gap <= (hi.bound + lo.bound) / (2.0 * d) + dens.bounds[z - 1])
+
+    @pytest.mark.parametrize("v,z", [(0.9, 1), (0.5, 3), (0.25, 4), (0.9, 3)])
+    def test_bound_covers_finer_tolerance(self, v, z):
+        t = np.linspace(0.0, 3.0 * z + 2.0, 41)
+        coarse = ancestor_cdf(t, v, z)
+        fine = ancestor_cdf(t, v, z, FINE)
+        assert coarse.bound <= DENSITY_PRECISION.tol and fine.bound <= FINE.tol
+        assert fine.points > coarse.points
+        assert np.all(np.abs(coarse.values - fine.values) <= coarse.bound + fine.bound)
+
+    @pytest.mark.parametrize("v", [0.25, 0.5, 0.9])
+    def test_monotone_from_zero_to_one(self, v):
+        t = np.linspace(0.0, 12.0, 2401)
+        cdf = ancestor_cdf(t, v, 2)
+        assert np.all(np.diff(cdf.values) >= -2.0 * cdf.bound)
+        assert abs(cdf.values[0]) <= cdf.bound
+        assert abs(cdf.values[-1] - 1.0) <= cdf.bound
+        # in the bulk the density is far above the bound: strictly increasing
+        bulk = (cdf.values > 0.01) & (cdf.values < 0.99)
+        assert np.all(np.diff(cdf.values[bulk]) > 0.0)
+
+    def test_step_at_unit_efficiency(self):
+        cdf = ancestor_cdf(np.array([0.0, 2.5, 3.0, 3.5, 50.0]), 1.0, 3)
+        assert cdf.values.tolist() == [0.0, 0.0, 1.0, 1.0, 1.0]
+        assert (cdf.bound, cdf.points, cdf.depth) == (0.0, 0, 0)
+
+    def test_cap_raises_with_values_and_bound(self):
+        prec = Precision(tol=1e-6, max_iter=256)
+        t = np.array([0.5, 1.0, 2.0])
+        with pytest.raises(PrecisionError) as err:
+            ancestor_cdf(t, 0.5, 1, prec)
+        value, bound = err.value.value, err.value.bound
+        assert value.shape == (3,) and bound > prec.tol
+        full = ancestor_cdf(t, 0.5, 1)
+        assert np.all(np.abs(value - full.values) <= bound + full.bound)
+
+    def test_point_does_not_depend_on_the_others(self):
+        # the period 4*max(z, t) + 8 is the same for both calls
+        alone = ancestor_cdf(0.8, 0.5, 4)
+        together = ancestor_cdf(np.array([0.2, 3.0, 0.8]), 0.5, 4)
+        assert together.values[2] == alone.values[0]
+        assert together.bound == alone.bound
+
+    @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
+    def test_rejects_bad_points(self, bad):
+        with pytest.raises(ValueError):
+            ancestor_cdf(np.array([1.0, bad]), 0.5, 3)
+
+    @pytest.mark.parametrize("bad", [0, 2.5])
+    def test_rejects_bad_z(self, bad):
+        with pytest.raises(ValueError):
+            ancestor_cdf(1.0, 0.5, bad)
 
 
 class TestSumDensity:
