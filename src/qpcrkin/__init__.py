@@ -9,9 +9,7 @@ from qpcrkin.kinetics import (
     inverse_profile,
     iterate_mean_map,
     limit_profile,
-    limit_sequence,
     mean_map,
-    mean_map_deficit,
 )
 from qpcrkin.simulate import (
     SaturationError,
@@ -28,12 +26,9 @@ from qpcrkin.simulate import (
 from qpcrkin.limit_law import (
     AncestorCDF,
     AncestorDensity,
-    DensityEstimate,
     LimitEnsemble,
-    PointMassError,
     ancestor_cdf,
     ancestor_density,
-    limit_density,
     limit_mgf,
     limit_variance,
     sample_limit,

@@ -225,11 +225,11 @@ def run_estimation(spec: ScenarioSpec) -> ExperimentResult:
     """Run the detection-and-inversion chain over many replicates.
 
     Replicates whose density never reaches rho are counted as missed and
-    excluded.  With v=1 copies are recovered by exact inversion; below 1
-    the normal-approximation estimate is reported (the likelihood scan
-    is left to the single-trajectory pipeline), and t_vs_limit_ks is the
-    one-sample KS distance of the recovered t means from the exact law
-    of W(z0), within ks_bound.  fit_efficiency adds a per-replicate
+    excluded.  Each replicate reports the integer normal-approximation
+    estimate, which at v=1 is the exact inversion (the likelihood scan is
+    left to the single-trajectory pipeline).  Below 1, t_vs_limit_ks is
+    the one-sample KS distance of the recovered t means from the exact
+    law of W(z0), within ks_bound.  fit_efficiency adds a per-replicate
     efficiency estimate.
     """
     if spec.kind != "estimation":
@@ -258,10 +258,7 @@ def run_estimation(spec: ScenarioSpec) -> ExperimentResult:
     }
     if replicate_ids.size:
         t_means = np.nanmean(limit_observables_rows(kappas, n_hit, kin), axis=1)
-        if spec.v == 1.0:
-            z_hats = np.maximum(1, np.rint(t_means).astype(int))
-        else:
-            z_hats = estimate_copies_normal(t_means, spec.v, integer=True)
+        z_hats = estimate_copies_normal(t_means, spec.v, integer=True)
         v_hats = efficiency_rows(kappas) if spec.fit_efficiency else None
         tau = n_hit - _log_scale_cycles(kin.K, kin.b)
         columns = zip(replicate_ids.tolist(), tau.tolist(), t_means.tolist(),

@@ -268,12 +268,11 @@ def invert_copies(obs: Observation) -> int:
 
     At v=1 the growth limit is the copy number itself, so each t_j equals
     z up to scale error; the mean over j is rounded to the nearest
-    positive integer.
+    positive integer, which is what estimate_copies_normal gives at v=1.
     """
     if obs.v_known != 1.0:
         raise ValueError("exact inversion requires v_known = 1")
-    t = limit_observables(obs)
-    return max(1, round(float(t.mean())))
+    return estimate_copies_normal(limit_observables(obs).mean(), 1.0, integer=True)
 
 
 def estimate_copies_normal(t, v: float, integer: bool = False):
@@ -283,6 +282,9 @@ def estimate_copies_normal(t, v: float, integer: bool = False):
     z*(1-v)/(1+v) at the observed t, which the score equation
     z**2 + s2*z - t**2 = 0 solves as sqrt(t**2 + s2**2/4) - s2/2.
     With integer=True the value is rounded and clamped to at least 1.
+    At v=1, s2 = 0 and sqrt(t*t) == t in floats, so the integer estimate
+    is max(1, round(t)), the exact inversion, for every t in the int64
+    range.
     """
     arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(arr) & (arr >= 0.0)):
@@ -413,7 +415,7 @@ def estimate_from_trajectory(
     z_mle = None
     dens = None
     if v_eff == 1.0:
-        z_mle = max(1, round(t_mean))
+        z_mle = estimate_copies_normal(t_mean, 1.0, integer=True)
     elif run_mle:
         if z_max is None:
             z_max = default_z_max(t_mean)

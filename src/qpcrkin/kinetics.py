@@ -35,11 +35,9 @@ __all__ = [
     "PROFILE_PRECISION",
     "INVERSE_PRECISION",
     "mean_map",
-    "mean_map_deficit",
     "iterate_mean_map",
     "limit_profile",
     "inverse_profile",
-    "limit_sequence",
 ]
 
 
@@ -124,13 +122,6 @@ def mean_map(x, kin: Kinetics):
     """One-cycle mean density map x + v*x/(1+x).  Accepts scalars or arrays."""
     arr = _as_nonnegative_array(x, "density")
     out = arr + kin.v * arr / (1.0 + arr)
-    return float(out) if np.ndim(x) == 0 else out
-
-
-def mean_map_deficit(x, kin: Kinetics):
-    """Shortfall v*x**2/(1+x) of the mean map below linear growth b*x."""
-    arr = _as_nonnegative_array(x, "density")
-    out = kin.v * arr * arr / (1.0 + arr)
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -595,38 +586,3 @@ def inverse_profile(y, kin: Kinetics, prec: Precision = INVERSE_PRECISION):
             bracket=(g, g + bound),
         )
     return float(g) if scalar else g
-
-
-@np.errstate(over="ignore")  # in _inverse_mean_map, which stays finite
-@np.errstate(over="ignore")  # in _inverse_mean_map, which stays finite
-def limit_sequence(x0: float, kin: Kinetics, n_lo: int, n_hi: int) -> np.ndarray:
-    """Two-sided deterministic density sequence through x0 at index 0.
-
-    Entry n is f^n(x0) for the mean map f: nonnegative indices iterate f
-    forward from x0 and negative indices iterate its explicit inverse
-    backward, so no limit is involved.  Returned in index order
-    n_lo..n_hi inclusive.
-    """
-    if n_lo > n_hi:
-        raise ValueError("n_lo must not exceed n_hi")
-    if not x0 > 0.0:
-        raise ValueError("x0 must be positive")
-
-    b = 1.0 + kin.v
-    out = np.empty(n_hi - n_lo + 1, dtype=float)
-
-    x = float(x0)
-    for n in range(-1, n_lo - 1, -1):
-        x = float(_inverse_mean_map(x, b))
-        if n <= n_hi:
-            out[n - n_lo] = x
-
-    if n_hi >= 0:
-        x = float(x0)
-        start = max(n_lo, 0)
-        for _ in range(start):
-            x = x + kin.v * x / (1.0 + x)
-        for n in range(start, n_hi + 1):
-            out[n - n_lo] = x
-            x = x + kin.v * x / (1.0 + x)
-    return out

@@ -6,10 +6,10 @@ whose almost-sure limit has mean 1 per starting molecule and variance
 its Laplace transform and characteristic function through the offspring
 fixed-point recursion at a certified depth, inverts the latter for the
 exact density and distribution function of the z-ancestor limit with
-certified truncation bounds, and estimates the density from samples.  The recursion starts from the
-Taylor polynomial of order 4 of E exp(y*W), whose moments follow exactly
-from the offspring equation, so its error bound falls by b**3 per step
-of depth.
+certified truncation bounds.  The recursion starts from the Taylor
+polynomial of order 4 of E exp(y*W), whose moments follow exactly from
+the offspring equation, so its error bound falls by b**3 per step of
+depth.
 """
 
 from __future__ import annotations
@@ -29,10 +29,8 @@ from qpcrkin.kinetics import (
 
 __all__ = [
     "LimitEnsemble",
-    "DensityEstimate",
     "AncestorDensity",
     "AncestorCDF",
-    "PointMassError",
     "MGF_PRECISION",
     "DENSITY_PRECISION",
     "TRUNCATION_SCALE",
@@ -40,13 +38,11 @@ __all__ = [
     "limit_variance",
     "sample_limit",
     "limit_mgf",
-    "limit_density",
     "ancestor_density",
     "ancestor_cdf",
     "default_generations",
     "write_ensemble_csv",
     "read_ensemble_csv",
-    "write_density_csv",
 ]
 
 #: truncation rule: simulate until b**n_gen reaches this scale
@@ -62,8 +58,6 @@ BLOCK_SIZE = 1000
 
 MGF_PRECISION = Precision(tol=1e-12, max_iter=10_000)
 
-MIN_DENSITY_COUNT = 10 ** 4
-
 #: absolute error allowed in an exact density value, and the cap on the
 #: number of frequencies of its inversion grid
 DENSITY_PRECISION = Precision(tol=1e-4, max_iter=2 ** 16)
@@ -73,14 +67,6 @@ FIRST_FREQUENCY = 16.0
 
 #: frequencies per kernel call of the inversion, which bounds its arrays
 FREQUENCY_BLOCK = 1024
-
-
-class PointMassError(ValueError):
-    """Density requested for a degenerate (point-mass) distribution."""
-
-    def __init__(self, message, location=None):
-        super().__init__(message)
-        self.location = location
 
 
 def limit_variance(v: float) -> float:
@@ -124,44 +110,22 @@ class LimitEnsemble:
         return self.samples.size
 
 
-@dataclass(frozen=True)
-class DensityEstimate:
-    """Kernel density on a fixed grid."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    bandwidth: float
-
-    def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "values", vals)
-        if g.shape != vals.shape or g.ndim != 1 or g.size < 2:
-            raise ValueError("grid and values must be matching 1-d arrays")
-        if np.any(vals < 0.0):
-            raise ValueError("density values must be nonnegative")
-        mass = np.trapezoid(vals, g)
-        if not 0.99 <= mass <= 1.01:
-            raise ValueError(f"density mass {mass:.4f} outside [0.99, 1.01]")
-
-
 def sample_limit(
     v: float,
     z: int = 1,
     count: int = 10 ** 4,
     seed: int = 0,
     n_gen: int | None = None,
-    purpose: int = streams.GROWTH_LIMIT,
 ) -> LimitEnsemble:
     """Sample the scaled-growth limit by truncating at depth n_gen.
 
     Each sample runs an independent branching trajectory from z molecules
     for n_gen generations and scales by b**n_gen.  Sample i is lane
     i % BLOCK_SIZE of block i // BLOCK_SIZE; block k is the stream keyed
-    (seed, purpose, replicate=k, aux=0) and advances all its lanes with
-    one array binomial per generation.  Whole blocks are drawn and the
-    result cut to count, so the first samples do not depend on count.
+    (seed, streams.GROWTH_LIMIT, replicate=k, aux=0), a purpose no
+    trajectory uses, and advances all its lanes with one array binomial
+    per generation.  Whole blocks are drawn and the result cut to count,
+    so the first samples do not depend on count.
     n_gen defaults to the smallest depth with b**n_gen >= 10**6.
     """
     if not 0.0 < v <= 1.0:
@@ -189,7 +153,7 @@ def sample_limit(
     out = np.empty((blocks, BLOCK_SIZE), dtype=float)
     pool = streams.ReusableStream()
     for k in range(blocks):
-        binom = pool.reset(seed, purpose, k).binomial
+        binom = pool.reset(seed, streams.GROWTH_LIMIT, k).binomial
         y = np.full(BLOCK_SIZE, z, dtype=np.int64)
         for _ in range(n_gen):
             y += binom(y, v)
@@ -653,67 +617,31 @@ def ancestor_cdf(t, v: float, z: int,
     return AncestorCDF(values, bound, points, depth)
 
 
-def _silverman_bandwidth(samples: np.ndarray) -> float:
-    sd = samples.std(ddof=1)
-    q75, q25 = np.percentile(samples, [75, 25])
-    spread = min(sd, (q75 - q25) / 1.34)
-    if spread <= 0.0:
-        raise PointMassError(
-            "sample spread is zero; distribution is a point mass",
-            location=float(samples[0]),
-        )
-    return 0.9 * spread * samples.size ** (-0.2)
-
-
-def _kde_values(samples: np.ndarray, bandwidth: float, points: np.ndarray) -> np.ndarray:
-    norm = 1.0 / (samples.size * bandwidth * math.sqrt(2.0 * math.pi))
-    out = np.zeros(points.size, dtype=float)
-    # chunk the sample axis to bound the broadcast buffer
-    step = max(1, 2 ** 22 // max(points.size, 1))
-    for start in range(0, samples.size, step):
-        block = samples[start : start + step, None]
-        u = (points[None, :] - block) / bandwidth
-        out += np.exp(-0.5 * u * u).sum(axis=0)
-    return norm * out
-
-
 def pointwise_density(samples, points) -> np.ndarray:
     """Gaussian kernel density of raw samples at arbitrary points.
 
-    Same bandwidth rule as limit_density but without the grid and mass
-    checks.  The likelihood scan no longer uses it (it evaluates the
-    exact density, ancestor_density); it stays public for callers that
-    bind it by name.
+    The bandwidth is 0.9*min(sd, IQR/1.34)*n**(-1/5) for n samples, and
+    the sample axis is summed in chunks that bound the broadcast buffer.
+    Nothing in the package calls it since the scan became exact
+    (ancestor_density); it stays only for the benchmark harness, which
+    binds it by name.  Raises ValueError for fewer than two samples or
+    for samples without spread.
     """
     samples = np.asarray(samples, dtype=float)
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     if samples.size < 2:
         raise ValueError("need at least two samples")
-    bw = _silverman_bandwidth(samples)
-    return _kde_values(samples, bw, pts)
-
-
-def _default_grid(samples: np.ndarray) -> np.ndarray:
-    hi = samples.mean() + 6.0 * samples.std(ddof=1)
-    return np.linspace(0.0, hi, 512)
-
-
-def limit_density(ens: LimitEnsemble, grid: np.ndarray | None = None) -> DensityEstimate:
-    """Gaussian kernel density of the ensemble.
-
-    Bandwidth is 0.9*min(sd, IQR/1.34)*count**(-1/5); the default grid has
-    512 points from 0 to mean + 6 sd.  Degenerate ensembles (efficiency 1)
-    are refused with PointMassError since the law is a point mass at z.
-    """
-    if ens.count < MIN_DENSITY_COUNT:
-        raise ValueError(f"need at least {MIN_DENSITY_COUNT} samples, got {ens.count}")
-    if ens.v == 1.0:
-        raise PointMassError(
-            "limit at efficiency 1 is the constant z", location=float(ens.z)
-        )
-    bw = _silverman_bandwidth(ens.samples)
-    g = _default_grid(ens.samples) if grid is None else np.asarray(grid, dtype=float)
-    return DensityEstimate(g, _kde_values(ens.samples, bw, g), bw)
+    q75, q25 = np.percentile(samples, [75, 25])
+    spread = min(samples.std(ddof=1), (q75 - q25) / 1.34)
+    if spread <= 0.0:
+        raise ValueError("sample spread is zero; the samples are a point mass")
+    bw = 0.9 * spread * samples.size ** (-0.2)
+    out = np.zeros(pts.size, dtype=float)
+    step = max(1, 2 ** 22 // max(pts.size, 1))
+    for start in range(0, samples.size, step):
+        u = (pts[None, :] - samples[start : start + step, None]) / bw
+        out += np.exp(-0.5 * u * u).sum(axis=0)
+    return 1.0 / (samples.size * bw * math.sqrt(2.0 * math.pi)) * out
 
 
 def write_ensemble_csv(ens: LimitEnsemble, path) -> None:
@@ -744,12 +672,3 @@ def read_ensemble_csv(path) -> LimitEnsemble:
         n_gen=int(meta["n_gen"]),
         seed=int(meta["seed"]),
     )
-
-
-def write_density_csv(est: DensityEstimate, path) -> None:
-    """Grid and density value per line, bandwidth in the metadata comment."""
-    with open(path, "w") as fh:
-        fh.write(f"# bandwidth={est.bandwidth:.17g}\n")
-        fh.write("x,density\n")
-        for x, y in zip(est.grid, est.values):
-            fh.write(f"{x:.17g},{y:.17g}\n")

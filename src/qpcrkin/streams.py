@@ -19,11 +19,12 @@ What one replicate index names depends on the consumer:
   for every replicate count >= n.
 - Growth-limit ensembles (limit_law.sample_limit) draw in blocks of
   limit_law.BLOCK_SIZE samples: sample i is lane i % BLOCK_SIZE of the
-  stream with replicate = i // BLOCK_SIZE and aux = 0; their purpose
-  (GROWTH_LIMIT by default) keeps them off the trajectories' keys.  A block's lanes share its stream in lockstep,
-  one array binomial per generation, so a single sample is reproducible
-  only together with its block, and the first n samples of an ensemble
-  are the same for every count >= n.
+  GROWTH_LIMIT stream with replicate = i // BLOCK_SIZE and aux = 0.  That
+  purpose is fixed and no trajectory uses it, so ensembles stay off the
+  trajectories' keys.  A block's lanes share its stream in lockstep, one
+  array binomial per generation, so a single sample is reproducible only
+  together with its block, and the first n samples of an ensemble are
+  the same for every count >= n.
 """
 
 from __future__ import annotations

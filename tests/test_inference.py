@@ -304,6 +304,18 @@ class TestNormalEstimator:
     def test_unit_efficiency_returns_t(self):
         assert estimate_copies_normal(3.25, 1.0) == 3.25
 
+    @given(t=st.one_of(
+        st.floats(min_value=0.0, max_value=9e18),
+        st.integers(0, 2 * 10 ** 6).map(lambda k: k / 2),
+    ))
+    @settings(max_examples=500, deadline=None)
+    def test_unit_efficiency_integer_is_exact_inversion(self, t):
+        # at v=1 the integer estimate is the exact inversion's rounding,
+        # max(1, round(t)) with ties to even, subnormal t included
+        want = max(1, round(t))
+        assert estimate_copies_normal(t, 1.0, integer=True) == want
+        assert estimate_copies_normal(np.array([t]), 1.0, integer=True).tolist() == [want]
+
     def test_integer_reporting_clamps(self):
         assert estimate_copies_normal(1e-9, 0.5, integer=True) == 1
         assert estimate_copies_normal(10.0, 0.5, integer=True) == 10

@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qpcrkin.kinetics import (
     INVERSE_PRECISION,
@@ -15,9 +13,7 @@ from qpcrkin.kinetics import (
     inverse_profile,
     iterate_mean_map,
     limit_profile,
-    limit_sequence,
     mean_map,
-    mean_map_deficit,
 )
 
 V_GRID = [0.25, 0.5, 0.9, 1.0]
@@ -78,29 +74,6 @@ class TestMeanMap:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             mean_map(-0.5, kin(0.5))
-
-    def test_deficit_values(self):
-        assert mean_map_deficit(0.0, kin(0.5)) == 0.0
-        assert mean_map_deficit(1.0, kin(1.0)) == pytest.approx(0.5, abs=1e-15)
-
-    @given(
-        x=st.floats(min_value=0.0, max_value=50.0),
-        v=st.floats(min_value=1e-6, max_value=1.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_linear_minus_deficit_identity(self, x, v):
-        k = Kinetics(v=v, K=1.0)
-        lhs = k.b * x - mean_map_deficit(x, k)
-        assert lhs == pytest.approx(mean_map(x, k), rel=1e-13, abs=1e-13)
-
-    @given(
-        x=st.floats(min_value=0.0, max_value=50.0),
-        v=st.floats(min_value=1e-6, max_value=1.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_deficit_quadratic_bound(self, x, v):
-        k = Kinetics(v=v, K=1.0)
-        assert mean_map_deficit(x, k) <= v * x * x * (1 + 1e-12)
 
     def test_array_input(self):
         x = np.array([0.0, 0.5, 2.0])
@@ -276,44 +249,3 @@ class TestInverseProfile:
         arr = inverse_profile(ys, k)
         for yi, ai in zip(ys, arr):
             assert inverse_profile(float(yi), k) == pytest.approx(ai, abs=1e-8)
-
-
-class TestLimitSequence:
-    def test_single_entry(self):
-        out = limit_sequence(0.37, kin(0.5), 0, 0)
-        assert out.tolist() == [0.37]
-
-    def test_forward_recursion_exact(self):
-        k = kin(0.9)
-        out = limit_sequence(0.2, k, 0, 6)
-        for i in range(6):
-            assert mean_map(out[i], k) == out[i + 1]
-
-    def test_strictly_increasing(self):
-        out = limit_sequence(0.5, kin(0.5), -5, 5)
-        assert np.all(np.diff(out) > 0)
-
-    @pytest.mark.parametrize("v", [0.5, 1.0])
-    def test_agrees_with_conjugate_route(self, v):
-        # oracle: push the deepest negative entry forward with the mean map
-        k = kin(v)
-        x0, n_lo, n_hi = 0.5, -4, 4
-        out = limit_sequence(x0, k, n_lo, n_hi)
-        x = out[0]
-        for i in range(1, out.size):
-            x = mean_map(x, k)
-            assert x == pytest.approx(out[i], abs=2e-8)
-
-    def test_negative_entries_recover_x0(self):
-        k = kin(0.5)
-        out = limit_sequence(0.5, k, -3, 0)
-        x = out[0]
-        for _ in range(3):
-            x = mean_map(x, k)
-        assert x == pytest.approx(0.5, abs=1e-8)
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            limit_sequence(0.5, kin(0.5), 3, 1)
-        with pytest.raises(ValueError):
-            limit_sequence(0.0, kin(0.5), 0, 1)

@@ -12,9 +12,7 @@ from qpcrkin.limit_law import (
     DENSITY_PRECISION,
     FIRST_FREQUENCY,
     MGF_PRECISION,
-    DensityEstimate,
     LimitEnsemble,
-    PointMassError,
     _complement_iteration,
     _limit_moments,
     _remainder_coefficient,
@@ -22,12 +20,11 @@ from qpcrkin.limit_law import (
     ancestor_cdf,
     ancestor_density,
     default_generations,
-    limit_density,
     limit_mgf,
     limit_variance,
+    pointwise_density,
     read_ensemble_csv,
     sample_limit,
-    write_density_csv,
     write_ensemble_csv,
 )
 
@@ -101,8 +98,15 @@ class TestBlockLayout:
         assert np.array_equal(got[BLOCK_SIZE:], y * math.exp(-n_gen * math.log1p(v)))
 
     def test_purpose_selects_distinct_blocks(self):
-        base = sample_limit(0.5, count=1000, seed=4).samples
-        other = sample_limit(0.5, count=1000, seed=4, purpose=streams.REACTION).samples
+        # block 0 drawn the same way on the trajectories' REACTION key
+        # differs: ensembles keep to their GROWTH_LIMIT keys
+        v, n_gen = 0.5, default_generations(0.5)
+        gen = streams.stream(4, streams.REACTION, 0, 0)
+        y = np.ones(BLOCK_SIZE, dtype=np.int64)
+        for _ in range(n_gen):
+            y += gen.binomial(y, v)
+        other = y * math.exp(-n_gen * math.log1p(v))
+        base = sample_limit(v, count=BLOCK_SIZE, seed=4).samples
         assert not np.array_equal(base, other)
 
     def test_mean_calibrated_across_seeds(self):
@@ -173,43 +177,30 @@ class TestTransform:
 
 
 class TestDensity:
+    """pointwise_density, the sample-based density kept for the benchmark."""
+
     def test_point_mass_refused(self):
-        ens = sample_limit(1.0, z=2, count=10 ** 4, seed=3)
-        with pytest.raises(PointMassError) as err:
-            limit_density(ens)
-        assert err.value.location == 2.0
+        samples = sample_limit(1.0, z=2, count=1000, seed=3).samples
+        with pytest.raises(ValueError, match="spread is zero"):
+            pointwise_density(samples, [2.0])
 
     def test_small_ensembles_refused(self):
-        ens = sample_limit(0.5, count=100, seed=3)
-        with pytest.raises(ValueError):
-            limit_density(ens)
+        with pytest.raises(ValueError, match="two samples"):
+            pointwise_density([1.0], [1.0])
 
     def test_mass_and_shape(self):
         ens = sample_limit(0.5, count=10 ** 4, seed=13)
-        est = limit_density(ens)
-        assert est.grid.size == 512
-        assert est.grid[0] == 0.0
-        mass = np.trapezoid(est.values, est.grid)
-        assert 0.99 <= mass <= 1.01
-        # bandwidth follows the scaled min(sd, IQR/1.34) rule
+        # 512 points sum the samples in two chunks
+        grid = np.linspace(0.0, 8.0, 512)
+        values = pointwise_density(ens.samples, grid)
+        assert 0.99 <= np.trapezoid(values, grid) <= 1.01
+        # one Gaussian sum per point at the scaled min(sd, IQR/1.34) bandwidth
         sd = ens.samples.std(ddof=1)
         q75, q25 = np.percentile(ens.samples, [75, 25])
-        expect = 0.9 * min(sd, (q75 - q25) / 1.34) * ens.count ** (-0.2)
-        assert est.bandwidth == pytest.approx(expect)
-
-    def test_transform_cross_check(self):
-        # integrating exp(-s x) against the density reproduces the transform
-        v = 0.5
-        ens = sample_limit(v, count=2 * 10 ** 4, seed=17)
-        est = limit_density(ens)
-        for s in (0.5, 1.0, 2.0):
-            quad = np.trapezoid(np.exp(-s * est.grid) * est.values, est.grid)
-            assert abs(quad - limit_mgf(s, v)) < 0.01
-
-    def test_mass_invariant_enforced(self):
-        grid = np.linspace(0.0, 1.0, 64)
-        with pytest.raises(ValueError):
-            DensityEstimate(grid, np.zeros(64), 0.1)
+        bw = 0.9 * min(sd, (q75 - q25) / 1.34) * ens.count ** (-0.2)
+        expect = [np.exp(-0.5 * ((x - ens.samples) / bw) ** 2).sum() for x in grid]
+        expect = np.array(expect) / (ens.count * bw * math.sqrt(2.0 * math.pi))
+        assert np.allclose(values, expect, rtol=1e-12, atol=1e-15)
 
 
 class TestCharacteristicFunction:
@@ -562,13 +553,13 @@ class TestExactCDF:
 
 class TestSumDensity:
     def test_large_sum_near_normal(self):
-        v, z, count = 0.9, 50, 2 * 10 ** 4
+        v, z = 0.9, 50
         mu, sd = float(z), math.sqrt(z * limit_variance(v))
         grid = np.linspace(mu - 5 * sd, mu + 5 * sd, 256)
-        est = limit_density(sample_limit(v, z=z, count=count, seed=23), grid)
+        exact = ancestor_density(grid, v, z).values[z - 1]
         normal = np.exp(-0.5 * ((grid - mu) / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
         peak = normal.max()
-        assert np.max(np.abs(est.values - normal)) < 0.05 * peak
+        assert np.max(np.abs(exact - normal)) < 0.05 * peak
 
 
 class TestExport:
@@ -579,13 +570,3 @@ class TestExport:
         back = read_ensemble_csv(path)
         assert np.array_equal(back.samples, ens.samples)
         assert (back.v, back.z, back.n_gen, back.seed) == (0.5, 2, ens.n_gen, 29)
-
-    def test_density_export(self, tmp_path):
-        ens = sample_limit(0.5, count=10 ** 4, seed=31)
-        est = limit_density(ens)
-        path = tmp_path / "dens.csv"
-        write_density_csv(est, path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# bandwidth=")
-        assert lines[1] == "x,density"
-        assert len(lines) == 2 + est.grid.size
