@@ -280,11 +280,12 @@ def estimate_copies_normal(t, v: float, integer: bool = False):
 
     Maximizes over real z the normal density with mean z and variance
     z*(1-v)/(1+v) at the observed t, which the score equation
-    z**2 + s2*z - t**2 = 0 solves as sqrt(t**2 + s2**2/4) - s2/2.
-    With integer=True the value is rounded and clamped to at least 1.
-    At v=1, s2 = 0 and sqrt(t*t) == t in floats, so the integer estimate
-    is max(1, round(t)), the exact inversion, for every t in the int64
-    range.
+    z**2 + s2*z - t**2 = 0 solves as hypot(t, s2/2) - s2/2, which does
+    not overflow for any finite t.  With integer=True the value is
+    rounded and clamped to at least 1, and a rounded estimate of 2**63 or
+    more, past the int64 range, raises ValueError.  At v=1, s2 = 0 and
+    hypot(t, 0) == t, so the integer estimate is max(1, round(t)), the
+    exact inversion, for every t in the int64 range.
     """
     arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(arr) & (arr >= 0.0)):
@@ -292,8 +293,11 @@ def estimate_copies_normal(t, v: float, integer: bool = False):
     if not 0.0 < v <= 1.0:
         raise ValueError("efficiency must be in (0, 1]")
     s2 = limit_variance(v)
-    z = np.sqrt(arr * arr + s2 * s2 / 4.0) - s2 / 2.0
+    z = np.hypot(arr, s2 / 2.0) - s2 / 2.0
     if integer:
+        # floats below 2**63 round to integers below it
+        if not np.all(z < 2.0 ** 63):
+            raise ValueError(f"copy estimate {z.max():.4g} exceeds the int64 range")
         out = np.maximum(1, np.rint(z).astype(int))
         return int(out) if np.ndim(t) == 0 else out
     return float(z) if np.ndim(t) == 0 else z

@@ -17,8 +17,9 @@ G**(d+1) for G.  One telescoping lemma bounds both remainders
 (_remainder_constant).  G learns its constant along the way, so each
 element is tested at every step; a screen on the iterate reduces that test
 to one comparison for all but the elements within a relative 1e-6 of the
-threshold.  The transform in qpcrkin.limit_law shares the rule, with b**3
-in place of b**d.
+threshold.  The transform in qpcrkin.limit_law shares the rule: the same
+order, the same coefficient recursion (_seed_coefficients) and the same
+depth (_tail_depth).
 """
 
 from __future__ import annotations
@@ -136,27 +137,11 @@ def iterate_mean_map(x, n: int, kin: Kinetics):
     return float(arr) if np.ndim(x) == 0 else arr
 
 
-def _certified_depth(c: float, b: float, tol: float) -> int:
-    """Smallest n >= 0 with c * b**-n <= tol.
-
-    After n steps H, G and phi are within c * b**-n of their limits, for
-    a c fixed by the argument and a base b that is the growth factor to
-    the power d = _SEED_ORDER for H and G and cubed for phi.  H and phi
-    know c up front and raise PrecisionError past prec.max_iter; G learns
-    c along the way and applies the same test to each open element at
-    every step from the depth its smallest input allows.  A c that
-    overflowed to inf gives the depth inf, beyond every cap; H and G,
-    whose c overflows long before their argument does, pass log(c) to
-    _log_depth instead.
-    """
-    return 0 if c <= tol else _log_depth(math.log(c), b, tol)
-
-
 def _log_depth(log_c: float, b: float, tol: float) -> int:
-    """_certified_depth from log_c = log(c).
+    """Smallest n >= 0 with c * b**-n <= tol, from log_c = log(c).
 
     It works with log(c) - log(tol), which stays finite where c or c/tol
-    overflow; log_c = inf gives the depth inf.
+    overflow; log_c = inf gives the depth inf, beyond every cap.
     """
     gap = log_c - math.log(tol)
     if gap <= 0.0:
@@ -166,8 +151,28 @@ def _log_depth(log_c: float, b: float, tol: float) -> int:
     return math.ceil(gap / math.log(b))
 
 
-#: H and G start from their Taylor polynomials of this degree d, so their
-#: tails fall by b**d per step of depth
+def _tail_depth(c: float, x: float, b: float, tol: float, domain: float,
+                cap=math.inf) -> tuple:
+    """Certified depth of H and psi at x, the depth run under cap, and its tail.
+
+    A seed within c*u**(d+1) of its limit at u = x/b**n, iterated n times
+    by a map of slope at most b, is within c*x**(d+1)*b**(-d*n) of the
+    limit at x.  Returns (n, depth, bound): n the smallest depth with that
+    at most tol and with u at most domain, depth = min(n, cap), and that
+    tail at depth, inf past the float range.  All is taken in logs, so
+    every finite x gets a depth.
+    """
+    d = _SEED_ORDER
+    log_x = math.log(x) if x else -math.inf
+    log_t = math.log(c) + (d + 1) * log_x
+    n = max(_log_depth(log_t, b ** d, tol), _log_depth(log_x, b, domain))
+    depth = min(n, cap)
+    log_t -= depth * math.log(b ** d)
+    return n, depth, math.exp(log_t) if log_t < _LOG_FLOAT_MAX else math.inf
+
+
+#: H, G and psi start from their Taylor polynomials of this degree d, so
+#: their tails fall by b**d per step of depth
 _SEED_ORDER = 8
 #: rounding allowance on each computed defect coefficient, relative to the
 #: magnitudes of the terms that make it; the coefficients that are exactly
@@ -210,40 +215,49 @@ def _remainder_constant(b: float, gap: float, high, size, top: float) -> float:
     return sigma / (b * gap)
 
 
-def _profile_coefficients(v: float) -> tuple:
-    """H's Taylor polynomial P of degree d and its remainder constant.
+def _seed_coefficients(b: float, e: list, g: list) -> tuple:
+    """Taylor coefficients c_0..c_d of H or of M - 1, and their sums past d.
 
-    H(b*x) = f(H(x)) reads (1 + H)(H(b*.) - H) = v*H, and matching the
-    terms in x**k gives, from a_1 = 1,
-
-        a_k = -sum_{j=1}^{k-1} a_j a_{k-j} (b**(k-j) - 1) / (b**k - b),
-
-    so a_2 = -1/b and a_3 = (b+2)/(b**2 (b+1)).  The same sums past
-    degree d are the coefficients of N(s) = (1 + P(s))(P(b*s) - P(s)) -
-    v*P(s), which vanishes to order d.  Returns (a, c): a[k] = a_k for k =
-    0..d, and c with |H(u) - P(u)| <= c*u**(d+1) for 0 <= u <=
-    _PROFILE_DOMAIN (_remainder_constant), where P >= 0.
+    H(b*x) = f(H(x)) reads (1 + H)(H(b*.) - H) = v*H, and M(y) = E exp(y*W)
+    solves M(b*y) = (1-v)*M + v*M**2.  Matching the terms in x**k gives,
+    from c_1 = 1, c_k (b**k - b) = sum_{j=1}^{k-1} c_j c_{k-j} g_{k-j},
+    with g_i = -(b**i - 1) for H and g_i = v for M, where c_k = m_k/k!
+    for the moments m_k of W.  e[k] = b**k - 1 (_growth_gaps).  Returns
+    (c, high, size): high[i] is the same sum for k = d+1+i over j = k-d..d,
+    and size[i] the sum of its terms' magnitudes.  For H these are the
+    coefficients of N(s) = (1 + P(s))(P(b*s) - P(s)) - v*P(s) past degree
+    d, up to sign; for M, high[0] / (b*e[d]) is c_{d+1}.
     """
     d = _SEED_ORDER
-    b = 1.0 + v
-    e = _growth_gaps(v)
-    a, ae = [0.0, 1.0], [0.0, e[1]]  # ae[k] = a_k (b**k - 1)
+    c, cg = [0.0, 1.0], [0.0, g[1]]  # cg[k] = c_k g_k
     for k in range(2, d + 1):
         s = 0.0
         for j in range(1, k):
-            s += a[j] * ae[k - j]
-        a.append(-s / (b * e[k - 1]))
-        ae.append(a[k] * e[k])
+            s += c[j] * cg[k - j]
+        c.append(s / (b * e[k - 1]))
+        cg.append(c[k] * g[k])
     high, size = [], []
     for k in range(d + 1, 2 * d + 1):
         s = m = 0.0
         for j in range(k - d, d + 1):
-            t = a[j] * ae[k - j]
+            t = c[j] * cg[k - j]
             s += t
             m += abs(t)
         high.append(s)
         size.append(m)
-    return a, _remainder_constant(b, e[d], high, size, _PROFILE_DOMAIN)
+    return c, high, size
+
+
+def _profile_coefficients(v: float) -> tuple:
+    """H's Taylor polynomial P of degree d and its remainder constant.
+
+    Returns (a, c): a[k] = a_k for k = 0..d (_seed_coefficients), and c
+    with |H(u) - P(u)| <= c*u**(d+1) for 0 <= u <= _PROFILE_DOMAIN, where
+    P >= 0 (_remainder_constant).
+    """
+    e = _growth_gaps(v)
+    a, high, size = _seed_coefficients(1.0 + v, e, [-x for x in e])
+    return a, _remainder_constant(1.0 + v, e[_SEED_ORDER], high, size, _PROFILE_DOMAIN)
 
 
 def _defect_weights() -> np.ndarray:
@@ -332,9 +346,9 @@ def limit_profile(x, kin: Kinetics, prec: Precision = PROFILE_PRECISION):
     in [1, b], so after n steps the result lies in [H(x), H(x) +
     2c*x**(d+1)*b**(-d*n)].  n is the certified depth of that tail at the
     largest argument, and at least the depth that brings it into the
-    domain, so the returned value lies in [true value, true value +
-    prec.tol].  The depth and the start are taken in logs, log(2c) +
-    (d+1)*log(x) and exp(log(x) - n*log(b)), which stay finite for every
+    domain (_tail_depth), so the returned value lies in [true value, true
+    value + prec.tol].  The depth and the start are taken in logs, log(2c)
+    + (d+1)*log(x) and exp(log(x) - n*log(b)), which stay finite for every
     float x.  Scalars map to floats, arrays map elementwise.
 
     Raises PrecisionError when the certified depth exceeds prec.max_iter;
@@ -354,10 +368,7 @@ def limit_profile(x, kin: Kinetics, prec: Precision = PROFILE_PRECISION):
     b = 1.0 + v
     d = _SEED_ORDER
     a, c = _profile_coefficients(v)
-    log_c = math.log(2.0 * c) + (d + 1) * math.log(xmax)
-    floor = _log_depth(math.log(xmax), b, _PROFILE_DOMAIN)
-    n = max(_log_depth(log_c, b ** d, prec.tol), floor)
-    depth = min(n, prec.max_iter)
+    n, depth, bound = _tail_depth(2.0 * c, xmax, b, prec.tol, _PROFILE_DOMAIN, prec.max_iter)
     # u = exp(log(x) - depth*log(b)), zeros to zero, then the seed by Horner
     # as u*(1 + u*(a_2 + ... + u*(a_d + u*c))); the loop is u + (v*u)/(1+u),
     # all in place on u and two scratch arrays
@@ -378,11 +389,12 @@ def limit_profile(x, kin: Kinetics, prec: Precision = PROFILE_PRECISION):
         w /= t
         u += w
     if n > prec.max_iter:
-        log_bound = log_c - depth * math.log(b ** d) if depth >= floor else math.inf
+        # P's bound holds only in the domain
+        if depth < _log_depth(math.log(xmax), b, _PROFILE_DOMAIN):
+            bound = math.inf
         raise PrecisionError(
             f"profile needs {n} iterations for tol={prec.tol}, cap is {prec.max_iter}",
-            value=float(u) if scalar else u,
-            bound=math.exp(log_bound) if log_bound < _LOG_FLOAT_MAX else math.inf,
+            value=float(u) if scalar else u, bound=bound,
         )
     return float(u) if scalar else u
 

@@ -7,9 +7,10 @@ its Laplace transform and characteristic function through the offspring
 fixed-point recursion at a certified depth, inverts the latter for the
 exact density and distribution function of the z-ancestor limit with
 certified truncation bounds.  The recursion starts from the Taylor
-polynomial of order 4 of E exp(y*W), whose moments follow exactly from
-the offspring equation, so its error bound falls by b**3 per step of
-depth.
+polynomial of degree d = kinetics._SEED_ORDER of E exp(y*W), whose
+moments follow exactly from the offspring equation by the coefficient
+recursion of the profile H (kinetics._seed_coefficients), so its error
+bound falls by b**d per step of depth, as H's does.
 """
 
 from __future__ import annotations
@@ -21,10 +22,14 @@ import numpy as np
 
 from qpcrkin import streams
 from qpcrkin.kinetics import (
+    _ROUNDING,
+    _SEED_ORDER,
     Precision,
     PrecisionError,
     _as_nonnegative_array,
-    _certified_depth,
+    _growth_gaps,
+    _seed_coefficients,
+    _tail_depth,
 )
 
 __all__ = [
@@ -137,13 +142,13 @@ def sample_limit(
     if n_gen is None:
         n_gen = default_generations(v)
     else:
-        if (1.0 + v) ** n_gen < TRUNCATION_SCALE:
+        if n_gen > MAX_GENERATIONS:
+            raise ValueError("n_gen beyond the generation cap")
+        if n_gen * math.log1p(v) < math.log(TRUNCATION_SCALE):
             raise ValueError(
                 f"n_gen={n_gen} leaves the growth factor below {TRUNCATION_SCALE}; "
                 f"need at least {default_generations(v)}"
             )
-        if n_gen > MAX_GENERATIONS:
-            raise ValueError("n_gen beyond the generation cap")
     # lanes are int64: keep the mean count z*b**n_gen 64-fold below overflow
     if math.log(z) + n_gen * math.log1p(v) > 57 * math.log(2.0):
         raise ValueError(f"z={z} at n_gen={n_gen} overflows the int64 molecule count")
@@ -161,47 +166,25 @@ def sample_limit(
     return LimitEnsemble(out.ravel()[:count], v=v, z=z, n_gen=n_gen, seed=seed)
 
 
-#: the transform kernel's seed is the Taylor polynomial of E exp(y*W) of
-#: this order: its terms up to y**3, with remainder at most m_4 |y|**4/4!
-_SEED_ORDER = 4
+#: the transform kernel starts where |y| = |x|/b**n is at most this, so the
+#: seed lies in the unit disk with room for rounding
+_TRANSFORM_DOMAIN = 0.5
 
 
-def _limit_moments(v: float) -> list:
-    """Moments m_0..m_4 of the growth limit W, exact from the offspring equation.
+def _transform_coefficients(v: float) -> tuple:
+    """Taylor coefficients c_k = m_k/k! of E exp(y*W) and its remainder coefficient.
 
-    M(y) = E exp(y*W) solves M(b*y) = (1-v)*M(y) + v*M(y)**2.  Matching
-    the terms in y**k/k! gives, from m_0 = m_1 = 1,
-
-        m_k = v * sum_{j=1}^{k-1} C(k, j) * m_j * m_{k-j} / (b**k - b),
-
-    so m_2 = 2/b, the variance is (1-v)/(1+v), and m_k tends to k!
-    (the exponential law) as v goes to 0.
+    Returns (c, r): c[k] for k = 0..d (kinetics._seed_coefficients with
+    g_i = v; c[0] = 0 stands for M - 1), so m_2 = 2/b, and m_k tends to k!
+    (the exponential law) as v goes to 0; and r = c_{d+1}, with the
+    rounding allowance kinetics._ROUNDING.  For y on the nonpositive real
+    axis or the imaginary axis, 1 + sum c_k y**k errs by at most
+    r*|y|**(d+1).
     """
     b = 1.0 + v
-    m = [1.0, 1.0]
-    for k in range(2, _SEED_ORDER + 1):
-        # b**k - b, without the cancellation of small v
-        gap = b * math.expm1((k - 1) * math.log1p(v))
-        m.append(v * sum(math.comb(k, j) * m[j] * m[k - j] for j in range(1, k)) / gap)
-    return m
-
-
-def _remainder_coefficient(v: float) -> float:
-    """m_4/4!: the seed P(y) errs by at most this times |y|**4."""
-    return _limit_moments(v)[_SEED_ORDER] / math.factorial(_SEED_ORDER)
-
-
-def _seed_depth(c: float, top: float, b: float, tol: float) -> int:
-    """Certified kernel depth for arguments |x| <= top, c = m_4/4! * top**4.
-
-    At depth n the seed errs by at most c * b**(-4n) (_complement_iteration),
-    and the n steps of the map, Lipschitz with constant b on the closed
-    unit disk, widen that to c * b**(-3n): the depth is the smallest n
-    with that at most tol.  It is also at least the depth that brings
-    top/b**n to 1/2, so the seed lies in the unit disk with room for
-    rounding.
-    """
-    return max(_certified_depth(c, b ** 3, tol), _certified_depth(2.0 * top, b, 1.0))
+    e = _growth_gaps(v)
+    c, high, size = _seed_coefficients(b, e, [v] * (_SEED_ORDER + 1))
+    return c, (high[0] + _ROUNDING * size[0]) / (b * e[_SEED_ORDER])
 
 
 def _complement_iteration(x, v: float, depth, slope: bool = False):
@@ -209,18 +192,17 @@ def _complement_iteration(x, v: float, depth, slope: bool = False):
 
     x = -s gives the Laplace transform E exp(-s W), x = i*omega the
     characteristic function E exp(i omega W); both satisfy the map's
-    fixed-point equation.  The seed P(y) = 1 + y + m_2 y**2/2 + m_3 y**3/6
-    is the Taylor polynomial of E exp(y W) of order 4 (_limit_moments).
-    For y on the nonpositive real axis or the imaginary axis it errs by
-    at most m_4 |y|**4/4!, and for |y| <= 1 it lies in the closed unit
-    disk, which the map keeps and on which its slope is at most b: with
-    m_2 = 2/b and m_3 = 12/(b**2 (b+1)), |P(i t)|**2 = 1 - var t**2 -
-    (3-b) t**4/(b**2 (b+1)) + m_3**2 t**6/36 <= 1 while t**2 <= (3-b)
-    b**2 (b+1)/4, which is at least 1; and for 0 <= s <= 1, 1 - P(-s) =
-    s (1 - s/b + m_3 s**2/6) >= 0 and P(-s) >= 1 - s - m_3 s**3/6 >= -1.
-    Raises PrecisionError when some |x|/b**depth exceeds 1.
+    fixed-point equation.  The seed P is the Taylor polynomial 1 + sum
+    c_k y**k of E exp(y W) of degree d (_transform_coefficients), clamped
+    radially onto the closed unit disk.  For y on the nonpositive real
+    axis or the imaginary axis the polynomial errs by at most
+    c_{d+1}*|y|**(d+1); E exp(y W) lies in the disk, so the clamp cannot
+    increase that error, and the map keeps the disk and has slope at most
+    b on it.  Raises PrecisionError when some |x|/b**depth exceeds 1.
 
-    It runs on the complement w = 1 - u, as w -> w*(b - v*w), which
+    y is formed as x/|x| * exp(log|x| - depth*log(b)), as limit_profile
+    forms its start, since b**-depth underflows where |x| is huge.  The
+    loop runs on the complement w = 1 - u, as w -> w*(b - v*w), which
     keeps relative precision once x/b**depth underflows the spacing of
     floats near 1.  depth is one int, or one per element of x in
     nondecreasing order: the deepest elements start first and the others
@@ -229,38 +211,42 @@ def _complement_iteration(x, v: float, depth, slope: bool = False):
     """
     b = 1.0 + v
     if np.ndim(depth) == 0:
-        scale = math.exp(-depth * math.log(b))
         levels, parts = [depth], [...]
     else:
-        scale = np.exp(-depth * math.log(b))
         starts = np.flatnonzero(np.diff(depth, prepend=-1))
         levels = depth[starts].tolist()
         parts = [slice(lo, None) for lo in starts.tolist()]
-    y = np.asarray(x * scale)
-    top = float(np.abs(y).max(initial=0.0))
+    size = np.abs(x)
+    with np.errstate(divide="ignore"):
+        scaled = np.exp(np.log(size) - depth * math.log(b))
+    top = float(scaled.max(initial=0.0))
     if not top <= 1.0:
         raise PrecisionError(
             f"transform argument reaches {top:.4g} at depth {np.max(depth)}; "
             f"the seed needs at most 1"
         )
-    _, _, m2, m3, _ = _limit_moments(v)
+    y = x / np.where(size > 0.0, size, 1.0) * scaled
+    c, d = _transform_coefficients(v)[0], _SEED_ORDER
     # in place throughout: the working set is w, dw and two scratch arrays;
-    # w = -(y + m2/2 y**2 + m3/6 y**3) by Horner
-    w = np.multiply(y, -m3 / 6.0, out=np.empty_like(y))
-    w -= 0.5 * m2
-    w *= y
-    w -= 1.0
-    w *= y
+    # w = -(c_1 y + ... + c_d y**d) by Horner
+    w = np.multiply(y, -c[d], out=np.empty_like(y))
+    for k in range(d - 1, 0, -1):
+        w -= c[k]
+        w *= y
+    # the clamp onto the unit disk: u = 1 - w to u/|u| where |u| > 1
+    u = 1.0 - w
+    out = np.abs(u) > 1.0
+    w[out] = 1.0 - u[out] / np.abs(u[out])
     dw = None
     if slope:
-        # dw/dx = -scale * P'(y)
-        dw = np.multiply(y, 0.5 * m3, out=np.empty_like(y))
-        dw += m2
-        dw *= y
-        dw += 1.0
-        dw *= -scale
+        # dw/dx = -b**-depth * P'(y), P' by Horner
+        dw = np.full_like(y, d * c[d])
+        for k in range(d - 1, 0, -1):
+            dw *= y
+            dw += k * c[k]
+        dw *= -np.exp(-depth * math.log(b))
     vw = y
-    tmp = np.empty_like(w)
+    tmp = u
     for k in range(len(levels) - 1, -1, -1):
         part = parts[k]
         steps = levels[k] - (levels[k - 1] if k else 0)
@@ -285,16 +271,17 @@ def limit_mgf(s, v: float, prec: Precision = MGF_PRECISION):
     """Laplace transform E[exp(-s * limit)] for one starting molecule, s >= 0.
 
     Evaluated as the n-fold offspring map u -> (1-v)*u + v*u**2 applied
-    to the order-4 seed P(-s/b**n) (_complement_iteration), at one depth
-    n.  The seed errs by at most m_4/4! * (s/b**n)**4 and the map's slope
-    is at most b, so the result is within m_4/4! * s**4 * b**(-3n) of the
-    transform; n is the certified depth for prec.tol at the largest s
-    (_seed_depth).  At v = 1 the limit is the constant 1 and the result
-    is exp(-s), at depth 0.  Scalars map to floats, arrays map
-    elementwise.
+    to the seed P(-s/b**n) of degree d (_complement_iteration), at one
+    depth n.  The seed errs by at most c_{d+1} * (s/b**n)**(d+1) and the
+    map's slope is at most b, so the result is within c_{d+1} * s**(d+1)
+    * b**(-d*n) of the transform; n is the certified depth for prec.tol
+    at the largest s (kinetics._tail_depth), finite for every finite s.  At
+    v = 1 the limit is the constant 1 and the result is exp(-s), at depth
+    0.  Scalars map to floats, arrays map elementwise.
 
     Raises PrecisionError when that depth exceeds prec.max_iter; the
-    exception carries the value at the cap and its error bound.
+    exception carries the value at the cap and its error bound, formed
+    in logs.
     """
     if not 0.0 < v <= 1.0:
         raise ValueError("efficiency must be in (0, 1]")
@@ -308,16 +295,13 @@ def limit_mgf(s, v: float, prec: Precision = MGF_PRECISION):
 
     b = 1.0 + v
     smax = float(arr.max())
-    # a product overflows to inf (depth inf, past every cap), where ** raises
-    c = _remainder_coefficient(v) * (smax * smax) * (smax * smax)
-    n = _seed_depth(c, smax, b, prec.tol)
-    depth = min(n, prec.max_iter)
+    r = _transform_coefficients(v)[1]
+    n, depth, bound = _tail_depth(r, smax, b, prec.tol, _TRANSFORM_DOMAIN, prec.max_iter)
     u = _complement_iteration(-arr, v, depth)
     if n > prec.max_iter:
         raise PrecisionError(
             f"transform needs depth {n} for tol={prec.tol}, cap is {prec.max_iter}",
-            value=float(u) if scalar else u,
-            bound=c * b ** (-3 * depth) if c < math.inf else math.inf,
+            value=float(u) if scalar else u, bound=bound,
         )
     return float(u) if scalar else u
 
@@ -329,7 +313,7 @@ def _transform_pieces(h: float, v: float, z_max: int, prec: Precision,
     Frequencies come in segments: j <= N0 (N0*h just reaches
     FIRST_FREQUENCY), then (N0*2**(k-1), N0*2**k], up to prec.max_iter.
     Yields (om, ps, dps, err, end) per piece of at most FREQUENCY_BLOCK
-    frequencies: psi (and psi' with slope=True) at om, within err * om**4;
+    frequencies: psi (and psi' with slope=True) at om, within err * om**(d+1);
     end is None but at a segment's last piece, where it holds (frequencies
     so far, depth, M, D), M and D the largest |psi| and |psi'| on the
     segment's top octave [top/b, top].  The segment that ends at
@@ -340,17 +324,17 @@ def _transform_pieces(h: float, v: float, z_max: int, prec: Precision,
     ends = [min(math.ceil(FIRST_FREQUENCY / h), prec.max_iter)]
     while ends[-1] < prec.max_iter:
         ends.append(min(2 * ends[-1], prec.max_iter))
-    coef = _remainder_coefficient(v)
+    coef = _transform_coefficients(v)[1]
     depths = {}
 
     def depth_of(k):
-        # psi errs by at most coef * w**4 * b**(-3n) at depth n; each
+        # psi errs by at most coef * w**(d+1) * b**(-d*n) at depth n; each
         # segment keeps its share of a bound below prec.tol / 64.  A
         # segment's depth is certified when the scan first reaches it.
         if k not in depths:
             top = ends[k] * h
-            depths[k] = _seed_depth(coef * top ** 4, top, b,
-                                    math.pi * prec.tol / (64.0 * z_max * top))
+            depths[k] = _tail_depth(coef, top, b, math.pi * prec.tol / (64.0 * z_max * top),
+                                    _TRANSFORM_DOMAIN)[0]
         return depths[k]
 
     pieces = ((k, lo, min(lo + FREQUENCY_BLOCK, end))
@@ -390,7 +374,7 @@ def _transform_pieces(h: float, v: float, z_max: int, prec: Precision,
                 if slope:
                     d = max(d, float(np.abs(dps[top]).max()))
             end = (hi, depths[k], m, d) if hi == ends[k] else None
-            yield om, ps, dps, coef * b ** (-3 * depths[k]), end
+            yield om, ps, dps, coef * b ** (-_SEED_ORDER * depths[k]), end
             if end:
                 if hi == prec.max_iter:
                     return
@@ -479,8 +463,7 @@ def ancestor_density(t, v: float, z_max: int,
     todo = np.ones(pts.size, dtype=bool)
     psi_error = 0.0
     for om, ps, _, err, end in _transform_pieces(h, v, z_max, prec, slope=True):
-        om2 = om * om
-        psi_error += err * float(om2 @ om2)
+        psi_error += err * float(np.sum(om ** (_SEED_ORDER + 1)))
         # powers[z-1] = ps**z, each row by one in-place multiply of the last
         powers = np.empty((z_max, ps.size), dtype=complex)
         powers[0] = ps
@@ -590,7 +573,7 @@ def ancestor_cdf(t, v: float, z: int,
     psi_error = 0.0
     for om, ps, _, err, end in _transform_pieces(h, v, z, prec, slope=False):
         coefs.append(ps ** z / (1j * om))
-        psi_error += err * float(np.sum(om * om * om))
+        psi_error += err * float(np.sum(om ** _SEED_ORDER))
         if end is None:
             continue
         points, depth, m, _ = end

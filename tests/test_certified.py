@@ -20,7 +20,6 @@ from qpcrkin.kinetics import (
     _SCREEN_VERTEX,
     _SEED_BLOCK,
     _SEED_ORDER,
-    _certified_depth,
     _inverse_coefficients,
     _inverse_mean_map,
     _log_depth,
@@ -348,9 +347,9 @@ def test_inverse_of_a_value_whose_square_overflows(y):
 
 def test_unreachable_tolerance_is_a_precision_error():
     # c/tol overflows at tol=5e-324; the depth works with log(c) - log(tol)
-    n = _certified_depth(2e12, 2.0, 5e-324)
+    n = _log_depth(math.log(2e12), 2.0, 5e-324)
     assert n == math.ceil((math.log(2e12) - math.log(5e-324)) / math.log(2.0))
-    assert _certified_depth(math.inf, 2.0, 1e-8) == math.inf
+    assert _log_depth(math.inf, 2.0, 1e-8) == math.inf
     # that depth is past the one where 2**n overflows, which caps G too
     with pytest.raises(PrecisionError, match="within 1023 steps"):
         inverse_profile(1e6, Kinetics(1.0, 10.0), Precision(5e-324))

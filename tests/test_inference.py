@@ -329,6 +329,23 @@ class TestNormalEstimator:
             with pytest.raises(ValueError, match="t must be finite and nonnegative"):
                 estimate_copies_normal(t, 0.5, integer=integer)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_t_does_not_overflow(self):
+        # t*t overflows past about 1e154; hypot does not
+        assert estimate_copies_normal(1e155, 1.0) == 1e155
+        assert estimate_copies_normal(1e155, 0.5) == pytest.approx(1e155, rel=1e-15)
+        assert estimate_copies_normal(np.array([1e300]), 0.5)[0] == pytest.approx(1e300)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("t,v", [(1e19, 0.5), (2.0 ** 63, 1.0), (1e155, 0.9)])
+    def test_integer_estimate_past_int64_raises(self, t, v):
+        for arg in (t, np.array([3.0, t])):
+            with pytest.raises(ValueError, match="int64"):
+                estimate_copies_normal(arg, v, integer=True)
+        # the largest float below 2**63 still rounds to an int64
+        top = np.nextafter(2.0 ** 63, 0.0)
+        assert estimate_copies_normal(top, 1.0, integer=True) == int(top)
+
     def test_monotone_in_t(self):
         ts = np.linspace(0.1, 20.0, 50)
         zs = [estimate_copies_normal(t, 0.4) for t in ts]

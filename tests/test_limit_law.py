@@ -6,17 +6,24 @@ import numpy as np
 import pytest
 
 from qpcrkin import limit_law, streams
-from qpcrkin.kinetics import Precision, PrecisionError, _certified_depth
+from qpcrkin.kinetics import (
+    _SEED_ORDER,
+    Precision,
+    PrecisionError,
+    _growth_gaps,
+    _log_depth,
+    _seed_coefficients,
+    _tail_depth,
+)
 from qpcrkin.limit_law import (
+    _TRANSFORM_DOMAIN,
     BLOCK_SIZE,
     DENSITY_PRECISION,
     FIRST_FREQUENCY,
     MGF_PRECISION,
     LimitEnsemble,
     _complement_iteration,
-    _limit_moments,
-    _remainder_coefficient,
-    _seed_depth,
+    _transform_coefficients,
     ancestor_cdf,
     ancestor_density,
     default_generations,
@@ -27,6 +34,11 @@ from qpcrkin.limit_law import (
     sample_limit,
     write_ensemble_csv,
 )
+
+
+def _certified_depth(c, b, tol):
+    """Smallest n >= 0 with c * b**-n <= tol, for c > 0."""
+    return _log_depth(math.log(c), b, tol)
 
 
 class TestSampling:
@@ -45,6 +57,10 @@ class TestSampling:
     def test_rejects_shallow_truncation(self):
         with pytest.raises(ValueError):
             sample_limit(0.5, count=10, n_gen=10)
+        # a depth past the cap is refused before b**n_gen can overflow
+        for v in (0.5, 1.0):
+            with pytest.raises(ValueError, match="generation cap"):
+                sample_limit(v, count=10, n_gen=10 ** 6)
 
     def test_mean_and_variance(self):
         v, z, count = 0.5, 1, 20000
@@ -247,11 +263,35 @@ def _reference_depth(top, v, depth, tol):
     return max(depth + 40, _certified_depth(0.5 * limit_variance(v) * top * top, b, tol))
 
 
+D = _SEED_ORDER
+
+
+def _moments(v):
+    """Moments m_0..m_{d+1} of W from the seed coefficients c_k = m_k/k!."""
+    c, r = _transform_coefficients(v)
+    return [1.0] + [ck * math.factorial(k) for k, ck in enumerate(c + [r]) if k]
+
+
 class TestSeed:
+    @pytest.mark.parametrize("v", [0.05, 0.5, 0.999])
+    def test_one_recursion_for_profile_and_transform(self, v):
+        # c_k (b**k - b) = sum_j c_j c_{k-j} g_{k-j}: g_i = -(b**i - 1)
+        # gives H's coefficients, g_i = v the moments of W over k!
+        b, e = 1.0 + v, _growth_gaps(v)
+        a = _seed_coefficients(b, e, [-x for x in e])[0]
+        assert a[:2] == [0.0, 1.0]
+        assert a[2] == pytest.approx(-1.0 / b, rel=1e-15)
+        assert a[3] == pytest.approx((b + 2.0) / (b * b * (b + 1.0)), rel=1e-15)
+        c = _seed_coefficients(b, e, [v] * (D + 1))[0]
+        assert c[:2] == [0.0, 1.0]
+        assert 2.0 * c[2] == pytest.approx(2.0 / b, rel=1e-15)
+        assert 6.0 * c[3] == pytest.approx(12.0 / (b * b * (b + 1.0)), rel=1e-14)
+        assert len(a) == len(c) == D + 1
+        assert c == _transform_coefficients(v)[0]
+
     @pytest.mark.parametrize("v", [0.25, 0.5, 0.9])
     def test_moments_match_samples(self, v):
-        m = _limit_moments(v)
-        assert m[:3] == [1.0, 1.0, pytest.approx(2.0 / (1.0 + v), rel=1e-15)]
+        m = _moments(v)
         w = sample_limit(v, count=4 * 10 ** 4, seed=101).samples
         for k in (2, 3, 4):
             wk = w ** k
@@ -261,9 +301,9 @@ class TestSeed:
     def test_moments_tend_to_the_exponential_law(self):
         # as v goes to 0, W tends to the unit exponential, whose m_k is k!
         for v in (1e-2, 1e-4, 1e-8):
-            m = _limit_moments(v)
-            for k in (2, 3, 4):
-                assert abs(m[k] / math.factorial(k) - 1.0) <= 5.0 * v
+            m = _moments(v)
+            for k in range(2, D + 2):
+                assert abs(m[k] / math.factorial(k) - 1.0) <= 2.0 * k * v
 
     @pytest.mark.parametrize("v", [0.05, 0.25, 0.5, 0.9, 0.999])
     def test_seed_meets_its_remainder_bound(self, v):
@@ -271,33 +311,46 @@ class TestSeed:
         size = np.array([0.01, 0.03, 0.1, 0.3, 0.6, 1.0])
         x = np.concatenate([-size, 1j * size])
         seed = _complement_iteration(x, v, 0)
-        remainder = _remainder_coefficient(v) * np.abs(x) ** 4
-        depth = _reference_depth(1.0, v, 0, 1e-6 * remainder.min())
+        remainder = _transform_coefficients(v)[1] * np.abs(x) ** (D + 1)
+        depth = _reference_depth(1.0, v, 0, 1e-6 * remainder[2])
         ref, ref_bound = _expm1_reference(x, v, depth)
         err = np.abs(seed - ref)
-        assert np.all(err <= remainder + ref_bound)
-        # on the real axis the remainder is m_4 s**4/4! to leading order,
-        # so the bound is sharp there: the order and m_4 are right
-        small = size <= 0.1
-        assert np.all(err[:size.size][small] >= 0.9 * remainder[:size.size][small])
+        # below |y| = 0.1 the remainder falls under the rounding of the
+        # final 1 - w, a few ulps of 1
+        assert np.all(err <= remainder + ref_bound + 4 * np.finfo(float).eps)
+        # on the real axis the remainder is c_{d+1} s**(d+1) to leading
+        # order, so the bound is sharp there: the order and c_{d+1} are right
+        real = err[:size.size] / remainder[:size.size]
+        assert np.all(real[size == 0.1] >= 0.9) and np.all(real[size >= 0.1] >= 0.5)
 
     @pytest.mark.parametrize("v", [0.05, 0.25, 0.5, 0.9, 0.999])
     def test_transforms_within_their_certified_error(self, v):
-        b, coef = 1.0 + v, _remainder_coefficient(v)
+        b, coef = 1.0 + v, _transform_coefficients(v)[1]
         # phi at its certified depth for MGF_PRECISION.tol
         s = np.linspace(0.0, 20.0, 41)
-        depth = _seed_depth(coef * 20.0 ** 4, 20.0, b, MGF_PRECISION.tol)
+        depth = _tail_depth(coef, 20.0, b, MGF_PRECISION.tol, _TRANSFORM_DOMAIN)[0]
         ref, ref_bound = _expm1_reference(-s, v, _reference_depth(20.0, v, depth, 1e-15))
         assert np.all(np.abs(limit_mgf(s, v) - ref) <= MGF_PRECISION.tol + ref_bound)
-        # psi at the certified depth for tol, each frequency within its
-        # own error coef * w**4 * b**(-3n), plus rounding far below tol
+        # psi at the certified depth for tol, each frequency within its own
+        # error coef * w**(d+1) * b**(-d*n), plus rounding far below tol
         om, tol = np.linspace(0.25, 64.0, 60), 1e-9
-        depth = _seed_depth(coef * om[-1] ** 4, om[-1], b, tol)
+        depth = _tail_depth(coef, om[-1], b, tol, _TRANSFORM_DOMAIN)[0]
         psi = _complement_iteration(1j * om, v, depth)
-        bound = coef * om ** 4 * b ** (-3 * depth)
+        bound = coef * om ** (D + 1) * b ** (-D * depth)
         assert np.all(bound <= tol)
         ref, ref_bound = _expm1_reference(1j * om, v, _reference_depth(64.0, v, depth, 1e-13))
         assert np.all(np.abs(psi - ref) <= bound + ref_bound + 1e-13)
+
+    def test_certified_depth_of_the_transform(self):
+        # at tol 1e-12, s = 20 and v = 0.5 the seed of degree d needs 15
+        # steps; every finite s gets a depth
+        prec = Precision(tol=1e-12, max_iter=15)
+        assert limit_mgf(20.0, 0.5, prec) == limit_mgf(20.0, 0.5)
+        with pytest.raises(PrecisionError, match="needs depth 15") as err:
+            limit_mgf(20.0, 0.5, Precision(tol=1e-12, max_iter=14))
+        assert 1e-12 < err.value.bound <= 1e-12 * 1.5 ** D
+        assert 0.0 <= limit_mgf(1e300, 0.5) <= 1e-12
+        assert 0.0 <= limit_mgf(np.array([0.0, 1e300]), 0.5)[1] <= 1e-12
 
     @pytest.mark.parametrize("v", [0.05, 0.5, 0.999])
     def test_seed_in_the_unit_disk(self, v):
@@ -392,15 +445,15 @@ class TestExactDensity:
         # the segments past the one where every point stops
         tops, reach = [], [0.0]
 
-        def seed_depth(c, top, b, tol):
+        def tail_depth(c, top, b, tol, domain):
             tops.append(top)
-            return _seed_depth(c, top, b, tol)
+            return _tail_depth(c, top, b, tol, domain)
 
         def kernel(x, v, depth, slope=False):
             reach[0] = max(reach[0], float(np.abs(x).max()))
             return _complement_iteration(x, v, depth, slope)
 
-        monkeypatch.setattr(limit_law, "_seed_depth", seed_depth)
+        monkeypatch.setattr(limit_law, "_tail_depth", tail_depth)
         monkeypatch.setattr(limit_law, "_complement_iteration", kernel)
         t, v, z_max = np.array([1.0, 6.0]), 0.5, 24
         ancestor_density(t, v, z_max)
