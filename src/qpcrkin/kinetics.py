@@ -159,15 +159,17 @@ def _tail_depth(c: float, x: float, b: float, tol: float, domain: float,
     by a map of slope at most b, is within c*x**(d+1)*b**(-d*n) of the
     limit at x.  Returns (n, depth, bound): n the smallest depth with that
     at most tol and with u at most domain, depth = min(n, cap), and that
-    tail at depth, inf past the float range.  All is taken in logs, so
-    every finite x gets a depth.
+    tail at depth; the bound is inf past the float range and where depth
+    leaves u above domain, where the seed's bound does not hold.  All is
+    taken in logs, so every finite x gets a depth.
     """
     d = _SEED_ORDER
     log_x = math.log(x) if x else -math.inf
     log_t = math.log(c) + (d + 1) * log_x
-    n = max(_log_depth(log_t, b ** d, tol), _log_depth(log_x, b, domain))
+    floor = _log_depth(log_x, b, domain)
+    n = max(_log_depth(log_t, b ** d, tol), floor)
     depth = min(n, cap)
-    log_t -= depth * math.log(b ** d)
+    log_t = log_t - depth * math.log(b ** d) if depth >= floor else math.inf
     return n, depth, math.exp(log_t) if log_t < _LOG_FLOAT_MAX else math.inf
 
 
@@ -389,9 +391,6 @@ def limit_profile(x, kin: Kinetics, prec: Precision = PROFILE_PRECISION):
         w /= t
         u += w
     if n > prec.max_iter:
-        # P's bound holds only in the domain
-        if depth < _log_depth(math.log(xmax), b, _PROFILE_DOMAIN):
-            bound = math.inf
         raise PrecisionError(
             f"profile needs {n} iterations for tol={prec.tol}, cap is {prec.max_iter}",
             value=float(u) if scalar else u, bound=bound,

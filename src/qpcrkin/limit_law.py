@@ -187,18 +187,18 @@ def _transform_coefficients(v: float) -> tuple:
     return c, (high[0] + _ROUNDING * size[0]) / (b * e[_SEED_ORDER])
 
 
-def _complement_iteration(x, v: float, depth, slope: bool = False):
+def _complement_iteration(x, v: float, c: list, depth, slope: bool = False):
     """The offspring map u -> (1-v)*u + v*u**2 applied depth times to P(x/b**depth).
 
     x = -s gives the Laplace transform E exp(-s W), x = i*omega the
     characteristic function E exp(i omega W); both satisfy the map's
     fixed-point equation.  The seed P is the Taylor polynomial 1 + sum
-    c_k y**k of E exp(y W) of degree d (_transform_coefficients), clamped
-    radially onto the closed unit disk.  For y on the nonpositive real
-    axis or the imaginary axis the polynomial errs by at most
-    c_{d+1}*|y|**(d+1); E exp(y W) lies in the disk, so the clamp cannot
-    increase that error, and the map keeps the disk and has slope at most
-    b on it.  Raises PrecisionError when some |x|/b**depth exceeds 1.
+    c_k y**k of E exp(y W) of degree d, c = _transform_coefficients(v)[0],
+    clamped radially onto the closed unit disk.  For y on the nonpositive
+    real axis or the imaginary axis P errs by at most c_{d+1}*|y|**(d+1);
+    E exp(y W) lies in the disk, so the clamp cannot increase that error,
+    and the map keeps the disk and has slope at most b on it.  Raises
+    PrecisionError when some |x|/b**depth exceeds 1.
 
     y is formed as x/|x| * exp(log|x| - depth*log(b)), as limit_profile
     forms its start, since b**-depth underflows where |x| is huge.  The
@@ -226,7 +226,7 @@ def _complement_iteration(x, v: float, depth, slope: bool = False):
             f"the seed needs at most 1"
         )
     y = x / np.where(size > 0.0, size, 1.0) * scaled
-    c, d = _transform_coefficients(v)[0], _SEED_ORDER
+    d = _SEED_ORDER
     # in place throughout: the working set is w, dw and two scratch arrays;
     # w = -(c_1 y + ... + c_d y**d) by Horner
     w = np.multiply(y, -c[d], out=np.empty_like(y))
@@ -281,7 +281,7 @@ def limit_mgf(s, v: float, prec: Precision = MGF_PRECISION):
 
     Raises PrecisionError when that depth exceeds prec.max_iter; the
     exception carries the value at the cap and its error bound, formed
-    in logs.
+    in logs, inf where the cap leaves s/b**n above _TRANSFORM_DOMAIN.
     """
     if not 0.0 < v <= 1.0:
         raise ValueError("efficiency must be in (0, 1]")
@@ -295,9 +295,9 @@ def limit_mgf(s, v: float, prec: Precision = MGF_PRECISION):
 
     b = 1.0 + v
     smax = float(arr.max())
-    r = _transform_coefficients(v)[1]
+    c, r = _transform_coefficients(v)
     n, depth, bound = _tail_depth(r, smax, b, prec.tol, _TRANSFORM_DOMAIN, prec.max_iter)
-    u = _complement_iteration(-arr, v, depth)
+    u = _complement_iteration(-arr, v, c, depth)
     if n > prec.max_iter:
         raise PrecisionError(
             f"transform needs depth {n} for tol={prec.tol}, cap is {prec.max_iter}",
@@ -324,7 +324,7 @@ def _transform_pieces(h: float, v: float, z_max: int, prec: Precision,
     ends = [min(math.ceil(FIRST_FREQUENCY / h), prec.max_iter)]
     while ends[-1] < prec.max_iter:
         ends.append(min(2 * ends[-1], prec.max_iter))
-    coef = _transform_coefficients(v)[1]
+    c, coef = _transform_coefficients(v)
     depths = {}
 
     def depth_of(k):
@@ -362,8 +362,8 @@ def _transform_pieces(h: float, v: float, z_max: int, prec: Precision,
         first = batch[0][1]
         omega = h * np.arange(first + 1, last[2] + 1)
         depth = np.concatenate([np.full(hi - lo, depth_of(k)) for k, lo, hi in batch])
-        psi, dpsi = (_complement_iteration(1j * omega, v, depth, slope=True) if slope
-                     else (_complement_iteration(1j * omega, v, depth), None))
+        psi, dpsi = (_complement_iteration(1j * omega, v, c, depth, slope=True) if slope
+                     else (_complement_iteration(1j * omega, v, c, depth), None))
 
         for k, lo, hi in batch:
             part = slice(lo - first, hi - first)

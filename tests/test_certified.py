@@ -26,6 +26,7 @@ from qpcrkin.kinetics import (
     _profile_coefficients,
     _stop_bound,
     _stop_screen,
+    _tail_depth,
     inverse_profile,
     limit_profile,
     mean_map,
@@ -649,3 +650,7 @@ def test_profile_depth_reaches_the_seed_domain():
     with pytest.raises(PrecisionError, match="needs 4 iterations") as err:
         limit_profile(4.0, k, Precision(tol=1.0, max_iter=3))
     assert err.value.bound == math.inf
+    # the depth rule itself: the tail 4**9 * 2**(-8n) reaches 1 at n = 3,
+    # the domain at n = 4, and the bound is inf short of the domain
+    assert _tail_depth(1.0, 4.0, 2.0, 1.0, _PROFILE_DOMAIN, 3) == (4, 3, math.inf)
+    assert _tail_depth(1.0, 4.0, 2.0, 1.0, _PROFILE_DOMAIN, 4) == (4, 4, pytest.approx(2.0 ** -14))

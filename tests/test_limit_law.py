@@ -219,6 +219,11 @@ class TestDensity:
         assert np.allclose(values, expect, rtol=1e-12, atol=1e-15)
 
 
+def _kernel(x, v, depth, slope=False):
+    """The transform kernel with the seed coefficients of v."""
+    return _complement_iteration(x, v, _transform_coefficients(v)[0], depth, slope)
+
+
 class TestCharacteristicFunction:
     @pytest.mark.parametrize("v", [0.25, 0.5, 0.9])
     def test_offspring_equation_and_slope(self, v):
@@ -227,20 +232,20 @@ class TestCharacteristicFunction:
         b, om = 1 + v, np.linspace(0.5, 40.0, 80)
         c = 0.5 * limit_variance(v) * (b * om[-1]) ** 2
         n = _certified_depth(c, b, 1e-13)
-        psi, dpsi = _complement_iteration(1j * om, v, n, slope=True)
-        psi_b = _complement_iteration(1j * b * om, v, n)
+        psi, dpsi = _kernel(1j * om, v, n, slope=True)
+        psi_b = _kernel(1j * b * om, v, n)
         assert np.max(np.abs(psi_b - (1 - v) * psi - v * psi * psi)) < 1e-10
         eps = 1e-5
-        up = _complement_iteration(1j * (om + eps), v, n)
-        down = _complement_iteration(1j * (om - eps), v, n)
+        up = _kernel(1j * (om + eps), v, n)
+        down = _kernel(1j * (om - eps), v, n)
         # d psi/d w = i * du/dx at x = i*w
         assert np.max(np.abs(1j * dpsi - (up - down) / (2 * eps))) < 1e-7
 
     def test_depth_per_element_matches_single_depth(self):
         om = np.array([1.0, 2.0, 30.0, 40.0])
-        mixed = _complement_iteration(1j * om, 0.5, np.array([40, 40, 60, 60]))
-        assert np.array_equal(mixed[:2], _complement_iteration(1j * om[:2], 0.5, 40))
-        assert np.array_equal(mixed[2:], _complement_iteration(1j * om[2:], 0.5, 60))
+        mixed = _kernel(1j * om, 0.5, np.array([40, 40, 60, 60]))
+        assert np.array_equal(mixed[:2], _kernel(1j * om[:2], 0.5, 40))
+        assert np.array_equal(mixed[2:], _kernel(1j * om[2:], 0.5, 60))
 
 
 def _expm1_reference(x, v, depth):
@@ -303,14 +308,14 @@ class TestSeed:
         for v in (1e-2, 1e-4, 1e-8):
             m = _moments(v)
             for k in range(2, D + 2):
-                assert abs(m[k] / math.factorial(k) - 1.0) <= 2.0 * k * v
+                assert abs(m[k] / math.factorial(k) - 1.0) <= max(5.0, 2.0 * k) * v
 
     @pytest.mark.parametrize("v", [0.05, 0.25, 0.5, 0.9, 0.999])
     def test_seed_meets_its_remainder_bound(self, v):
         # at depth 0 the kernel returns the seed P(x) itself
         size = np.array([0.01, 0.03, 0.1, 0.3, 0.6, 1.0])
         x = np.concatenate([-size, 1j * size])
-        seed = _complement_iteration(x, v, 0)
+        seed = _kernel(x, v, 0)
         remainder = _transform_coefficients(v)[1] * np.abs(x) ** (D + 1)
         depth = _reference_depth(1.0, v, 0, 1e-6 * remainder[2])
         ref, ref_bound = _expm1_reference(x, v, depth)
@@ -335,7 +340,7 @@ class TestSeed:
         # error coef * w**(d+1) * b**(-d*n), plus rounding far below tol
         om, tol = np.linspace(0.25, 64.0, 60), 1e-9
         depth = _tail_depth(coef, om[-1], b, tol, _TRANSFORM_DOMAIN)[0]
-        psi = _complement_iteration(1j * om, v, depth)
+        psi = _kernel(1j * om, v, depth)
         bound = coef * om ** (D + 1) * b ** (-D * depth)
         assert np.all(bound <= tol)
         ref, ref_bound = _expm1_reference(1j * om, v, _reference_depth(64.0, v, depth, 1e-13))
@@ -356,7 +361,7 @@ class TestSeed:
     def test_seed_in_the_unit_disk(self, v):
         # for |y| <= 1 on both axes the seed lies in the closed unit disk
         y = np.linspace(0.0, 1.0, 2001)
-        seed = _complement_iteration(np.concatenate([-y, 1j * y]), v, 0)
+        seed = _kernel(np.concatenate([-y, 1j * y]), v, 0)
         assert np.all(np.abs(seed) <= 1.0 + 4 * np.finfo(float).eps)
         # a large tolerance still leaves the certified depth inside it
         assert 0.0 < limit_mgf(20.0, v, Precision(tol=10.0)) < 1.0
@@ -365,7 +370,7 @@ class TestSeed:
     def test_seed_outside_the_unit_disk_raises(self, x, depth):
         # x/b**depth beyond 1 in modulus, at v = 0.5
         with pytest.raises(PrecisionError, match="seed"):
-            _complement_iteration(np.array([0.5, x]), 0.5, depth)
+            _kernel(np.array([0.5, x]), 0.5, depth)
 
     def test_full_efficiency_is_exp_exactly(self):
         s = np.linspace(0.0, 30.0, 61)
@@ -449,9 +454,9 @@ class TestExactDensity:
             tops.append(top)
             return _tail_depth(c, top, b, tol, domain)
 
-        def kernel(x, v, depth, slope=False):
+        def kernel(x, v, c, depth, slope=False):
             reach[0] = max(reach[0], float(np.abs(x).max()))
-            return _complement_iteration(x, v, depth, slope)
+            return _complement_iteration(x, v, c, depth, slope)
 
         monkeypatch.setattr(limit_law, "_tail_depth", tail_depth)
         monkeypatch.setattr(limit_law, "_complement_iteration", kernel)
