@@ -26,12 +26,15 @@ import numpy as np
 
 from .kinetics import Kinetics, inverse_profile, limit_profile
 from .simulate import (
+    _count_rows,
+    _reaction_cycles,
     order_violations,
     simulate_coupled_replicates,
     simulate_replicates,
 )
 from .limit_law import ancestor_cdf
 from .inference import (
+    MAX_KAPPAS,
     _log_scale_cycles,
     _read_json_object,
     efficiency_rows,
@@ -231,6 +234,14 @@ def run_estimation(spec: ScenarioSpec) -> ExperimentResult:
     the one-sample KS distance of the recovered t means from the exact
     law of W(z0), within ks_bound.  fit_efficiency adds a per-replicate
     efficiency estimate.
+
+    The replicates are those of simulate_replicates to cycle m +
+    extra_cycles, drawn one cycle at a time for all of them.  The observer
+    reads only the MAX_KAPPAS densities from the detection cycle on, so
+    the runner stops drawing at the first cycle where every replicate has
+    that many at or above rho; while any replicate has not, it draws on
+    to the last cycle.  Its output is the same as that of a run that
+    draws every cycle.
     """
     if spec.kind != "estimation":
         raise ValueError("spec.kind must be 'estimation'")
@@ -238,8 +249,14 @@ def run_estimation(spec: ScenarioSpec) -> ExperimentResult:
     kin = Kinetics.from_exponent(spec.v, spec.m)
     n_cycles = spec.m + spec.extra_cycles
 
-    counts = simulate_replicates(kin, spec.z0, n_cycles, spec.replicates, spec.seed)
-    n_hit, kappas = observe_rows(counts / kin.K, spec.rho)
+    # counts never fall, so a replicate's window is full once its density
+    # MAX_KAPPAS - 1 cycles back reached rho, the test observe_rows makes
+    drawn = []
+    for z in _reaction_cycles(kin, spec.z0, n_cycles, spec.replicates, spec.seed):
+        drawn.append(z)
+        if len(drawn) >= MAX_KAPPAS and np.all(drawn[-MAX_KAPPAS] / kin.K >= spec.rho):
+            break
+    n_hit, kappas = observe_rows(_count_rows(drawn) / kin.K, spec.rho)
     replicate_ids = np.flatnonzero(n_hit >= 0)
     kappas = kappas[replicate_ids]
     n_hit = n_hit[replicate_ids]

@@ -534,8 +534,9 @@ def inverse_profile(y, kin: Kinetics, prec: Precision = INVERSE_PRECISION):
     if not arr.size:
         return g.reshape(arr.shape)
     flat = arr.ravel()
-    # the window u holds the open elements sorted by y, from positions open_
-    open_ = np.argsort(flat, kind="stable")
+    # the window u holds the open elements sorted by y, from positions open_;
+    # equal values follow equal iterates, so their order does not matter
+    open_ = np.argsort(flat)
     u = flat[open_]
     d, t = np.empty(u.size), np.empty(u.size)
     in_place = False

@@ -282,6 +282,8 @@ def limit_mgf(s, v: float, prec: Precision = MGF_PRECISION):
     Raises PrecisionError when that depth exceeds prec.max_iter; the
     exception carries the value at the cap and its error bound, formed
     in logs, inf where the cap leaves s/b**n above _TRANSFORM_DOMAIN.
+    Where the cap leaves s/b**n above 1 the seed is not formed, so no
+    value is: value is None and bound inf.
     """
     if not 0.0 < v <= 1.0:
         raise ValueError("efficiency must be in (0, 1]")
@@ -297,13 +299,19 @@ def limit_mgf(s, v: float, prec: Precision = MGF_PRECISION):
     smax = float(arr.max())
     c, r = _transform_coefficients(v)
     n, depth, bound = _tail_depth(r, smax, b, prec.tol, _TRANSFORM_DOMAIN, prec.max_iter)
-    u = _complement_iteration(-arr, v, c, depth)
-    if n > prec.max_iter:
-        raise PrecisionError(
-            f"transform needs depth {n} for tol={prec.tol}, cap is {prec.max_iter}",
-            value=float(u) if scalar else u, bound=bound,
-        )
-    return float(u) if scalar else u
+    if n <= prec.max_iter:
+        u = _complement_iteration(-arr, v, c, depth)
+        return float(u) if scalar else u
+    try:
+        u = _complement_iteration(-arr, v, c, depth)
+        value = float(u) if scalar else u
+    except PrecisionError:
+        # the kernel refuses s/b**depth above 1, where bound is inf already
+        value = None
+    raise PrecisionError(
+        f"transform needs depth {n} for tol={prec.tol}, cap is {prec.max_iter}",
+        value=value, bound=bound,
+    )
 
 
 def _transform_pieces(h: float, v: float, z_max: int, prec: Precision,

@@ -5,7 +5,8 @@ molecule independently with probability v*K/(K + z), z being the current
 count, so a cycle's increment is one binomial variate.  The coupled
 construction draws the reaction and two constant-probability branching
 references on shared per-molecule uniforms, as counts, for pathwise
-comparison.  The experiment runners draw their replicates in lockstep blocks.
+comparison.  The experiment runners draw their replicates in lockstep
+blocks, all blocks one cycle at a time.
 """
 
 from __future__ import annotations
@@ -200,27 +201,44 @@ def simulate_replicates(
 
     Returns a (replicates, n_cycles + 1) int64 count matrix whose row i
     is replicate i.  Replicate i is lane i % BLOCK_SIZE of the stream
-    keyed (seed, REACTION, replicate=i // BLOCK_SIZE, aux=1); a block
-    advances all its lanes with one array binomial(z, v*K/(K + z)) per
-    cycle.  Whole blocks are drawn and the result cut to replicates, so
-    the first rows do not depend on replicates.  simulate_reaction keys
-    its single trajectory with aux=0, so the two layouts never share a
-    stream.  Raises SaturationError before any count would leave the
-    64-bit range.
+    keyed (seed, REACTION, replicate=i // BLOCK_SIZE, aux=1).  The blocks
+    advance together, cycle by cycle (_block_cycles): each cycle draws one
+    array binomial(z, v*K/(K + z)) per block from its own stream, so a
+    block's counts do not depend on the others.  Whole blocks are drawn
+    and the result cut to replicates, so the first rows do not depend on
+    replicates.  simulate_reaction keys its single trajectory with aux=0,
+    so the two layouts never share a stream.  Raises SaturationError
+    before any count would leave the 64-bit range.
+    """
+    return _count_rows(list(_reaction_cycles(kinetics, z0, n_cycles, replicates, seed)))
+
+
+def _reaction_cycles(kinetics: Kinetics, z0: int, n_cycles: int, replicates: int,
+                     seed: int):
+    """simulate_replicates one cycle at a time.
+
+    Returns a generator of the counts of replicates 0..replicates-1 after
+    cycles 0, 1, ..., n_cycles; a consumer may stop early, and the cycles
+    it has read are those of the full run.
     """
     _check_settings(z0, n_cycles, replicates)
     v, K = kinetics.v, kinetics.K
+    gens = _block_streams(streams.REACTION, seed, replicates)
 
-    def lanes(gen):
-        out = np.empty((n_cycles + 1, BLOCK_SIZE), dtype=np.int64)
-        out[0] = z = np.full(BLOCK_SIZE, z0, dtype=np.int64)
-        for n in range(1, n_cycles + 1):
-            inc = gen.binomial(z, v * K / (K + z))
-            _check_range(inc, z, n)
-            out[n] = z = z + inc
-        return out.T
+    def step(z, draw, n):
+        inc = draw("binomial", z, v * K / (K + z))
+        _check_range(inc, z, n)
+        return z + inc
 
-    return _lockstep(streams.REACTION, seed, replicates, lanes)
+    start = np.full(len(gens) * BLOCK_SIZE, z0, dtype=np.int64)
+    return (z[:replicates] for z in _block_cycles(gens, BLOCK_SIZE, start, n_cycles, step))
+
+
+def _count_rows(cycles: list) -> np.ndarray:
+    """The per-cycle counts as rows of a count matrix, every row checked."""
+    counts = np.stack(cycles, axis=-1)
+    _check_count_rows(counts)
+    return counts
 
 
 def _check_range(inc: np.ndarray, count: np.ndarray, n: int) -> None:
@@ -230,16 +248,36 @@ def _check_range(inc: np.ndarray, count: np.ndarray, n: int) -> None:
         )
 
 
-def _lockstep(purpose: int, seed: int, replicates: int, lanes) -> np.ndarray:
-    """Rows 0..replicates-1 of lanes(gen), the (..., BLOCK_SIZE, n_cycles + 1)
-    counts of block k drawn from the stream (seed, purpose, k, aux=1)."""
-    pool = streams.ReusableStream()
-    counts = np.concatenate([
-        lanes(pool.reset(seed, purpose, k, REPLICATE_BLOCK_AUX))
-        for k in range(-(-replicates // BLOCK_SIZE))
-    ], axis=-2)[..., :replicates, :]
-    _check_count_rows(counts)
-    return counts
+def _block_streams(purpose: int, seed: int, replicates: int) -> list:
+    """One generator per BLOCK_SIZE replicates: block k on (seed, purpose, k, aux=1)."""
+    return [streams.stream(seed, purpose, k, REPLICATE_BLOCK_AUX)
+            for k in range(-(-replicates // BLOCK_SIZE))]
+
+
+def _block_cycles(gens: list, lanes: int, start: np.ndarray, n_cycles: int, step):
+    """Cycle-major lockstep of len(gens) blocks of lanes each.
+
+    A generator of the state of every lane after cycles 0..n_cycles; row
+    i of start is lane i at cycle 0.  step(state, draw, n) returns the
+    state after cycle n and does its arithmetic on all lanes at once.  Its
+    random numbers come from draw(method, *args), which calls method on
+    each block's generator with that block's rows of args and joins the
+    results in lane order, so every block's stream makes the draws it
+    would make alone, in the same order.
+    """
+    cuts = range(0, len(gens) * lanes, lanes)
+
+    def draw(method, *args):
+        parts = [getattr(gen, method)(*(a[lo:lo + lanes] for a in args))
+                 for gen, lo in zip(gens, cuts)]
+        # one block, as in most runs, needs no joining copy
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    state = start
+    yield state
+    for n in range(1, n_cycles + 1):
+        state = step(state, draw, n)
+        yield state
 
 
 def simulate_linear(cfg: SimConfig) -> Trajectory:
@@ -259,9 +297,9 @@ _CELLS[1:3, 1:3, 2] = 1  # W: j < w and u < p_lower
 _CELLS = _CELLS.reshape(20, 3)
 
 
-def _coupled_lanes(gen, kinetics: Kinetics, gamma: float, z0: int,
+def _coupled_lanes(gens: list, kinetics: Kinetics, gamma: float, z0: int,
                    n_cycles: int, lanes: int) -> np.ndarray:
-    """Coupled runs in lockstep: a (3, lanes, n_cycles + 1) count array.
+    """Coupled runs in lockstep: a (3, len(gens)*lanes, n_cycles + 1) count array.
 
     Rows are Z, Y and W of the shared-uniform construction (README, notes
     on numerics).  Each cycle draws how many uniforms of each index
@@ -269,17 +307,17 @@ def _coupled_lanes(gen, kinetics: Kinetics, gamma: float, z0: int,
     3: max(z, w) <= j < y, fall in each interval, 0: [p_lower, p_reaction),
     1: [0, min), 2: [p_reaction, p_lower), 3: [max, v), 4: [v, 1), as one
     multinomial per segment: the exact joint law of the per-molecule form.
+    The lanes of block k draw from gens[k] (_block_cycles).
     """
     v, K = kinetics.v, kinetics.K
     # capped at v, so that rounding cannot make an interval negative
     p_lower = min(v * K / (K + K ** gamma), v)
-    out = np.empty((n_cycles + 1, lanes, 3), dtype=np.int64)
-    out[0] = z0
-    size = np.empty((lanes, 4), dtype=np.int64)
-    p = np.empty((lanes, 5))
+    total = len(gens) * lanes
+    size = np.empty((total, 4), dtype=np.int64)
+    p = np.empty((total, 5))
     p[:, 4] = 1.0 - v
-    for n in range(1, n_cycles + 1):
-        prev = out[n - 1]
+
+    def step(prev, draw, n):
         z, y, w = prev.T
         both = np.minimum(z, w, out=size[:, 1])
         np.subtract(z, both, out=size[:, 0])
@@ -290,16 +328,19 @@ def _coupled_lanes(gen, kinetics: Kinetics, gamma: float, z0: int,
         np.subtract(p_reaction, low, out=p[:, 0])
         np.subtract(p_lower, low, out=p[:, 2])
         np.subtract(v - p_reaction, p[:, 2], out=p[:, 3])
-        inc = gen.multinomial(size, p[:, None]).reshape(lanes, 20) @ _CELLS
+        inc = draw("multinomial", size, p[:, None]).reshape(total, 20) @ _CELLS
         _check_range(inc[:, 1], y, n)
-        np.add(prev, inc, out=out[n])
-    return out.transpose(2, 1, 0)
+        return prev + inc
+
+    start = np.full((total, 3), z0, dtype=np.int64)
+    states = list(_block_cycles(gens, lanes, start, n_cycles, step))
+    return np.stack(states, axis=-1).transpose(1, 0, 2)
 
 
 def simulate_coupled(cfg: SimConfig) -> CoupledRun:
     """One coupled run: _coupled_lanes on the stream (seed, COUPLED, replicate_id)."""
     gen = _POOL.reset(cfg.seed, streams.COUPLED, cfg.replicate_id)
-    counts = _coupled_lanes(gen, cfg.kinetics, cfg.gamma, cfg.z0, cfg.n_cycles, 1)
+    counts = _coupled_lanes([gen], cfg.kinetics, cfg.gamma, cfg.z0, cfg.n_cycles, 1)
     z, y, w = (Trajectory(c[0], cfg.kinetics, cfg.seed, cfg.replicate_id) for c in counts)
     thr = cfg.kinetics.K ** cfg.gamma
     crossing = [int(np.argmax(c > thr)) if c[-1] > thr else None for c in counts[:2, 0]]
@@ -312,11 +353,15 @@ def simulate_coupled_replicates(
 ) -> np.ndarray:
     """Coupled runs in the block layout of simulate_replicates, on COUPLED streams.
 
-    Returns the (3, replicates, n_cycles + 1) reaction, upper, lower counts.
+    Returns the (3, replicates, n_cycles + 1) reaction, upper, lower
+    counts.  The blocks advance together, one multinomial draw per block
+    each cycle, as in simulate_replicates.
     """
     _check_settings(z0, n_cycles, replicates, gamma)
-    return _lockstep(streams.COUPLED, seed, replicates, lambda gen: _coupled_lanes(
-        gen, kinetics, gamma, z0, n_cycles, BLOCK_SIZE))
+    gens = _block_streams(streams.COUPLED, seed, replicates)
+    counts = _coupled_lanes(gens, kinetics, gamma, z0, n_cycles, BLOCK_SIZE)[:, :replicates]
+    _check_count_rows(counts)
+    return counts
 
 
 def noise_sequence(traj: Trajectory) -> np.ndarray:

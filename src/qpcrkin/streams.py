@@ -14,9 +14,13 @@ What one replicate index names depends on the consumer:
   (simulate.simulate_replicates, simulate.simulate_coupled_replicates):
   replicate i is lane i % BLOCK_SIZE of the REACTION or COUPLED stream
   with replicate = i // BLOCK_SIZE and aux = 1, so runner blocks and
-  single trajectories never share a key.  A block advances its lanes
-  with one array draw per cycle, and the first n replicates are the same
-  for every replicate count >= n.
+  single trajectories never share a key.  The blocks advance together,
+  cycle by cycle: each cycle makes one array draw per block from that
+  block's stream, so a block's draws do not depend on the other blocks,
+  and the first n replicates are the same for every replicate count >= n.
+  A consumer may stop after any cycle; the cycles it has drawn are those
+  of the full run (the estimation runner stops once every replicate's
+  observed window is drawn).
 - Growth-limit ensembles (limit_law.sample_limit) draw in blocks of
   limit_law.BLOCK_SIZE samples: sample i is lane i % BLOCK_SIZE of the
   GROWTH_LIMIT stream with replicate = i // BLOCK_SIZE and aux = 0.  That

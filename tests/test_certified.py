@@ -43,6 +43,14 @@ def test_transform_cap_raises_typed_error():
     assert abs(limit_mgf(5.0, 0.5) - err.value.value) <= err.value.bound
 
 
+def test_transform_cap_short_of_the_seed_raises_without_value():
+    # at depth 5, 20/1.5**5 = 2.6 is outside the unit disk the seed needs:
+    # limit_mgf raises its own error, with no value and an infinite bound
+    with pytest.raises(PrecisionError, match="transform needs depth 15") as err:
+        limit_mgf(20.0, 0.5, Precision(1e-12, max_iter=5))
+    assert err.value.value is None and err.value.bound == math.inf
+
+
 @pytest.mark.parametrize("v", [0.1, 0.5, 1.0])
 def test_inverse_batch_equals_scalar_bitwise(v):
     k = Kinetics(v=v, K=1000.0)
@@ -50,6 +58,10 @@ def test_inverse_batch_equals_scalar_bitwise(v):
     batch = inverse_profile(ys, k)
     for yi, gi in zip(ys, batch):
         assert inverse_profile(float(yi), k) == gi
+    # a shuffled batch of many ties: equal inputs stop together, whatever
+    # order the window's sort gives them
+    pick = np.random.default_rng(3).permutation(np.repeat(np.arange(ys.size), 300))
+    assert _same_bits(inverse_profile(ys[pick], k), batch[pick])
 
 
 def test_inverse_cap_bracket_holds_value():

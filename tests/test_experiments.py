@@ -25,6 +25,7 @@ from qpcrkin.inference import (
     hitting_time,
     limit_observables,
     observe,
+    observe_rows,
 )
 from qpcrkin.limit_law import DENSITY_PRECISION, ancestor_cdf
 from qpcrkin import experiments
@@ -257,6 +258,37 @@ class TestEstimation:
                             replicates=40, seed=8)
         a, b = run_estimation(spec), run_estimation(spec)
         assert a.summary == b.summary and a.records == b.records
+
+    @pytest.mark.parametrize("overrides,stops", [
+        (dict(v=1.0, m=20, z0=1), True),
+        (dict(v=1.0, m=20, z0=10), True),
+        (dict(v=0.5, m=30, z0=3, fit_efficiency=True), True),
+        # 12 replicates never reach rho, so every cycle is drawn
+        (dict(v=0.5, m=30, z0=1, extra_cycles=0, seed=4), False),
+    ])
+    def test_early_stop_changes_nothing(self, monkeypatch, overrides, stops):
+        # the runner draws cycles only until every replicate's window is
+        # full; observing the full-horizon counts instead gives the same
+        # records and summary.  2500 replicates end in a partial block.
+        spec = ScenarioSpec(kind="estimation", replicates=2500,
+                            **({"seed": 2} | overrides))
+        kin = Kinetics.from_exponent(spec.v, spec.m)
+        full = simulate_replicates(kin, spec.z0, spec.m + spec.extra_cycles,
+                                   spec.replicates, spec.seed) / kin.K
+        seen = []
+
+        def observe_full(x, rho):
+            seen.append(x.shape[1])
+            assert np.array_equal(x, full[:, :x.shape[1]])
+            return observe_rows(full, rho)
+
+        early = run_estimation(spec)
+        monkeypatch.setattr(experiments, "observe_rows", observe_full)
+        whole = run_estimation(spec)
+        assert (seen[0] < full.shape[1]) == stops
+        assert (early.summary["missed"] > 0) == (not stops)
+        assert early.summary == whole.summary
+        assert early.records == whole.records
 
 
 class TestCoupling:

@@ -223,7 +223,7 @@ class TestCoupled:
         c = cfg(v=0.5, K=200.0, z0=3, n_cycles=12, seed=21, replicate_id=4)
         run = simulate_coupled(c)
         gen = streams.stream(21, streams.COUPLED, 4, aux=0)
-        lanes = _coupled_lanes(gen, c.kinetics, c.gamma, 3, 12, 1)
+        lanes = _coupled_lanes([gen], c.kinetics, c.gamma, 3, 12, 1)
         assert np.array_equal(lanes[:, 0], np.stack(
             [run.reaction.counts, run.upper.counts, run.lower.counts]))
 
@@ -238,7 +238,7 @@ class TestCoupled:
         got = simulate_coupled_replicates(kin, 3, 12, 2 * BLOCK_SIZE, seed=6)
         assert got.shape == (3, 2 * BLOCK_SIZE, 13) and got.dtype == np.int64
         gen = streams.stream(6, streams.COUPLED, 1, aux=1)
-        lanes = _coupled_lanes(gen, kin, 0.75, 3, 12, BLOCK_SIZE)
+        lanes = _coupled_lanes([gen], kin, 0.75, 3, 12, BLOCK_SIZE)
         assert np.array_equal(got[:, BLOCK_SIZE:], lanes)
         short = simulate_coupled_replicates(kin, 3, 12, 1500, seed=6)
         assert np.array_equal(short, got[:, :1500])
