@@ -27,6 +27,7 @@ from .limit_law import sample_limit, write_ensemble_csv
 from .inference import estimate_from_trajectory, write_report_json
 from .experiments import (
     DEFAULT_CURVE_EFFICIENCIES,
+    KINDS,
     ScenarioSpec,
     curve_grid,
     emit_profile_curves,
@@ -277,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a Monte Carlo scenario")
     _add_common(p)
-    p.add_argument("--kind", choices=["convergence", "estimation", "coupling"])
+    p.add_argument("--kind", choices=KINDS)
     p.add_argument("--v", type=float)
     p.add_argument("--m", type=int)
     p.add_argument("--z0", type=int)

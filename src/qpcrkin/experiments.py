@@ -4,8 +4,8 @@ Three scenario kinds: convergence (trajectory densities at the scale
 cycle against the limit profile of the growth limit), estimation (the
 full detection-and-inversion chain over all replicates at once), and
 coupling (pathwise order checks plus the scaled gap between the linear
-and saturating processes).  A fourth kind emits profile curves on a
-grid for plotting.  Every runner is bit-reproducible from its scenario.
+and saturating processes).  Every runner is bit-reproducible from its
+scenario.
 Distributional comparisons are one-sample: simulated values against the
 exact law of the growth limit (limit_law.ancestor_cdf), whose certified
 error bound is reported with the statistic.
@@ -58,7 +58,7 @@ __all__ = [
     "read_result_json",
 ]
 
-KINDS = ("convergence", "estimation", "coupling", "curves")
+KINDS = ("convergence", "estimation", "coupling")
 
 DEFAULT_CURVE_EFFICIENCIES = (0.25, 0.5, 0.9, 1.0)
 # most grid intervals curve_grid accepts: 10**6 points hold 8 MB per efficiency
@@ -88,9 +88,6 @@ class ScenarioSpec:
     gamma: float = 0.75
     c_exponent: float = 0.6
     fit_efficiency: bool = False
-    v_list: tuple = DEFAULT_CURVE_EFFICIENCIES
-    x_max: float = 4.0
-    x_step: float = 0.01
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -115,14 +112,12 @@ class ScenarioSpec:
             raise ValueError("c_exponent must be in (0, 1)")
         if self.m_values is not None:
             object.__setattr__(self, "m_values", tuple(int(x) for x in self.m_values))
-        object.__setattr__(self, "v_list", tuple(float(x) for x in self.v_list))
 
     def to_json_dict(self) -> dict:
         doc = asdict(self)
         # lists survive a JSON round trip unchanged, tuples do not
-        for key in ("m_values", "v_list"):
-            if doc[key] is not None:
-                doc[key] = list(doc[key])
+        if doc["m_values"] is not None:
+            doc["m_values"] = list(doc["m_values"])
         return doc
 
     @classmethod
@@ -131,10 +126,6 @@ class ScenarioSpec:
         extra = set(doc) - known
         if extra:
             raise ValueError(f"unknown scenario fields: {sorted(extra)}")
-        doc = dict(doc)
-        for key in ("m_values", "v_list"):
-            if key in doc and doc[key] is not None:
-                doc[key] = tuple(doc[key])
         return cls(**doc)
 
 
@@ -400,31 +391,10 @@ def emit_profile_curves(v_list, x_grid, out=None) -> list[tuple[float, np.ndarra
     return curves
 
 
-def run_curves(spec: ScenarioSpec) -> ExperimentResult:
-    if spec.kind != "curves":
-        raise ValueError("spec.kind must be 'curves'")
-    if spec.out is None:
-        raise ValueError("curves scenario needs an output path")
-    start = time.perf_counter()
-    grid = curve_grid(spec.x_max, spec.x_step)
-    curves = emit_profile_curves(spec.v_list, grid, out=spec.out)
-    summary = {
-        "rows": sum(len(vals) for _, vals in curves),
-        "efficiencies": [v for v, _ in curves],
-        "x_max": spec.x_max,
-        "x_step": spec.x_step,
-    }
-    return ExperimentResult(
-        kind=spec.kind, spec=spec.to_json_dict(), summary=summary,
-        records=[], runtime_seconds=time.perf_counter() - start,
-    )
-
-
 _RUNNERS = {
     "convergence": run_convergence,
     "estimation": run_estimation,
     "coupling": run_coupling,
-    "curves": run_curves,
 }
 
 

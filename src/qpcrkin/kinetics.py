@@ -19,7 +19,9 @@ element is tested at every step; a screen on the iterate reduces that test
 to one comparison for all but the elements within a relative 1e-6 of the
 threshold.  The transform in qpcrkin.limit_law shares the rule: the same
 order, the same coefficient recursion (_seed_coefficients) and the same
-depth (_tail_depth).
+depth (_tail_depth).  Only H's seed has a domain, where its polynomial is
+nonnegative; the transform's seed bound holds at every argument, so its
+depth comes from the tail alone.
 """
 
 from __future__ import annotations
@@ -151,22 +153,24 @@ def _log_depth(log_c: float, b: float, tol: float) -> int:
     return math.ceil(gap / math.log(b))
 
 
-def _tail_depth(c: float, x: float, b: float, tol: float, domain: float,
+def _tail_depth(c: float, x: float, b: float, tol: float, domain: float | None = None,
                 cap=math.inf) -> tuple:
     """Certified depth of H and psi at x, the depth run under cap, and its tail.
 
     A seed within c*u**(d+1) of its limit at u = x/b**n, iterated n times
     by a map of slope at most b, is within c*x**(d+1)*b**(-d*n) of the
     limit at x.  Returns (n, depth, bound): n the smallest depth with that
-    at most tol and with u at most domain, depth = min(n, cap), and that
-    tail at depth; the bound is inf past the float range and where depth
-    leaves u above domain, where the seed's bound does not hold.  All is
-    taken in logs, so every finite x gets a depth.
+    at most tol, depth = min(n, cap), and that tail at depth; the bound is
+    inf past the float range.  H's seed bound holds only where u is at
+    most domain, so H passes one: then n also brings u there, and the
+    bound is inf where depth leaves u above it.  psi's bound holds at
+    every u, so psi passes none.  All is taken in logs, so every finite x
+    gets a depth.
     """
     d = _SEED_ORDER
     log_x = math.log(x) if x else -math.inf
     log_t = math.log(c) + (d + 1) * log_x
-    floor = _log_depth(log_x, b, domain)
+    floor = _log_depth(log_x, b, domain) if domain is not None else 0
     n = max(_log_depth(log_t, b ** d, tol), floor)
     depth = min(n, cap)
     log_t = log_t - depth * math.log(b ** d) if depth >= floor else math.inf

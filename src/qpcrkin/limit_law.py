@@ -166,9 +166,10 @@ def sample_limit(
     return LimitEnsemble(out.ravel()[:count], v=v, z=z, n_gen=n_gen, seed=seed)
 
 
-#: the transform kernel starts where |y| = |x|/b**n is at most this, so the
-#: seed lies in the unit disk with room for rounding
-_TRANSFORM_DOMAIN = 0.5
+#: the transform seed is formed where |y| = |x|/b**n is at most this, so its
+#: polynomial stays finite; beyond, its certified error exceeds the disk's
+#: diameter and the seed starts at 1
+_SEED_REACH = 1e30
 
 
 def _transform_coefficients(v: float) -> tuple:
@@ -195,10 +196,13 @@ def _complement_iteration(x, v: float, c: list, depth, slope: bool = False):
     fixed-point equation.  The seed P is the Taylor polynomial 1 + sum
     c_k y**k of E exp(y W) of degree d, c = _transform_coefficients(v)[0],
     clamped radially onto the closed unit disk.  For y on the nonpositive
-    real axis or the imaginary axis P errs by at most c_{d+1}*|y|**(d+1);
-    E exp(y W) lies in the disk, so the clamp cannot increase that error,
-    and the map keeps the disk and has slope at most b on it.  Raises
-    PrecisionError when some |x|/b**depth exceeds 1.
+    real axis or the imaginary axis (W >= 0) P errs by at most
+    c_{d+1}*|y|**(d+1) at every |y|; E exp(y W) lies in the disk, so the
+    clamp cannot increase that error, and the map keeps the disk and has
+    slope at most b on it.  So every depth gives a value within
+    c_{d+1}*|x|**(d+1)*b**(-d*depth) of the transform.  Where |y| exceeds
+    _SEED_REACH the polynomial would overflow; there that error already
+    exceeds the disk's diameter, and the seed starts at 1 (y = 0).
 
     y is formed as x/|x| * exp(log|x| - depth*log(b)), as limit_profile
     forms its start, since b**-depth underflows where |x| is huge.  The
@@ -219,13 +223,7 @@ def _complement_iteration(x, v: float, c: list, depth, slope: bool = False):
     size = np.abs(x)
     with np.errstate(divide="ignore"):
         scaled = np.exp(np.log(size) - depth * math.log(b))
-    top = float(scaled.max(initial=0.0))
-    if not top <= 1.0:
-        raise PrecisionError(
-            f"transform argument reaches {top:.4g} at depth {np.max(depth)}; "
-            f"the seed needs at most 1"
-        )
-    y = x / np.where(size > 0.0, size, 1.0) * scaled
+    y = x / np.where(size > 0.0, size, 1.0) * np.where(scaled <= _SEED_REACH, scaled, 0.0)
     d = _SEED_ORDER
     # in place throughout: the working set is w, dw and two scratch arrays;
     # w = -(c_1 y + ... + c_d y**d) by Horner
@@ -280,10 +278,9 @@ def limit_mgf(s, v: float, prec: Precision = MGF_PRECISION):
     0.  Scalars map to floats, arrays map elementwise.
 
     Raises PrecisionError when that depth exceeds prec.max_iter; the
-    exception carries the value at the cap and its error bound, formed
-    in logs, inf where the cap leaves s/b**n above _TRANSFORM_DOMAIN.
-    Where the cap leaves s/b**n above 1 the seed is not formed, so no
-    value is: value is None and bound inf.
+    exception carries the value at the cap, in [-1, 1], and its error
+    bound c_{d+1} * s**(d+1) * b**(-d*cap), formed in logs, inf only past
+    the float range.
     """
     if not 0.0 < v <= 1.0:
         raise ValueError("efficiency must be in (0, 1]")
@@ -298,20 +295,15 @@ def limit_mgf(s, v: float, prec: Precision = MGF_PRECISION):
     b = 1.0 + v
     smax = float(arr.max())
     c, r = _transform_coefficients(v)
-    n, depth, bound = _tail_depth(r, smax, b, prec.tol, _TRANSFORM_DOMAIN, prec.max_iter)
-    if n <= prec.max_iter:
-        u = _complement_iteration(-arr, v, c, depth)
-        return float(u) if scalar else u
-    try:
-        u = _complement_iteration(-arr, v, c, depth)
-        value = float(u) if scalar else u
-    except PrecisionError:
-        # the kernel refuses s/b**depth above 1, where bound is inf already
-        value = None
-    raise PrecisionError(
-        f"transform needs depth {n} for tol={prec.tol}, cap is {prec.max_iter}",
-        value=value, bound=bound,
-    )
+    n, depth, bound = _tail_depth(r, smax, b, prec.tol, cap=prec.max_iter)
+    u = _complement_iteration(-arr, v, c, depth)
+    value = float(u) if scalar else u
+    if n > prec.max_iter:
+        raise PrecisionError(
+            f"transform needs depth {n} for tol={prec.tol}, cap is {prec.max_iter}",
+            value=value, bound=bound,
+        )
+    return value
 
 
 def _transform_pieces(h: float, v: float, z_max: int, prec: Precision,
@@ -341,8 +333,7 @@ def _transform_pieces(h: float, v: float, z_max: int, prec: Precision,
         # segment's depth is certified when the scan first reaches it.
         if k not in depths:
             top = ends[k] * h
-            depths[k] = _tail_depth(coef, top, b, math.pi * prec.tol / (64.0 * z_max * top),
-                                    _TRANSFORM_DOMAIN)[0]
+            depths[k] = _tail_depth(coef, top, b, math.pi * prec.tol / (64.0 * z_max * top))[0]
         return depths[k]
 
     pieces = ((k, lo, min(lo + FREQUENCY_BLOCK, end))
@@ -647,13 +638,25 @@ def write_ensemble_csv(ens: LimitEnsemble, path) -> None:
             fh.write(f"{x:.17g}\n")
 
 
+def _read_metadata(fh, path, keys) -> dict:
+    """The `# key=value ...` first line of a CSV file, holding every name in keys.
+
+    Raises ValueError without that line or naming the keys it lacks.
+    """
+    header = fh.readline().strip()
+    if not header.startswith("# "):
+        raise ValueError(f"{path}: missing metadata header")
+    meta = dict(item.split("=", 1) for item in header[2:].split())
+    missing = [key for key in keys if key not in meta]
+    if missing:
+        raise ValueError(f"{path}: metadata header misses keys {missing}")
+    return meta
+
+
 def read_ensemble_csv(path) -> LimitEnsemble:
     """Inverse of write_ensemble_csv."""
     with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# "):
-            raise ValueError("missing metadata header")
-        meta = dict(item.split("=", 1) for item in header[2:].split())
+        meta = _read_metadata(fh, path, ("v", "z", "n_gen", "seed"))
         fh.readline()
         samples = np.array([float(line) for line in fh if line.strip()])
     return LimitEnsemble(

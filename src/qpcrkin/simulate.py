@@ -18,7 +18,7 @@ import numpy as np
 
 from qpcrkin import streams
 from qpcrkin.kinetics import Kinetics, mean_map
-from qpcrkin.limit_law import BLOCK_SIZE
+from qpcrkin.limit_law import BLOCK_SIZE, _read_metadata
 
 __all__ = [
     "SimConfig",
@@ -391,10 +391,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 def read_trajectory_csv(path) -> Trajectory:
     """Inverse of write_trajectory_csv."""
     with open(path, newline="") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# "):
-            raise ValueError("missing metadata header")
-        meta = dict(item.split("=", 1) for item in header[2:].split())
+        meta = _read_metadata(fh, path, ("v", "K", "seed", "replicate"))
         rows = list(csv.DictReader(fh))
     counts = np.array([int(r["count"]) for r in rows], dtype=np.int64)
     kin = Kinetics(v=float(meta["v"]), K=float(meta["K"]))

@@ -31,7 +31,7 @@ from qpcrkin.kinetics import (
     limit_profile,
     mean_map,
 )
-from qpcrkin.limit_law import limit_mgf
+from qpcrkin.limit_law import MGF_PRECISION, _transform_coefficients, limit_mgf
 
 
 def test_transform_cap_raises_typed_error():
@@ -43,12 +43,28 @@ def test_transform_cap_raises_typed_error():
     assert abs(limit_mgf(5.0, 0.5) - err.value.value) <= err.value.bound
 
 
-def test_transform_cap_short_of_the_seed_raises_without_value():
-    # at depth 5, 20/1.5**5 = 2.6 is outside the unit disk the seed needs:
-    # limit_mgf raises its own error, with no value and an infinite bound
-    with pytest.raises(PrecisionError, match="transform needs depth 15") as err:
-        limit_mgf(20.0, 0.5, Precision(1e-12, max_iter=5))
-    assert err.value.value is None and err.value.bound == math.inf
+@pytest.mark.parametrize("v", [0.1, 0.5, 0.99])
+@pytest.mark.parametrize("s", [0.5, 20.0, 1e3, 1e300])
+def test_transform_cap_carries_its_value_and_bound(v, s):
+    # at every cap short of the certified depth n the error carries the
+    # value there, in [-1, 1], and a bound that holds against the
+    # full-precision transform; cap 1 at s = 1e300 starts past the seed's
+    # reach.  Past 256 caps (s = 1e300) a stride of about n/50 and the
+    # last 64, where the bound falls from above 2 to the tolerance, stand
+    # for all: each call costs its cap in steps
+    tol = MGF_PRECISION.tol
+    n = _tail_depth(_transform_coefficients(v)[1], s, 1.0 + v, tol)[0]
+    full = limit_mgf(s, v)
+    assert limit_mgf(s, v, Precision(tol, max_iter=n)) == full
+    caps = range(1, n)
+    if n > 256:
+        caps = sorted(set(range(1, n, n // 50)) | set(range(n - 64, n)))
+    for cap in caps:
+        with pytest.raises(PrecisionError, match=f"transform needs depth {n}") as err:
+            limit_mgf(s, v, Precision(tol, max_iter=cap))
+        value, bound = err.value.value, err.value.bound
+        assert type(value) is float and abs(value) <= 1.0
+        assert abs(value - full) <= bound
 
 
 @pytest.mark.parametrize("v", [0.1, 0.5, 1.0])

@@ -403,6 +403,16 @@ class TestConfigMerge:
                      "--out", str(tmp_path / "r.json")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_curves_kind_rejected(self, tmp_path, capsys):
+        # h-curves is the one route to the curve CSV; an experiment of
+        # kind curves is refused before anything is written
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kind": "curves"}))
+        out = tmp_path / "c.out"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "unknown kind 'curves'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_must_be_object(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]")

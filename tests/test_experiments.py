@@ -94,6 +94,7 @@ class TestScenarioSpec:
         {"kind": "convergence", "v": 0.0},
         {"kind": "convergence", "gamma": 1.5},
         {"kind": "coupling", "c_exponent": 0.0},
+        {"kind": "curves"},
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
@@ -368,14 +369,6 @@ class TestCurves:
             emit_profile_curves([0.5], np.array([0.0, 4.5]))
         with pytest.raises(ValueError):
             emit_profile_curves([0.5], np.array([-0.1, 1.0]))
-
-    def test_curves_scenario(self, tmp_path):
-        path = tmp_path / "c.csv"
-        spec = ScenarioSpec(kind="curves", out=str(path), x_max=2.0,
-                            x_step=0.5, v_list=(0.5, 1.0))
-        res = run_experiment(spec)
-        assert res.summary["rows"] == 2 * 5
-        assert path.exists()
 
 
 def _result_doc(res):

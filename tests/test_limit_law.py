@@ -16,7 +16,6 @@ from qpcrkin.kinetics import (
     _tail_depth,
 )
 from qpcrkin.limit_law import (
-    _TRANSFORM_DOMAIN,
     BLOCK_SIZE,
     DENSITY_PRECISION,
     FIRST_FREQUENCY,
@@ -333,13 +332,13 @@ class TestSeed:
         b, coef = 1.0 + v, _transform_coefficients(v)[1]
         # phi at its certified depth for MGF_PRECISION.tol
         s = np.linspace(0.0, 20.0, 41)
-        depth = _tail_depth(coef, 20.0, b, MGF_PRECISION.tol, _TRANSFORM_DOMAIN)[0]
+        depth = _tail_depth(coef, 20.0, b, MGF_PRECISION.tol)[0]
         ref, ref_bound = _expm1_reference(-s, v, _reference_depth(20.0, v, depth, 1e-15))
         assert np.all(np.abs(limit_mgf(s, v) - ref) <= MGF_PRECISION.tol + ref_bound)
         # psi at the certified depth for tol, each frequency within its own
         # error coef * w**(d+1) * b**(-d*n), plus rounding far below tol
         om, tol = np.linspace(0.25, 64.0, 60), 1e-9
-        depth = _tail_depth(coef, om[-1], b, tol, _TRANSFORM_DOMAIN)[0]
+        depth = _tail_depth(coef, om[-1], b, tol)[0]
         psi = _kernel(1j * om, v, depth)
         bound = coef * om ** (D + 1) * b ** (-D * depth)
         assert np.all(bound <= tol)
@@ -363,14 +362,22 @@ class TestSeed:
         y = np.linspace(0.0, 1.0, 2001)
         seed = _kernel(np.concatenate([-y, 1j * y]), v, 0)
         assert np.all(np.abs(seed) <= 1.0 + 4 * np.finfo(float).eps)
-        # a large tolerance still leaves the certified depth inside it
+        # a large tolerance leaves |y| above 1 at its certified depth (1.8
+        # at v = 0.5, 2.5 at v = 0.999); the clamped seed still gives a
+        # value inside it
         assert 0.0 < limit_mgf(20.0, v, Precision(tol=10.0)) < 1.0
 
-    @pytest.mark.parametrize("x,depth", [(-3.0, 0), (2j, 1), (-1.6, 1)])
-    def test_seed_outside_the_unit_disk_raises(self, x, depth):
-        # x/b**depth beyond 1 in modulus, at v = 0.5
-        with pytest.raises(PrecisionError, match="seed"):
-            _kernel(np.array([0.5, x]), 0.5, depth)
+    @pytest.mark.parametrize("x,depth", [
+        (-3.0, 0), (2j, 1), (-1.6, 1), (-1e300, 0), (1e300j, 2), (-1e45, 20),
+    ])
+    def test_seed_outside_the_unit_disk_stays_in_it(self, x, depth):
+        # x/b**depth beyond 1 in modulus, at v = 0.5: the clamped seed, or
+        # past the polynomial's reach the seed 1, keeps every value and
+        # slope finite and every value in the closed unit disk
+        u, du = _kernel(np.array([0.5, x]), 0.5, depth, slope=True)
+        assert np.all(np.isfinite(u)) and np.all(np.isfinite(du))
+        assert np.all(np.abs(u) <= 1.0 + 4 * np.finfo(float).eps)
+        assert u[0] == _kernel(np.array([0.5]), 0.5, depth)[0]
 
     def test_full_efficiency_is_exp_exactly(self):
         s = np.linspace(0.0, 30.0, 61)
@@ -450,9 +457,9 @@ class TestExactDensity:
         # the segments past the one where every point stops
         tops, reach = [], [0.0]
 
-        def tail_depth(c, top, b, tol, domain):
+        def tail_depth(c, top, b, tol):
             tops.append(top)
-            return _tail_depth(c, top, b, tol, domain)
+            return _tail_depth(c, top, b, tol)
 
         def kernel(x, v, c, depth, slope=False):
             reach[0] = max(reach[0], float(np.abs(x).max()))
@@ -628,3 +635,9 @@ class TestExport:
         back = read_ensemble_csv(path)
         assert np.array_equal(back.samples, ens.samples)
         assert (back.v, back.z, back.n_gen, back.seed) == (0.5, 2, ens.n_gen, 29)
+        # a header without n_gen is refused by name
+        lines = path.read_text().splitlines()
+        path.write_text(lines[0].replace(f" n_gen={ens.n_gen}", "") + "\n"
+                        + "\n".join(lines[1:]) + "\n")
+        with pytest.raises(ValueError, match=r"misses keys \['n_gen'\]"):
+            read_ensemble_csv(path)

@@ -418,3 +418,7 @@ class TestDensitiesAndExport:
         assert lines[0].startswith("# v=0.5 K=57 z0=3 seed=19")
         first = lines[2].split(",")
         assert float(first[2]) == 3 / 57.0
+        # a header without seed and replicate is refused by name
+        path.write_text("# v=0.5 K=1000 z0=1\n" + "\n".join(lines[1:]) + "\n")
+        with pytest.raises(ValueError, match=r"misses keys \['seed', 'replicate'\]"):
+            read_trajectory_csv(path)
