@@ -303,9 +303,11 @@ def estimate_copies_normal(t, v: float, integer: bool = False):
     return float(z) if np.ndim(t) == 0 else z
 
 
-def default_z_max(t: float) -> int:
-    """Scan bound: the limit law concentrates near z, so 4t covers it."""
-    return max(10, math.ceil(4.0 * float(t)))
+def _resolve_z_max(t, z_max: int | None) -> int:
+    """z_max, or by default max(10, 4 max(t)): the limit law concentrates near z."""
+    if z_max is not None:
+        return z_max
+    return max(10, math.ceil(4.0 * float(np.max(t))))
 
 
 def copy_profile(t, v: float, z_max: int | None = None) -> np.ndarray:
@@ -313,23 +315,16 @@ def copy_profile(t, v: float, z_max: int | None = None) -> np.ndarray:
 
     Row z-1 holds the exact density of the z-ancestor limit W(z) at each
     point of t, within limit_law.DENSITY_PRECISION.tol
-    (limit_law.ancestor_density).  Scalar t gives a flat profile of shape
-    (z_max,).
+    (limit_law.ancestor_density).  z_max defaults to max(10, 4 max(t)).
+    Scalar t gives a flat profile of shape (z_max,).
     """
-    values = _profile(t, v, z_max).values
+    values = ancestor_density(t, v, _resolve_z_max(t, z_max)).values
     return values[:, 0] if np.ndim(t) == 0 else values
-
-
-def _profile(t, v, z_max) -> AncestorDensity:
-    """ancestor_density at t over the candidates 1..z_max (default 4t)."""
-    if z_max is None:
-        z_max = default_z_max(np.max(t))
-    return ancestor_density(t, v, z_max)
 
 
 def _scan(t, v, z_max) -> tuple[int, AncestorDensity]:
     """Likelihood scan over z = 1..z_max: (maximizer, densities at t)."""
-    dens = _profile(t, v, z_max)
+    dens = ancestor_density(t, v, z_max)
     prof, bound = dens.values[:, 0], dens.bounds[:, 0]
     if np.all(np.abs(prof) <= bound):
         raise OutOfSupportError(
@@ -354,7 +349,7 @@ def estimate_copies_mle(t: float, v: float, z_max: int | None = None) -> int:
     if every candidate's density at t is within its certified bound of 0
     the scan aborts with OutOfSupportError carrying that bound.
     """
-    return _scan(t, v, z_max)[0]
+    return _scan(t, v, _resolve_z_max(t, z_max))[0]
 
 
 @dataclass(frozen=True)
@@ -421,8 +416,7 @@ def estimate_from_trajectory(
     if v_eff == 1.0:
         z_mle = estimate_copies_normal(t_mean, 1.0, integer=True)
     elif run_mle:
-        if z_max is None:
-            z_max = default_z_max(t_mean)
+        z_max = _resolve_z_max(t_mean, z_max)
         z_mle, dens = _scan(t_mean, v_eff, z_max)
 
     settings = {

@@ -31,6 +31,7 @@ from qpcrkin.kinetics import (
     _seed_coefficients,
     _tail_depth,
 )
+from qpcrkin.simulate import BLOCK_SIZE, _block_cycles, _block_streams, _read_metadata
 
 __all__ = [
     "LimitEnsemble",
@@ -39,7 +40,6 @@ __all__ = [
     "MGF_PRECISION",
     "DENSITY_PRECISION",
     "TRUNCATION_SCALE",
-    "BLOCK_SIZE",
     "limit_variance",
     "sample_limit",
     "limit_mgf",
@@ -55,11 +55,6 @@ TRUNCATION_SCALE = 10 ** 6
 
 #: generation cap guarding absurd requests at tiny efficiencies
 MAX_GENERATIONS = 100_000
-
-#: samples per Philox block: sample i is lane i % BLOCK_SIZE of block
-#: i // BLOCK_SIZE.  The default ensemble size 10**4 is a multiple, so
-#: no drawn lane is discarded.
-BLOCK_SIZE = 1000
 
 MGF_PRECISION = Precision(tol=1e-12, max_iter=10_000)
 
@@ -125,12 +120,12 @@ def sample_limit(
     """Sample the scaled-growth limit by truncating at depth n_gen.
 
     Each sample runs an independent branching trajectory from z molecules
-    for n_gen generations and scales by b**n_gen.  Sample i is lane
-    i % BLOCK_SIZE of block i // BLOCK_SIZE; block k is the stream keyed
-    (seed, streams.GROWTH_LIMIT, replicate=k, aux=0), a purpose no
-    trajectory uses, and advances all its lanes with one array binomial
-    per generation.  Whole blocks are drawn and the result cut to count,
-    so the first samples do not depend on count.
+    for n_gen generations and scales by b**n_gen.  Sample i is lane i of
+    the runners' block layout (qpcrkin.streams) on streams.GROWTH_LIMIT,
+    a purpose no trajectory uses: each generation draws one array
+    binomial per block (simulate._block_cycles).  Whole blocks are drawn
+    and the result cut to count, so the first samples do not depend on
+    count.
     n_gen defaults to the smallest depth with b**n_gen >= 10**6.
     """
     if not 0.0 < v <= 1.0:
@@ -149,21 +144,23 @@ def sample_limit(
                 f"n_gen={n_gen} leaves the growth factor below {TRUNCATION_SCALE}; "
                 f"need at least {default_generations(v)}"
             )
-    # lanes are int64: keep the mean count z*b**n_gen 64-fold below overflow
+    # lanes are int64: keep the mean count z*b**n_gen 64-fold below
+    # overflow, so the step needs no per-generation range check
     if math.log(z) + n_gen * math.log1p(v) > 57 * math.log(2.0):
         raise ValueError(f"z={z} at n_gen={n_gen} overflows the int64 molecule count")
 
-    scale = math.exp(-n_gen * math.log1p(v))
-    blocks = -(-count // BLOCK_SIZE)
-    out = np.empty((blocks, BLOCK_SIZE), dtype=float)
-    pool = streams.ReusableStream()
-    for k in range(blocks):
-        binom = pool.reset(seed, streams.GROWTH_LIMIT, k).binomial
-        y = np.full(BLOCK_SIZE, z, dtype=np.int64)
-        for _ in range(n_gen):
-            y += binom(y, v)
-        out[k] = y * scale
-    return LimitEnsemble(out.ravel()[:count], v=v, z=z, n_gen=n_gen, seed=seed)
+    gens = _block_streams(streams.GROWTH_LIMIT, seed, count)
+    y = np.full(len(gens) * BLOCK_SIZE, z, dtype=np.int64)
+    p = np.full(y.size, v)  # draw cuts every arg into block rows
+
+    def step(y, draw, n):
+        y += draw("binomial", y, p)
+        return y
+
+    for _ in _block_cycles(gens, BLOCK_SIZE, y, n_gen, step):
+        pass  # step advances y in place
+    samples = y[:count] * math.exp(-n_gen * math.log1p(v))
+    return LimitEnsemble(samples, v=v, z=z, n_gen=n_gen, seed=seed)
 
 
 #: the transform seed is formed where |y| = |x|/b**n is at most this, so its
@@ -636,21 +633,6 @@ def write_ensemble_csv(ens: LimitEnsemble, path) -> None:
         fh.write("sample\n")
         for x in ens.samples:
             fh.write(f"{x:.17g}\n")
-
-
-def _read_metadata(fh, path, keys) -> dict:
-    """The `# key=value ...` first line of a CSV file, holding every name in keys.
-
-    Raises ValueError without that line or naming the keys it lacks.
-    """
-    header = fh.readline().strip()
-    if not header.startswith("# "):
-        raise ValueError(f"{path}: missing metadata header")
-    meta = dict(item.split("=", 1) for item in header[2:].split())
-    missing = [key for key in keys if key not in meta]
-    if missing:
-        raise ValueError(f"{path}: metadata header misses keys {missing}")
-    return meta
 
 
 def read_ensemble_csv(path) -> LimitEnsemble:

@@ -5,8 +5,10 @@ molecule independently with probability v*K/(K + z), z being the current
 count, so a cycle's increment is one binomial variate.  The coupled
 construction draws the reaction and two constant-probability branching
 references on shared per-molecule uniforms, as counts, for pathwise
-comparison.  The experiment runners draw their replicates in lockstep
-blocks, all blocks one cycle at a time.
+comparison.  Randomness comes in the two layouts of qpcrkin.streams: a
+single trajectory owns one stream (aux 0); the experiment runners and
+limit_law.sample_limit draw in blocks of BLOCK_SIZE lanes (aux 1), all
+blocks one cycle at a time (_block_streams, _block_cycles).
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ import numpy as np
 
 from qpcrkin import streams
 from qpcrkin.kinetics import Kinetics, mean_map
-from qpcrkin.limit_law import BLOCK_SIZE, _read_metadata
 
 __all__ = [
+    "BLOCK_SIZE",
     "SimConfig",
     "Trajectory",
     "CoupledRun",
@@ -40,7 +42,11 @@ __all__ = [
 
 INT64_MAX = np.iinfo(np.int64).max
 
-# aux tag of the replicate-block streams; aux 0 keys single trajectories
+#: lanes per Philox block; the default ensemble size 10**4 is a multiple,
+#: so no drawn lane is discarded
+BLOCK_SIZE = 1000
+
+# aux tag of the block streams; aux 0 keys single trajectories
 REPLICATE_BLOCK_AUX = 1
 
 # One generator rewound per trajectory instead of a fresh Philox per call.
@@ -200,15 +206,12 @@ def simulate_replicates(
     """Many trajectories of the saturating process, simulated in lockstep.
 
     Returns a (replicates, n_cycles + 1) int64 count matrix whose row i
-    is replicate i.  Replicate i is lane i % BLOCK_SIZE of the stream
-    keyed (seed, REACTION, replicate=i // BLOCK_SIZE, aux=1).  The blocks
-    advance together, cycle by cycle (_block_cycles): each cycle draws one
-    array binomial(z, v*K/(K + z)) per block from its own stream, so a
-    block's counts do not depend on the others.  Whole blocks are drawn
-    and the result cut to replicates, so the first rows do not depend on
-    replicates.  simulate_reaction keys its single trajectory with aux=0,
-    so the two layouts never share a stream.  Raises SaturationError
-    before any count would leave the 64-bit range.
+    is replicate i, lane i of the block layout (qpcrkin.streams) on the
+    REACTION purpose: each cycle draws one array binomial(z, v*K/(K + z))
+    per block from the block's own stream.  Whole blocks are drawn and the
+    result cut to replicates, so the first rows do not depend on
+    replicates.  Raises SaturationError before any count would leave the
+    64-bit range.
     """
     return _count_rows(list(_reaction_cycles(kinetics, z0, n_cycles, replicates, seed)))
 
@@ -249,7 +252,7 @@ def _check_range(inc: np.ndarray, count: np.ndarray, n: int) -> None:
 
 
 def _block_streams(purpose: int, seed: int, replicates: int) -> list:
-    """One generator per BLOCK_SIZE replicates: block k on (seed, purpose, k, aux=1)."""
+    """One generator per BLOCK_SIZE lanes: block k on (seed, purpose, k, aux=1)."""
     return [streams.stream(seed, purpose, k, REPLICATE_BLOCK_AUX)
             for k in range(-(-replicates // BLOCK_SIZE))]
 
@@ -259,11 +262,12 @@ def _block_cycles(gens: list, lanes: int, start: np.ndarray, n_cycles: int, step
 
     A generator of the state of every lane after cycles 0..n_cycles; row
     i of start is lane i at cycle 0.  step(state, draw, n) returns the
-    state after cycle n and does its arithmetic on all lanes at once.  Its
-    random numbers come from draw(method, *args), which calls method on
-    each block's generator with that block's rows of args and joins the
-    results in lane order, so every block's stream makes the draws it
-    would make alone, in the same order.
+    state after cycle n, in place if the consumer reads only the last, and
+    does its arithmetic on all lanes at once.  Its random numbers come
+    from draw(method, *args), which calls method on each block's generator
+    with that block's rows of args and joins the results in lane order,
+    so every block's stream makes the draws it would make alone, in the
+    same order.
     """
     cuts = range(0, len(gens) * lanes, lanes)
 
@@ -386,6 +390,26 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         writer.writerow(["cycle", "count", "density"])
         for n, z in enumerate(traj.counts):
             writer.writerow([n, int(z), f"{z / kin.K:.17g}"])
+
+
+def _read_metadata(fh, path, keys) -> dict:
+    """The `# key=value ...` first line of a CSV file, holding every name in keys.
+
+    Raises ValueError without that line, at an item without `=`, or
+    naming the keys it lacks.
+    """
+    header = fh.readline().strip()
+    if not header.startswith("# "):
+        raise ValueError(f"{path}: missing metadata header")
+    items = header[2:].split()
+    bad = [item for item in items if "=" not in item]
+    if bad:
+        raise ValueError(f"{path}: metadata item {bad[0]!r} is not key=value")
+    meta = dict(item.split("=", 1) for item in items)
+    missing = [key for key in keys if key not in meta]
+    if missing:
+        raise ValueError(f"{path}: metadata header misses keys {missing}")
+    return meta
 
 
 def read_trajectory_csv(path) -> Trajectory:

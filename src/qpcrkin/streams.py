@@ -5,30 +5,24 @@ purpose, aux, replicate).  Streams with distinct keys are statistically
 independent, so the units they feed can run in any order or in parallel
 without draw-order coupling, and a unit's draws depend only on its key.
 
-What one replicate index names depends on the consumer:
+Streams come in two layouts, told apart by aux, so they never share a key:
 
-- The single-trajectory simulators (simulate_reaction, simulate_linear,
-  simulate_coupled) give each trajectory its own stream, replicate = the
-  trajectory's replicate_id and aux = 0.
-- The experiment runners simulate their replicates in lockstep blocks
-  (simulate.simulate_replicates, simulate.simulate_coupled_replicates):
-  replicate i is lane i % BLOCK_SIZE of the REACTION or COUPLED stream
-  with replicate = i // BLOCK_SIZE and aux = 1, so runner blocks and
-  single trajectories never share a key.  The blocks advance together,
-  cycle by cycle: each cycle makes one array draw per block from that
-  block's stream, so a block's draws do not depend on the other blocks,
-  and the first n replicates are the same for every replicate count >= n.
-  A consumer may stop after any cycle; the cycles it has drawn are those
-  of the full run (the estimation runner stops once every replicate's
-  observed window is drawn).
-- Growth-limit ensembles (limit_law.sample_limit) draw in blocks of
-  limit_law.BLOCK_SIZE samples: sample i is lane i % BLOCK_SIZE of the
-  GROWTH_LIMIT stream with replicate = i // BLOCK_SIZE and aux = 0.  That
-  purpose is fixed and no trajectory uses it, so ensembles stay off the
-  trajectories' keys.  A block's lanes share its stream in lockstep, one
-  array binomial per generation, so a single sample is reproducible only
-  together with its block, and the first n samples of an ensemble are
-  the same for every count >= n.
+- Single streams, aux = 0.  The single-trajectory simulators
+  (simulate_reaction, simulate_linear, simulate_coupled) give each
+  trajectory its own stream, replicate = the trajectory's replicate_id.
+- Blocks, aux = 1.  Whatever is drawn in bulk comes in blocks of
+  simulate.BLOCK_SIZE lanes: lane i is lane i % BLOCK_SIZE of the stream
+  with replicate = i // BLOCK_SIZE.  The experiment runners draw their
+  replicates so on REACTION or COUPLED (simulate.simulate_replicates,
+  simulate.simulate_coupled_replicates), and limit_law.sample_limit its
+  samples on GROWTH_LIMIT, a purpose no trajectory uses.  The blocks
+  advance together, cycle by cycle, each cycle one array draw per block
+  from its own stream, so a block's draws do not depend on the other
+  blocks, a lane is reproducible together with its block, and the first
+  n lanes are the same for every lane count >= n.  A consumer may stop
+  after any cycle; the cycles it has drawn are those of the full run
+  (the estimation runner stops once every replicate's observed window is
+  drawn).
 """
 
 from __future__ import annotations
@@ -77,7 +71,7 @@ def stream(seed: int, purpose: int, replicate: int, aux: int = 0) -> np.random.G
 
 
 class ReusableStream:
-    """One generator recycled across the replicates or blocks of a loop.
+    """One generator recycled across the single streams of a loop.
 
     Constructing a fresh Philox per key costs several microseconds;
     rewinding the state of a single one costs a fraction of that.  reset()

@@ -16,7 +16,6 @@ from qpcrkin.kinetics import (
     _tail_depth,
 )
 from qpcrkin.limit_law import (
-    BLOCK_SIZE,
     DENSITY_PRECISION,
     FIRST_FREQUENCY,
     MGF_PRECISION,
@@ -33,6 +32,7 @@ from qpcrkin.limit_law import (
     sample_limit,
     write_ensemble_csv,
 )
+from qpcrkin.simulate import BLOCK_SIZE, _block_streams
 
 
 def _certified_depth(c, b, tol):
@@ -103,9 +103,10 @@ class TestBlockLayout:
         assert np.array_equal(long[:2000], sample_limit(0.5, count=2000, seed=4).samples)
 
     def test_block_is_one_stream(self):
-        # block 1 advances its lanes in lockstep on the stream of replicate 1
+        # block 1 advances its lanes in lockstep on the stream of replicate 1,
+        # keyed with the runners' block aux tag
         v, n_gen = 0.5, 35
-        gen = streams.stream(4, streams.GROWTH_LIMIT, 1, 0)
+        gen = streams.stream(4, streams.GROWTH_LIMIT, 1, aux=1)
         y = np.full(BLOCK_SIZE, 2, dtype=np.int64)
         for _ in range(n_gen):
             y += gen.binomial(y, v)
@@ -113,10 +114,10 @@ class TestBlockLayout:
         assert np.array_equal(got[BLOCK_SIZE:], y * math.exp(-n_gen * math.log1p(v)))
 
     def test_purpose_selects_distinct_blocks(self):
-        # block 0 drawn the same way on the trajectories' REACTION key
+        # block 0 drawn the same way on the runners' REACTION block key
         # differs: ensembles keep to their GROWTH_LIMIT keys
         v, n_gen = 0.5, default_generations(0.5)
-        gen = streams.stream(4, streams.REACTION, 0, 0)
+        gen = _block_streams(streams.REACTION, 4, BLOCK_SIZE)[0]
         y = np.ones(BLOCK_SIZE, dtype=np.int64)
         for _ in range(n_gen):
             y += gen.binomial(y, v)
@@ -640,4 +641,8 @@ class TestExport:
         path.write_text(lines[0].replace(f" n_gen={ens.n_gen}", "") + "\n"
                         + "\n".join(lines[1:]) + "\n")
         with pytest.raises(ValueError, match=r"misses keys \['n_gen'\]"):
+            read_ensemble_csv(path)
+        # an item without "=" is refused by path and item
+        path.write_text("# v=0.5 z seed=29\n" + "\n".join(lines[1:]) + "\n")
+        with pytest.raises(ValueError, match=r"ens\.csv: metadata item 'z' is not key=value"):
             read_ensemble_csv(path)

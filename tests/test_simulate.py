@@ -9,8 +9,8 @@ from scipy import stats
 
 from qpcrkin import streams
 from qpcrkin.kinetics import Kinetics, iterate_mean_map
-from qpcrkin.limit_law import BLOCK_SIZE
 from qpcrkin.simulate import (
+    BLOCK_SIZE,
     CoupledRun,
     CouplingViolationError,
     SaturationError,
@@ -421,4 +421,8 @@ class TestDensitiesAndExport:
         # a header without seed and replicate is refused by name
         path.write_text("# v=0.5 K=1000 z0=1\n" + "\n".join(lines[1:]) + "\n")
         with pytest.raises(ValueError, match=r"misses keys \['seed', 'replicate'\]"):
+            read_trajectory_csv(path)
+        # an item without "=" is refused by path and item
+        path.write_text("# v=0.5 K seed=1 replicate=0\n" + "\n".join(lines[1:]) + "\n")
+        with pytest.raises(ValueError, match=r"traj\.csv: metadata item 'K' is not key=value"):
             read_trajectory_csv(path)
