@@ -177,7 +177,8 @@ def run_convergence(spec: ScenarioSpec) -> ExperimentResult:
     decile table.  With shift=n the trajectories at cycle m+n are also
     compared with the law of f^n(H(W(z0))), F_{z0}(G(x)/b**n) since
     G(f(y)) = b*G(y).  ks_bound is the certified CDF error at the
-    compared points, so each KS value is exact to within it.
+    compared points, truncation and grid interpolation together
+    (limit_law.ancestor_cdf), so each KS value is exact to within it.
     """
     if spec.kind != "convergence":
         raise ValueError("spec.kind must be 'convergence'")
@@ -188,13 +189,13 @@ def run_convergence(spec: ScenarioSpec) -> ExperimentResult:
     counts = simulate_replicates(kin, spec.z0, n_cycles, spec.replicates, spec.seed)
     x_m = counts[:, spec.m] / kin.K
     deciles = np.percentile(x_m, np.arange(10, 100, 10))
-    # one CDF call for every compared point: x_m, the deciles, x_shifted
-    t = [inverse_profile(x_m, kin), inverse_profile(deciles, kin)]
-    if spec.shift:
-        x_shift = counts[:, n_cycles] / kin.K
-        t.append(inverse_profile(x_shift, kin) / kin.b ** spec.shift)
-    law = ancestor_cdf(np.concatenate(t), spec.v, spec.z0)
+    x_shift = counts[:, n_cycles] / kin.K if spec.shift else x_m[:0]
+    # one inverse and one CDF call for every compared point: x_m, the
+    # deciles, x_shifted; inverse_profile is elementwise
     n, nd = spec.replicates, spec.replicates + deciles.size
+    t = inverse_profile(np.concatenate([x_m, deciles, x_shift]), kin)
+    t[nd:] /= kin.b ** spec.shift
+    law = ancestor_cdf(t, spec.v, spec.z0)
     summary = {
         "m": spec.m,
         "shift": spec.shift,
@@ -202,6 +203,7 @@ def run_convergence(spec: ScenarioSpec) -> ExperimentResult:
         "ks_shifted": _ks_to_law(law.values[nd:]) if spec.shift else None,
         "ks_bound": law.bound,
         "limit_cdf_points": law.points,
+        "limit_cdf_grid": law.grid,
         "trajectory_deciles": deciles.tolist(),
         "limit_cdf_at_deciles": law.values[n:nd].tolist(),
     }
@@ -262,6 +264,8 @@ def run_estimation(spec: ScenarioSpec) -> ExperimentResult:
         "fraction_within_one": None,
         "t_vs_limit_ks": None,
         "ks_bound": None,
+        "limit_cdf_points": None,
+        "limit_cdf_grid": None,
         "v_hat_median": None,
     }
     if replicate_ids.size:
@@ -287,6 +291,8 @@ def run_estimation(spec: ScenarioSpec) -> ExperimentResult:
             law = ancestor_cdf(t_means, spec.v, spec.z0)
             summary["t_vs_limit_ks"] = _ks_to_law(law.values)
             summary["ks_bound"] = law.bound
+            summary["limit_cdf_points"] = law.points
+            summary["limit_cdf_grid"] = law.grid
         if v_hats is not None and np.any(~np.isnan(v_hats)):
             summary["v_hat_median"] = float(np.nanmedian(v_hats))
     return ExperimentResult(

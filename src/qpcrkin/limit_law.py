@@ -502,14 +502,24 @@ class AncestorCDF:
     """Distribution function of the z-ancestor limit W(z) at given points.
 
     values holds P(W(z) <= t) at each point, each within the certified
-    bound, which is one for all points.  The sum took `points`
-    frequencies, the highest at transform depth `depth`.
+    bound, which is one for all points and includes the interpolation
+    term.  The sum took `points` frequencies, the highest at transform
+    depth `depth`, and was tabulated on `grid` points of its period.
     """
 
     values: np.ndarray
     bound: float
     points: int
     depth: int
+    grid: int
+
+
+#: share of the tolerance left to the truncation of the frequency sum; the
+#: rest goes to the interpolation between grid points
+TRUNCATION_SHARE = 0.875
+
+#: grid points per frequency allowed at the cap, 2**22 at DENSITY_PRECISION
+GRID_PER_FREQUENCY = 64
 
 
 def ancestor_cdf(t, v: float, z: int,
@@ -518,13 +528,16 @@ def ancestor_cdf(t, v: float, z: int,
 
     Integrating ancestor_density's trapezoid sum term by term from 0 gives
 
-        F_z(t) ~ (h/pi) * (t/2 + sum_j Re(psi_j**z * (1 - exp(-i w_j t)) / (i w_j)))
+        F_z(t) ~ (h/pi) * (t/2 + sum_j Re(c_j * (1 - exp(-i w_j t))))
 
-    on the same grid w_j = j*h, h = 2*pi/T, T = 4*max(z, t) + 8, with
-    psi_j = psi(w_j) from the same segments, transform depths and kernel
-    calls (_transform_pieces).  The sum over j is a Horner recursion in
-    q = exp(-i h t), elementwise, so a point's value depends on the others
-    only through the period.
+    with c_j = psi_j**z / (i w_j), on the same grid w_j = j*h, h = 2*pi/T,
+    T = 4*max(z, t) + 8, psi_j = psi(w_j) from the same segments,
+    transform depths and kernel calls (_transform_pieces).  At t_k = k*T/M
+    the sum over j is the discrete Fourier transform of c_1..c_N padded
+    with zeros to length M, so one FFT tabulates F on a grid over the
+    period, and each point takes the linear interpolation between its two
+    grid neighbours.  M depends only on the period, v, z and prec, so a
+    point's value depends on the others only through the period.
 
     Bound.  |1 - exp(-i w t)| <= 2, so the frequencies past the top
     Omega leave out at most (2h/pi) * sum_{j>N} |psi_j|**z / w_j.  On the
@@ -536,7 +549,12 @@ def ancestor_cdf(t, v: float, z: int,
     ((b-1)*Omega/h + 1) * M**z * r**z / (Omega*(1 - r**z)).  The transform error
     adds z*(2h/pi) * sum_j err_j / w_j, err_j psi_j's certified error.
     Neither term depends on t, so one stop serves every point: the end of
-    the first segment where the bound is at most prec.tol.
+    the first segment where their sum is at most TRUNCATION_SHARE*prec.tol.
+    The sum's second derivative is at most (h/pi) * sum_j |psi_j|**z w_j
+    in size, so linear interpolation on the grid errs by at most
+    (T/M)**2/8 times that; M is the smallest power of two above N that
+    keeps this term within the rest of prec.tol, and the bound is the sum
+    of both terms.
 
     Aliasing.  The sum integrates sum_k f_z(t + k*T) from 0, which
     exceeds F_z(t) by sum_{k>=1} P(kT < W(z) <= kT + t) <= P(W(z) > T);
@@ -544,10 +562,14 @@ def ancestor_cdf(t, v: float, z: int,
     the bound.  Values are returned as computed, even slightly outside
     [0, 1].
 
-    At v = 1, W(z) = z, so F is the step at z, exact with bound 0 and no
-    frequencies.  Raises PrecisionError when the bound still exceeds
-    prec.tol at prec.max_iter frequencies, carrying the values and the
-    bound there, or when psi needs a depth beyond MGF_PRECISION.max_iter.
+    At v = 1, W(z) = z, so F is the step at z, exact with bound 0, no
+    frequencies and no grid.  The grid is capped at
+    GRID_PER_FREQUENCY*prec.max_iter points, checked on the predicted M
+    before the table is built.  Raises PrecisionError, carrying the values
+    and the bound, when the bound exceeds prec.tol: the truncation still
+    exceeds its share at prec.max_iter frequencies, or the interpolation
+    needs a grid above the cap and the table built at the cap misses
+    prec.tol; or when psi needs a depth beyond MGF_PRECISION.max_iter.
     """
     pts = np.atleast_1d(_as_nonnegative_array(t, "t"))
     if pts.ndim != 1 or pts.size == 0:
@@ -560,16 +582,18 @@ def ancestor_cdf(t, v: float, z: int,
     if z < 1:
         raise ValueError("z must be at least 1")
     if v == 1.0:
-        return AncestorCDF((pts >= z).astype(float), 0.0, 0, 0)
+        return AncestorCDF((pts >= z).astype(float), 0.0, 0, 0, 0)
 
     b = 1.0 + v
     period = 4.0 * max(z, float(pts.max())) + 8.0
     h = 2.0 * math.pi / period
-    coefs = []
-    psi_error = 0.0
+    coefs = [np.zeros(1)]
+    psi_error = curvature = 0.0
     for om, ps, _, err, end in _transform_pieces(h, v, z, prec, slope=False):
-        coefs.append(ps ** z / (1j * om))
+        pz = ps ** z
+        coefs.append(pz / (1j * om))
         psi_error += err * float(np.sum(om ** _SEED_ORDER))
+        curvature += float(np.sum(np.abs(pz) * om))
         if end is None:
             continue
         points, depth, m, _ = end
@@ -577,23 +601,28 @@ def ancestor_cdf(t, v: float, z: int,
         rz = r ** z
         tail = (((b - 1.0) * top / h + 1.0) * m ** z * rz / (top * (1.0 - rz))
                 if rz < 1.0 else math.inf)
-        bound = (2.0 * h / math.pi) * (tail + z * psi_error)
-        if bound <= prec.tol or points == prec.max_iter:
+        truncation = (2.0 * h / math.pi) * (tail + z * psi_error)
+        if truncation <= TRUNCATION_SHARE * prec.tol or points == prec.max_iter:
             break
+    # (T/M)**2/8 * (h/pi) * curvature <= (1 - TRUNCATION_SHARE) * prec.tol
+    need = period * math.sqrt(h * curvature / (8.0 * math.pi * (1.0 - TRUNCATION_SHARE) * prec.tol))
+    cap = GRID_PER_FREQUENCY * prec.max_iter
+    grid = min(cap, 1 << max(points.bit_length(), math.ceil(math.log2(need))))
+    # c[j] = c_j at index j, padded by the FFT to the grid; only the grid
+    # points up to the largest t are read
     c = np.concatenate(coefs)
-    q = np.exp(-1j * h * pts)
-    acc = np.full(pts.size, c[-1])
-    for cj in c[-2::-1]:
-        acc *= q
-        acc += cj
-    acc *= q
-    values = (h / math.pi) * (0.5 * pts + (float(c.real.sum()) - acc.real))
+    step = period / grid
+    tk = step * np.arange(int(float(pts.max()) / step) + 2)
+    sums = np.fft.fft(c, grid)[:tk.size].real
+    values = np.interp(pts, tk, (h / math.pi) * (0.5 * tk + (float(c.real.sum()) - sums)))
+    bound = truncation + step * step / 8.0 * (h / math.pi) * curvature
     if not bound <= prec.tol:
         raise PrecisionError(
-            f"distribution bound {bound:.3g} above tol={prec.tol} at the cap "
-            f"of {prec.max_iter} frequencies", value=values, bound=bound,
+            f"distribution bound {bound:.3g} above tol={prec.tol} with {points} "
+            f"frequencies (cap {prec.max_iter}) on a grid of {grid} points "
+            f"(cap {cap})", value=values, bound=bound,
         )
-    return AncestorCDF(values, bound, points, depth)
+    return AncestorCDF(values, bound, points, depth, grid)
 
 
 def pointwise_density(samples, points) -> np.ndarray:

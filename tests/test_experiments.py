@@ -134,7 +134,7 @@ class TestConvergence:
         deciles = np.array(s["trajectory_deciles"])
         steps = (inverse_profile(deciles, kin) >= 2).astype(float)
         assert s["limit_cdf_at_deciles"] == steps.tolist()
-        assert s["ks_bound"] == 0.0 and s["limit_cdf_points"] == 0
+        assert s["ks_bound"] == 0.0 and s["limit_cdf_points"] == s["limit_cdf_grid"] == 0
         target = float(limit_profile(2.0, kin))
         below = np.mean([rec["x_m"] < target for rec in res.records])
         assert s["ks"] == pytest.approx(max(below, 1.0 - below), abs=1e-12)
@@ -168,10 +168,24 @@ class TestConvergence:
         assert res.summary["limit_cdf_at_deciles"][4] == pytest.approx(
             float(law(np.array([median]))[0]), abs=2 * res.summary["ks_bound"])
 
+    @pytest.mark.parametrize("v", [0.25, 0.5, 0.9])
+    def test_one_inverse_call_equals_one_per_part(self, v):
+        # the runner inverts x_m, the deciles and the shifted values in one
+        # inverse_profile call: it must give each part bitwise what a call
+        # on that part alone gives
+        m = 30
+        kin = Kinetics.from_exponent(v, m)
+        counts = simulate_replicates(kin, 2, m + 1, 300, seed=17)
+        x_m = counts[:, m] / kin.K
+        parts = [x_m, np.percentile(x_m, np.arange(10, 100, 10)), counts[:, m + 1] / kin.K]
+        together = inverse_profile(np.concatenate(parts), kin)
+        assert np.array_equal(together, np.concatenate([inverse_profile(p, kin) for p in parts]))
+
     def test_accuracy_reported(self):
         s = run_convergence(self.make(shift=1)).summary
         assert 0.0 < s["ks_bound"] <= DENSITY_PRECISION.tol
         assert s["limit_cdf_points"] > 0
+        assert s["limit_cdf_grid"] > s["limit_cdf_points"]
         cdf = np.array(s["limit_cdf_at_deciles"])
         assert np.all(np.abs(cdf - np.arange(0.1, 0.95, 0.1)) < 0.05)
 
@@ -190,6 +204,7 @@ class TestEstimation:
         assert s["z_hat_mode"] == 4
         assert s["fraction_within_one"] >= 0.9
         assert s["t_vs_limit_ks"] is None
+        assert s["limit_cdf_points"] is None and s["limit_cdf_grid"] is None
         assert all(rec["z_hat"] >= 1 for rec in res.records)
 
     def test_fitted_efficiency_and_t_law(self):
@@ -200,6 +215,8 @@ class TestEstimation:
         assert s["detected"] == 80
         assert abs(s["v_hat_median"] - 0.5) < 0.15
         assert s["t_vs_limit_ks"] <= 0.25
+        assert 0.0 < s["ks_bound"] <= DENSITY_PRECISION.tol
+        assert s["limit_cdf_grid"] > s["limit_cdf_points"] > 0
         assert all("v_hat" in rec for rec in res.records)
 
     def test_missed_replicates_counted(self):

@@ -22,6 +22,7 @@ from qpcrkin.limit_law import (
     LimitEnsemble,
     _complement_iteration,
     _transform_coefficients,
+    _transform_pieces,
     ancestor_cdf,
     ancestor_density,
     default_generations,
@@ -526,7 +527,65 @@ class TestExactDensity:
         assert np.array_equal(a.values, b.values)
 
 
+def _trapezoid_terms(t, v, z, prec, points):
+    """h, w_j and c_j = psi_j**z / (i w_j) of ancestor_cdf's sum on `points` frequencies."""
+    h = 2.0 * math.pi / (4.0 * max(z, float(np.max(t))) + 8.0)
+    om, c = [], []
+    for w, ps, _, _, end in _transform_pieces(h, v, z, prec, slope=False):
+        om.append(w)
+        c.append(ps ** z / (1j * w))
+        if end and end[0] == points:
+            return h, np.concatenate(om), np.concatenate(c)
+    raise AssertionError(f"no segment ends at {points} frequencies")
+
+
 class TestExactCDF:
+    @pytest.mark.parametrize("v,z", [(0.5, 1), (0.25, 3), (0.9, 10)])
+    def test_grid_points_are_the_trapezoid_sum(self, v, z):
+        # at t_k = k*T/M the FFT table is the trapezoid sum itself: the
+        # direct sum over j, with the phase w_j t_k = 2 pi (j*k mod M)/M
+        t_max = 2.0 * z + 2.0
+        grid = ancestor_cdf(t_max, v, z).grid
+        period = 4.0 * max(z, t_max) + 8.0
+        top = int(grid * t_max / period)
+        k = np.array([0, 1, 2, 7, top // 3, top - 1, top])
+        t = np.append(k * (period / grid), t_max)
+        cdf = ancestor_cdf(t, v, z)
+        assert cdf.grid == grid
+        h, om, c = _trapezoid_terms(t, v, z, DENSITY_PRECISION, cdf.points)
+        j = np.arange(1, om.size + 1)
+        phase = np.exp(-2j * math.pi * (np.outer(k, j) % grid) / grid)
+        direct = (h / math.pi) * (0.5 * t[:-1] + (c - phase * c).real.sum(axis=1))
+        assert np.max(np.abs(cdf.values[:-1] - direct)) <= 1e-13
+
+    @pytest.mark.parametrize("v", [0.05, 0.25, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("z", [1, 3, 10])
+    def test_interpolation_within_its_term_off_the_grid(self, v, z):
+        # between grid points the value is within (T/M)**2/8 * (h/pi) *
+        # sum |psi_j|**z w_j of the direct sum on the same frequencies, a
+        # term inside the reported bound.  With one ancestor, FINE is out
+        # of reach at v <= 0.5 (frequency cap) and at 0.99 (grid cap): there
+        # the sum is cut at 4096 frequencies, and the error carries the
+        # values and the bound on a grid of 64*4096 points
+        t = np.linspace(0.05, 2.0 * z + 2.0, 13) + math.pi * 1e-4
+        if z == 1 and v != 0.9:
+            prec = Precision(FINE.tol, max_iter=4096)
+            with pytest.raises(PrecisionError) as err:
+                ancestor_cdf(t, v, z, prec)
+            values, bound, points, grid = err.value.value, err.value.bound, 4096, 64 * 4096
+        else:
+            prec = FINE
+            cdf = ancestor_cdf(t, v, z, prec)
+            assert cdf.bound <= FINE.tol
+            values, bound, points, grid = cdf.values, cdf.bound, cdf.points, cdf.grid
+        h, om, c = _trapezoid_terms(t, v, z, prec, points)
+        direct = (h / math.pi) * (0.5 * t + (c * (1.0 - np.exp(-1j * np.outer(t, om)))).real.sum(axis=1))
+        step = 2.0 * math.pi / (h * grid)
+        assert np.all(np.abs(np.remainder(t / step + 0.5, 1.0) - 0.5) > 1e-6)
+        interpolation = step ** 2 / 8.0 * (h / math.pi) * float(np.sum(np.abs(c) * om ** 2))
+        assert interpolation <= bound
+        assert np.all(np.abs(values - direct) <= interpolation)
+
     @pytest.mark.parametrize("v", [0.25, 0.5, 0.9])
     @pytest.mark.parametrize("z", [1, 3])
     def test_laplace_transform_matches_mgf(self, v, z):
@@ -587,7 +646,7 @@ class TestExactCDF:
     def test_step_at_unit_efficiency(self):
         cdf = ancestor_cdf(np.array([0.0, 2.5, 3.0, 3.5, 50.0]), 1.0, 3)
         assert cdf.values.tolist() == [0.0, 0.0, 1.0, 1.0, 1.0]
-        assert (cdf.bound, cdf.points, cdf.depth) == (0.0, 0, 0)
+        assert (cdf.bound, cdf.points, cdf.depth, cdf.grid) == (0.0, 0, 0, 0)
 
     def test_cap_raises_with_values_and_bound(self):
         prec = Precision(tol=1e-6, max_iter=256)
@@ -597,6 +656,29 @@ class TestExactCDF:
         value, bound = err.value.value, err.value.bound
         assert value.shape == (3,) and bound > prec.tol
         full = ancestor_cdf(t, 0.5, 1)
+        assert np.all(np.abs(value - full.values) <= bound + full.bound)
+
+    def test_grid_cap_raises_with_values_and_bound(self, monkeypatch):
+        # at v = 0.99 the density is so peaked that at tol 1e-7 the
+        # truncation meets its share at 7936 frequencies, below the cap of
+        # 8192, but the interpolation needs more than 64*8192 grid points:
+        # the table is built once, at that cap, and the error carries its
+        # values and their bound
+        t, prec = np.array([0.3, 0.7, 1.0]), Precision(tol=1e-7, max_iter=8192)
+        sizes = []
+        fft = np.fft.fft
+
+        def counted(a, n=None, *args, **kwargs):
+            sizes.append(n)
+            return fft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counted)
+        with pytest.raises(PrecisionError, match=r"with 7936 frequencies \(cap 8192\)") as err:
+            ancestor_cdf(t, 0.99, 1, prec)
+        value, bound = err.value.value, err.value.bound
+        assert sizes == [64 * 8192]
+        assert value.shape == (3,) and bound > prec.tol
+        full = ancestor_cdf(t, 0.99, 1)
         assert np.all(np.abs(value - full.values) <= bound + full.bound)
 
     def test_point_does_not_depend_on_the_others(self):
