@@ -544,15 +544,6 @@ def inverse_profile(y, kin: Kinetics, prec: Precision = INVERSE_PRECISION):
     u = flat[open_]
     d, t = np.empty(u.size), np.empty(u.size)
     in_place = False
-    # r_n >= g_n >= y puts every bound at or above 2c * y**(d+1) * b**(-d*n),
-    # so no element can be certified before the depth of the smallest
-    # positive y; zeros stay zero under the map.  Testing starts one step
-    # early, a margin against rounding.
-    y_min = u.min(initial=np.inf, where=u > 0.0)
-    first = 0
-    if y_min < np.inf:
-        log_c = math.log(2.0 * c) + (_SEED_ORDER + 1) * math.log(y_min)
-        first = min(_log_depth(log_c, b ** _SEED_ORDER, tol) - 1, cap)
     # until the end, g and bound hold each element's iterate and scale at
     # the step it stopped
     for n in range(cap + 1):
@@ -562,8 +553,6 @@ def inverse_profile(y, kin: Kinetics, prec: Precision = INVERSE_PRECISION):
                 _inverse_map_below_b(u, b, d[:u.size], t[:u.size])
             else:
                 u = _inverse_mean_map(u, b)
-        if n < first:
-            continue
         scale = b ** n
         if n == cap:
             g[open_], bound[open_] = u, scale

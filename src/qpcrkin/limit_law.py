@@ -62,10 +62,8 @@ MGF_PRECISION = Precision(tol=1e-12, max_iter=10_000)
 #: number of frequencies of its inversion grid
 DENSITY_PRECISION = Precision(tol=1e-4, max_iter=2 ** 16)
 
-#: top frequency of the first segment of an inversion grid
-FIRST_FREQUENCY = 16.0
-
-#: frequencies per kernel call of the inversion, which bounds its arrays
+#: frequencies per kernel call of the inversion, which bounds its arrays;
+#: the first segment of an inversion grid holds one to two of them
 FREQUENCY_BLOCK = 1024
 
 
@@ -185,7 +183,7 @@ def _transform_coefficients(v: float) -> tuple:
     return c, (high[0] + _ROUNDING * size[0]) / (b * e[_SEED_ORDER])
 
 
-def _complement_iteration(x, v: float, c: list, depth, slope: bool = False):
+def _complement_iteration(x, v: float, c: list, depth: int, slope: bool = False):
     """The offspring map u -> (1-v)*u + v*u**2 applied depth times to P(x/b**depth).
 
     x = -s gives the Laplace transform E exp(-s W), x = i*omega the
@@ -205,18 +203,11 @@ def _complement_iteration(x, v: float, c: list, depth, slope: bool = False):
     forms its start, since b**-depth underflows where |x| is huge.  The
     loop runs on the complement w = 1 - u, as w -> w*(b - v*w), which
     keeps relative precision once x/b**depth underflows the spacing of
-    floats near 1.  depth is one int, or one per element of x in
-    nondecreasing order: the deepest elements start first and the others
-    join as their own depth remains.  With slope=True it also returns
-    du/dx, carried along the same loop by forward differentiation.
+    floats near 1.  depth is one int for all of x.  With slope=True it
+    also returns du/dx, carried along the same loop by forward
+    differentiation.
     """
     b = 1.0 + v
-    if np.ndim(depth) == 0:
-        levels, parts = [depth], [...]
-    else:
-        starts = np.flatnonzero(np.diff(depth, prepend=-1))
-        levels = depth[starts].tolist()
-        parts = [slice(lo, None) for lo in starts.tolist()]
     size = np.abs(x)
     with np.errstate(divide="ignore"):
         scaled = np.exp(np.log(size) - depth * math.log(b))
@@ -240,21 +231,15 @@ def _complement_iteration(x, v: float, c: list, depth, slope: bool = False):
             dw *= y
             dw += k * c[k]
         dw *= -np.exp(-depth * math.log(b))
-    vw = y
-    tmp = u
-    for k in range(len(levels) - 1, -1, -1):
-        part = parts[k]
-        steps = levels[k] - (levels[k - 1] if k else 0)
-        ws, vws, tmps = w[part], vw[part], tmp[part]
-        dws = dw[part] if slope else None
-        for _ in range(steps):
-            # in place, w = w*(b - v*w) and dw = dw*(b - 2*v*w)
-            np.multiply(ws, v, out=vws)
-            np.subtract(b, vws, out=tmps)
-            if slope:
-                np.subtract(tmps, vws, out=vws)
-                dws *= vws
-            ws *= tmps
+    vw, tmp = np.empty_like(w), np.empty_like(w)
+    for _ in range(depth):
+        # in place, w = w*(b - v*w) and dw = dw*(b - 2*v*w)
+        np.multiply(w, v, out=vw)
+        np.subtract(b, vw, out=tmp)
+        if slope:
+            np.subtract(tmp, vw, out=vw)
+            dw *= vw
+        w *= tmp
     np.subtract(1.0, w, out=w)
     if slope:
         np.negative(dw, out=dw)
@@ -307,74 +292,49 @@ def _transform_pieces(h: float, v: float, z_max: int, prec: Precision,
                       slope: bool):
     """psi(w) = E exp(i w W) on w_j = j*h, j >= 1, piece by piece.
 
-    Frequencies come in segments: j <= N0 (N0*h just reaches
-    FIRST_FREQUENCY), then (N0*2**(k-1), N0*2**k], up to prec.max_iter.
-    Yields (om, ps, dps, err, end) per piece of at most FREQUENCY_BLOCK
-    frequencies: psi (and psi' with slope=True) at om, within err * om**(d+1);
-    end is None but at a segment's last piece, where it holds (frequencies
-    so far, depth, M, D), M and D the largest |psi| and |psi'| on the
-    segment's top octave [top/b, top].  The segment that ends at
-    prec.max_iter is the last.  Raises PrecisionError when psi needs a
-    depth beyond MGF_PRECISION.max_iter.
+    Segment ends halve down from the cap, [prec.max_iter, prec.max_iter//2,
+    ...] while the last is at least 2*FREQUENCY_BLOCK, so the first
+    segment holds one to two blocks (or the whole cap) and every segment
+    (end//2, end] holds its whole top octave [end*h/b, end*h].  A
+    segment's depth is certified when the scan reaches it.  Yields (om,
+    ps, dps, err, end) per piece of at most FREQUENCY_BLOCK frequencies,
+    one kernel call at its segment's depth: psi (and psi' with
+    slope=True) at om, within err * om**(d+1); end is None but at a
+    segment's last piece, where it holds (frequencies so far, depth, M,
+    D), M and D the largest |psi| and |psi'| on the segment's top octave.
+    Raises PrecisionError when psi needs a depth beyond
+    MGF_PRECISION.max_iter.
     """
     b = 1.0 + v
-    ends = [min(math.ceil(FIRST_FREQUENCY / h), prec.max_iter)]
-    while ends[-1] < prec.max_iter:
-        ends.append(min(2 * ends[-1], prec.max_iter))
+    ends = [prec.max_iter]
+    while ends[-1] >= 2 * FREQUENCY_BLOCK:
+        ends.append(ends[-1] // 2)
     c, coef = _transform_coefficients(v)
-    depths = {}
-
-    def depth_of(k):
+    start = 0
+    for end in reversed(ends):
         # psi errs by at most coef * w**(d+1) * b**(-d*n) at depth n; each
-        # segment keeps its share of a bound below prec.tol / 64.  A
-        # segment's depth is certified when the scan first reaches it.
-        if k not in depths:
-            top = ends[k] * h
-            depths[k] = _tail_depth(coef, top, b, math.pi * prec.tol / (64.0 * z_max * top))[0]
-        return depths[k]
-
-    pieces = ((k, lo, min(lo + FREQUENCY_BLOCK, end))
-              for k, end in enumerate(ends)
-              for lo in range(ends[k - 1] if k else 0, end, FREQUENCY_BLOCK))
-
-    m = d = 0.0
-    pending = next(pieces)
-    while True:
-        # one kernel call over whole pieces, up to FREQUENCY_BLOCK
-        # frequencies; a piece past the depth cap only ever comes first
-        batch, pending = [pending], None
-        for piece in pieces:
-            if (piece[2] - batch[0][1] > FREQUENCY_BLOCK
-                    or depth_of(piece[0]) > MGF_PRECISION.max_iter):
-                pending = piece
-                break
-            batch.append(piece)
-        last = batch[-1]
-        if depth_of(last[0]) > MGF_PRECISION.max_iter:
+        # segment keeps its share of a bound below prec.tol / 64
+        top = end * h
+        depth = _tail_depth(coef, top, b, math.pi * prec.tol / (64.0 * z_max * top))[0]
+        if depth > MGF_PRECISION.max_iter:
             raise PrecisionError(
-                f"characteristic function needs depth {depth_of(last[0])} at "
-                f"frequency {h * last[2]:.4g}, cap is {MGF_PRECISION.max_iter}"
+                f"characteristic function needs depth {depth} at "
+                f"frequency {top:.4g}, cap is {MGF_PRECISION.max_iter}"
             )
-        first = batch[0][1]
-        omega = h * np.arange(first + 1, last[2] + 1)
-        depth = np.concatenate([np.full(hi - lo, depth_of(k)) for k, lo, hi in batch])
-        psi, dpsi = (_complement_iteration(1j * omega, v, c, depth, slope=True) if slope
-                     else (_complement_iteration(1j * omega, v, c, depth), None))
-
-        for k, lo, hi in batch:
-            part = slice(lo - first, hi - first)
-            om, ps, dps = omega[part], psi[part], dpsi[part] if slope else None
-            top = om >= h * ends[k] / b
-            if top.any():
-                m = max(m, float(np.abs(ps[top]).max()))
+        err = coef * b ** (-_SEED_ORDER * depth)
+        m = d = 0.0
+        for lo in range(start, end, FREQUENCY_BLOCK):
+            hi = min(lo + FREQUENCY_BLOCK, end)
+            om = h * np.arange(lo + 1, hi + 1)
+            ps, dps = (_complement_iteration(1j * om, v, c, depth, slope=True) if slope
+                       else (_complement_iteration(1j * om, v, c, depth), None))
+            octave = om >= top / b
+            if octave.any():
+                m = max(m, float(np.abs(ps[octave]).max()))
                 if slope:
-                    d = max(d, float(np.abs(dps[top]).max()))
-            end = (hi, depths[k], m, d) if hi == ends[k] else None
-            yield om, ps, dps, coef * b ** (-_SEED_ORDER * depths[k]), end
-            if end:
-                if hi == prec.max_iter:
-                    return
-                m = d = 0.0
+                    d = max(d, float(np.abs(dps[octave]).max()))
+            yield om, ps, dps, err, (hi, depth, m, d) if hi == end else None
+        start = end
 
 
 @dataclass(frozen=True)
@@ -665,11 +625,20 @@ def write_ensemble_csv(ens: LimitEnsemble, path) -> None:
 
 
 def read_ensemble_csv(path) -> LimitEnsemble:
-    """Inverse of write_ensemble_csv."""
+    """Inverse of write_ensemble_csv.
+
+    Raises ValueError naming the path when the `sample` header line is
+    missing or the file holds other than `count` samples.
+    """
     with open(path) as fh:
-        meta = _read_metadata(fh, path, ("v", "z", "n_gen", "seed"))
-        fh.readline()
+        meta = _read_metadata(fh, path, ("v", "z", "n_gen", "count", "seed"))
+        if fh.readline().strip() != "sample":
+            raise ValueError(f"{path}: second line is not the header 'sample'")
         samples = np.array([float(line) for line in fh if line.strip()])
+    if samples.size != int(meta["count"]):
+        raise ValueError(
+            f"{path}: metadata says count={meta['count']}, file holds {samples.size} samples"
+        )
     return LimitEnsemble(
         samples,
         v=float(meta["v"]),

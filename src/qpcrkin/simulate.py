@@ -413,10 +413,17 @@ def _read_metadata(fh, path, keys) -> dict:
 
 
 def read_trajectory_csv(path) -> Trajectory:
-    """Inverse of write_trajectory_csv."""
+    """Inverse of write_trajectory_csv.
+
+    Raises ValueError naming the path and the column when the column
+    header lacks `count`.
+    """
     with open(path, newline="") as fh:
         meta = _read_metadata(fh, path, ("v", "K", "seed", "replicate"))
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        if "count" not in (reader.fieldnames or ()):
+            raise ValueError(f"{path}: trajectory header misses the column 'count'")
+        rows = list(reader)
     counts = np.array([int(r["count"]) for r in rows], dtype=np.int64)
     kin = Kinetics(v=float(meta["v"]), K=float(meta["K"]))
     return Trajectory(

@@ -653,8 +653,8 @@ def test_profile_seed_nonnegative_on_its_domain(v):
 def test_inverse_first_tested_step_is_not_late():
     # y is so small that G(y) is y to a few parts in 1e3 and r_n barely
     # exceeds it, so y stops at the depth its own bound gives, past step 50
-    # at tol 1e-60: testing from one step before that depth, as the skip
-    # does, finds it, and a later start would not
+    # at tol 1e-60: testing every step finds it, and a later first tested
+    # step would not
     k = Kinetics(v=0.25, K=1000.0)
     prec = Precision(tol=1e-60)
     for y in (0.01, np.array([0.01, 0.02, 0.5])):

@@ -17,7 +17,7 @@ from qpcrkin.kinetics import (
 )
 from qpcrkin.limit_law import (
     DENSITY_PRECISION,
-    FIRST_FREQUENCY,
+    FREQUENCY_BLOCK,
     MGF_PRECISION,
     LimitEnsemble,
     _complement_iteration,
@@ -242,12 +242,6 @@ class TestCharacteristicFunction:
         # d psi/d w = i * du/dx at x = i*w
         assert np.max(np.abs(1j * dpsi - (up - down) / (2 * eps))) < 1e-7
 
-    def test_depth_per_element_matches_single_depth(self):
-        om = np.array([1.0, 2.0, 30.0, 40.0])
-        mixed = _kernel(1j * om, 0.5, np.array([40, 40, 60, 60]))
-        assert np.array_equal(mixed[:2], _kernel(1j * om[:2], 0.5, 40))
-        assert np.array_equal(mixed[2:], _kernel(1j * om[2:], 0.5, 60))
-
 
 def _expm1_reference(x, v, depth):
     """The kernel with the seed exp(x/b**depth), which matches only the mean.
@@ -392,6 +386,14 @@ class TestSeed:
 FINE = Precision(tol=1e-8, max_iter=2 ** 16)
 
 
+def _segment_ends(cap):
+    """Segment ends of an inversion grid: halving down from the cap."""
+    ends = [cap]
+    while ends[-1] >= 2 * FREQUENCY_BLOCK:
+        ends.append(ends[-1] // 2)
+    return ends[::-1]
+
+
 def _density_on_grid(t, v, z_max, points):
     """Density values on exactly `points` frequencies (the cap), no bound met."""
     with pytest.raises(PrecisionError) as err:
@@ -472,13 +474,58 @@ class TestExactDensity:
         t, v, z_max = np.array([1.0, 6.0]), 0.5, 24
         ancestor_density(t, v, z_max)
         h = 2.0 * math.pi / (4.0 * max(z_max, 6.0) + 8.0)
-        ends = [math.ceil(FIRST_FREQUENCY / h)]
-        while ends[-1] < DENSITY_PRECISION.max_iter:
-            ends.append(min(2 * ends[-1], DENSITY_PRECISION.max_iter))
+        ends = _segment_ends(DENSITY_PRECISION.max_iter)
+        assert ends[:2] == [1024, 2048] and ends[-1] == 2 ** 16
         starts = [0] + ends[:-1]
         reached = sum(start * h < reach[0] for start in starts)
         assert sorted(tops) == [end * h for end in ends[:reached]]
         assert reached < len(ends)
+
+    @pytest.mark.parametrize("cap", [2 ** 16, 5000, 3000])
+    def test_kernel_calls_follow_the_segments(self, monkeypatch, cap):
+        # at v = 0.1, z_max = 10, t = 0.3, where the density runs to the
+        # cap: every segment (end//2, end] holds the grid points of its top
+        # octave [end*h/b, end*h], on which M is taken
+        v, t, z_max = 0.1, 0.3, 10
+        b, ends = 1.0 + v, _segment_ends(cap)
+        prec = Precision(DENSITY_PRECISION.tol, max_iter=cap)
+        h = 2.0 * math.pi / (4.0 * z_max + 8.0)
+        segment, tops = [], []
+        for om, ps, _, _, end in _transform_pieces(h, v, z_max, prec, slope=False):
+            segment.append((om, ps))
+            if end is None:
+                continue
+            om, ps = (np.concatenate(part) for part in zip(*segment))
+            top = end[0] * h
+            assert om[-1] == top and om[0] - h < top / b
+            assert end[2] == np.abs(ps[om >= top / b]).max()
+            tops.append(end[0])
+            segment = []
+        assert tops == ends
+        # each kernel call of the density and of the distribution function
+        # takes one int depth and at most FREQUENCY_BLOCK frequencies, and
+        # never crosses a segment end
+        calls = []
+
+        def kernel(x, v, c, depth, slope=False):
+            calls.append((np.abs(x), depth))
+            return _complement_iteration(x, v, c, depth, slope)
+
+        monkeypatch.setattr(limit_law, "_complement_iteration", kernel)
+        for z, run in [(z_max, lambda: ancestor_density(t, v, z_max, prec)),
+                       (1, lambda: ancestor_cdf(t, v, 1, prec))]:
+            calls.clear()
+            try:
+                run()
+            except PrecisionError:
+                pass
+            h = 2.0 * math.pi / (4.0 * max(z, t) + 8.0)
+            assert calls
+            for om, depth in calls:
+                j = np.rint(om / h).astype(int)
+                assert type(depth) is int and 0 < j.size <= FREQUENCY_BLOCK
+                assert np.array_equal(j, np.arange(j[0], j[-1] + 1))
+                assert not any(j[0] <= end < j[-1] for end in ends)
 
     @pytest.mark.parametrize("v", [0.25, 0.5])
     def test_period_keeps_aliases_out(self, v):
@@ -623,13 +670,19 @@ class TestExactCDF:
         gap = np.abs(slope - dens.values[z - 1])
         assert np.all(gap <= (hi.bound + lo.bound) / (2.0 * d) + dens.bounds[z - 1])
 
-    @pytest.mark.parametrize("v,z", [(0.9, 1), (0.5, 3), (0.25, 4), (0.9, 3)])
+    @pytest.mark.parametrize("v,z", [(0.9, 1), (0.5, 3), (0.25, 4), (0.9, 3),
+                                     (0.5, 2), (0.25, 2)])
     def test_bound_covers_finer_tolerance(self, v, z):
+        # with three or more ancestors both tolerances stop at the first
+        # segment and the finer one takes only a finer grid; with one or
+        # two it also sums more frequencies
         t = np.linspace(0.0, 3.0 * z + 2.0, 41)
         coarse = ancestor_cdf(t, v, z)
         fine = ancestor_cdf(t, v, z, FINE)
         assert coarse.bound <= DENSITY_PRECISION.tol and fine.bound <= FINE.tol
-        assert fine.points > coarse.points
+        fine_points = {(0.9, 1): 16384, (0.5, 2): 2048, (0.25, 2): 8192}.get((v, z), 1024)
+        assert (coarse.points, fine.points) == (1024, fine_points)
+        assert fine.bound < coarse.bound
         assert np.all(np.abs(coarse.values - fine.values) <= coarse.bound + fine.bound)
 
     @pytest.mark.parametrize("v", [0.25, 0.5, 0.9])
@@ -659,12 +712,12 @@ class TestExactCDF:
         assert np.all(np.abs(value - full.values) <= bound + full.bound)
 
     def test_grid_cap_raises_with_values_and_bound(self, monkeypatch):
-        # at v = 0.99 the density is so peaked that at tol 1e-7 the
-        # truncation meets its share at 7936 frequencies, below the cap of
+        # at v = 0.99 the density is so peaked that at tol 2e-7 the
+        # truncation meets its share at 4096 frequencies, below the cap of
         # 8192, but the interpolation needs more than 64*8192 grid points:
         # the table is built once, at that cap, and the error carries its
         # values and their bound
-        t, prec = np.array([0.3, 0.7, 1.0]), Precision(tol=1e-7, max_iter=8192)
+        t, prec = np.array([0.3, 0.7, 1.0]), Precision(tol=2e-7, max_iter=8192)
         sizes = []
         fft = np.fft.fft
 
@@ -673,7 +726,7 @@ class TestExactCDF:
             return fft(a, n, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "fft", counted)
-        with pytest.raises(PrecisionError, match=r"with 7936 frequencies \(cap 8192\)") as err:
+        with pytest.raises(PrecisionError, match=r"with 4096 frequencies \(cap 8192\)") as err:
             ancestor_cdf(t, 0.99, 1, prec)
         value, bound = err.value.value, err.value.bound
         assert sizes == [64 * 8192]
@@ -728,3 +781,17 @@ class TestExport:
         path.write_text("# v=0.5 z seed=29\n" + "\n".join(lines[1:]) + "\n")
         with pytest.raises(ValueError, match=r"ens\.csv: metadata item 'z' is not key=value"):
             read_ensemble_csv(path)
+
+    def test_ensemble_header_and_count_checked(self, tmp_path):
+        # without its `sample` header line the first sample would be
+        # skipped; a file shorter than its count is refused as well
+        path = tmp_path / "ens.csv"
+        meta = "# v=0.5 z=1 n_gen=35 count=3 seed=0\n"
+        path.write_text(meta + "1.25\n0.5\n2.0\n")
+        with pytest.raises(ValueError, match=r"ens\.csv: second line is not the header 'sample'"):
+            read_ensemble_csv(path)
+        path.write_text(meta + "sample\n1.25\n0.5\n")
+        with pytest.raises(ValueError, match=r"ens\.csv: metadata says count=3, file holds 2"):
+            read_ensemble_csv(path)
+        path.write_text(meta + "sample\n1.25\n0.5\n2.0\n")
+        assert read_ensemble_csv(path).samples.tolist() == [1.25, 0.5, 2.0]

@@ -426,3 +426,10 @@ class TestDensitiesAndExport:
         path.write_text("# v=0.5 K seed=1 replicate=0\n" + "\n".join(lines[1:]) + "\n")
         with pytest.raises(ValueError, match=r"traj\.csv: metadata item 'K' is not key=value"):
             read_trajectory_csv(path)
+
+    def test_csv_without_count_column_refused(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        path.write_text("# v=0.5 K=57 z0=3 seed=19 replicate=0\n"
+                        "cycle,density\n0,0.05\n1,0.08\n")
+        with pytest.raises(ValueError, match=r"traj\.csv: trajectory header misses the column 'count'"):
+            read_trajectory_csv(path)
