@@ -42,7 +42,6 @@ from qpcrkin.inference import (
     estimate_efficiency,
     estimate_from_trajectory,
     hitting_time,
-    invert_copies,
     limit_observables,
     observe,
 )

@@ -11,6 +11,7 @@ per process, on the first call to main, and reused by later calls.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -182,29 +183,20 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    opts = _merged(args, {
-        "kind": None, "v": 0.5, "m": 30, "z0": 1, "rho": 0.05,
-        "replicates": 200, "seed": 0, "ref_count": None, "shift": 0,
-        "extra_cycles": 6, "m_values": None, "gamma": 0.75,
-        "c_exponent": 0.6, "fit_v": False, "out": None,
-    })
+    # the options are the ScenarioSpec fields, fit_efficiency spelled
+    # fit_v, plus kind without a default and the inert ref_count
+    defaults = {f.name: f.default for f in dataclasses.fields(ScenarioSpec)}
+    defaults.update(kind=None, fit_v=defaults.pop("fit_efficiency"), ref_count=None)
+    opts = _merged(args, defaults)
     out = _require_out(opts)
     if opts["kind"] is None:
         raise ValueError("experiment needs --kind (or config 'kind')")
-    if opts["ref_count"] is not None:
+    if opts.pop("ref_count") is not None:
         print("experiment: ref_count has no effect; runs are compared with the "
               "exact law of the growth limit", file=sys.stderr)
-    m_values = opts["m_values"]
-    if isinstance(m_values, str):
-        m_values = tuple(int(tok) for tok in m_values.split(",") if tok)
-    spec = ScenarioSpec(
-        kind=opts["kind"], v=opts["v"], m=opts["m"], z0=opts["z0"],
-        rho=opts["rho"], replicates=opts["replicates"], seed=opts["seed"],
-        out=out, shift=opts["shift"],
-        extra_cycles=opts["extra_cycles"], m_values=m_values,
-        gamma=opts["gamma"], c_exponent=opts["c_exponent"],
-        fit_efficiency=opts["fit_v"],
-    )
+    if isinstance(opts["m_values"], str):
+        opts["m_values"] = tuple(int(tok) for tok in opts["m_values"].split(",") if tok)
+    spec = ScenarioSpec(fit_efficiency=opts.pop("fit_v"), **opts)
     print(f"experiment: kind={spec.kind}, v={spec.v}, m={spec.m}, "
           f"z0={spec.z0}, replicates={spec.replicates}", file=sys.stderr)
     result = run_experiment(spec)

@@ -1,9 +1,12 @@
 """Copy-number and efficiency estimation from threshold-crossing data.
 
 The observable side of the model: a trajectory is reduced to the first
-cycle at which the density reaches a detection threshold rho, plus the
-densities kappa_0, kappa_1, ... recorded from that cycle on.  The limit
-identity kappa_j ~ H(W(z) * b**(n_hit+j) / K) turns each kappa into an
+cycle n_hit at which the density reaches a detection threshold rho, plus
+the densities kappa_0 .. kappa_{MAX_KAPPAS-1} recorded from that cycle
+on.  An Observation holds only these and K, what an experimenter sees;
+the efficiency v is never part of it, and every inversion takes v as an
+argument, known or fitted from the kappas.  The limit identity
+kappa_j ~ H(W(z) * b**(n_hit+j) / K) turns each kappa into an
 observation t_j = K * b**-(n_hit+j) * G(kappa_j) of the growth limit
 W(z), scaled by K itself.  The centred offset tau = n_hit - round(log_b K)
 is derived for reports only; it enters no estimate.
@@ -41,7 +44,6 @@ __all__ = [
     "limit_observables",
     "limit_observables_batch",
     "limit_observables_rows",
-    "invert_copies",
     "estimate_copies_normal",
     "copy_profile",
     "estimate_copies_mle",
@@ -81,20 +83,20 @@ def _log_scale_cycles(K: float, b: float) -> int:
 
 @dataclass(frozen=True)
 class Observation:
-    """Detection data extracted from one trajectory.
+    """Detection data extracted from one trajectory: only what is observed.
 
     n_hit is the absolute crossing cycle and kappas holds the densities
     at and after the crossing; with K they fix the limit observables
-    t_j = K * b**-(n_hit+j) * G(kappa_j) for whichever efficiency inverts
-    them.  The offset tau = n_hit - round(log_b K) enters no estimate;
-    hitting_time and EstimateReport derive it for reference.
+    t_j = K * b**-(n_hit+j) * G(kappa_j) for whichever efficiency the
+    caller passes to limit_observables.  The offset
+    tau = n_hit - round(log_b K) enters no estimate; hitting_time and
+    EstimateReport derive it for reference.
     """
 
     rho: float
     K: float
     n_hit: int
     kappas: np.ndarray
-    v_known: float | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.kappas, dtype=float)
@@ -108,8 +110,6 @@ class Observation:
         _check_kappa_rows(arr[None, :], self.rho)
         if self.n_hit < 0:
             raise ValueError("n_hit must be a cycle index")
-        if self.v_known is not None and not 0.0 < self.v_known <= 1.0:
-            raise ValueError("v_known must be in (0, 1]")
 
 
 def _check_kappa_rows(kappas: np.ndarray, rho: float) -> None:
@@ -121,23 +121,21 @@ def _check_kappa_rows(kappas: np.ndarray, rho: float) -> None:
         raise ValueError("kappas must be strictly increasing")
 
 
-def observe_rows(x, rho: float, max_kappas: int = MAX_KAPPAS) -> tuple:
+def observe_rows(x, rho: float) -> tuple:
     """Detection on many trajectories at once.
 
     x is a (rows, cycles + 1) density matrix.  Returns (n_hit, kappas):
     n_hit[i] is the first cycle at which row i reaches rho, -1 if it
-    never does, and kappas[i] holds x[i, n_hit[i] : n_hit[i] + max_kappas]
+    never does, and kappas[i] holds x[i, n_hit[i] : n_hit[i] + MAX_KAPPAS]
     padded with NaN, all NaN for a row that never reaches rho.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must be in (0, 1)")
-    if max_kappas < 1:
-        raise ValueError("max_kappas must be positive")
     x = np.asarray(x, dtype=float)
     reached = x >= rho
     detected = reached.any(axis=1)
     n_hit = np.where(detected, reached.argmax(axis=1), -1)
-    cols = n_hit[:, None] + np.arange(max_kappas)
+    cols = n_hit[:, None] + np.arange(MAX_KAPPAS)
     valid = detected[:, None] & (cols < x.shape[1])
     kappas = np.take_along_axis(x, np.where(valid, cols, 0), axis=1)
     kappas[~valid] = np.nan
@@ -148,36 +146,32 @@ def observe_rows(x, rho: float, max_kappas: int = MAX_KAPPAS) -> tuple:
 def hitting_time(traj: Trajectory, rho: float) -> tuple[int, int]:
     """First cycle whose density reaches rho, absolute and centered.
 
-    Returns (n_hit, tau) with tau = n_hit - round(log_b K).  Raises
-    NotDetectedError when the trajectory never reaches the threshold.
+    Returns (n_hit, tau) with tau = n_hit - round(log_b K).  Only the
+    crossing is read, so unlike observe it accepts a trajectory that is
+    flat after it.  Raises NotDetectedError when the trajectory never
+    reaches the threshold.
     """
-    n_hit = _observe_one(traj, rho, 1)[0]
+    if not 0.0 < rho < 1.0:
+        raise ValueError("rho must be in (0, 1)")
+    reached = np.flatnonzero(densities(traj) >= rho)
+    if reached.size == 0:
+        raise NotDetectedError(
+            f"density never reached {rho} within {traj.n_cycles} cycles"
+        )
+    n_hit = int(reached[0])
     kin = traj.kinetics
     return n_hit, n_hit - _log_scale_cycles(kin.K, kin.b)
 
 
-def _observe_one(traj: Trajectory, rho: float, max_kappas: int) -> tuple:
-    """observe_rows on one trajectory: (n_hit, kappas without padding)."""
-    n_hit, kappas = observe_rows(densities(traj)[None, :], rho, max_kappas)
-    if n_hit[0] < 0:
-        raise NotDetectedError(
-            f"density never reached {rho} within {traj.n_cycles} cycles"
-        )
-    row = kappas[0]
-    return int(n_hit[0]), row[~np.isnan(row)]
+def observe(traj: Trajectory, rho: float) -> Observation:
+    """Detection-time observation: the crossing and up to MAX_KAPPAS densities.
 
-
-def observe(
-    traj: Trajectory,
-    rho: float,
-    v_known: float | None = None,
-    max_kappas: int = MAX_KAPPAS,
-) -> Observation:
-    """Detection-time observation of a trajectory, efficiency v_known if known."""
-    n_hit, kappas = _observe_one(traj, rho, max_kappas)
-    return Observation(
-        rho=rho, K=traj.kinetics.K, n_hit=n_hit, kappas=kappas, v_known=v_known,
-    )
+    Raises NotDetectedError as hitting_time does, and ValueError when the
+    observed densities do not increase strictly.
+    """
+    n_hit = hitting_time(traj, rho)[0]
+    kappas = densities(traj)[n_hit : n_hit + MAX_KAPPAS]
+    return Observation(rho=rho, K=traj.kinetics.K, n_hit=n_hit, kappas=kappas)
 
 
 def efficiency_rows(kappas) -> np.ndarray:
@@ -204,16 +198,6 @@ def estimate_efficiency(kappas) -> float:
     return float(efficiency_rows(arr[None, :])[0])
 
 
-def _resolve_v(obs: Observation, v: float | None) -> float:
-    if v is None:
-        v = obs.v_known
-    if v is None:
-        raise ValueError("efficiency unknown; pass v or set v_known")
-    if not 0.0 < v <= 1.0:
-        raise ValueError("efficiency must be in (0, 1]")
-    return float(v)
-
-
 def limit_observables_rows(kappas, n_hit, kin: Kinetics) -> np.ndarray:
     """t_j = K * b**-(n_hit+j) * G(kappa_j) for each NaN-padded row of kappas.
 
@@ -231,23 +215,20 @@ def limit_observables_rows(kappas, n_hit, kin: Kinetics) -> np.ndarray:
     return t
 
 
-def limit_observables_batch(observations, v: float | None = None) -> list[np.ndarray]:
+def limit_observables_batch(observations, v: float) -> list[np.ndarray]:
     """Recover t_j = K * b**-(n_hit+j) * G(kappa_j) for many observations at once.
 
-    The rows of limit_observables_rows, one per observation.  Only the
-    first MAX_KAPPAS densities of each observation are used.  All
-    observations must share one efficiency and one scale K.
+    The rows of limit_observables_rows at efficiency v, one per
+    observation.  Only the first MAX_KAPPAS densities of each observation
+    are used.  All observations must share one scale K.
     """
     observations = list(observations)
     if not observations:
         return []
-    vs = {_resolve_v(o, v) for o in observations}
-    if len(vs) > 1:
-        raise ValueError("observations mix different efficiencies")
     scales = {o.K for o in observations}
     if len(scales) > 1:
         raise ValueError("observations mix different scales K")
-    kin = Kinetics(v=vs.pop(), K=scales.pop())
+    kin = Kinetics(v=v, K=scales.pop())
 
     sizes = [min(o.kappas.size, MAX_KAPPAS) for o in observations]
     kappas = np.full((len(observations), max(sizes)), np.nan)
@@ -258,21 +239,9 @@ def limit_observables_batch(observations, v: float | None = None) -> list[np.nda
     return [row[:size] for row, size in zip(t, sizes)]
 
 
-def limit_observables(obs: Observation, v: float | None = None) -> np.ndarray:
-    """Recover the limit observables t_j for a single observation."""
+def limit_observables(obs: Observation, v: float) -> np.ndarray:
+    """Recover the limit observables t_j of a single observation at efficiency v."""
     return limit_observables_batch([obs], v)[0]
-
-
-def invert_copies(obs: Observation) -> int:
-    """Exact copy-number inversion, valid only at efficiency 1.
-
-    At v=1 the growth limit is the copy number itself, so each t_j equals
-    z up to scale error; the mean over j is rounded to the nearest
-    positive integer, which is what estimate_copies_normal gives at v=1.
-    """
-    if obs.v_known != 1.0:
-        raise ValueError("exact inversion requires v_known = 1")
-    return estimate_copies_normal(limit_observables(obs).mean(), 1.0, integer=True)
 
 
 def estimate_copies_normal(t, v: float, integer: bool = False):
@@ -394,7 +363,7 @@ def estimate_from_trajectory(
     certified bound of each value, and the number of frequencies and the
     transform depth of its inversion.
     """
-    obs = observe(traj, rho, v_known=v_known)
+    obs = observe(traj, rho)
     v_hat = None
     if fit_efficiency and obs.kappas.size >= 2:
         v_hat = estimate_efficiency(obs.kappas)
@@ -405,9 +374,9 @@ def estimate_from_trajectory(
             "with at least two observed densities"
         )
     if not 0.0 < v_eff <= 1.0:
-        raise ValueError(f"fitted efficiency {v_eff:.6g} outside (0, 1]")
+        raise ValueError(f"efficiency {v_eff:.6g} outside (0, 1]")
 
-    t_values = limit_observables(obs, v=v_eff)
+    t_values = limit_observables(obs, v_eff)
     t_mean = float(t_values.mean())
     z_normal = estimate_copies_normal(t_mean, v_eff)
 

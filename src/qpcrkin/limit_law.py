@@ -628,13 +628,24 @@ def read_ensemble_csv(path) -> LimitEnsemble:
     """Inverse of write_ensemble_csv.
 
     Raises ValueError naming the path when the `sample` header line is
-    missing or the file holds other than `count` samples.
+    missing or the file holds other than `count` samples, and naming the
+    path and the line at a sample that is not a number.
     """
+    samples = []
     with open(path) as fh:
         meta = _read_metadata(fh, path, ("v", "z", "n_gen", "count", "seed"))
         if fh.readline().strip() != "sample":
             raise ValueError(f"{path}: second line is not the header 'sample'")
-        samples = np.array([float(line) for line in fh if line.strip()])
+        for line_no, line in enumerate(fh, start=3):
+            if line.strip():
+                try:
+                    samples.append(float(line))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: line {line_no}: sample {line.strip()!r} "
+                        "is not a number"
+                    ) from None
+    samples = np.array(samples)
     if samples.size != int(meta["count"]):
         raise ValueError(
             f"{path}: metadata says count={meta['count']}, file holds {samples.size} samples"

@@ -416,15 +416,25 @@ def read_trajectory_csv(path) -> Trajectory:
     """Inverse of write_trajectory_csv.
 
     Raises ValueError naming the path and the column when the column
-    header lacks `count`.
+    header lacks `count`, and naming the path and the line at a data row
+    whose count is missing or not an integer.
     """
+    counts = []
     with open(path, newline="") as fh:
         meta = _read_metadata(fh, path, ("v", "K", "seed", "replicate"))
         reader = csv.DictReader(fh)
         if "count" not in (reader.fieldnames or ()):
             raise ValueError(f"{path}: trajectory header misses the column 'count'")
-        rows = list(reader)
-    counts = np.array([int(r["count"]) for r in rows], dtype=np.int64)
+        for row in reader:
+            try:
+                counts.append(int(row["count"]))
+            except (TypeError, ValueError):
+                # the metadata line precedes the reader's first line
+                raise ValueError(
+                    f"{path}: line {reader.line_num + 1}: count "
+                    f"{row['count']!r} is not an integer"
+                ) from None
+    counts = np.array(counts, dtype=np.int64)
     kin = Kinetics(v=float(meta["v"]), K=float(meta["K"]))
     return Trajectory(
         counts, kin, seed=int(meta["seed"]), replicate_id=int(meta["replicate"])

@@ -23,7 +23,7 @@ from qpcrkin.simulate import (
 )
 from qpcrkin.limit_law import sample_limit, read_ensemble_csv
 from qpcrkin.inference import read_report_json
-from qpcrkin.experiments import read_result_json
+from qpcrkin.experiments import ScenarioSpec, read_result_json
 
 
 class TestSimulate:
@@ -380,6 +380,12 @@ class TestExperimentCommand:
     def test_kind_required(self, capsys):
         assert main(["experiment", "--m", "10"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_defaults_are_the_scenario_defaults(self, tmp_path):
+        out = str(tmp_path / "res.json")
+        assert main(["experiment", "--kind", "coupling", "--out", out]) == 0
+        spec = read_result_json(out).spec
+        assert spec == ScenarioSpec(kind="coupling", out=out).to_json_dict()
 
 
 class TestConfigMerge:

@@ -246,11 +246,11 @@ class TestEstimation:
         for i, row in enumerate(counts):
             traj = Trajectory(row, kin)
             try:
-                obs = observe(traj, spec.rho, v_known=spec.v)
+                obs = observe(traj, spec.rho)
             except NotDetectedError:
                 continue
             tau = hitting_time(traj, spec.rho)[1]
-            t_mean = float(limit_observables(obs).mean())
+            t_mean = float(limit_observables(obs, spec.v).mean())
             if spec.v == 1.0:
                 z_hat = max(1, round(t_mean))
             else:

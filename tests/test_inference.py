@@ -35,6 +35,7 @@ from qpcrkin.kinetics import (
 from qpcrkin.simulate import SimConfig, Trajectory, simulate_reaction
 from qpcrkin.limit_law import DENSITY_PRECISION, limit_variance, sample_limit
 from qpcrkin.inference import (
+    MAX_KAPPAS,
     BoundaryWarning,
     EstimateReport,
     NotDetectedError,
@@ -46,7 +47,6 @@ from qpcrkin.inference import (
     estimate_efficiency,
     estimate_from_trajectory,
     hitting_time,
-    invert_copies,
     limit_observables,
     limit_observables_batch,
     observe,
@@ -68,7 +68,12 @@ def synthetic_observation(z, n_hit, v, m=30, n_kappas=5):
     j = np.arange(n_kappas)
     kappas = limit_profile(float(z) * kin.b ** (n_hit + j) / kin.K, kin)
     rho = min(0.05, float(kappas[0]))  # threshold sits at or below kappa_0
-    return Observation(rho=rho, K=kin.K, n_hit=n_hit, kappas=kappas, v_known=v)
+    return Observation(rho=rho, K=kin.K, n_hit=n_hit, kappas=kappas)
+
+
+def exact_copies(obs):
+    """The exact inversion at v = 1: the mean t_j rounded, at least 1."""
+    return estimate_copies_normal(limit_observables(obs, 1.0).mean(), 1.0, integer=True)
 
 
 class TestHittingTime:
@@ -94,6 +99,14 @@ class TestHittingTime:
         with pytest.raises(NotDetectedError):
             hitting_time(traj, rho=0.05)
 
+    def test_reads_only_the_crossing(self):
+        # flat after the crossing: the crossing is still defined, but the
+        # densities are no observation, since they must increase strictly
+        traj = Trajectory([4, 4, 8], Kinetics(1.0, 64.0))
+        assert hitting_time(traj, 0.05) == (0, -6)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            observe(traj, 0.05)
+
     def test_tau_concentrates_on_negative_integers(self):
         # thresholds frozen from the limit-law oracle in the module docstring
         kin = Kinetics.from_exponent(0.5, 30)
@@ -115,31 +128,34 @@ class TestObservation:
         obs = observe(traj, rho=0.05)
         assert obs.n_hit == 2
         np.testing.assert_allclose(obs.kappas, np.array([4, 8, 16, 32, 64]) / 64.0)
-        assert obs.v_known is None
+        # only what an experimenter sees: no efficiency
+        assert list(Observation.__dataclass_fields__) == ["rho", "K", "n_hit", "kappas"]
 
     def test_max_kappas_and_short_tail(self):
         counts = [1, 2, 4, 8]
         traj = make_traj(counts, v=1.0, K=2.0 ** 3)
-        obs = observe(traj, rho=0.05, max_kappas=5)
+        obs = observe(traj, rho=0.05)
         # crossing at index 0 is impossible here (1/8 > 0.05), so from index 0
         assert obs.n_hit == 0
         assert len(obs.kappas) == 4  # trajectory ends before 5 kappas
 
-        obs2 = observe(traj, rho=0.05, max_kappas=2)
-        assert len(obs2.kappas) == 2
+        long = make_traj(2 ** np.arange(9), v=1.0, K=2.0 ** 8)
+        obs2 = observe(long, rho=0.05)
+        assert obs2.n_hit == 4
+        assert len(obs2.kappas) == MAX_KAPPAS
 
     def test_kappas_must_increase(self):
         with pytest.raises(ValueError):
             Observation(
                 rho=0.05, K=64.0, n_hit=2,
-                kappas=np.array([0.1, 0.1, 0.2]), v_known=None,
+                kappas=np.array([0.1, 0.1, 0.2]),
             )
 
     def test_kappa0_at_least_rho(self):
         with pytest.raises(ValueError):
             Observation(
                 rho=0.5, K=64.0, n_hit=2,
-                kappas=np.array([0.1, 0.2]), v_known=None,
+                kappas=np.array([0.1, 0.2]),
             )
 
 
@@ -196,7 +212,7 @@ class TestLimitObservables:
     def test_noiseless_recovery(self):
         w = 2.3
         obs = synthetic_observation(w, n_hit=27, v=0.5)
-        t = limit_observables(obs)
+        t = limit_observables(obs, 0.5)
         assert t.shape == (5,)
         np.testing.assert_allclose(t, w, rtol=0, atol=2e-8)
 
@@ -204,11 +220,11 @@ class TestLimitObservables:
         # K = 1.5**30.4: rounding log_b K to 30 would leave t off by b**0.4
         w = 2.3
         obs = synthetic_observation(w, n_hit=27, v=0.5, m=30.4)
-        np.testing.assert_allclose(limit_observables(obs), w, rtol=0, atol=2e-8)
+        np.testing.assert_allclose(limit_observables(obs, 0.5), w, rtol=0, atol=2e-8)
 
     def test_positive_and_capped_at_five(self):
         obs = synthetic_observation(1.0, n_hit=28, v=0.9, n_kappas=7)
-        t = limit_observables(obs)
+        t = limit_observables(obs, 0.9)
         assert len(t) == 5 and np.all(t > 0)
 
     def test_batch_matches_single(self):
@@ -225,31 +241,25 @@ class TestLimitObservables:
                 t, limit_observables(o, v=0.5), rtol=0, atol=2e-8
             )
 
-    def test_needs_some_efficiency(self):
-        obs = synthetic_observation(1.0, n_hit=28, v=0.5)
-        object.__setattr__(obs, "v_known", None)
-        with pytest.raises(ValueError):
-            limit_observables(obs)
-
     def test_batch_rejects_mixed_scales(self):
         obs = [
             synthetic_observation(1.0, n_hit=28, v=0.5),
             synthetic_observation(1.0, n_hit=28, v=0.5, m=31),
         ]
         with pytest.raises(ValueError, match="scales"):
-            limit_observables_batch(obs)
+            limit_observables_batch(obs, 0.5)
 
 
 class TestExactInversion:
     def test_single_copy_round_trip(self):
         obs = synthetic_observation(7, n_hit=26, v=1.0)
-        assert invert_copies(obs) == 7
+        assert exact_copies(obs) == 7
 
     def test_round_trip_spot_checks(self):
         for z in (1, 3, 17, 56, 100):
             for n_hit in (15, 18, 20, 23, 25):
                 obs = synthetic_observation(z, n_hit=n_hit, v=1.0, m=20)
-                assert invert_copies(obs) == z
+                assert exact_copies(obs) == z
 
     def test_round_trip_identity_full_grid(self):
         # vectorized form of the same identity: z = b^(-tau-j) G(H(z b^(tau+j)))
@@ -261,15 +271,10 @@ class TestExactInversion:
                 back = inverse_profile(limit_profile(x, kin), kin) / kin.b ** (tau + j)
                 assert np.array_equal(np.rint(back), z)
 
-    def test_requires_unit_efficiency(self):
-        obs = synthetic_observation(4, n_hit=28, v=0.5)
-        with pytest.raises(ValueError):
-            invert_copies(obs)
-
     def test_clamps_to_one(self):
         # kappas from w = 0.2 < 1: the mean rounds to 0, reported as 1
         obs = synthetic_observation(0.2, n_hit=28, v=1.0)
-        assert invert_copies(obs) == 1
+        assert exact_copies(obs) == 1
 
 
 class TestNormalEstimator:

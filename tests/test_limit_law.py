@@ -795,3 +795,9 @@ class TestExport:
             read_ensemble_csv(path)
         path.write_text(meta + "sample\n1.25\n0.5\n2.0\n")
         assert read_ensemble_csv(path).samples.tolist() == [1.25, 0.5, 2.0]
+
+    def test_ensemble_non_numeric_sample_refused(self, tmp_path):
+        path = tmp_path / "ens.csv"
+        path.write_text("# v=0.5 z=1 n_gen=35 count=3 seed=0\nsample\n1.25\nabc\n2.0\n")
+        with pytest.raises(ValueError, match=r"ens\.csv: line 4: sample 'abc' is not a number"):
+            read_ensemble_csv(path)

@@ -2,13 +2,18 @@
 
 Each module's __all__ lists only names the module defines, and the
 package re-exports only names in their module's __all__, so a deletion
-cannot leave a stale export behind.
+cannot leave a stale export behind.  Every function the benchmark's
+tracer wraps (perfbench/layers.py) exists too, so removing or renaming
+one fails here and not only in a traced benchmark run.
 """
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,3 +53,29 @@ def test_package_reexports_are_public():
         if name not in importlib.import_module(module).__all__
     ]
     assert stale == []
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_perfbench(name, monkeypatch):
+    """Import perfbench/<name>.py under its own name, without running it."""
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, mod)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_traced_targets_exist(monkeypatch):
+    _load_perfbench("tracer", monkeypatch)  # layers.py imports it by this name
+    layers = _load_perfbench("layers", monkeypatch)
+    assert layers.TARGETS
+    missing = []
+    for target in layers.TARGETS:
+        owner = importlib.import_module(target.module)
+        for part in target.attr.split("."):  # "Class.method" included
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(target.name)
+    assert missing == []

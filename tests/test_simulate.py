@@ -433,3 +433,17 @@ class TestDensitiesAndExport:
                         "cycle,density\n0,0.05\n1,0.08\n")
         with pytest.raises(ValueError, match=r"traj\.csv: trajectory header misses the column 'count'"):
             read_trajectory_csv(path)
+
+    def test_csv_row_without_count_refused(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        path.write_text("# v=0.5 K=57 z0=3 seed=19 replicate=0\n"
+                        "cycle,count,density\n0,3,0.05\n1\n")
+        with pytest.raises(ValueError, match=r"traj\.csv: line 4: count None is not an integer"):
+            read_trajectory_csv(path)
+
+    def test_csv_non_integer_count_refused(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        path.write_text("# v=0.5 K=57 z0=3 seed=19 replicate=0\n"
+                        "cycle,count,density\n0,x,0.05\n")
+        with pytest.raises(ValueError, match=r"traj\.csv: line 3: count 'x' is not an integer"):
+            read_trajectory_csv(path)
