@@ -18,8 +18,6 @@ from qpcrkin.simulate import (
     densities,
     noise_sequence,
     read_trajectory_csv,
-    simulate_coupled,
-    simulate_linear,
     simulate_reaction,
     write_trajectory_csv,
 )

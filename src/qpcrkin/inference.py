@@ -357,16 +357,19 @@ def estimate_from_trajectory(
 
     The efficiency used for inversion, and for the reported offset
     tau = n_hit - round(log_b K), is v_known when given, otherwise the
-    fitted value (fit_efficiency=True).  At efficiency 1 the exact
+    fitted value (fit_efficiency=True).  A fit above 1 is clipped to 1:
+    v_hat reports the clipped value and diagnostics["v_hat_clipped_from"]
+    the raw fit (None when not clipped).  At efficiency 1 the exact
     inversion fills z_hat_mle; below 1 the likelihood scan does, when
     run_mle is set, and the diagnostics record its profile, the
     certified bound of each value, and the number of frequencies and the
     transform depth of its inversion.
     """
     obs = observe(traj, rho)
-    v_hat = None
+    v_hat = v_raw = None
     if fit_efficiency and obs.kappas.size >= 2:
-        v_hat = estimate_efficiency(obs.kappas)
+        v_raw = estimate_efficiency(obs.kappas)
+        v_hat = min(v_raw, 1.0)
     v_eff = v_known if v_known is not None else v_hat
     if v_eff is None:
         raise ValueError(
@@ -403,6 +406,7 @@ def estimate_from_trajectory(
         "mle_bound": None if dens is None else dens.bounds[:, 0].tolist(),
         "mle_points": None if dens is None else dens.points,
         "mle_depth": None if dens is None else dens.depth,
+        "v_hat_clipped_from": v_raw if v_raw != v_hat else None,
     }
     return EstimateReport(
         z_hat_mle=z_mle,

@@ -155,7 +155,7 @@ def sample_limit(
         y += draw("binomial", y, p)
         return y
 
-    for _ in _block_cycles(gens, BLOCK_SIZE, y, n_gen, step):
+    for _ in _block_cycles(gens, y, n_gen, step):
         pass  # step advances y in place
     samples = y[:count] * math.exp(-n_gen * math.log1p(v))
     return LimitEnsemble(samples, v=v, z=z, n_gen=n_gen, seed=seed)
@@ -372,8 +372,8 @@ def ancestor_density(t, v: float, z_max: int,
     tail of every candidate, and that term is not part of the bound.
 
     A point stops at the end of the first segment where all its bounds
-    are at most prec.tol, so its value does not depend on the other
-    points.
+    are at most prec.tol, so its value depends on the other points only
+    through the period, which a point above z_max moves.
 
     Bound.  Summation by parts bounds what the sum leaves out past the
     top frequency Omega by (|psi(Omega)**z| + int_Omega^inf |(psi**z)'|)

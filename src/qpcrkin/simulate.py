@@ -3,12 +3,14 @@
 The reaction starts from z0 molecules and each cycle replicates every
 molecule independently with probability v*K/(K + z), z being the current
 count, so a cycle's increment is one binomial variate.  The coupled
-construction draws the reaction and two constant-probability branching
-references on shared per-molecule uniforms, as counts, for pathwise
-comparison.  Randomness comes in the two layouts of qpcrkin.streams: a
-single trajectory owns one stream (aux 0); the experiment runners and
-limit_law.sample_limit draw in blocks of BLOCK_SIZE lanes (aux 1), all
-blocks one cycle at a time (_block_streams, _block_cycles).
+construction (simulate_coupled_replicates) draws the reaction and two
+constant-probability branching references on shared per-molecule
+uniforms, as counts, for pathwise comparison; its upper row is the linear
+branching reference.  Randomness comes in the two layouts of
+qpcrkin.streams: simulate_reaction gives one trajectory its own stream
+(aux 0); the experiment runners and limit_law.sample_limit draw in blocks
+of BLOCK_SIZE lanes (aux 1), all blocks one cycle at a time
+(_block_streams, _block_cycles).
 """
 
 from __future__ import annotations
@@ -25,13 +27,9 @@ __all__ = [
     "BLOCK_SIZE",
     "SimConfig",
     "Trajectory",
-    "CoupledRun",
     "SaturationError",
-    "CouplingViolationError",
     "simulate_reaction",
     "simulate_replicates",
-    "simulate_linear",
-    "simulate_coupled",
     "simulate_coupled_replicates",
     "noise_sequence",
     "densities",
@@ -50,18 +48,14 @@ BLOCK_SIZE = 1000
 REPLICATE_BLOCK_AUX = 1
 
 # One generator rewound per trajectory instead of a fresh Philox per call.
-# Each single-trajectory simulator consumes its draws fully before
-# returning, so the handles never overlap within a thread; the reset
-# rewinds the whole state, so no draw depends on an earlier call.
+# simulate_reaction consumes its draws fully before returning, so the
+# handles never overlap within a thread; the reset rewinds the whole
+# state, so no draw depends on an earlier call.
 _POOL = streams.ReusableStream()
 
 
 class SaturationError(OverflowError):
     """Molecule count left the 64-bit range; results would wrap silently."""
-
-
-class CouplingViolationError(RuntimeError):
-    """A pathwise order relation of the coupled construction failed."""
 
 
 def _check_settings(z0: int, n_cycles: int, replicates: int, gamma: float = 0.75) -> None:
@@ -82,12 +76,11 @@ class SimConfig:
     kinetics: Kinetics
     z0: int
     n_cycles: int
-    gamma: float = 0.75
     seed: int = 0
     replicate_id: int = 0
 
     def __post_init__(self):
-        _check_settings(self.z0, self.n_cycles, 1, self.gamma)
+        _check_settings(self.z0, self.n_cycles, 1)
 
 
 @dataclass(frozen=True)
@@ -129,40 +122,14 @@ def densities(traj: Trajectory) -> np.ndarray:
     return traj.counts / traj.kinetics.K
 
 
-@dataclass(frozen=True)
-class CoupledRun:
-    """Reaction plus upper/lower branching references on shared uniforms.
-
-    upper replicates with constant probability v and dominates the reaction
-    pathwise; lower replicates with constant probability v*K/(K + K**gamma)
-    and stays below the reaction until the reaction count first exceeds
-    K**gamma (cycle index reaction_crossing, None if never).
-    """
-
-    reaction: Trajectory
-    upper: Trajectory
-    lower: Trajectory
-    gamma: float
-    reaction_crossing: int | None
-    upper_crossing: int | None
-
-    def __post_init__(self):
-        bad = order_violations(self)
-        if any(bad.values()):
-            raise CouplingViolationError(f"pathwise order violated: {bad}")
-
-
-def order_violations(runs, threshold: float | None = None) -> dict:
+def order_violations(runs: np.ndarray, threshold: float) -> dict:
     """Violations of each pathwise order relation, summed over runs (all 0).
 
     runs is a reaction, upper, lower count array from
     simulate_coupled_replicates with its crossing level threshold =
-    K**gamma, or a CoupledRun.  Counts never fall, so the reaction is
-    before its crossing where it is at most the threshold.
+    K**gamma.  Counts never fall, so the reaction is before its crossing
+    where it is at most the threshold.
     """
-    if isinstance(runs, CoupledRun):
-        threshold = runs.reaction.kinetics.K ** runs.gamma
-        runs = runs.reaction.counts, runs.upper.counts, runs.lower.counts
     z, y, w = runs
     return {
         "reaction_above_upper": int((z > y).sum()),
@@ -173,13 +140,14 @@ def order_violations(runs, threshold: float | None = None) -> dict:
     }
 
 
-def _run_counting_process(z0, n_cycles, prob_of_count, gen):
-    """Shared driver: one binomial increment per cycle, 64-bit safe."""
-    binom = gen.binomial
-    counts = [z0]
-    z = z0
-    for _ in range(n_cycles):
-        z_next = z + int(binom(z, prob_of_count(z)))
+def simulate_reaction(cfg: SimConfig) -> Trajectory:
+    """One trajectory of the saturating molecule-count process, 64-bit safe."""
+    v, K = cfg.kinetics.v, cfg.kinetics.K
+    binom = _POOL.reset(cfg.seed, streams.REACTION, cfg.replicate_id).binomial
+    counts = [cfg.z0]
+    z = cfg.z0
+    for _ in range(cfg.n_cycles):
+        z_next = z + int(binom(z, v * K / (K + z)))
         if z_next > INT64_MAX:
             raise SaturationError(
                 f"count {z_next} exceeds the 64-bit range at scale K; "
@@ -187,17 +155,8 @@ def _run_counting_process(z0, n_cycles, prob_of_count, gen):
             )
         z = z_next
         counts.append(z)
-    return np.array(counts, dtype=np.int64)
-
-
-def simulate_reaction(cfg: SimConfig) -> Trajectory:
-    """One trajectory of the saturating molecule-count process."""
-    v, K = cfg.kinetics.v, cfg.kinetics.K
-    gen = _POOL.reset(cfg.seed, streams.REACTION, cfg.replicate_id)
-    counts = _run_counting_process(
-        cfg.z0, cfg.n_cycles, lambda z: v * K / (K + z), gen
-    )
-    return Trajectory(counts, cfg.kinetics, cfg.seed, cfg.replicate_id)
+    return Trajectory(np.array(counts, dtype=np.int64), cfg.kinetics, cfg.seed,
+                      cfg.replicate_id)
 
 
 def simulate_replicates(
@@ -234,7 +193,7 @@ def _reaction_cycles(kinetics: Kinetics, z0: int, n_cycles: int, replicates: int
         return z + inc
 
     start = np.full(len(gens) * BLOCK_SIZE, z0, dtype=np.int64)
-    return (z[:replicates] for z in _block_cycles(gens, BLOCK_SIZE, start, n_cycles, step))
+    return (z[:replicates] for z in _block_cycles(gens, start, n_cycles, step))
 
 
 def _count_rows(cycles: list) -> np.ndarray:
@@ -257,8 +216,8 @@ def _block_streams(purpose: int, seed: int, replicates: int) -> list:
             for k in range(-(-replicates // BLOCK_SIZE))]
 
 
-def _block_cycles(gens: list, lanes: int, start: np.ndarray, n_cycles: int, step):
-    """Cycle-major lockstep of len(gens) blocks of lanes each.
+def _block_cycles(gens: list, start: np.ndarray, n_cycles: int, step):
+    """Cycle-major lockstep of len(gens) blocks of BLOCK_SIZE lanes each.
 
     A generator of the state of every lane after cycles 0..n_cycles; row
     i of start is lane i at cycle 0.  step(state, draw, n) returns the
@@ -269,10 +228,10 @@ def _block_cycles(gens: list, lanes: int, start: np.ndarray, n_cycles: int, step
     so every block's stream makes the draws it would make alone, in the
     same order.
     """
-    cuts = range(0, len(gens) * lanes, lanes)
+    cuts = range(0, len(gens) * BLOCK_SIZE, BLOCK_SIZE)
 
     def draw(method, *args):
-        parts = [getattr(gen, method)(*(a[lo:lo + lanes] for a in args))
+        parts = [getattr(gen, method)(*(a[lo:lo + BLOCK_SIZE] for a in args))
                  for gen, lo in zip(gens, cuts)]
         # one block, as in most runs, needs no joining copy
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -282,14 +241,6 @@ def _block_cycles(gens: list, lanes: int, start: np.ndarray, n_cycles: int, step
     for n in range(1, n_cycles + 1):
         state = step(state, draw, n)
         yield state
-
-
-def simulate_linear(cfg: SimConfig) -> Trajectory:
-    """Constant-probability branching reference: replication probability v."""
-    v = cfg.kinetics.v
-    gen = _POOL.reset(cfg.seed, streams.LINEAR, cfg.replicate_id)
-    counts = _run_counting_process(cfg.z0, cfg.n_cycles, lambda z: v, gen)
-    return Trajectory(counts, cfg.kinetics, cfg.seed, cfg.replicate_id)
 
 
 # entry [s, c, k] is 1 when a uniform of segment s in interval c (numbered
@@ -302,8 +253,8 @@ _CELLS = _CELLS.reshape(20, 3)
 
 
 def _coupled_lanes(gens: list, kinetics: Kinetics, gamma: float, z0: int,
-                   n_cycles: int, lanes: int) -> np.ndarray:
-    """Coupled runs in lockstep: a (3, len(gens)*lanes, n_cycles + 1) count array.
+                   n_cycles: int) -> np.ndarray:
+    """Coupled runs in lockstep: a (3, len(gens)*BLOCK_SIZE, n_cycles + 1) count array.
 
     Rows are Z, Y and W of the shared-uniform construction (README, notes
     on numerics).  Each cycle draws how many uniforms of each index
@@ -316,7 +267,7 @@ def _coupled_lanes(gens: list, kinetics: Kinetics, gamma: float, z0: int,
     v, K = kinetics.v, kinetics.K
     # capped at v, so that rounding cannot make an interval negative
     p_lower = min(v * K / (K + K ** gamma), v)
-    total = len(gens) * lanes
+    total = len(gens) * BLOCK_SIZE
     size = np.empty((total, 4), dtype=np.int64)
     p = np.empty((total, 5))
     p[:, 4] = 1.0 - v
@@ -337,18 +288,8 @@ def _coupled_lanes(gens: list, kinetics: Kinetics, gamma: float, z0: int,
         return prev + inc
 
     start = np.full((total, 3), z0, dtype=np.int64)
-    states = list(_block_cycles(gens, lanes, start, n_cycles, step))
+    states = list(_block_cycles(gens, start, n_cycles, step))
     return np.stack(states, axis=-1).transpose(1, 0, 2)
-
-
-def simulate_coupled(cfg: SimConfig) -> CoupledRun:
-    """One coupled run: _coupled_lanes on the stream (seed, COUPLED, replicate_id)."""
-    gen = _POOL.reset(cfg.seed, streams.COUPLED, cfg.replicate_id)
-    counts = _coupled_lanes([gen], cfg.kinetics, cfg.gamma, cfg.z0, cfg.n_cycles, 1)
-    z, y, w = (Trajectory(c[0], cfg.kinetics, cfg.seed, cfg.replicate_id) for c in counts)
-    thr = cfg.kinetics.K ** cfg.gamma
-    crossing = [int(np.argmax(c > thr)) if c[-1] > thr else None for c in counts[:2, 0]]
-    return CoupledRun(z, y, w, cfg.gamma, *crossing)
 
 
 def simulate_coupled_replicates(
@@ -358,12 +299,16 @@ def simulate_coupled_replicates(
     """Coupled runs in the block layout of simulate_replicates, on COUPLED streams.
 
     Returns the (3, replicates, n_cycles + 1) reaction, upper, lower
-    counts.  The blocks advance together, one multinomial draw per block
-    each cycle, as in simulate_replicates.
+    counts.  upper is the linear branching reference, replicating with
+    constant probability v, and dominates the reaction pathwise; lower
+    replicates with constant probability v*K/(K + K**gamma) and stays
+    below the reaction until the reaction count first exceeds K**gamma
+    (order_violations).  The blocks advance together, one multinomial
+    draw per block each cycle, as in simulate_replicates.
     """
     _check_settings(z0, n_cycles, replicates, gamma)
     gens = _block_streams(streams.COUPLED, seed, replicates)
-    counts = _coupled_lanes(gens, kinetics, gamma, z0, n_cycles, BLOCK_SIZE)[:, :replicates]
+    counts = _coupled_lanes(gens, kinetics, gamma, z0, n_cycles)[:, :replicates]
     _check_count_rows(counts)
     return counts
 

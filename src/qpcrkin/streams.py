@@ -7,9 +7,9 @@ without draw-order coupling, and a unit's draws depend only on its key.
 
 Streams come in two layouts, told apart by aux, so they never share a key:
 
-- Single streams, aux = 0.  The single-trajectory simulators
-  (simulate_reaction, simulate_linear, simulate_coupled) give each
-  trajectory its own stream, replicate = the trajectory's replicate_id.
+- Single streams, aux = 0.  simulate.simulate_reaction gives each
+  trajectory its own stream on REACTION, replicate = the trajectory's
+  replicate_id.
 - Blocks, aux = 1.  Whatever is drawn in bulk comes in blocks of
   simulate.BLOCK_SIZE lanes: lane i is lane i % BLOCK_SIZE of the stream
   with replicate = i // BLOCK_SIZE.  The experiment runners draw their
@@ -33,11 +33,11 @@ __all__ = ["stream", "ReusableStream"]
 
 # purpose tags keep the different consumers of randomness on disjoint keys
 REACTION = 1  # saturating molecule-count process
-LINEAR = 2  # constant-probability branching reference
 COUPLED = 3  # coupled reaction and branching references, drawn as counts
 GROWTH_LIMIT = 4  # scaled-growth limit ensembles
-# tag 6 stays unused: earlier versions drew the experiment runners'
-# reference samples with it
+# tags 2 and 6 stay unused: earlier versions drew single runs of the
+# linear branching reference with 2 and the experiment runners' reference
+# samples with 6
 
 _MAX_SEED = 2 ** 64
 _MAX_REPLICATE = 2 ** 32

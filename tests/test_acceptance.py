@@ -21,7 +21,7 @@ from qpcrkin.simulate import (
     SimConfig,
     noise_sequence,
     order_violations,
-    simulate_coupled,
+    simulate_coupled_replicates,
     simulate_reaction,
 )
 from qpcrkin.limit_law import limit_mgf, limit_variance, sample_limit
@@ -159,12 +159,9 @@ def test_08_coupling_order():
     runs = 0
     for v in (0.5, 1.0):
         kin = Kinetics.from_exponent(v, 10)
-        for i in range(1000):
-            run = simulate_coupled(SimConfig(
-                kin, z0=1, n_cycles=10, gamma=0.75,
-                seed=80, replicate_id=i))
-            total += sum(order_violations(run).values())
-            runs += 1
+        counts = simulate_coupled_replicates(kin, 1, 10, 1000, gamma=0.75, seed=80)
+        total += sum(order_violations(counts, kin.K ** 0.75).values())
+        runs += counts.shape[1]
     _report(8, total == 0,
             f"{total} order violations across {runs} coupled runs (tol 0)")
 

@@ -189,6 +189,16 @@ class TestEstimate:
         assert abs(report.v_hat - 0.5) < 0.2
         assert report.settings["fit_efficiency"] is True
 
+    def test_fit_above_full_efficiency_is_clipped(self, tmp_path):
+        # at v = 1 about half the fits land above 1 (here 1.00021): the
+        # fit is clipped to 1 and the exact inversion recovers z0
+        out = tmp_path / "report.json"
+        assert main(["estimate", "--v", "1.0", "--m", "20", "--z0", "3",
+                     "--seed", "3", "--fit-v", "--out", str(out)]) == 0
+        report = read_report_json(out)
+        assert report.v_hat == 1.0 and report.z_hat_mle == 3
+        assert report.diagnostics["v_hat_clipped_from"] > 1.0
+
     def test_inline_needs_scale(self, capsys):
         assert main(["estimate", "--v", "0.5"]) == 1
         assert "error:" in capsys.readouterr().err

@@ -432,6 +432,7 @@ class TestReportPipeline:
     def test_fitted_efficiency(self):
         rep = self.run_once(0.5, 30, 3, v_known=0.5, fit_efficiency=True)
         assert rep.v_hat is not None and abs(rep.v_hat - 0.5) < 0.2
+        assert rep.diagnostics["v_hat_clipped_from"] is None
 
     def test_unit_efficiency_uses_exact_inversion(self):
         rep = self.run_once(1.0, 16, 5, v_known=1.0)
@@ -457,6 +458,12 @@ class TestReportPipeline:
     def test_needs_v_somewhere(self):
         with pytest.raises(ValueError):
             self.run_once(0.5, 30, 3)
+
+    @pytest.mark.parametrize("v_known", [0.0, 1.0001])
+    def test_known_efficiency_outside_unit_interval_raises(self, v_known):
+        # only a fit is clipped to 1; an explicit efficiency is checked
+        with pytest.raises(ValueError, match="outside"):
+            self.run_once(1.0, 20, 3, v_known=v_known, fit_efficiency=True)
 
     def test_scan_out_of_support_raises(self):
         # t is near 40, far beyond the only candidate z=1: the pipeline

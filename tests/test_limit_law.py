@@ -542,6 +542,13 @@ class TestExactDensity:
         together = ancestor_density(np.array([0.2, 0.8, 3.0]), 0.5, 4)
         assert np.array_equal(together.values[:, 1], alone.values[:, 0])
         assert np.array_equal(together.bounds[:, 1], alone.bounds[:, 0])
+        # t = 30 above z_max = 4 moves the period 4*max(z_max, t) + 8, so
+        # the value at 0.8 moves too (by 1.7e-5 at z = 1), but both values
+        # stay within their summed bounds
+        far = ancestor_density(np.array([0.8, 30.0]), 0.5, 4)
+        assert not np.array_equal(far.values[:, 0], alone.values[:, 0])
+        assert np.all(np.abs(far.values[:, 0] - alone.values[:, 0])
+                      <= far.bounds[:, 0] + alone.bounds[:, 0])
 
     def test_point_does_not_depend_on_its_position(self):
         # each point has its own matrix-vector product on the power table;

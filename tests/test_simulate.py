@@ -11,8 +11,6 @@ from qpcrkin import streams
 from qpcrkin.kinetics import Kinetics, iterate_mean_map
 from qpcrkin.simulate import (
     BLOCK_SIZE,
-    CoupledRun,
-    CouplingViolationError,
     SaturationError,
     SimConfig,
     Trajectory,
@@ -21,9 +19,7 @@ from qpcrkin.simulate import (
     noise_sequence,
     order_violations,
     read_trajectory_csv,
-    simulate_coupled,
     simulate_coupled_replicates,
-    simulate_linear,
     simulate_reaction,
     simulate_replicates,
     write_trajectory_csv,
@@ -42,10 +38,6 @@ class TestConfigAndTrajectory:
     def test_rejects_zero_cycles(self):
         with pytest.raises(ValueError):
             cfg(n_cycles=0)
-
-    def test_coupled_needs_gamma_in_unit_interval(self):
-        with pytest.raises(ValueError):
-            cfg(gamma=1.0)
 
     def test_trajectory_rejects_decreasing(self):
         with pytest.raises(ValueError):
@@ -154,20 +146,19 @@ class TestReplicateBlocks:
 
 
 class TestLinear:
+    """The upper row of the coupled construction: branching with probability v."""
+
     def test_exact_doubling_at_full_efficiency(self):
-        traj = simulate_linear(cfg(v=1.0, z0=3, n_cycles=3, seed=1))
-        assert traj.counts.tolist() == [3, 6, 12, 24]
+        upper = simulate_coupled_replicates(Kinetics(1.0, 1000.0), 3, 3, 1, seed=1)[1]
+        assert upper.tolist() == [[3, 6, 12, 24]]
 
     def test_moments_match_branching_formulas(self):
         # single-type branching with offspring 1 + bernoulli(v):
         # mean z0*b**n, variance z0*v*(1-v)*b**(n-1)*(b**n - 1)/(b - 1)
         v, z0, n, reps = 0.5, 1, 6, 20000
         b = 1.0 + v
-        vals = np.empty(reps)
-        for i in range(reps):
-            vals[i] = simulate_linear(
-                cfg(v=v, z0=z0, n_cycles=n, seed=17, replicate_id=i)
-            ).counts[-1]
+        vals = simulate_coupled_replicates(
+            Kinetics(v, 1000.0), z0, n, reps, seed=17)[1, :, -1]
         mean_exp = z0 * b ** n
         var_exp = z0 * v * (1 - v) * b ** (n - 1) * (b ** n - 1) / (b - 1)
         assert abs(vals.mean() - mean_exp) < 4 * math.sqrt(var_exp / reps)
@@ -179,58 +170,21 @@ class TestLinear:
         v, z0, reps = 0.9, 2, 10000
         b = 1.0 + v
         ns = [2, 4, 8]
-        rows = np.empty((reps, len(ns)))
-        for i in range(reps):
-            t = simulate_linear(cfg(v=v, z0=z0, n_cycles=max(ns), seed=23, replicate_id=i))
-            rows[i] = [t.counts[n] / b ** n for n in ns]
+        upper = simulate_coupled_replicates(Kinetics(v, 1000.0), z0, max(ns), reps, seed=23)[1]
+        rows = upper[:, ns] / b ** np.array(ns)
         for j in range(len(ns)):
             se = rows[:, j].std(ddof=1) / math.sqrt(reps)
             assert abs(rows[:, j].mean() - z0) < 4 * se
-
-    def test_saturation_raises(self):
-        with pytest.raises(SaturationError):
-            simulate_linear(cfg(v=1.0, z0=2 ** 62 + 1, n_cycles=1, seed=3))
 
 
 class TestCoupled:
     @pytest.mark.parametrize("v", [0.5, 1.0])
     @pytest.mark.parametrize("seed", [101, 202, 303])
     def test_pathwise_order(self, v, seed):
-        run = simulate_coupled(
-            cfg(v=v, K=(1 + v) ** 10, z0=5, n_cycles=10, seed=seed)
-        )
-        assert all(count == 0 for count in order_violations(run).values())
-        z, y = run.reaction.counts, run.upper.counts
-        assert np.all(z <= y)
-
-    def test_crossing_indices_ordered(self):
-        run = simulate_coupled(
-            cfg(v=1.0, K=2.0 ** 10, z0=5, n_cycles=10, seed=9)
-        )
-        assert run.upper_crossing is not None
-        assert run.reaction_crossing is not None
-        assert run.upper_crossing <= run.reaction_crossing
-
-    def test_initial_crossing_at_zero(self):
-        run = simulate_coupled(
-            cfg(v=0.5, K=16.0, z0=15, n_cycles=2, seed=4)
-        )
-        # K**0.75 = 8 < 15, so both processes start above the threshold
-        assert run.reaction_crossing == 0
-        assert run.upper_crossing == 0
-
-    def test_one_lane_case_of_the_block_construction(self):
-        c = cfg(v=0.5, K=200.0, z0=3, n_cycles=12, seed=21, replicate_id=4)
-        run = simulate_coupled(c)
-        gen = streams.stream(21, streams.COUPLED, 4, aux=0)
-        lanes = _coupled_lanes([gen], c.kinetics, c.gamma, 3, 12, 1)
-        assert np.array_equal(lanes[:, 0], np.stack(
-            [run.reaction.counts, run.upper.counts, run.lower.counts]))
-
-    def test_count_at_the_crossing_level_has_not_crossed(self):
-        # K**gamma = 8 exactly, and the run starts at 8
-        run = simulate_coupled(cfg(v=0.5, K=16.0, z0=8, n_cycles=3, seed=5))
-        assert run.reaction_crossing != 0 and run.upper_crossing != 0
+        kin = Kinetics(v, (1 + v) ** 10)
+        counts = simulate_coupled_replicates(kin, 5, 10, BLOCK_SIZE, seed=seed)
+        assert all(count == 0 for count in order_violations(counts, kin.K ** 0.75).values())
+        assert np.all(counts[0] <= counts[1])
 
     def test_block_is_one_stream_and_prefix_stable(self):
         # block 1 is the lane construction on the aux=1 coupled stream
@@ -238,7 +192,7 @@ class TestCoupled:
         got = simulate_coupled_replicates(kin, 3, 12, 2 * BLOCK_SIZE, seed=6)
         assert got.shape == (3, 2 * BLOCK_SIZE, 13) and got.dtype == np.int64
         gen = streams.stream(6, streams.COUPLED, 1, aux=1)
-        lanes = _coupled_lanes([gen], kin, 0.75, 3, 12, BLOCK_SIZE)
+        lanes = _coupled_lanes([gen], kin, 0.75, 3, 12)
         assert np.array_equal(got[:, BLOCK_SIZE:], lanes)
         short = simulate_coupled_replicates(kin, 3, 12, 1500, seed=6)
         assert np.array_equal(short, got[:, :1500])
@@ -255,12 +209,12 @@ class TestCoupled:
         # at K = 1.9**65, v*K/(K + 1) rounds one ulp above v = 0.9
         kin = Kinetics.from_exponent(0.9, 65)
         assert kin.v * kin.K / (kin.K + 1) > kin.v
-        run = simulate_coupled(SimConfig(kin, z0=1, n_cycles=3, seed=1))
-        assert run.upper.counts[-1] <= 8
+        upper = simulate_coupled_replicates(kin, 1, 3, BLOCK_SIZE, seed=1)[1]
+        assert np.all(upper[:, -1] <= 8)
 
     def test_saturation_raises_not_wraps(self):
         with pytest.raises(SaturationError):
-            simulate_coupled(cfg(v=1.0, K=1e40, z0=2 ** 62 + 1, n_cycles=1, seed=3))
+            simulate_coupled_replicates(Kinetics(1.0, 1e40), 2 ** 62 + 1, 1, 1, seed=3)
 
     def test_order_violations_counts_each_relation(self):
         # rows reaction, upper, lower of two runs; crossing level 5
@@ -280,10 +234,6 @@ class TestCoupled:
             "reaction_above_upper": 0, "lower_above_upper": 1,
             "lower_above_reaction_before_crossing": 1, "crossing_order": 0,
         }
-        kin = Kinetics(0.5, 16.0)
-        with pytest.raises(CouplingViolationError):
-            CoupledRun(Trajectory([1, 2, 4], kin), Trajectory([1, 2, 3], kin),
-                       Trajectory([1, 1, 1], kin), 0.75, None, None)
 
     @pytest.mark.parametrize("case", [
         # K**gamma = 8 stays above z for both cycles: p_lower < p_reaction, w <= z
