@@ -16,7 +16,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
-import math
 import os
 import secrets
 import time
@@ -65,9 +64,6 @@ DEFAULT_CURVE_EFFICIENCIES = (0.25, 0.5, 0.9, 1.0)
 MAX_CURVE_INTERVALS = 10 ** 6
 
 _RESULT_KEYS = ("kind", "spec", "summary", "records", "runtime_seconds")
-# records per json.dumps call in write_result_json: the C encoder keeps
-# every fragment of one call until it joins them, so chunks bound memory
-_RECORDS_PER_CHUNK = 100
 
 
 @dataclass(frozen=True)
@@ -131,12 +127,12 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Summary plus per-replicate records for one scenario run."""
+    """Summary plus per-replicate records, one list per field, for one scenario run."""
 
     kind: str
     spec: dict
     summary: dict
-    records: list = field(default_factory=list)
+    records: dict = field(default_factory=dict)
     runtime_seconds: float = 0.0
 
     def __post_init__(self):
@@ -207,10 +203,9 @@ def run_convergence(spec: ScenarioSpec) -> ExperimentResult:
         "trajectory_deciles": deciles.tolist(),
         "limit_cdf_at_deciles": law.values[n:nd].tolist(),
     }
-    records = [{"replicate": i, "x_m": x} for i, x in enumerate(x_m.tolist())]
+    records = {"replicate": list(range(n)), "x_m": x_m.tolist()}
     if spec.shift:
-        for rec, x in zip(records, x_shift.tolist()):
-            rec["x_shifted"] = x
+        records["x_shifted"] = x_shift.tolist()
     return ExperimentResult(
         kind=spec.kind, spec=spec.to_json_dict(), summary=summary,
         records=records, runtime_seconds=time.perf_counter() - start,
@@ -226,7 +221,7 @@ def run_estimation(spec: ScenarioSpec) -> ExperimentResult:
     left to the single-trajectory pipeline).  Below 1, t_vs_limit_ks is
     the one-sample KS distance of the recovered t means from the exact
     law of W(z0), within ks_bound.  fit_efficiency adds a per-replicate
-    efficiency estimate.
+    efficiency estimate (null from fewer than two densities).
 
     The replicates are those of simulate_replicates to cycle m +
     extra_cycles, drawn one cycle at a time for all of them.  The observer
@@ -254,7 +249,14 @@ def run_estimation(spec: ScenarioSpec) -> ExperimentResult:
     kappas = kappas[replicate_ids]
     n_hit = n_hit[replicate_ids]
 
-    records = []
+    t_means = np.nanmean(limit_observables_rows(kappas, n_hit, kin), axis=1)
+    z_hats = estimate_copies_normal(t_means, spec.v, integer=True)
+    tau = n_hit - _log_scale_cycles(kin.K, kin.b)
+    records = {"replicate": replicate_ids.tolist(), "tau": tau.tolist(),
+               "t_mean": t_means.tolist(), "z_hat": z_hats.tolist()}
+    if spec.fit_efficiency:
+        v_hats = efficiency_rows(kappas)
+        records["v_hat"] = np.where(np.isnan(v_hats), None, v_hats).tolist()
     summary = {
         "replicates": spec.replicates,
         "detected": int(replicate_ids.size),
@@ -269,19 +271,6 @@ def run_estimation(spec: ScenarioSpec) -> ExperimentResult:
         "v_hat_median": None,
     }
     if replicate_ids.size:
-        t_means = np.nanmean(limit_observables_rows(kappas, n_hit, kin), axis=1)
-        z_hats = estimate_copies_normal(t_means, spec.v, integer=True)
-        v_hats = efficiency_rows(kappas) if spec.fit_efficiency else None
-        tau = n_hit - _log_scale_cycles(kin.K, kin.b)
-        columns = zip(replicate_ids.tolist(), tau.tolist(), t_means.tolist(),
-                      z_hats.tolist())
-        records = [{"replicate": i, "tau": tau_i, "t_mean": t, "z_hat": z}
-                   for i, tau_i, t, z in columns]
-        if v_hats is not None:
-            for rec, v_hat in zip(records, v_hats.tolist()):
-                if not math.isnan(v_hat):
-                    rec["v_hat"] = v_hat
-
         values, freq = np.unique(z_hats, return_counts=True)
         summary["z_hat_mode"] = int(values[np.argmax(freq)])
         summary["fraction_within_one"] = float(
@@ -293,7 +282,7 @@ def run_estimation(spec: ScenarioSpec) -> ExperimentResult:
             summary["ks_bound"] = law.bound
             summary["limit_cdf_points"] = law.points
             summary["limit_cdf_grid"] = law.grid
-        if v_hats is not None and np.any(~np.isnan(v_hats)):
+        if spec.fit_efficiency and np.any(~np.isnan(v_hats)):
             summary["v_hat_median"] = float(np.nanmedian(v_hats))
     return ExperimentResult(
         kind=spec.kind, spec=spec.to_json_dict(), summary=summary,
@@ -322,7 +311,7 @@ def run_coupling(spec: ScenarioSpec) -> ExperimentResult:
     if not m_values:
         raise ValueError("empty m sweep")
 
-    records = []
+    records = {"m": [], "replicate": [], "scaled_gap": []}
     medians = []
     worst = 0
     for m in m_values:
@@ -332,8 +321,9 @@ def run_coupling(spec: ScenarioSpec) -> ExperimentResult:
                                              gamma=spec.gamma, seed=spec.seed)
         worst = max(worst, *order_violations(counts, kin.K ** spec.gamma).values())
         gaps = (counts[1, :, n1] - counts[0, :, n1]) * kin.K ** (-spec.c_exponent)
-        records += [{"m": m, "replicate": i, "scaled_gap": gap}
-                    for i, gap in enumerate(gaps.tolist())]
+        records["m"] += [m] * spec.replicates
+        records["replicate"] += range(spec.replicates)
+        records["scaled_gap"] += gaps.tolist()
         medians.append(float(np.median(gaps)))
 
     summary = {
@@ -413,30 +403,29 @@ def write_result_json(result: ExperimentResult, path) -> None:
     """Write a result as compact single-line JSON with `records` last.
 
     Everything goes through json's C encoder (on CPython 3.11 any
-    `indent` selects the pure-Python one); records follow the head in
-    chunks of _RECORDS_PER_CHUNK to keep memory flat.  The text goes to
-    a new file beside path that then replaces path, so a value the
+    `indent` selects the pure-Python one), one call for the head and one
+    per records column, with allow_nan=False: a NaN or an infinity raises
+    ValueError instead of writing NaN, which is not JSON.  The text goes
+    to a new file beside path that then replaces path, so a value the
     encoder refuses anywhere leaves an existing file as it was and no
     partial file behind.
     """
-    head = json.dumps({
+    encode = json.JSONEncoder(allow_nan=False).encode
+    head = encode({
         "kind": result.kind,
         "spec": result.spec,
         "summary": result.summary,
         "runtime_seconds": result.runtime_seconds,
     })
-    records = result.records
     path = os.fspath(path)
     tmp = os.path.join(os.path.dirname(path) or ".",
                        f".{os.path.basename(path)}.{secrets.token_hex(4)}.tmp")
     try:
         with open(tmp, "x") as fh:
-            fh.write(head[:-1] + ', "records": [')
-            for start in range(0, len(records), _RECORDS_PER_CHUNK):
-                if start:
-                    fh.write(", ")
-                fh.write(json.dumps(records[start:start + _RECORDS_PER_CHUNK])[1:-1])
-            fh.write("]}\n")
+            fh.write(head[:-1] + ', "records": {')
+            for i, (key, column) in enumerate(result.records.items()):
+                fh.write((", " if i else "") + encode({key: column})[1:-1])
+            fh.write("}}\n")
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -445,7 +434,15 @@ def write_result_json(result: ExperimentResult, path) -> None:
 
 
 def read_result_json(path) -> ExperimentResult:
+    """Inverse of write_result_json; records must be an object of equal-length lists."""
     doc = _read_json_object(path, _RESULT_KEYS)
+    if not isinstance(doc["records"], dict):
+        raise ValueError(f"{path}: records must be a JSON object of columns")
+    columns = list(doc["records"].items())
+    for key, column in columns:
+        if not (isinstance(column, list) and len(column) == len(columns[0][1])):
+            raise ValueError(f"{path}: records column {key!r} is not a list as long "
+                             f"as column {columns[0][0]!r}")
     return ExperimentResult(
         kind=doc["kind"], spec=doc["spec"], summary=doc["summary"],
         records=doc["records"], runtime_seconds=doc["runtime_seconds"],

@@ -31,7 +31,7 @@ from qpcrkin.kinetics import (
     _seed_coefficients,
     _tail_depth,
 )
-from qpcrkin.simulate import BLOCK_SIZE, _block_cycles, _block_streams, _read_metadata
+from qpcrkin.simulate import _block_cycles, _block_streams, _read_metadata
 
 __all__ = [
     "LimitEnsemble",
@@ -121,9 +121,9 @@ def sample_limit(
     for n_gen generations and scales by b**n_gen.  Sample i is lane i of
     the runners' block layout (qpcrkin.streams) on streams.GROWTH_LIMIT,
     a purpose no trajectory uses: each generation draws one array
-    binomial per block (simulate._block_cycles).  Whole blocks are drawn
-    and the result cut to count, so the first samples do not depend on
-    count.
+    binomial per block (simulate._block_cycles).  The last block draws
+    only the remainder of count, so only whole blocks are prefix-stable:
+    block k's samples do not depend on count once count fills block k.
     n_gen defaults to the smallest depth with b**n_gen >= 10**6.
     """
     if not 0.0 < v <= 1.0:
@@ -148,8 +148,8 @@ def sample_limit(
         raise ValueError(f"z={z} at n_gen={n_gen} overflows the int64 molecule count")
 
     gens = _block_streams(streams.GROWTH_LIMIT, seed, count)
-    y = np.full(len(gens) * BLOCK_SIZE, z, dtype=np.int64)
-    p = np.full(y.size, v)  # draw cuts every arg into block rows
+    y = np.full(count, z, dtype=np.int64)
+    p = np.full(count, v)  # draw cuts every arg into block rows
 
     def step(y, draw, n):
         y += draw("binomial", y, p)
@@ -157,7 +157,7 @@ def sample_limit(
 
     for _ in _block_cycles(gens, y, n_gen, step):
         pass  # step advances y in place
-    samples = y[:count] * math.exp(-n_gen * math.log1p(v))
+    samples = y * math.exp(-n_gen * math.log1p(v))
     return LimitEnsemble(samples, v=v, z=z, n_gen=n_gen, seed=seed)
 
 

@@ -40,8 +40,7 @@ __all__ = [
 
 INT64_MAX = np.iinfo(np.int64).max
 
-#: lanes per Philox block; the default ensemble size 10**4 is a multiple,
-#: so no drawn lane is discarded
+#: lanes per Philox block; the last block of a run holds the remainder
 BLOCK_SIZE = 1000
 
 # aux tag of the block streams; aux 0 keys single trajectories
@@ -167,10 +166,11 @@ def simulate_replicates(
     Returns a (replicates, n_cycles + 1) int64 count matrix whose row i
     is replicate i, lane i of the block layout (qpcrkin.streams) on the
     REACTION purpose: each cycle draws one array binomial(z, v*K/(K + z))
-    per block from the block's own stream.  Whole blocks are drawn and the
-    result cut to replicates, so the first rows do not depend on
-    replicates.  Raises SaturationError before any count would leave the
-    64-bit range.
+    per block from the block's own stream.  The last block draws only the
+    remainder of replicates, so only whole blocks are prefix-stable: the
+    rows of block k do not depend on replicates as long as replicates
+    fills block k.  Raises SaturationError before any count would leave
+    the 64-bit range.
     """
     return _count_rows(list(_reaction_cycles(kinetics, z0, n_cycles, replicates, seed)))
 
@@ -192,8 +192,7 @@ def _reaction_cycles(kinetics: Kinetics, z0: int, n_cycles: int, replicates: int
         _check_range(inc, z, n)
         return z + inc
 
-    start = np.full(len(gens) * BLOCK_SIZE, z0, dtype=np.int64)
-    return (z[:replicates] for z in _block_cycles(gens, start, n_cycles, step))
+    return _block_cycles(gens, np.full(replicates, z0, dtype=np.int64), n_cycles, step)
 
 
 def _count_rows(cycles: list) -> np.ndarray:
@@ -217,18 +216,19 @@ def _block_streams(purpose: int, seed: int, replicates: int) -> list:
 
 
 def _block_cycles(gens: list, start: np.ndarray, n_cycles: int, step):
-    """Cycle-major lockstep of len(gens) blocks of BLOCK_SIZE lanes each.
+    """Cycle-major lockstep of the lanes of start, BLOCK_SIZE per block.
 
     A generator of the state of every lane after cycles 0..n_cycles; row
-    i of start is lane i at cycle 0.  step(state, draw, n) returns the
-    state after cycle n, in place if the consumer reads only the last, and
-    does its arithmetic on all lanes at once.  Its random numbers come
+    i of start is lane i at cycle 0, and gens holds one generator per
+    block, the last block holding the remaining rows.  step(state, draw,
+    n) returns the state after cycle n, in place if the consumer reads
+    only the last, and does its arithmetic on all lanes at once.  Its random numbers come
     from draw(method, *args), which calls method on each block's generator
     with that block's rows of args and joins the results in lane order,
     so every block's stream makes the draws it would make alone, in the
     same order.
     """
-    cuts = range(0, len(gens) * BLOCK_SIZE, BLOCK_SIZE)
+    cuts = range(0, start.shape[0], BLOCK_SIZE)
 
     def draw(method, *args):
         parts = [getattr(gen, method)(*(a[lo:lo + BLOCK_SIZE] for a in args))
@@ -252,9 +252,9 @@ _CELLS[1:3, 1:3, 2] = 1  # W: j < w and u < p_lower
 _CELLS = _CELLS.reshape(20, 3)
 
 
-def _coupled_lanes(gens: list, kinetics: Kinetics, gamma: float, z0: int,
-                   n_cycles: int) -> np.ndarray:
-    """Coupled runs in lockstep: a (3, len(gens)*BLOCK_SIZE, n_cycles + 1) count array.
+def _coupled_lanes(gens: list, lanes: int, kinetics: Kinetics, gamma: float,
+                   z0: int, n_cycles: int) -> np.ndarray:
+    """Coupled runs in lockstep: a (3, lanes, n_cycles + 1) count array.
 
     Rows are Z, Y and W of the shared-uniform construction (README, notes
     on numerics).  Each cycle draws how many uniforms of each index
@@ -267,9 +267,8 @@ def _coupled_lanes(gens: list, kinetics: Kinetics, gamma: float, z0: int,
     v, K = kinetics.v, kinetics.K
     # capped at v, so that rounding cannot make an interval negative
     p_lower = min(v * K / (K + K ** gamma), v)
-    total = len(gens) * BLOCK_SIZE
-    size = np.empty((total, 4), dtype=np.int64)
-    p = np.empty((total, 5))
+    size = np.empty((lanes, 4), dtype=np.int64)
+    p = np.empty((lanes, 5))
     p[:, 4] = 1.0 - v
 
     def step(prev, draw, n):
@@ -283,11 +282,11 @@ def _coupled_lanes(gens: list, kinetics: Kinetics, gamma: float, z0: int,
         np.subtract(p_reaction, low, out=p[:, 0])
         np.subtract(p_lower, low, out=p[:, 2])
         np.subtract(v - p_reaction, p[:, 2], out=p[:, 3])
-        inc = draw("multinomial", size, p[:, None]).reshape(total, 20) @ _CELLS
+        inc = draw("multinomial", size, p[:, None]).reshape(lanes, 20) @ _CELLS
         _check_range(inc[:, 1], y, n)
         return prev + inc
 
-    start = np.full((total, 3), z0, dtype=np.int64)
+    start = np.full((lanes, 3), z0, dtype=np.int64)
     states = list(_block_cycles(gens, start, n_cycles, step))
     return np.stack(states, axis=-1).transpose(1, 0, 2)
 
@@ -304,11 +303,12 @@ def simulate_coupled_replicates(
     replicates with constant probability v*K/(K + K**gamma) and stays
     below the reaction until the reaction count first exceeds K**gamma
     (order_violations).  The blocks advance together, one multinomial
-    draw per block each cycle, as in simulate_replicates.
+    draw per block each cycle, and the last block draws only the
+    remainder, as in simulate_replicates.
     """
     _check_settings(z0, n_cycles, replicates, gamma)
     gens = _block_streams(streams.COUPLED, seed, replicates)
-    counts = _coupled_lanes(gens, kinetics, gamma, z0, n_cycles)[:, :replicates]
+    counts = _coupled_lanes(gens, replicates, kinetics, gamma, z0, n_cycles)
     _check_count_rows(counts)
     return counts
 

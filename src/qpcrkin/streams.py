@@ -18,11 +18,12 @@ Streams come in two layouts, told apart by aux, so they never share a key:
   samples on GROWTH_LIMIT, a purpose no trajectory uses.  The blocks
   advance together, cycle by cycle, each cycle one array draw per block
   from its own stream, so a block's draws do not depend on the other
-  blocks, a lane is reproducible together with its block, and the first
-  n lanes are the same for every lane count >= n.  A consumer may stop
-  after any cycle; the cycles it has drawn are those of the full run
-  (the estimation runner stops once every replicate's observed window is
-  drawn).
+  blocks and a lane is reproducible together with its block.  The last
+  block draws only the remainder of the lane count, so only whole blocks
+  are prefix-stable: the lanes of block k are the same for every lane
+  count that fills block k.  A consumer may stop after any cycle; the
+  cycles it has drawn are those of the full run (the estimation runner
+  stops once every replicate's observed window is drawn).
 """
 
 from __future__ import annotations

@@ -193,7 +193,7 @@ def test_10_exact_inversion_recovery():
             kind="estimation", v=1.0, m=20, z0=z0, replicates=200,
             seed=200 + z0))
         detected += res.summary["detected"]
-        within += sum(abs(rec["z_hat"] - z0) <= 1 for rec in res.records)
+        within += sum(abs(z_hat - z0) <= 1 for z_hat in res.records["z_hat"])
     frac = within / detected
     _report(10, frac >= 0.90,
             f"|z_hat - z0| <= 1 in {frac:.3f} of {detected} detected "
@@ -230,15 +230,14 @@ def test_11_estimation_chain():
                           - (t - z) ** 2 / (2.0 * z * sigma_sq))
 
     worst = 0.0
-    for rec in res.records:
-        t = rec["t_mean"]
+    for t in res.records["t_mean"]:
         oracle = _golden_max(log_density(t), 1e-8, 4.0 * t + 10.0)
         worst = max(worst, abs(estimate_copies_normal(t, 0.5) - oracle))
     ok = ks <= 0.1 and worst <= 1e-6
     _report(11, ok,
             f"recovered-t KS {ks:.4f} (tol 0.1); normal estimator vs "
             f"numeric-maximization oracle max dev {worst:.2e} on "
-            f"{len(res.records)} values (tol 1e-6)")
+            f"{len(res.records['t_mean'])} values (tol 1e-6)")
 
 
 def test_12_efficiency_recovery():

@@ -16,8 +16,9 @@ import json
 import numpy as np
 import pytest
 
+from qpcrkin import streams
 from qpcrkin.kinetics import Kinetics, inverse_profile, limit_profile
-from qpcrkin.simulate import Trajectory, simulate_replicates
+from qpcrkin.simulate import BLOCK_SIZE, Trajectory, simulate_replicates
 from qpcrkin.inference import (
     NotDetectedError,
     estimate_copies_normal,
@@ -115,14 +116,17 @@ class TestConvergence:
         res = run_convergence(self.make())
         assert res.kind == "convergence"
         assert 0.0 <= res.summary["ks"] <= 0.15
-        assert len(res.records) == 400
+        assert res.records["replicate"] == list(range(400))
+        assert list(res.records) == ["replicate", "x_m"]
+        assert len(res.records["x_m"]) == 400
         assert len(res.summary["trajectory_deciles"]) == 9
 
     def test_shift_comparison(self):
         res = run_convergence(self.make(shift=1))
         assert res.summary["ks_shifted"] is not None
         assert abs(res.summary["ks_shifted"] - res.summary["ks"]) < 0.06
-        assert all("x_shifted" in rec for rec in res.records)
+        assert list(res.records) == ["replicate", "x_m", "x_shifted"]
+        assert len(res.records["x_shifted"]) == 400
 
     def test_degenerate_reference_at_unit_efficiency(self):
         # at v=1 the law of H(W(z0)) is the point mass at H(z0): its CDF is
@@ -136,7 +140,7 @@ class TestConvergence:
         assert s["limit_cdf_at_deciles"] == steps.tolist()
         assert s["ks_bound"] == 0.0 and s["limit_cdf_points"] == s["limit_cdf_grid"] == 0
         target = float(limit_profile(2.0, kin))
-        below = np.mean([rec["x_m"] < target for rec in res.records])
+        below = np.mean(np.array(res.records["x_m"]) < target)
         assert s["ks"] == pytest.approx(max(below, 1.0 - below), abs=1e-12)
         median_x = s["trajectory_deciles"][4]
         assert abs(median_x - target) < 0.05
@@ -148,16 +152,23 @@ class TestConvergence:
         assert a.records == b.records
 
     def test_streams_are_split(self):
-        # replicate 0 is lane 0 of the first reaction block; the law side
-        # draws no random numbers, so the statistic is the one-sample KS
-        # of the trajectories against the exact CDF of H(W(z0))
+        # replicates 0..999 are the whole first reaction block, the same at
+        # any count that fills it; replicates 1000..1199 are block 1 drawn
+        # as 200 lanes on its own stream.  The law side draws no random
+        # numbers, so the statistic is the one-sample KS of the
+        # trajectories against the exact CDF of H(W(z0))
         stats = pytest.importorskip("scipy.stats")
-        spec = self.make(replicates=300)
+        spec = self.make(replicates=BLOCK_SIZE + 200)
         res = run_convergence(spec)
         kin = Kinetics.from_exponent(spec.v, spec.m)
-        counts = simulate_replicates(kin, z0=1, n_cycles=20, replicates=1, seed=3)
-        assert res.records[0]["x_m"] == counts[0, 20] / kin.K
-        x_m = np.array([rec["x_m"] for rec in res.records])
+        x_m = np.array(res.records["x_m"])
+        whole = simulate_replicates(kin, z0=1, n_cycles=20, replicates=BLOCK_SIZE, seed=3)
+        assert np.array_equal(x_m[:BLOCK_SIZE], whole[:, 20] / kin.K)
+        gen = streams.stream(3, streams.REACTION, 1, aux=1)
+        z = np.ones(200, dtype=np.int64)
+        for _ in range(20):
+            z = z + gen.binomial(z, kin.v * kin.K / (kin.K + z))
+        assert np.array_equal(x_m[BLOCK_SIZE:], z / kin.K)
 
         def law(x):
             return ancestor_cdf(inverse_profile(x, kin), 0.5, 1).values
@@ -205,7 +216,7 @@ class TestEstimation:
         assert s["fraction_within_one"] >= 0.9
         assert s["t_vs_limit_ks"] is None
         assert s["limit_cdf_points"] is None and s["limit_cdf_grid"] is None
-        assert all(rec["z_hat"] >= 1 for rec in res.records)
+        assert min(res.records["z_hat"]) >= 1
 
     def test_fitted_efficiency_and_t_law(self):
         spec = ScenarioSpec(kind="estimation", v=0.5, m=25, z0=2,
@@ -217,7 +228,7 @@ class TestEstimation:
         assert s["t_vs_limit_ks"] <= 0.25
         assert 0.0 < s["ks_bound"] <= DENSITY_PRECISION.tol
         assert s["limit_cdf_grid"] > s["limit_cdf_points"] > 0
-        assert all("v_hat" in rec for rec in res.records)
+        assert len(res.records["v_hat"]) == 80 and None not in res.records["v_hat"]
 
     def test_missed_replicates_counted(self):
         spec = ScenarioSpec(kind="estimation", v=0.5, m=20, z0=1, rho=0.75,
@@ -226,7 +237,7 @@ class TestEstimation:
         s = res.summary
         assert s["missed"] >= 1
         assert s["detected"] + s["missed"] == 60
-        assert len(res.records) == s["detected"]
+        assert [len(col) for col in res.records.values()] == [s["detected"]] * 4
 
     @pytest.mark.parametrize("overrides", [
         dict(v=0.5, m=20, z0=2),
@@ -255,21 +266,21 @@ class TestEstimation:
                 z_hat = max(1, round(t_mean))
             else:
                 z_hat = estimate_copies_normal(t_mean, spec.v, integer=True)
-            rec = {"replicate": i, "tau": tau, "t_mean": t_mean, "z_hat": z_hat}
-            if obs.kappas.size >= 2:
-                rec["v_hat"] = estimate_efficiency(obs.kappas)
-            expected.append(rec)
+            # a window of one density has no efficiency fit
+            v_hat = estimate_efficiency(obs.kappas) if obs.kappas.size >= 2 else None
+            expected.append((i, tau, t_mean, z_hat, v_hat))
         if "rho" in overrides:
             assert res.summary["missed"] >= 1
         assert res.summary["detected"] == len(expected)
-        assert len(res.records) == len(expected)
-        for got, want in zip(res.records, expected):
-            assert got.keys() == want.keys()
-            for key in ("replicate", "tau", "z_hat"):
-                assert got[key] == want[key]
-            for key in ("t_mean", "v_hat"):
-                if key in want:
-                    assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0)
+        assert list(res.records) == ["replicate", "tau", "t_mean", "z_hat", "v_hat"]
+        rows = list(zip(*res.records.values()))
+        assert len(rows) == len(expected)
+        for (i, tau, t_mean, z_hat, v_hat), want in zip(rows, expected):
+            assert (i, tau, z_hat) == (want[0], want[1], want[3])
+            assert t_mean == pytest.approx(want[2], rel=1e-12, abs=0)
+            assert (v_hat is None) == (want[4] is None)
+            if v_hat is not None:
+                assert v_hat == pytest.approx(want[4], rel=1e-12, abs=0)
 
     def test_reproducible(self):
         spec = ScenarioSpec(kind="estimation", v=0.5, m=20, z0=2,
@@ -319,7 +330,9 @@ class TestCoupling:
         assert s["gap_decreasing"] is True
         assert s["median_scaled_gap"][0] > s["median_scaled_gap"][-1]
         assert s["n1_values"] == [6, 9, 12]
-        assert len(res.records) == 3 * 200
+        assert res.records["m"] == [10] * 200 + [15] * 200 + [20] * 200
+        assert res.records["replicate"] == list(range(200)) * 3
+        assert len(res.records["scaled_gap"]) == 3 * 200
 
     def test_unit_efficiency(self):
         spec = ScenarioSpec(kind="coupling", v=1.0, m=20, z0=10,
@@ -410,8 +423,8 @@ class TestResultIO:
         res = run_experiment(spec)
         if spec.kind == "estimation":
             assert res.summary["missed"] >= 1
-            with_v = sum("v_hat" in rec for rec in res.records)
-            assert 0 < with_v < len(res.records)
+            with_v = sum(v is not None for v in res.records["v_hat"])
+            assert 0 < with_v < len(res.records["v_hat"])
         path = tmp_path / "res.json"
         write_result_json(res, path)
         with open(path) as fh:
@@ -422,12 +435,14 @@ class TestResultIO:
         assert back.summary == res.summary
         assert back.records == res.records
 
-    @pytest.mark.parametrize("size", ["empty", "one", "chunk", "chunk+1"])
+    @pytest.mark.parametrize("size", ["empty", "one", "4000"])
     def test_chunked_records_round_trip(self, tmp_path, size):
-        chunk = experiments._RECORDS_PER_CHUNK
-        n = {"empty": 0, "one": 1, "chunk": chunk, "chunk+1": chunk + 1}[size]
-        records = [{"replicate": i, "t_mean": i / 7.0, "z_hat": 1 + i % 3}
-                   for i in range(n)]
+        # one encoder call per column; null stands for a missing value
+        n = {"empty": 0, "one": 1, "4000": 4000}[size]
+        records = {"replicate": list(range(n)),
+                   "t_mean": [i / 7.0 for i in range(n)],
+                   "z_hat": [1 + i % 3 for i in range(n)],
+                   "v_hat": [None if i % 5 == 0 else 1.0 - i / 9e3 for i in range(n)]}
         res = ExperimentResult(kind="estimation", spec={"seed": 1},
                                summary={"ks": None},
                                records=records, runtime_seconds=0.25)
@@ -439,39 +454,50 @@ class TestResultIO:
             doc = json.load(fh)
         assert list(doc)[-1] == "records"
         assert doc == json.loads(json.dumps(_result_doc(res)))
+        assert read_result_json(path).records == records
+
+    def _refused_writes_keep_old_file(self, tmp_path, bad_results):
+        # each (error, result) pair raises error and leaves the good file
+        # as it was, with no temp file beside it
+        path = tmp_path / "res.json"
+        good = ExperimentResult(kind="estimation", spec={}, summary={"x": 1},
+                                records={"replicate": [0]}, runtime_seconds=0.1)
+        write_result_json(good, path)
+        before = path.read_bytes()
+        for error, bad in bad_results:
+            with pytest.raises(error):
+                write_result_json(bad, path)
+            assert path.read_bytes() == before
+            assert [p.name for p in tmp_path.iterdir()] == ["res.json"]
 
     def test_unencodable_head_keeps_old_file(self, tmp_path):
-        path = tmp_path / "res.json"
-        good = ExperimentResult(kind="estimation", spec={}, summary={"x": 1},
-                                records=[{"replicate": 0}], runtime_seconds=0.1)
-        write_result_json(good, path)
-        before = path.read_bytes()
-        bad = ExperimentResult(kind="estimation", spec={},
-                               summary={"x": np.int64(1)},
-                               records=[{"replicate": 0}], runtime_seconds=0.1)
-        with pytest.raises(TypeError):
-            write_result_json(bad, path)
-        assert path.read_bytes() == before
+        # a numpy scalar is refused, and so is a NaN or an infinity, which
+        # would be written as NaN or Infinity, not JSON
+        self._refused_writes_keep_old_file(tmp_path, [
+            (error, ExperimentResult(kind="estimation", spec={}, summary={"x": x},
+                                     records={"replicate": [0]}, runtime_seconds=0.1))
+            for error, x in [(TypeError, np.int64(1)), (ValueError, float("nan")),
+                             (ValueError, float("inf"))]
+        ])
 
     def test_unencodable_record_keeps_old_file(self, tmp_path):
-        path = tmp_path / "res.json"
-        good = ExperimentResult(kind="estimation", spec={}, summary={"x": 1},
-                                records=[{"replicate": 0}], runtime_seconds=0.1)
-        write_result_json(good, path)
-        before = path.read_bytes()
-        records = [{"replicate": i} for i in range(experiments._RECORDS_PER_CHUNK)]
-        records.append({"replicate": np.int64(7)})
-        bad = ExperimentResult(kind="estimation", spec={}, summary={"x": 1},
-                               records=records, runtime_seconds=0.1)
-        with pytest.raises(TypeError):
-            write_result_json(bad, path)
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["res.json"]
+        # the bad value sits last in the last column, after the rest is written
+        self._refused_writes_keep_old_file(tmp_path, [
+            (error, ExperimentResult(
+                kind="estimation", spec={}, summary={"x": 1},
+                records={"replicate": [0, 1], "t_mean": [0.5, x]}, runtime_seconds=0.1))
+            for error, x in [(TypeError, np.int64(7)), (ValueError, float("nan")),
+                             (ValueError, float("-inf"))]
+        ])
 
     @pytest.mark.parametrize("text,named", [
         ("[1, 2]", "JSON object"),
         ('{"kind": "estimation", "spec": {}, "summary": {}}', "records"),
-    ], ids=["not-an-object", "missing-key"])
+        ('{"kind": "estimation", "spec": {}, "summary": {}, "runtime_seconds": 0.1, '
+         '"records": [{"replicate": 0}]}', "records must be a JSON object"),
+        ('{"kind": "estimation", "spec": {}, "summary": {}, "runtime_seconds": 0.1, '
+         '"records": {"replicate": [0, 1], "z_hat": [1]}}', "column 'z_hat'"),
+    ], ids=["not-an-object", "missing-key", "list-of-rows", "unequal-columns"])
     def test_reader_rejects_bad_document(self, tmp_path, text, named):
         path = tmp_path / "res.json"
         path.write_text(text)

@@ -114,6 +114,18 @@ class TestBlockLayout:
         got = sample_limit(v, z=2, count=2 * BLOCK_SIZE, seed=4, n_gen=n_gen).samples
         assert np.array_equal(got[BLOCK_SIZE:], y * math.exp(-n_gen * math.log1p(v)))
 
+    def test_partial_block_is_one_stream(self):
+        # the last block draws only the remainder: samples 1000..1499 are a
+        # 500-lane lockstep on block 1's stream
+        v, n_gen = 0.5, 35
+        gen = streams.stream(4, streams.GROWTH_LIMIT, 1, aux=1)
+        y = np.full(500, 2, dtype=np.int64)
+        for _ in range(n_gen):
+            y += gen.binomial(y, v)
+        got = sample_limit(v, z=2, count=BLOCK_SIZE + 500, seed=4, n_gen=n_gen).samples
+        assert got.size == BLOCK_SIZE + 500
+        assert np.array_equal(got[BLOCK_SIZE:], y * math.exp(-n_gen * math.log1p(v)))
+
     def test_purpose_selects_distinct_blocks(self):
         # block 0 drawn the same way on the runners' REACTION block key
         # differs: ensembles keep to their GROWTH_LIMIT keys

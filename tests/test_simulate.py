@@ -93,20 +93,35 @@ class TestReaction:
             simulate_reaction(cfg(v=1.0, K=1e40, z0=big, n_cycles=1, seed=3))
 
 
+def _reaction_block(kin, z0, n_cycles, lanes, seed):
+    """Block 1 of the reaction layout drawn by hand: lanes rows of counts."""
+    gen = streams.stream(seed, streams.REACTION, 1, aux=1)
+    z = np.full(lanes, z0, dtype=np.int64)
+    rows = [z]
+    for _ in range(n_cycles):
+        z = z + gen.binomial(z, kin.v * kin.K / (kin.K + z))
+        rows.append(z)
+    return np.stack(rows, axis=1)
+
+
 class TestReplicateBlocks:
     def test_block_is_one_stream(self):
         # block 1 advances its lanes in lockstep on the aux=1 reaction stream
         kin, n_cycles = Kinetics(v=0.5, K=200.0), 12
-        gen = streams.stream(6, streams.REACTION, 1, aux=1)
-        z = np.full(BLOCK_SIZE, 3, dtype=np.int64)
-        rows = [z]
-        for _ in range(n_cycles):
-            z = z + gen.binomial(z, kin.v * kin.K / (kin.K + z))
-            rows.append(z)
         got = simulate_replicates(kin, 3, n_cycles, 2 * BLOCK_SIZE, seed=6)
         assert got.shape == (2 * BLOCK_SIZE, n_cycles + 1)
         assert got.dtype == np.int64
-        assert np.array_equal(got[BLOCK_SIZE:], np.stack(rows, axis=1))
+        assert np.array_equal(got[BLOCK_SIZE:], _reaction_block(kin, 3, n_cycles, BLOCK_SIZE, 6))
+
+    def test_partial_block_is_one_stream(self):
+        # the last block draws only the remainder: lanes 1000..1499 are a
+        # 500-lane lockstep on block 1's stream, not a cut of 1000 lanes
+        kin, n_cycles = Kinetics(v=0.5, K=200.0), 12
+        got = simulate_replicates(kin, 3, n_cycles, BLOCK_SIZE + 500, seed=6)
+        assert got.shape == (BLOCK_SIZE + 500, n_cycles + 1)
+        assert np.array_equal(got[BLOCK_SIZE:], _reaction_block(kin, 3, n_cycles, 500, 6))
+        whole = _reaction_block(kin, 3, n_cycles, BLOCK_SIZE, 6)
+        assert not np.array_equal(got[BLOCK_SIZE:], whole[:500])
 
     def test_prefix_stable(self):
         kin = Kinetics(v=0.5, K=1000.0)
@@ -187,15 +202,26 @@ class TestCoupled:
         assert np.all(counts[0] <= counts[1])
 
     def test_block_is_one_stream_and_prefix_stable(self):
-        # block 1 is the lane construction on the aux=1 coupled stream
+        # block 1 is the lane construction on the aux=1 coupled stream;
+        # block 0 is whole in both runs, so it is the same in both
         kin = Kinetics(v=0.5, K=200.0)
         got = simulate_coupled_replicates(kin, 3, 12, 2 * BLOCK_SIZE, seed=6)
         assert got.shape == (3, 2 * BLOCK_SIZE, 13) and got.dtype == np.int64
         gen = streams.stream(6, streams.COUPLED, 1, aux=1)
-        lanes = _coupled_lanes([gen], kin, 0.75, 3, 12)
+        lanes = _coupled_lanes([gen], BLOCK_SIZE, kin, 0.75, 3, 12)
         assert np.array_equal(got[:, BLOCK_SIZE:], lanes)
         short = simulate_coupled_replicates(kin, 3, 12, 1500, seed=6)
-        assert np.array_equal(short, got[:, :1500])
+        assert np.array_equal(short[:, :BLOCK_SIZE], got[:, :BLOCK_SIZE])
+
+    def test_partial_block_is_one_stream(self):
+        # lanes 1000..1499 are the lane construction on 500 lanes of block
+        # 1's stream
+        kin = Kinetics(v=0.5, K=200.0)
+        got = simulate_coupled_replicates(kin, 3, 12, BLOCK_SIZE + 500, seed=6)
+        assert got.shape == (3, BLOCK_SIZE + 500, 13)
+        gen = streams.stream(6, streams.COUPLED, 1, aux=1)
+        lanes = _coupled_lanes([gen], 500, kin, 0.75, 3, 12)
+        assert np.array_equal(got[:, BLOCK_SIZE:], lanes)
 
     @pytest.mark.parametrize("bad", [
         dict(z0=0), dict(n_cycles=0), dict(replicates=0), dict(gamma=1.0),
