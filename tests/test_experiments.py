@@ -435,10 +435,14 @@ class TestResultIO:
         assert back.summary == res.summary
         assert back.records == res.records
 
-    @pytest.mark.parametrize("size", ["empty", "one", "4000"])
+    @pytest.mark.parametrize("size", ["empty", "one", "chunk", "chunk+1",
+                                      "4000"])
     def test_chunked_records_round_trip(self, tmp_path, size):
-        # one encoder call per column; null stands for a missing value
-        n = {"empty": 0, "one": 1, "4000": 4000}[size]
+        # one encoder call per column; null stands for a missing value.
+        # "chunk" and "chunk+1" are the row counts at the former 100-row
+        # chunk boundary
+        n = {"empty": 0, "one": 1, "chunk": 100, "chunk+1": 101,
+             "4000": 4000}[size]
         records = {"replicate": list(range(n)),
                    "t_mean": [i / 7.0 for i in range(n)],
                    "z_hat": [1 + i % 3 for i in range(n)],
