@@ -141,8 +141,10 @@ def _simulate_observable(kin, m, z0, seed, rho, fit_v):
 
 
 def _cmd_estimate(args) -> int:
+    # m, z0, cycles and seed only shape a simulated trajectory: no default
+    # here, so that one given with --traj is caught
     opts = _merged(args, {
-        "v": None, "m": None, "z0": 1, "rho": 0.05, "seed": 0,
+        "v": None, "m": None, "z0": None, "rho": 0.05, "seed": None,
         "cycles": None, "traj": None, "fit_v": False, "run_mle": True,
         "mle_count": None, "mle_seed": None, "z_max": None, "out": None,
     })
@@ -151,20 +153,23 @@ def _cmd_estimate(args) -> int:
         print("estimate: mle_count and mle_seed have no effect; the likelihood "
               "scan is exact", file=sys.stderr)
     if opts["traj"] is not None:
+        given = [f"--{key}" for key in ("m", "z0", "cycles", "seed") if opts[key] is not None]
+        if given:
+            raise ValueError(f"--traj reads the trajectory from its file; {', '.join(given)} "
+                             "would be ignored (from the command line or --config)")
         traj = read_trajectory_csv(opts["traj"])
         source = opts["traj"]
     else:
         if opts["v"] is None or opts["m"] is None:
             raise ValueError("estimate needs --traj or both --v and --m")
         kin = Kinetics.from_exponent(opts["v"], opts["m"])
+        z0 = 1 if opts["z0"] is None else opts["z0"]
+        seed = 0 if opts["seed"] is None else opts["seed"]
         if opts["cycles"] is not None:
-            traj = simulate_reaction(SimConfig(kin, z0=opts["z0"], n_cycles=opts["cycles"],
-                                               seed=opts["seed"]))
+            traj = simulate_reaction(SimConfig(kin, z0=z0, n_cycles=opts["cycles"], seed=seed))
         else:
-            traj = _simulate_observable(kin, opts["m"], opts["z0"], opts["seed"],
-                                        opts["rho"], opts["fit_v"])
-        source = (f"simulated m={opts['m']}, z0={opts['z0']}, seed={opts['seed']}, "
-                  f"{traj.n_cycles} cycles")
+            traj = _simulate_observable(kin, opts["m"], z0, seed, opts["rho"], opts["fit_v"])
+        source = f"simulated m={opts['m']}, z0={z0}, seed={seed}, {traj.n_cycles} cycles"
     # --fit-v treats the efficiency as unknown; otherwise it is v or the
     # trajectory's own value
     if opts["fit_v"]:
@@ -249,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate",
                        help="estimate copy number from a trajectory")
     _add_common(p)
-    p.add_argument("--traj", help="trajectory CSV (default: simulate one)")
+    p.add_argument("--traj", help="trajectory CSV (default: simulate one); "
+                                  "refuses --m, --z0, --cycles and --seed")
     p.add_argument("--v", type=float, help="known efficiency")
     p.add_argument("--m", type=int)
     p.add_argument("--z0", type=int)

@@ -16,6 +16,7 @@ bound falls by b**d per step of depth, as H's does.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,8 @@ MGF_PRECISION = Precision(tol=1e-12, max_iter=10_000)
 #: number of frequencies of its inversion grid
 DENSITY_PRECISION = Precision(tol=1e-4, max_iter=2 ** 16)
 
-#: frequencies per kernel call of the inversion, which bounds its arrays;
-#: the first segment of an inversion grid holds one to two of them
+#: the first segment of a psi table holds one to two blocks of this many
+#: frequencies, and the density's power table takes one block at a time
 FREQUENCY_BLOCK = 1024
 
 
@@ -288,53 +289,63 @@ def limit_mgf(s, v: float, prec: Precision = MGF_PRECISION):
     return value
 
 
-def _transform_pieces(h: float, v: float, z_max: int, prec: Precision,
-                      slope: bool):
-    """psi(w) = E exp(i w W) on w_j = j*h, j >= 1, piece by piece.
+#: one segment (end//2, end] of a psi table (_PsiTable)
+_Segment = namedtuple("_Segment", "end om ps dps err depth m d")
 
-    Segment ends halve down from the cap, [prec.max_iter, prec.max_iter//2,
-    ...] while the last is at least 2*FREQUENCY_BLOCK, so the first
-    segment holds one to two blocks (or the whole cap) and every segment
-    (end//2, end] holds its whole top octave [end*h/b, end*h].  A
-    segment's depth is certified when the scan reaches it.  Yields (om,
-    ps, dps, err, end) per piece of at most FREQUENCY_BLOCK frequencies,
-    one kernel call at its segment's depth: psi (and psi' with
-    slope=True) at om, within err * om**(d+1); end is None but at a
-    segment's last piece, where it holds (frequencies so far, depth, M,
-    D), M and D the largest |psi| and |psi'| on the segment's top octave.
-    Raises PrecisionError when psi needs a depth beyond
-    MGF_PRECISION.max_iter.
+
+class _PsiTable:
+    """psi(w) = E exp(i w W) on w_j = j*h, j >= 1, for W(z), z <= z_max, at t <= t_max.
+
+    The period is T = 4*max(z_max, t_max) + 8, h = 2*pi/T.  Segment ends
+    halve down from the cap, [prec.max_iter, prec.max_iter//2, ...] while
+    the last is at least 2*FREQUENCY_BLOCK, so the first segment holds one
+    to two blocks (or the whole cap) and every segment (end//2, end] holds
+    its whole top octave [end*h/b, end*h].  Iterating yields the segments
+    from the bottom up, each built when a reader first reaches it and kept:
+    its depth certified then, one kernel call at that depth gives psi (and
+    psi' with slope=True) at its frequencies om, within err * om**(d+1),
+    and M and D are the largest |psi| and |psi'| on its top octave.
+    Raises ValueError for v outside (0, 1] or z_max not a positive
+    integer, and PrecisionError when psi needs a depth beyond
+    MGF_PRECISION.max_iter.  At v = 1, W(z) = z and no reader iterates it.
     """
-    b = 1.0 + v
-    ends = [prec.max_iter]
-    while ends[-1] >= 2 * FREQUENCY_BLOCK:
-        ends.append(ends[-1] // 2)
-    c, coef = _transform_coefficients(v)
-    start = 0
-    for end in reversed(ends):
+
+    def __init__(self, v: float, z_max: int, t_max: float, prec: Precision, slope: bool):
+        if not 0.0 < v <= 1.0:
+            raise ValueError("efficiency must be in (0, 1]")
+        if not (float(z_max).is_integer() and z_max >= 1):
+            raise ValueError("z_max must be an integer, at least 1")
+        self.v, self.z_max, self.t_max, self.prec, self.slope = v, int(z_max), t_max, prec, slope
+        self.period = 4.0 * max(self.z_max, t_max) + 8.0
+        self.h = 2.0 * math.pi / self.period
+        self.ends = [prec.max_iter]
+        while self.ends[0] >= 2 * FREQUENCY_BLOCK:
+            self.ends.insert(0, self.ends[0] // 2)
+        self._c, self._coef = _transform_coefficients(v)
+        self._segments = []
+
+    def __iter__(self):
+        for k, end in enumerate(self.ends):
+            if k == len(self._segments):
+                self._segments.append(self._build(self.ends[k - 1] if k else 0, end))
+            yield self._segments[k]
+
+    def _build(self, start: int, end: int) -> _Segment:
+        v, b, coef = self.v, 1.0 + self.v, self._coef
         # psi errs by at most coef * w**(d+1) * b**(-d*n) at depth n; each
         # segment keeps its share of a bound below prec.tol / 64
-        top = end * h
-        depth = _tail_depth(coef, top, b, math.pi * prec.tol / (64.0 * z_max * top))[0]
+        top = end * self.h
+        depth = _tail_depth(coef, top, b, math.pi * self.prec.tol / (64.0 * self.z_max * top))[0]
         if depth > MGF_PRECISION.max_iter:
-            raise PrecisionError(
-                f"characteristic function needs depth {depth} at "
-                f"frequency {top:.4g}, cap is {MGF_PRECISION.max_iter}"
-            )
-        err = coef * b ** (-_SEED_ORDER * depth)
-        m = d = 0.0
-        for lo in range(start, end, FREQUENCY_BLOCK):
-            hi = min(lo + FREQUENCY_BLOCK, end)
-            om = h * np.arange(lo + 1, hi + 1)
-            ps, dps = (_complement_iteration(1j * om, v, c, depth, slope=True) if slope
-                       else (_complement_iteration(1j * om, v, c, depth), None))
-            octave = om >= top / b
-            if octave.any():
-                m = max(m, float(np.abs(ps[octave]).max()))
-                if slope:
-                    d = max(d, float(np.abs(dps[octave]).max()))
-            yield om, ps, dps, err, (hi, depth, m, d) if hi == end else None
-        start = end
+            raise PrecisionError(f"characteristic function needs depth {depth} at "
+                                 f"frequency {top:.4g}, cap is {MGF_PRECISION.max_iter}")
+        om = self.h * np.arange(start + 1, end + 1)
+        ps, dps = (_complement_iteration(1j * om, v, self._c, depth, slope=True) if self.slope
+                   else (_complement_iteration(1j * om, v, self._c, depth), None))
+        octave = om >= top / b
+        return _Segment(end, om, ps, dps, coef * b ** (-_SEED_ORDER * depth), depth,
+                        float(np.abs(ps[octave]).max()),
+                        float(np.abs(dps[octave]).max()) if self.slope else 0.0)
 
 
 @dataclass(frozen=True)
@@ -362,14 +373,14 @@ def ancestor_density(t, v: float, z_max: int,
 
         f_z(t) ~ (h/pi) * (1/2 + sum_j Re(psi(w_j)**z * exp(-i w_j t)))
 
-    on w_j = j*h, h = 2*pi/T, for every z at once: per piece of
-    frequencies, one table holds psi**z for z = 1..z_max, filled by
-    in-place multiplies, and each point takes one real matrix-vector
-    product of it with the interleaved cos and sin of w_j*t.  psi comes
-    piece by piece, each segment at its own certified transform depth
-    (_transform_pieces).  The full sum is sum_k f_z(t + k*T); the period
-    T = 4*max(z_max, t) + 8 puts every aliased copy far out in the right
-    tail of every candidate, and that term is not part of the bound.
+    on w_j = j*h, h = 2*pi/T, for every z at once: per block of
+    FREQUENCY_BLOCK frequencies, a power table holds psi**z for z = 1..z_max,
+    filled by in-place multiplies, and each point takes one real
+    matrix-vector product of it with the interleaved cos and sin of w_j*t.
+    psi comes from the segments of a psi table (_PsiTable), each at its own
+    certified transform depth.  The full sum is sum_k f_z(t + k*T); the
+    period T = 4*max(z_max, t) + 8 puts every aliased copy far out in the
+    right tail of every candidate, and that term is not part of the bound.
 
     A point stops at the end of the first segment where all its bounds
     are at most prec.tol, so its value depends on the other points only
@@ -397,19 +408,16 @@ def ancestor_density(t, v: float, z_max: int,
         raise ValueError("t must be a scalar or a nonempty 1-d array")
     if not np.all(np.isfinite(pts)) or np.any(pts <= 0.0):
         raise ValueError("t must be positive and finite")
-    if not 0.0 < v < 1.0:
-        raise ValueError(
-            "density needs efficiency below 1; at v=1 the limit is the constant z"
-        )
-    if not float(z_max).is_integer():
-        raise ValueError("z_max must be an integer")
-    z_max = int(z_max)
-    if z_max < 1:
-        raise ValueError("z_max must be at least 1")
+    if v == 1.0:
+        raise ValueError("density needs efficiency below 1; at v=1 the limit is the constant z")
+    return _density_from(_PsiTable(v, z_max, float(pts.max()), prec, slope=True), pts)
 
-    b = 1.0 + v
-    period = 4.0 * max(z_max, float(pts.max())) + 8.0
-    h = 2.0 * math.pi / period
+
+def _density_from(table: _PsiTable, pts: np.ndarray) -> AncestorDensity:
+    """ancestor_density at the points pts, 0 < pts <= table.t_max, read off the table."""
+    if not table.slope or float(pts.max()) > table.t_max:
+        raise ValueError("the density needs a table with psi' up to its largest point")
+    v, b, z_max, prec, h = table.v, 1.0 + table.v, table.z_max, table.prec, table.h
     z = np.arange(1.0, z_max + 1.0)
     abel = h / (2.0 * math.pi * np.sin(0.5 * h * pts))
 
@@ -418,38 +426,36 @@ def ancestor_density(t, v: float, z_max: int,
     bounds = np.empty_like(sums)
     todo = np.ones(pts.size, dtype=bool)
     psi_error = 0.0
-    for om, ps, _, err, end in _transform_pieces(h, v, z_max, prec, slope=True):
-        psi_error += err * float(np.sum(om ** (_SEED_ORDER + 1)))
-        # powers[z-1] = ps**z, each row by one in-place multiply of the last
-        powers = np.empty((z_max, ps.size), dtype=complex)
-        powers[0] = ps
-        for r in range(1, z_max):
-            np.multiply(powers[r - 1], ps, out=powers[r])
-        # Re(p * exp(-i w t)) = Re(p) cos(w t) + Im(p) sin(w t): one real
-        # matrix-vector product per open point on the interleaved parts,
-        # so a point's sum does not depend on the others
-        table = powers.view(float)
-        act = np.flatnonzero(todo)
-        phase = np.exp(1j * np.outer(pts[act], om))
-        for j, wave in zip(act, phase):
-            sums[:, j] += table @ wave.view(float)
-        if end is None:
-            continue
-
-        # checkpoint at the end of a segment: the bound of every point
-        points, depth, m, d = end
-        p = (1.0 - v + v * m) ** (z - 1.0) * (1.0 - v + 2.0 * v * m)
+    for seg in table:
+        for lo in range(0, seg.om.size, FREQUENCY_BLOCK):
+            om, ps = seg.om[lo:lo + FREQUENCY_BLOCK], seg.ps[lo:lo + FREQUENCY_BLOCK]
+            psi_error += seg.err * float(np.sum(om ** (_SEED_ORDER + 1)))
+            # powers[z-1] = ps**z, each row by one in-place multiply of the last
+            powers = np.empty((z_max, ps.size), dtype=complex)
+            powers[0] = ps
+            for r in range(1, z_max):
+                np.multiply(powers[r - 1], ps, out=powers[r])
+            # Re(p * exp(-i w t)) = Re(p) cos(w t) + Im(p) sin(w t): one real
+            # matrix-vector product per open point on the interleaved parts,
+            # so a point's sum does not depend on the others
+            parts = powers.view(float)
+            act = np.flatnonzero(todo)
+            phase = np.exp(1j * np.outer(pts[act], om))
+            for j, wave in zip(act, phase):
+                sums[:, j] += parts @ wave.view(float)
+        # the bound of every point at the end of the segment
+        p = (1.0 - v + v * seg.m) ** (z - 1.0) * (1.0 - v + 2.0 * v * seg.m)
         tail = np.full(z_max, np.inf)
         ok = p < 1.0
-        tail[ok] = (om[-1] * (v / b) * d * z[ok] * m ** (z[ok] - 1.0)
+        tail[ok] = (seg.om[-1] * (v / b) * seg.d * z[ok] * seg.m ** (z[ok] - 1.0)
                     * p[ok] / (1.0 - p[ok]))
-        edge = np.abs(ps[-1]) ** z + tail
+        edge = np.abs(seg.ps[-1]) ** z + tail
         bound = edge[:, None] * abel + (z * (h / math.pi) * psi_error)[:, None]
         values[:, todo] = (h / math.pi) * (0.5 + sums[:, todo])
         bounds[:, todo] = bound[:, todo]
         todo &= ~np.all(bound <= prec.tol, axis=0)
         if not todo.any():
-            return AncestorDensity(values, bounds, points, depth)
+            return AncestorDensity(values, bounds, seg.end, seg.depth)
     raise PrecisionError(
         f"density bound {bounds[:, todo].max():.3g} above "
         f"tol={prec.tol} at the cap of {prec.max_iter} frequencies",
@@ -491,9 +497,9 @@ def ancestor_cdf(t, v: float, z: int,
         F_z(t) ~ (h/pi) * (t/2 + sum_j Re(c_j * (1 - exp(-i w_j t))))
 
     with c_j = psi_j**z / (i w_j), on the same grid w_j = j*h, h = 2*pi/T,
-    T = 4*max(z, t) + 8, psi_j = psi(w_j) from the same segments,
-    transform depths and kernel calls (_transform_pieces).  At t_k = k*T/M
-    the sum over j is the discrete Fourier transform of c_1..c_N padded
+    T = 4*max(z, t) + 8, psi_j = psi(w_j) from the same psi table
+    (_PsiTable), segments and transform depths.  At t_k = k*T/M the sum
+    over j is the discrete Fourier transform of c_1..c_N padded
     with zeros to length M, so one FFT tabulates F on a grid over the
     period, and each point takes the linear interpolation between its two
     grid neighbours.  M depends only on the period, v, z and prec, so a
@@ -525,49 +531,43 @@ def ancestor_cdf(t, v: float, z: int,
     At v = 1, W(z) = z, so F is the step at z, exact with bound 0, no
     frequencies and no grid.  The grid is capped at
     GRID_PER_FREQUENCY*prec.max_iter points, checked on the predicted M
-    before the table is built.  Raises PrecisionError, carrying the values
+    before the FFT is taken.  Raises PrecisionError, carrying the values
     and the bound, when the bound exceeds prec.tol: the truncation still
     exceeds its share at prec.max_iter frequencies, or the interpolation
-    needs a grid above the cap and the table built at the cap misses
+    needs a grid above the cap and the FFT grid at the cap misses
     prec.tol; or when psi needs a depth beyond MGF_PRECISION.max_iter.
     """
     pts = np.atleast_1d(_as_nonnegative_array(t, "t"))
     if pts.ndim != 1 or pts.size == 0:
         raise ValueError("t must be a scalar or a nonempty 1-d array")
-    if not 0.0 < v <= 1.0:
-        raise ValueError("efficiency must be in (0, 1]")
-    if not float(z).is_integer():
-        raise ValueError("z must be an integer")
-    z = int(z)
-    if z < 1:
-        raise ValueError("z must be at least 1")
+    return _cdf_from(_PsiTable(v, z, float(pts.max()), prec, slope=False), pts, int(z))
+
+
+def _cdf_from(table: _PsiTable, pts: np.ndarray, z: int) -> AncestorCDF:
+    """ancestor_cdf of W(z) at the points pts, 0 <= pts <= table.t_max, read off the table."""
+    if z not in range(1, table.z_max + 1) or float(pts.max()) > table.t_max:
+        raise ValueError(f"a table for z <= {table.z_max}, t <= {table.t_max} cannot serve z={z}")
+    v, b, prec, h, period = table.v, 1.0 + table.v, table.prec, table.h, table.period
     if v == 1.0:
         return AncestorCDF((pts >= z).astype(float), 0.0, 0, 0, 0)
-
-    b = 1.0 + v
-    period = 4.0 * max(z, float(pts.max())) + 8.0
-    h = 2.0 * math.pi / period
     coefs = [np.zeros(1)]
     psi_error = curvature = 0.0
-    for om, ps, _, err, end in _transform_pieces(h, v, z, prec, slope=False):
-        pz = ps ** z
-        coefs.append(pz / (1j * om))
-        psi_error += err * float(np.sum(om ** _SEED_ORDER))
-        curvature += float(np.sum(np.abs(pz) * om))
-        if end is None:
-            continue
-        points, depth, m, _ = end
-        top, r = float(om[-1]), 1.0 - v + v * m
+    for seg in table:
+        pz = seg.ps ** z
+        coefs.append(pz / (1j * seg.om))
+        psi_error += seg.err * float(np.sum(seg.om ** _SEED_ORDER))
+        curvature += float(np.sum(np.abs(pz) * seg.om))
+        top, r = float(seg.om[-1]), 1.0 - v + v * seg.m
         rz = r ** z
-        tail = (((b - 1.0) * top / h + 1.0) * m ** z * rz / (top * (1.0 - rz))
+        tail = (((b - 1.0) * top / h + 1.0) * seg.m ** z * rz / (top * (1.0 - rz))
                 if rz < 1.0 else math.inf)
         truncation = (2.0 * h / math.pi) * (tail + z * psi_error)
-        if truncation <= TRUNCATION_SHARE * prec.tol or points == prec.max_iter:
+        if truncation <= TRUNCATION_SHARE * prec.tol or seg.end == prec.max_iter:
             break
     # (T/M)**2/8 * (h/pi) * curvature <= (1 - TRUNCATION_SHARE) * prec.tol
     need = period * math.sqrt(h * curvature / (8.0 * math.pi * (1.0 - TRUNCATION_SHARE) * prec.tol))
     cap = GRID_PER_FREQUENCY * prec.max_iter
-    grid = min(cap, 1 << max(points.bit_length(), math.ceil(math.log2(need))))
+    grid = min(cap, 1 << max(seg.end.bit_length(), math.ceil(math.log2(need))))
     # c[j] = c_j at index j, padded by the FFT to the grid; only the grid
     # points up to the largest t are read
     c = np.concatenate(coefs)
@@ -578,11 +578,11 @@ def ancestor_cdf(t, v: float, z: int,
     bound = truncation + step * step / 8.0 * (h / math.pi) * curvature
     if not bound <= prec.tol:
         raise PrecisionError(
-            f"distribution bound {bound:.3g} above tol={prec.tol} with {points} "
+            f"distribution bound {bound:.3g} above tol={prec.tol} with {seg.end} "
             f"frequencies (cap {prec.max_iter}) on a grid of {grid} points "
             f"(cap {cap})", value=values, bound=bound,
         )
-    return AncestorCDF(values, bound, points, depth, grid)
+    return AncestorCDF(values, bound, seg.end, seg.depth, grid)
 
 
 def pointwise_density(samples, points) -> np.ndarray:

@@ -179,6 +179,29 @@ class TestEstimate:
         report = read_report_json(out)
         assert report.settings["v_known"] == 0.6
 
+    def test_simulation_flags_refused_with_a_trajectory_file(self, tmp_path, capsys):
+        # the trajectory comes from the file, so --m, --z0, --cycles and
+        # --seed would be ignored: the error names each one given, on the
+        # command line or in --config; --v and the scan flags still work
+        traj_path = tmp_path / "traj.csv"
+        assert main(["simulate", "--v", "0.5", "--m", "25", "--z0", "2",
+                     "--seed", "3", "--out", str(traj_path)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cycles": 40}))
+        out = tmp_path / "report.json"
+        capsys.readouterr()
+        rc = main(["estimate", "--traj", str(traj_path), "--config", str(cfg),
+                   "--m", "25", "--seed", "3", "--out", str(out)])
+        assert rc == 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert "--m, --cycles, --seed would be ignored" in err and "--z0" not in err
+        rc = main(["estimate", "--traj", str(traj_path), "--z0", "1", "--out", str(out)])
+        assert rc == 1 and "--z0 would be ignored" in capsys.readouterr().err
+        assert main(["estimate", "--traj", str(traj_path), "--v", "0.5", "--rho", "0.04",
+                     "--fit-v", "--z-max", "12", "--out", str(out)]) == 0
+        report = read_report_json(out)
+        assert report.settings["z_max"] == 12 and report.z_hat_mle is not None
+
     def test_fit_efficiency(self, tmp_path):
         out = tmp_path / "report.json"
         rc = main(["estimate", "--v", "0.5", "--m", "25", "--z0", "2",

@@ -20,9 +20,11 @@ from qpcrkin.limit_law import (
     FREQUENCY_BLOCK,
     MGF_PRECISION,
     LimitEnsemble,
+    _cdf_from,
     _complement_iteration,
+    _density_from,
+    _PsiTable,
     _transform_coefficients,
-    _transform_pieces,
     ancestor_cdf,
     ancestor_density,
     default_generations,
@@ -484,8 +486,10 @@ class TestExactDensity:
         monkeypatch.setattr(limit_law, "_tail_depth", tail_depth)
         monkeypatch.setattr(limit_law, "_complement_iteration", kernel)
         t, v, z_max = np.array([1.0, 6.0]), 0.5, 24
+        # building a table certifies and computes nothing until it is read
+        h = _PsiTable(v, z_max, 6.0, DENSITY_PRECISION, slope=True).h
+        assert tops == [] and reach == [0.0]
         ancestor_density(t, v, z_max)
-        h = 2.0 * math.pi / (4.0 * max(z_max, 6.0) + 8.0)
         ends = _segment_ends(DENSITY_PRECISION.max_iter)
         assert ends[:2] == [1024, 2048] and ends[-1] == 2 ** 16
         starts = [0] + ends[:-1]
@@ -497,26 +501,26 @@ class TestExactDensity:
     def test_kernel_calls_follow_the_segments(self, monkeypatch, cap):
         # at v = 0.1, z_max = 10, t = 0.3, where the density runs to the
         # cap: every segment (end//2, end] holds the grid points of its top
-        # octave [end*h/b, end*h], on which M is taken
+        # octave [end*h/b, end*h], on which M and D are taken
         v, t, z_max = 0.1, 0.3, 10
         b, ends = 1.0 + v, _segment_ends(cap)
         prec = Precision(DENSITY_PRECISION.tol, max_iter=cap)
-        h = 2.0 * math.pi / (4.0 * z_max + 8.0)
-        segment, tops = [], []
-        for om, ps, _, _, end in _transform_pieces(h, v, z_max, prec, slope=False):
-            segment.append((om, ps))
-            if end is None:
-                continue
-            om, ps = (np.concatenate(part) for part in zip(*segment))
-            top = end[0] * h
-            assert om[-1] == top and om[0] - h < top / b
-            assert end[2] == np.abs(ps[om >= top / b]).max()
-            tops.append(end[0])
-            segment = []
-        assert tops == ends
-        # each kernel call of the density and of the distribution function
-        # takes one int depth and at most FREQUENCY_BLOCK frequencies, and
-        # never crosses a segment end
+        table = _PsiTable(v, z_max, t, prec, slope=True)
+        h = table.h
+        assert table.ends == ends
+        start = 0
+        for seg in table:
+            top = seg.end * h
+            assert np.array_equal(seg.om, h * np.arange(start + 1, seg.end + 1))
+            assert seg.om[-1] == top and seg.om[0] - h < top / b
+            octave = seg.om >= top / b
+            assert seg.m == np.abs(seg.ps[octave]).max()
+            assert seg.d == np.abs(seg.dps[octave]).max()
+            start = seg.end
+        assert start == cap
+        # the density and the distribution function make exactly one
+        # kernel call per segment they reach: one int depth, the segment's
+        # frequencies, in order from the first segment
         calls = []
 
         def kernel(x, v, c, depth, slope=False):
@@ -531,13 +535,12 @@ class TestExactDensity:
                 run()
             except PrecisionError:
                 pass
-            h = 2.0 * math.pi / (4.0 * max(z, t) + 8.0)
-            assert calls
-            for om, depth in calls:
+            h = _PsiTable(v, z, t, prec, slope=False).h
+            assert 0 < len(calls) <= len(ends)
+            for (om, depth), start, end in zip(calls, [0] + ends, ends):
                 j = np.rint(om / h).astype(int)
-                assert type(depth) is int and 0 < j.size <= FREQUENCY_BLOCK
-                assert np.array_equal(j, np.arange(j[0], j[-1] + 1))
-                assert not any(j[0] <= end < j[-1] for end in ends)
+                assert type(depth) is int
+                assert np.array_equal(j, np.arange(start + 1, end + 1))
 
     @pytest.mark.parametrize("v", [0.25, 0.5])
     def test_period_keeps_aliases_out(self, v):
@@ -595,13 +598,13 @@ class TestExactDensity:
 
 def _trapezoid_terms(t, v, z, prec, points):
     """h, w_j and c_j = psi_j**z / (i w_j) of ancestor_cdf's sum on `points` frequencies."""
-    h = 2.0 * math.pi / (4.0 * max(z, float(np.max(t))) + 8.0)
+    table = _PsiTable(v, z, float(np.max(t)), prec, slope=False)
     om, c = [], []
-    for w, ps, _, _, end in _transform_pieces(h, v, z, prec, slope=False):
-        om.append(w)
-        c.append(ps ** z / (1j * w))
-        if end and end[0] == points:
-            return h, np.concatenate(om), np.concatenate(c)
+    for seg in table:
+        om.append(seg.om)
+        c.append(seg.ps ** z / (1j * seg.om))
+        if seg.end == points:
+            return table.h, np.concatenate(om), np.concatenate(c)
     raise AssertionError(f"no segment ends at {points} frequencies")
 
 
@@ -612,7 +615,7 @@ class TestExactCDF:
         # direct sum over j, with the phase w_j t_k = 2 pi (j*k mod M)/M
         t_max = 2.0 * z + 2.0
         grid = ancestor_cdf(t_max, v, z).grid
-        period = 4.0 * max(z, t_max) + 8.0
+        period = _PsiTable(v, z, t_max, DENSITY_PRECISION, slope=False).period
         top = int(grid * t_max / period)
         k = np.array([0, 1, 2, 7, top // 3, top - 1, top])
         t = np.append(k * (period / grid), t_max)
@@ -769,6 +772,78 @@ class TestExactCDF:
     def test_rejects_bad_z(self, bad):
         with pytest.raises(ValueError):
             ancestor_cdf(1.0, 0.5, bad)
+
+
+class TestPsiTable:
+    def test_one_kernel_call_per_segment_for_every_read(self, monkeypatch):
+        # one table with psi' at v = 0.5, z_max = 10 serves a density read
+        # and 40 CDF reads (z = 1..10, four point sets each): the kernel
+        # runs once per segment reached, on that segment's frequencies at
+        # its depth, and never again for a segment already built
+        v, z_max, t_max = 0.5, 10, 8.0
+        dens_pts = np.linspace(0.25, t_max, 12)
+        point_sets = [np.array([0.5]), np.array([7.5, 0.2, 3.0]),
+                      np.linspace(0.0, t_max, 41), np.array([t_max])]
+        calls = []
+
+        def kernel(x, v, c, depth, slope=False):
+            calls.append((x.size, depth))
+            return _complement_iteration(x, v, c, depth, slope)
+
+        monkeypatch.setattr(limit_law, "_complement_iteration", kernel)
+        table = _PsiTable(v, z_max, t_max, DENSITY_PRECISION, slope=True)
+        assert calls == []
+        dens = _density_from(table, dens_pts)
+        cdfs = {(z, i): _cdf_from(table, pts, z)
+                for z in range(1, z_max + 1) for i, pts in enumerate(point_sets)}
+        assert len(cdfs) == 40
+        reached = max([dens.points] + [cdf.points for cdf in cdfs.values()])
+        built = table.ends[:table.ends.index(reached) + 1]
+        assert [seg.end for seg in table._segments] == built
+        assert calls == [(end - start, seg.depth) for start, end, seg
+                         in zip([0] + built, built, table._segments)]
+        # at z = z_max the shared table has the public call's period
+        for i, pts in enumerate(point_sets):
+            public = ancestor_cdf(pts, v, z_max)
+            assert np.array_equal(public.values, cdfs[z_max, i].values)
+            assert public.bound == cdfs[z_max, i].bound
+        # the public functions are reads of a freshly built table, bitwise
+        public = ancestor_density(dens_pts, v, z_max)
+        for read in (dens, _density_from(_PsiTable(v, z_max, t_max, DENSITY_PRECISION,
+                                                   slope=True), dens_pts)):
+            assert np.array_equal(public.values, read.values)
+            assert np.array_equal(public.bounds, read.bounds)
+            assert (public.points, public.depth) == (read.points, read.depth)
+        for z in range(1, z_max + 1):
+            for pts in point_sets:
+                public = ancestor_cdf(pts, v, z)
+                read = _cdf_from(_PsiTable(v, z, float(pts.max()), DENSITY_PRECISION,
+                                           slope=False), pts, z)
+                assert np.array_equal(public.values, read.values)
+                assert ((public.bound, public.points, public.depth, public.grid)
+                        == (read.bound, read.points, read.depth, read.grid))
+
+    def test_reader_refuses_what_the_table_does_not_cover(self):
+        table = _PsiTable(0.5, 3, 4.0, DENSITY_PRECISION, slope=False)
+        with pytest.raises(ValueError, match="psi'"):
+            _density_from(table, np.array([1.0]))
+        with pytest.raises(ValueError, match="cannot serve z=4"):
+            _cdf_from(table, np.array([1.0]), 4)
+        with pytest.raises(ValueError, match="cannot serve"):
+            _cdf_from(table, np.array([1.0, 4.5]), 2)
+        with pytest.raises(ValueError, match="psi'"):
+            _density_from(_PsiTable(0.5, 3, 4.0, DENSITY_PRECISION, slope=True),
+                          np.array([4.5]))
+
+    @pytest.mark.parametrize("v,z", [(0.0, 3), (-0.5, 3), (1.5, 3), (math.nan, 3),
+                                     (0.5, 0), (0.5, -2)])
+    def test_both_readers_share_the_table_checks(self, v, z):
+        # the density and the distribution function refuse an efficiency
+        # outside (0, 1] and an ancestor count below 1 with the same error
+        match = "efficiency must be in" if z == 3 else "z_max must be an integer, at least 1"
+        for call in (ancestor_density, ancestor_cdf):
+            with pytest.raises(ValueError, match=match):
+                call(1.0, v, z)
 
 
 class TestSumDensity:
