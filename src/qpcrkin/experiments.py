@@ -108,6 +108,8 @@ class ScenarioSpec:
             raise ValueError("c_exponent must be in (0, 1)")
         if self.m_values is not None:
             object.__setattr__(self, "m_values", tuple(int(x) for x in self.m_values))
+            if not self.m_values or min(self.m_values) < 1:
+                raise ValueError("m_values must be nonempty, each at least 1")
 
     def to_json_dict(self) -> dict:
         doc = asdict(self)
@@ -187,7 +189,8 @@ def run_convergence(spec: ScenarioSpec) -> ExperimentResult:
     deciles = np.percentile(x_m, np.arange(10, 100, 10))
     x_shift = counts[:, n_cycles] / kin.K if spec.shift else x_m[:0]
     # one inverse and one CDF call for every compared point: x_m, the
-    # deciles, x_shifted; inverse_profile is elementwise
+    # deciles, x_shifted; the largest sets the inverse's depth, and each
+    # value is certified within tol
     n, nd = spec.replicates, spec.replicates + deciles.size
     t = inverse_profile(np.concatenate([x_m, deciles, x_shift]), kin)
     t[nd:] /= kin.b ** spec.shift
@@ -308,8 +311,6 @@ def run_coupling(spec: ScenarioSpec) -> ExperimentResult:
         raise ValueError("spec.kind must be 'coupling'")
     start = time.perf_counter()
     m_values = spec.m_values if spec.m_values is not None else _coupling_sweep(spec.m)
-    if not m_values:
-        raise ValueError("empty m sweep")
 
     records = {"m": [], "replicate": [], "scaled_gap": []}
     medians = []

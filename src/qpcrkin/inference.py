@@ -339,10 +339,12 @@ class EstimateReport:
         object.__setattr__(self, "kappas", np.asarray(self.kappas, dtype=float))
         if self.z_hat_mle is not None and self.z_hat_mle < 1:
             raise ValueError("z_hat_mle must be a positive integer")
-        if self.z_hat_normal <= 0.0:
-            raise ValueError("z_hat_normal must be positive")
-        if np.any(self.t_values <= 0.0):
-            raise ValueError("t_values must all be positive")
+        if not (math.isfinite(self.z_hat_normal) and self.z_hat_normal > 0.0):
+            raise ValueError("z_hat_normal must be finite and positive")
+        if not np.all(np.isfinite(self.t_values) & (self.t_values > 0.0)):
+            raise ValueError("t_values must all be finite and positive")
+        if not np.all(np.isfinite(self.kappas)):
+            raise ValueError("kappas must all be finite")
 
 
 def estimate_from_trajectory(
@@ -427,8 +429,10 @@ _REPORT_KEYS = ("z_hat_mle", "z_hat_normal", "v_hat", "t_values", "tau",
 def write_report_json(report: EstimateReport, path) -> None:
     """Write a report as compact single-line JSON.
 
-    The text is encoded before the file is opened, so a value the
-    encoder refuses leaves an existing file untouched.
+    The encoder runs with allow_nan=False: a NaN or an infinity raises
+    ValueError instead of writing NaN, which is not JSON.  The text is
+    encoded before the file is opened, so a value the encoder refuses
+    leaves an existing file untouched.
     """
     text = json.dumps({
         "z_hat_mle": report.z_hat_mle,
@@ -439,7 +443,7 @@ def write_report_json(report: EstimateReport, path) -> None:
         "kappas": [float(k) for k in report.kappas],
         "settings": report.settings,
         "diagnostics": report.diagnostics,
-    })
+    }, allow_nan=False)
     with open(path, "w") as fh:
         fh.write(text + "\n")
 

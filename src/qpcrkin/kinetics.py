@@ -14,10 +14,10 @@ degree d = _SEED_ORDER, with coefficients computed per call from the
 functional equations, and stop at a certified depth: after n steps the tail
 is at most c * b**(-d*n), with c proportional to x**(d+1) for H and to
 G**(d+1) for G.  One telescoping lemma bounds both remainders
-(_remainder_constant).  G learns its constant along the way, so each
-element is tested at every step; a screen on the iterate reduces that test
-to one comparison for all but the elements within a relative 1e-6 of the
-threshold.  The transform in qpcrkin.limit_law shares the rule: the same
+(_remainder_constant).  Each call runs to one depth, which the largest
+argument sets; G learns its constant along the way, so it tests the
+largest element at every step and certifies all of them at the first step
+that passes.  The transform in qpcrkin.limit_law shares the rule: the same
 order, the same coefficient recursion (_seed_coefficients) and the same
 depth (_tail_depth).  Only H's seed has a domain, where its polynomial is
 nonnegative; the transform's seed bound holds at every argument, so its
@@ -80,7 +80,7 @@ class Kinetics:
 
 @dataclass(frozen=True)
 class Precision:
-    """Numerical stopping rule: absolute tolerance and iteration cap."""
+    """Numerical stopping rule: absolute tolerance and integer iteration cap."""
 
     tol: float
     max_iter: int = 100_000
@@ -88,8 +88,9 @@ class Precision:
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if not (float(self.max_iter).is_integer() and self.max_iter >= 1):
+            raise ValueError("max_iter must be an integer, at least 1")
+        object.__setattr__(self, "max_iter", int(self.max_iter))
 
 
 #: defaults quoted by the acceptance tolerances: profile to 1e-10, inverse to 1e-8
@@ -413,8 +414,8 @@ def _stop_bound(u, scale, b: float, q: list, c: float):
     c*r_n**(d+1)*b**(-d*n) of scale*Q(u): the seed is scale*Q(u) minus
     that, and the bound twice that.  r_n**(d+1)*b**(-d*n) is formed as
     r_n*s*...*s, d factors s, which stays in the float range.  Where t >=
-    1 nothing is certified: the value is g_n and the bound inf.  scale
-    may be one float or one per element.  See inverse_profile.
+    1 nothing is certified: the value is g_n and the bound inf.  See
+    inverse_profile.
     """
     t = 4.0 * b * u
     ok = t < 1.0
@@ -433,50 +434,27 @@ def _stop_bound(u, scale, b: float, q: list, c: float):
     return np.where(ok, gn * poly - tail, gn), np.where(ok, tail + tail, np.inf)
 
 
+def _stop_tail(u: float, scale: float, b: float, c: float) -> float:
+    """_stop_bound's bound at one iterate, in Python floats.
+
+    The same float operations in the same order, so the same bits as
+    _stop_bound gives that iterate in an array.
+    """
+    t = 4.0 * b * u
+    if not t < 1.0:
+        return math.inf
+    s = (u + u) / (1.0 + math.sqrt(1.0 - t))
+    tail = s * scale
+    for _ in range(_SEED_ORDER):
+        tail *= s
+    tail *= c
+    return tail + tail
+
+
 #: log of the largest float: b**n overflows past n = this / log(b)
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
-
-#: relative margin of the stop screen, far above the few ulps it must absorb
-_SCREEN_MARGIN = 1e-6
-#: the screen is off below this, where subnormal rounding could eat the margin
-_SCREEN_TINY = 2.0 ** -1000
-#: largest 4*b*s at the screen's threshold; past it lim is the vertex 1/(4b)
-_SCREEN_VERTEX = 1.99
 #: elements per pass of G's closing seed evaluation, which bounds its arrays
 _SEED_BLOCK = 4096
-
-
-def _stop_screen(scale: float, b: float, tol: float, c: float) -> tuple:
-    """Bounds (lim, sure) on the iterates u of a step of G; (inf, -inf) when off.
-
-    At the step with scale = b**n, u stops when its bound
-    2c*scale*s**(d+1) is at most tol (_stop_bound), that is when s <=
-    s_top = (tol/(2c*scale))**(1/(d+1)).  For t = 4*b*u < 1, s is the
-    smaller root of b*s**2 - s + u, and u = s - b*s**2 rises with s left
-    of the vertex 1/(2b), where t = 1, so s <= s_top exactly when u <=
-    s_top - b*s_top**2; with z = 4*b*s_top that threshold is z*(1 -
-    z/4)/(4b), and 1 - t there is (1 - z/2)**2.  s/u rises with u, so an
-    iterate off the threshold by the relative margin has s off s_top by
-    at least that margin, and a bound off tol by d+1 times it.  While z <
-    _SCREEN_VERTEX, sqrt(1 - t) stays above 0.005 at the threshold, so
-    the root loses at most a few hundred ulps to cancellation, and the
-    float bound and the threshold are off by far less than the margin: an
-    iterate above lim, the threshold widened by the margin, cannot stop,
-    and one at or below sure, the threshold narrowed by it, stops.  Only
-    those in between need the bound.  From z = _SCREEN_VERTEX on, sure
-    stays at that threshold and lim moves to 1/(4b), past which t >= 1
-    and nothing stops.  The screen is off where subnormal rounding could
-    eat the margin.
-    """
-    off = math.inf, -math.inf
-    if min(b / scale, tol) < _SCREEN_TINY:
-        return off
-    d = _SEED_ORDER
-    z = min(4.0 * b * (tol / (2.0 * c * scale)) ** (1.0 / (d + 1)), _SCREEN_VERTEX)
-    edge = z * (1.0 - 0.25 * z) / (4.0 * b)
-    sure = edge * (1.0 - _SCREEN_MARGIN)
-    lim = (edge if z < _SCREEN_VERTEX else 0.25 / b) * (1.0 + _SCREEN_MARGIN)
-    return (lim, sure) if sure >= _SCREEN_TINY else off
 
 
 def _inverse_map_below_b(u, b: float, d, t):
@@ -507,81 +485,49 @@ def inverse_profile(y, kin: Kinetics, prec: Precision = INVERSE_PRECISION):
     Taylor polynomial Q of degree d = _SEED_ORDER (_inverse_coefficients)
     errs by at most c*G**(d+1) there (_remainder_constant), so at u =
     f^{-n}(y) the lower seed b**n*Q(u) - c*r_n**(d+1)*b**(-d*n) lies below
-    G and within 2c*r_n**(d+1)*b**(-d*n) of it (_stop_bound).  Each
-    element is frozen at the first n where that bound is at most
-    prec.tol: the result lies in [true value - prec.tol, true value], and
-    batched and scalar calls agree bitwise.  Scalars map to floats, arrays
-    map elementwise.
+    G and within 2c*r_n**(d+1)*b**(-d*n) of it (_stop_bound).  Every
+    element runs to one depth: the first n at which every bound is at most
+    prec.tol, so each result lies in [true value - prec.tol, true value].
+    The bound rises with y, so the largest element sets that depth, and a
+    value depends on the other elements only through it.  Scalars map to
+    floats, arrays to arrays of their shape.
 
-    Only open elements are iterated, in a window sorted by y.  A screen
-    (_stop_screen) decides with one comparison per element which of them
-    can stop at a step, and with a second which of them surely stop; only
-    the few in between go through the bound, so each stops at the same
-    step as if all were tested.  The map keeps the order, so stopped
-    elements leave the window from the front; where rounding breaks the
-    order, the window is compacted instead.  Once no open value exceeds
-    b, the map runs in place.  Seeds and bounds are formed in one pass at
-    the end, from the iterate and the step at which each element stopped.
+    Each step tests the bound of the largest element alone (_stop_tail);
+    once it is at most prec.tol, the seeds and bounds of all elements are
+    formed in blocks of _SEED_BLOCK, and the loop goes on if rounding left
+    one of them above.  Once no value exceeds b, the map runs in place.
 
-    Raises PrecisionError when an element needs more than prec.max_iter
-    steps, or more than the depth where b**n leaves the float range,
-    with the seeds, their bounds and the bracket of G.
+    Raises PrecisionError when the depth exceeds prec.max_iter, or the
+    depth where b**n leaves the float range, with the seeds there, their
+    bounds and the bracket of G.
     """
     arr = _as_nonnegative_array(y, "profile value")
     scalar = np.ndim(y) == 0
+    if not arr.size:
+        return np.zeros(arr.shape)
     b, tol = kin.b, prec.tol
     q, c = _inverse_coefficients(kin.v)
     # b**n must stay a finite float, so that depth caps the loop as well
     cap = min(prec.max_iter, math.floor(_LOG_FLOAT_MAX / math.log(b)) - 1)
-    g = np.zeros(arr.size)
-    bound = np.full(arr.size, np.inf)
-    if not arr.size:
-        return g.reshape(arr.shape)
-    flat = arr.ravel()
-    # the window u holds the open elements sorted by y, from positions open_;
-    # equal values follow equal iterates, so their order does not matter
-    open_ = np.argsort(flat)
-    u = flat[open_]
-    d, t = np.empty(u.size), np.empty(u.size)
+    u = arr.flatten()
+    top = int(u.argmax())
+    d, t, g, bound = (np.empty(u.size) for _ in range(4))
     in_place = False
-    # until the end, g and bound hold each element's iterate and scale at
-    # the step it stopped
     for n in range(cap + 1):
         if n:
             in_place = in_place or u.max() <= b
             if in_place:
-                _inverse_map_below_b(u, b, d[:u.size], t[:u.size])
+                _inverse_map_below_b(u, b, d, t)
             else:
                 u = _inverse_mean_map(u, b)
         scale = b ** n
-        if n == cap:
-            g[open_], bound[open_] = u, scale
-            break
-        lim, sure = _stop_screen(scale, b, tol, c)
-        if u.min() > lim:
+        if n < cap and _stop_tail(float(u[top]), scale, b, c) > tol:
             continue
-        # the bound runs on the elements up to the last one the screen lets
-        # through that are not sure to stop
-        k = u.size - (u[::-1] <= lim).argmax()
-        stop = u[:k] <= sure
-        if not stop.all():
-            edge = np.flatnonzero(~stop)
-            stop[edge] = _stop_bound(u[edge], scale, b, q, c)[1] <= tol
-        j = np.count_nonzero(stop)
-        if not j:
-            continue
-        # stopped elements leave from the front, unless rounding broke the order
-        at = slice(j) if stop[:j].all() else np.flatnonzero(stop)
-        g[open_[at]], bound[open_[at]] = u[at], scale
-        if isinstance(at, slice):
-            open_, u = open_[j:], u[j:]
-        else:
-            open_, u = np.delete(open_, at), np.delete(u, at)
-        if not u.size:
+        for lo in range(0, u.size, _SEED_BLOCK):
+            part = slice(lo, lo + _SEED_BLOCK)
+            g[part], bound[part] = _stop_bound(u[part], scale, b, q, c)
+        if (bound <= tol).all():
             break
-    for lo in range(0, g.size, _SEED_BLOCK):
-        part = slice(lo, lo + _SEED_BLOCK)
-        g[part], bound[part] = _stop_bound(g[part], bound[part], b, q, c)
     g, bound = g.reshape(arr.shape), bound.reshape(arr.shape)
     if not (bound <= tol).all():
         raise PrecisionError(

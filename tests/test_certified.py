@@ -17,15 +17,12 @@ from qpcrkin.kinetics import (
     PrecisionError,
     _PROFILE_DOMAIN,
     _ROUNDING,
-    _SCREEN_VERTEX,
     _SEED_BLOCK,
     _SEED_ORDER,
     _inverse_coefficients,
     _inverse_mean_map,
     _log_depth,
     _profile_coefficients,
-    _stop_bound,
-    _stop_screen,
     _tail_depth,
     inverse_profile,
     limit_profile,
@@ -69,13 +66,15 @@ def test_transform_cap_carries_its_value_and_bound(v, s):
 
 @pytest.mark.parametrize("v", [0.1, 0.5, 1.0])
 def test_inverse_batch_equals_scalar_bitwise(v):
+    # the largest element sets the batch's depth, so it equals its scalar
+    # call bitwise; the others run deeper than alone, within tol of it
     k = Kinetics(v=v, K=1000.0)
     ys = np.array([0.0, 1e-6, 0.05, 0.4, 0.9, 2.5, 7.0])
     batch = inverse_profile(ys, k)
+    assert inverse_profile(float(ys[-1]), k) == batch[-1]
     for yi, gi in zip(ys, batch):
-        assert inverse_profile(float(yi), k) == gi
-    # a shuffled batch of many ties: equal inputs stop together, whatever
-    # order the window's sort gives them
+        assert abs(inverse_profile(float(yi), k) - gi) <= INVERSE_PRECISION.tol
+    # the same values shuffled with many ties run to the same depth
     pick = np.random.default_rng(3).permutation(np.repeat(np.arange(ys.size), 300))
     assert _same_bits(inverse_profile(ys[pick], k), batch[pick])
 
@@ -126,25 +125,18 @@ def _seed_and_bound(u, n, kin):
     return np.where(ok, gn * (poly + 1.0) - tail * c, gn), bound
 
 
-def _masked_inverse(y, kin, prec=INVERSE_PRECISION):
-    """Reference G: every step runs over all elements, finished ones masked.
+def _one_depth_inverse(y, kin, prec=INVERSE_PRECISION):
+    """Reference G: every element steps by the inverse map to one depth.
 
-    Returns (g, bound, certified).
+    The depth is the first step at which every element's bound is at most
+    prec.tol, or prec.max_iter.  Returns (g, bound, certified).
     """
-    arr = np.asarray(y, dtype=float)
-    b = kin.b
-    u = arr
-    g = np.zeros_like(arr)
-    bound = np.full_like(arr, np.inf)
-    todo = np.ones(arr.shape, dtype=bool)
+    u = np.asarray(y, dtype=float)
     for n in range(prec.max_iter + 1):
         if n:
-            u = np.where(todo, _inverse_mean_map(u, b), u)
-        seed, bn = _seed_and_bound(u, n, kin)
-        g = np.where(todo, seed, g)
-        bound = np.where(todo, bn, bound)
-        todo &= bound > prec.tol
-        if not todo.any():
+            u = _inverse_mean_map(u, kin.b)
+        g, bound = _seed_and_bound(u, n, kin)
+        if (bound <= prec.tol).all():
             return g, bound, True
     return g, bound, False
 
@@ -165,10 +157,10 @@ def test_inverse_equals_masked_loop_bitwise(v):
     rho_range = MIXED[4:12]
     for y in (MIXED, MIXED[::-1].reshape(3, 6), rho_range, rho_range[::-1],
               MIXED[-4:], np.empty(0)):
-        g, _, ok = _masked_inverse(y, k)
+        g, _, ok = _one_depth_inverse(y, k)
         assert ok and _same_bits(inverse_profile(y, k), g)
     for y in (0.0, -0.0, 0.05, 30.0):
-        g, _, _ = _masked_inverse(y, k)
+        g, _, _ = _one_depth_inverse(y, k)
         out = inverse_profile(y, k)
         assert isinstance(out, float) and _same_bits(out, g)
 
@@ -177,7 +169,7 @@ def test_inverse_of_many_values_equals_masked_loop_bitwise():
     # more values than one block of the closing seed evaluation
     k = Kinetics(v=0.5, K=1000.0)
     y = np.random.default_rng(5).uniform(0.0, 30.0, 3 * _SEED_BLOCK + 7)
-    g, _, ok = _masked_inverse(y, k)
+    g, _, ok = _one_depth_inverse(y, k)
     assert ok and _same_bits(inverse_profile(y, k), g)
 
 
@@ -192,26 +184,26 @@ def test_inverse_certified_where_the_depth_estimate_rounds_up():
     c = _constants(k.v)[3]
     log_c = math.log(2.0 * c) + (D + 1) * math.log(y)
     assert _log_depth(log_c, k.b ** D, prec.tol) == 2
-    g, _, ok = _masked_inverse(y, k, prec)
+    g, _, ok = _one_depth_inverse(y, k, prec)
     assert ok and _same_bits(inverse_profile(y, k, prec), g)
     u2 = _inverse_mean_map(_inverse_mean_map(np.array([y]), k.b), k.b)
     late, _ = _seed_and_bound(u2, 2, k)
     assert not _same_bits(late[0], g)
 
 
-#: MIXED shuffled with repeated values: the window reorders it internally
+#: MIXED shuffled with repeated values
 SHUFFLED = np.random.default_rng(3).permutation(np.concatenate([MIXED, MIXED[::3]]))
 
 
 @pytest.mark.parametrize("v", [0.25, 1.0])
 def test_inverse_cap_equals_masked_loop(v):
-    # the smallest values are certified before the cap, the largest not
+    # at the cap the smallest values are certified, the largest not
     k = Kinetics(v=v, K=1000.0)
     prec = Precision(tol=1e-8, max_iter=8)
-    g, bound, ok = _masked_inverse(MIXED, k, prec)
+    g, bound, ok = _one_depth_inverse(MIXED, k, prec)
     assert not ok and (bound[:3] <= 1e-8).all() and (bound[-3:] > 1e-8).all()
     for y in (MIXED, SHUFFLED):
-        g, bound, _ = _masked_inverse(y, k, prec)
+        g, bound, _ = _one_depth_inverse(y, k, prec)
         with pytest.raises(PrecisionError) as err:
             inverse_profile(y, k, prec)
         assert _same_bits(err.value.value, g)
@@ -252,7 +244,7 @@ def _inputs(values):
 def test_inverse_equals_masked_loop_on_any_order(values, v):
     k = Kinetics(v=v, K=1000.0)
     for y in _inputs(values):
-        g, _, ok = _masked_inverse(y, k)
+        g, _, ok = _one_depth_inverse(y, k)
         out = inverse_profile(y, k)
         assert ok and _same_bits(out, g) and (type(out) is float) == (np.ndim(y) == 0)
 
@@ -291,60 +283,27 @@ def test_profile_equals_plain_loop(values, v):
         assert isinstance(out, float) == (np.ndim(x) == 0)
 
 
-@pytest.mark.parametrize("tol", [1e-38, 1e-12, 1e-8, 1e-4, 1.0])
-@pytest.mark.parametrize("v", [0.1, 0.5, 1.0])
-def test_screen_lets_through_every_element_that_stops(v, tol):
-    # iterates within a few ulps of the exact threshold u = s - b*s**2 at
-    # s = (tol/(2c*b**n))**(1/(d+1)), of both screen bounds and of the
-    # vertex 1/(4b), at every depth up to the cap: all that stop are at or
-    # below lim, and all at or below sure stop
-    b = 1.0 + v
-    _, _, q, c = _constants(v)
-    uncapped = 0
-    for n in range(401):
-        scale = b ** n
-        lim, sure = _stop_screen(scale, b, tol, c)
-        assert 0.0 < sure < lim < math.inf
-        s = (tol / (2.0 * c * scale)) ** (1.0 / (D + 1))
-        vertex = 0.25 / b
-        edge = s * (1.0 - b * s) if 4.0 * b * s < _SCREEN_VERTEX else vertex
-        u = np.concatenate([edge + np.arange(-8, 9) * np.spacing(edge),
-                            lim + np.arange(-8, 9) * np.spacing(lim),
-                            sure + np.arange(-8, 9) * np.spacing(sure),
-                            vertex + np.arange(-8, 9) * np.spacing(vertex),
-                            edge * (1.0 + np.linspace(-4e-6, 4e-6, 33))])
-        stops = _stop_bound(u, scale, b, q, c)[1] <= tol
-        assert (u[stops] <= lim).all() and stops[u <= sure].all()
-        assert stops.any() and not stops.all()
-        if edge < vertex:
-            # some iterates above sure stop, the highest near the edge does not
-            assert (stops & (u > sure)).any() and not stops[-1]
-            uncapped += 1
-    assert uncapped > 0
-
-
 @pytest.mark.parametrize("v", [0.25, 0.5, 1.0])
-def test_inverse_where_rounding_breaks_the_order(v):
-    # neighbouring inputs whose iterates swap order under rounding; tol is
-    # the later input's bound at that step, so it stops one step before the
-    # earlier one and leaves from the middle of the window
+def test_inverse_goes_on_where_rounding_breaks_the_order(v):
+    # neighbouring inputs whose iterates swap order under rounding, so the
+    # smaller input has the larger bound; at tol = the larger input's bound
+    # at that step, the test on the largest element passes there and the
+    # closing pass does not, so the pair runs one step past that input alone
     k = Kinetics(v=v, K=1000.0)
     ys = 0.3 + np.arange(2000) * np.spacing(0.3)
     u = ys
-    c = _constants(v)[3]
     for n in range(1, 200):
         u = _inverse_mean_map(u, k.b)
-        _, bound = _seed_and_bound(u, n, k)
-        # the screen's threshold is below its cap at tol = bound[1:]
-        s = (bound[1:] / (2.0 * c * k.b ** n)) ** (1.0 / (D + 1))
-        swapped = np.flatnonzero((np.diff(u) < 0.0) & (bound[1:] < bound[:-1])
-                                 & (4.0 * k.b * s < _SCREEN_VERTEX))
+        seed, bound = _seed_and_bound(u, n, k)
+        swapped = np.flatnonzero((np.diff(u) < 0.0) & (bound[1:] < bound[:-1]))
         if swapped.size:
             break
     i = swapped[0]
-    prec = Precision(tol=float(bound[i + 1]))
-    g, _, ok = _masked_inverse(ys[i:i + 2], k, prec)
-    assert ok and _same_bits(inverse_profile(ys[i:i + 2], k, prec), g)
+    pair, prec = ys[i:i + 2], Precision(tol=float(bound[i + 1]))
+    g, _, ok = _one_depth_inverse(pair, k, prec)
+    assert ok and _same_bits(inverse_profile(pair, k, prec), g)
+    alone = inverse_profile(float(pair[1]), k, prec)
+    assert alone == seed[i + 1] and not _same_bits(g[1], alone)
 
 
 def test_inverse_of_a_value_beyond_the_float_range():
@@ -576,6 +535,19 @@ def test_profile_and_inverse_against_exact(v):
     assert np.all(g >= h + h * h / k.b - 1e-8 - SLACK)
 
 
+@pytest.mark.parametrize("v", SEED_VS)
+def test_small_inverse_batched_with_a_large_one(v):
+    # the largest value of the 50-digit grid sets the depth, far past the
+    # one the smallest needs alone; both lie in [G - tol, G], up to a
+    # relative 1e-12 for the rounding of the inputs and of the loop
+    k = Kinetics(v=v, K=2.0)
+    pairs = sorted(_exact_profile(v))
+    x = np.array([float(pairs[0][0]), float(pairs[-1][0])])
+    g = inverse_profile(np.array([float(pairs[0][1]), float(pairs[-1][1])]), k)
+    assert x[0] < 1e-3 and x[1] == 4.0
+    assert np.all(g <= x * (1.0 + 1e-12)) and np.all(g >= x - INVERSE_PRECISION.tol)
+
+
 @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8, 1e-10])
 @pytest.mark.parametrize("v", SEED_VS)
 def test_profile_and_inverse_within_tolerance(v, tol):
@@ -658,7 +630,7 @@ def test_inverse_first_tested_step_is_not_late():
     k = Kinetics(v=0.25, K=1000.0)
     prec = Precision(tol=1e-60)
     for y in (0.01, np.array([0.01, 0.02, 0.5])):
-        g, bound, ok = _masked_inverse(y, k, prec)
+        g, bound, ok = _one_depth_inverse(y, k, prec)
         assert ok and _same_bits(inverse_profile(y, k, prec), g)
     c = _constants(k.v)[3]
     log_c = math.log(2.0 * c) + (D + 1) * math.log(0.01)

@@ -396,6 +396,15 @@ class TestExperimentCommand:
         assert res.summary["m_values"] == [8, 10]
         assert res.summary["max_violations"] == 0
 
+    @pytest.mark.parametrize("m_values", ["0,-3", ","])
+    def test_coupling_rejects_a_bad_m_sweep(self, tmp_path, capsys, m_values):
+        # an entry below 1, or no entry at all, is refused before any run
+        out = tmp_path / "res.json"
+        rc = main(["experiment", "--kind", "coupling", "--m-values", m_values,
+                   "--out", str(out)])
+        assert rc == 1 and not out.exists()
+        assert "m_values" in capsys.readouterr().err
+
     def test_reproducible_through_cli(self, tmp_path):
         args = ["experiment", "--kind", "convergence", "--m", "12",
                 "--replicates", "40", "--ref-count", "300", "--seed", "6"]

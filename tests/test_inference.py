@@ -235,11 +235,12 @@ class TestLimitObservables:
         ]
         batch = limit_observables_batch(obs, v=0.5)
         for o, t in zip(obs, batch):
-            # each inverse stops on its own certified bound, so batched
-            # and single calls agree bitwise; atol is only a loose limit
-            np.testing.assert_allclose(
-                t, limit_observables(o, v=0.5), rtol=0, atol=2e-8
-            )
+            # the batch runs to the depth of its largest density, so each
+            # t_j lies within its certified bound K b**-(n_hit+j) tol of
+            # the single call
+            scales = o.K * 1.5 ** -(o.n_hit + np.arange(t.size))
+            assert np.all(np.abs(t - limit_observables(o, v=0.5))
+                          <= scales * INVERSE_PRECISION.tol)
 
     def test_batch_rejects_mixed_scales(self):
         obs = [
@@ -486,6 +487,29 @@ class TestReportPipeline:
             EstimateReport(**{**good, "z_hat_mle": 0})
         with pytest.raises(ValueError):
             EstimateReport(**{**good, "t_values": np.array([2.8, -0.1])})
+
+    @pytest.mark.parametrize("field,value", [
+        ("z_hat_normal", math.nan), ("z_hat_normal", math.inf),
+        ("t_values", [math.nan]), ("t_values", [2.8, math.inf]),
+        ("kappas", [math.nan]), ("kappas", [0.06, -math.inf]),
+    ])
+    def test_report_rejects_non_finite_values(self, field, value):
+        # NaN fails every comparison, so it passed the sign checks
+        good = dict(z_hat_mle=None, z_hat_normal=2.9, v_hat=None,
+                    t_values=[2.8], tau=0, kappas=[0.1])
+        with pytest.raises(ValueError, match=field):
+            EstimateReport(**{**good, field: value})
+
+    def test_report_writer_refuses_nan(self, tmp_path):
+        # a NaN where the report does not check (v_hat, diagnostics) is
+        # refused by the encoder, since NaN is not JSON
+        rep = self.run_once(0.5, 30, 3, v_known=0.5)
+        path = tmp_path / "report.json"
+        for bad in (replace(rep, v_hat=math.nan),
+                    replace(rep, diagnostics={**rep.diagnostics, "t_spread": math.inf})):
+            with pytest.raises(ValueError, match="JSON compliant"):
+                write_report_json(bad, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("args,kw", [
         # run_mle=False below v=1: z_hat_mle and mle_profile are None

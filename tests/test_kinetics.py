@@ -63,6 +63,18 @@ class TestKinetics:
             Kinetics(v=0.5, K=0.0)
 
 
+class TestPrecision:
+    @pytest.mark.parametrize("bad", [2.5, 3000.5, 0, 0.0, -3, math.inf, math.nan])
+    def test_rejects_a_cap_that_is_not_a_positive_integer(self, bad):
+        with pytest.raises(ValueError, match="max_iter"):
+            Precision(tol=1e-8, max_iter=bad)
+
+    def test_integer_valued_cap_is_kept_as_int(self):
+        prec = Precision(tol=1e-8, max_iter=40.0)
+        assert type(prec.max_iter) is int and prec.max_iter == 40
+        assert inverse_profile(0.5, kin(0.5), prec) == inverse_profile(0.5, kin(0.5))
+
+
 class TestMeanMap:
     def test_fixed_point_at_zero(self):
         assert mean_map(0.0, kin(0.7)) == 0.0
