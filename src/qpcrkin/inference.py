@@ -21,12 +21,12 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .kinetics import Kinetics, inverse_profile
-from .simulate import Trajectory, densities
+from .simulate import Trajectory, _replacing, densities
 from .limit_law import AncestorDensity, ancestor_density, limit_variance
 
 __all__ = [
@@ -422,53 +422,40 @@ def estimate_from_trajectory(
     )
 
 
-_REPORT_KEYS = ("z_hat_mle", "z_hat_normal", "v_hat", "t_values", "tau",
-                "kappas", "settings", "diagnostics")
+def _json_fields(obj) -> dict:
+    """obj's dataclass fields in order, arrays as lists; unlike asdict, no copies."""
+    doc = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}
 
 
-def write_report_json(report: EstimateReport, path) -> None:
-    """Write a report as compact single-line JSON.
+def _read_json_fields(path, cls):
+    """cls built from the JSON object at path, one key per dataclass field.
 
-    The encoder runs with allow_nan=False: a NaN or an infinity raises
-    ValueError instead of writing NaN, which is not JSON.  The text is
-    encoded before the file is opened, so a value the encoder refuses
-    leaves an existing file untouched.
+    Keys that are not fields are ignored.  Raises ValueError naming path
+    when the file is not a JSON object or lacks a field.
     """
-    text = json.dumps({
-        "z_hat_mle": report.z_hat_mle,
-        "z_hat_normal": report.z_hat_normal,
-        "v_hat": report.v_hat,
-        "t_values": [float(t) for t in report.t_values],
-        "tau": report.tau,
-        "kappas": [float(k) for k in report.kappas],
-        "settings": report.settings,
-        "diagnostics": report.diagnostics,
-    }, allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
-
-
-def _read_json_object(path, keys) -> dict:
-    """Load a JSON object holding every name in keys, else ValueError."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
-    missing = [key for key in keys if key not in doc]
+    names = [f.name for f in fields(cls)]
+    missing = [name for name in names if name not in doc]
     if missing:
         raise ValueError(f"{path}: missing keys {missing}")
-    return doc
+    return cls(**{name: doc[name] for name in names})
+
+
+def write_report_json(report: EstimateReport, path) -> None:
+    """Write a report as compact single-line JSON, one key per field.
+
+    The encoder runs with allow_nan=False: a NaN or an infinity raises
+    ValueError instead of writing NaN, which is not JSON.  The file is
+    written whole or not at all (simulate._replacing).
+    """
+    with _replacing(path) as fh:
+        fh.write(json.dumps(_json_fields(report), allow_nan=False) + "\n")
 
 
 def read_report_json(path) -> EstimateReport:
-    doc = _read_json_object(path, _REPORT_KEYS)
-    return EstimateReport(
-        z_hat_mle=doc["z_hat_mle"],
-        z_hat_normal=doc["z_hat_normal"],
-        v_hat=doc["v_hat"],
-        t_values=np.asarray(doc["t_values"], dtype=float),
-        tau=doc["tau"],
-        kappas=np.asarray(doc["kappas"], dtype=float),
-        settings=doc["settings"],
-        diagnostics=doc["diagnostics"],
-    )
+    """Inverse of write_report_json."""
+    return _read_json_fields(path, EstimateReport)

@@ -32,7 +32,7 @@ from qpcrkin.kinetics import (
     _seed_coefficients,
     _tail_depth,
 )
-from qpcrkin.simulate import _block_cycles, _block_streams, _read_metadata
+from qpcrkin.simulate import _block_cycles, _block_streams, _read_metadata, _replacing
 
 __all__ = [
     "LimitEnsemble",
@@ -614,7 +614,7 @@ def pointwise_density(samples, points) -> np.ndarray:
 
 def write_ensemble_csv(ens: LimitEnsemble, path) -> None:
     """One sample per line, after a metadata comment."""
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         fh.write(
             f"# v={ens.v:.17g} z={ens.z} n_gen={ens.n_gen} "
             f"count={ens.count} seed={ens.seed}\n"

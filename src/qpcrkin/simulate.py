@@ -15,8 +15,11 @@ of BLOCK_SIZE lanes (aux 1), all blocks one cycle at a time
 
 from __future__ import annotations
 
+import contextlib
 import csv
-from dataclasses import dataclass, field
+import os
+import secrets
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -326,7 +329,7 @@ def noise_sequence(traj: Trajectory) -> np.ndarray:
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Trajectory as CSV: metadata comment, then cycle,count,density rows."""
     kin = traj.kinetics
-    with open(path, "w", newline="") as fh:
+    with _replacing(path) as fh:
         fh.write(
             f"# v={kin.v:.17g} K={kin.K:.17g} z0={int(traj.counts[0])} "
             f"seed={traj.seed} replicate={traj.replicate_id}\n"
@@ -335,6 +338,28 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         writer.writerow(["cycle", "count", "density"])
         for n, z in enumerate(traj.counts):
             writer.writerow([n, int(z), f"{z / kin.K:.17g}"])
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    """Write path whole or not at all; the one place a file is opened for writing.
+
+    Yields a handle (newline="", so the bytes written are the bytes on
+    disk) on a new file beside path, which replaces path when the block
+    ends; if the block or the replacement raises, the new file is removed.
+    """
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path) or ".",
+                       f".{os.path.basename(path)}.{secrets.token_hex(4)}.tmp")
+    fh = open(tmp, "x", newline="")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _read_metadata(fh, path, keys) -> dict:
