@@ -19,6 +19,7 @@ import sys
 from .kinetics import Kinetics
 from .simulate import (
     SimConfig,
+    _reading,
     densities,
     read_trajectory_csv,
     simulate_reaction,
@@ -47,10 +48,10 @@ _HORIZON_CAP = 20
 def _load_config(path):
     if path is None:
         return {}
-    with open(path) as fh:
+    with _reading(path) as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("config must be a JSON object")
+        if not isinstance(doc, dict):
+            raise ValueError("config must be a JSON object")
     return doc
 
 
@@ -59,7 +60,7 @@ def _merged(args, defaults):
     config = _load_config(args.config)
     extra = set(config) - set(defaults)
     if extra:
-        raise ValueError(f"unknown config keys: {sorted(extra)}")
+        raise ValueError(f"{args.config}: unknown config keys: {sorted(extra)}")
     merged = dict(defaults)
     merged.update(config)
     for key in defaults:

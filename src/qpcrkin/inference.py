@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .kinetics import Kinetics, inverse_profile
-from .simulate import Trajectory, _replacing, densities
+from .simulate import Trajectory, _reading, _replacing, densities
 from .limit_law import AncestorDensity, ancestor_density, limit_variance
 
 __all__ = [
@@ -432,17 +432,18 @@ def _read_json_fields(path, cls):
     """cls built from the JSON object at path, one key per dataclass field.
 
     Keys that are not fields are ignored.  Raises ValueError naming path
-    when the file is not a JSON object or lacks a field.
+    when the file is not a JSON object, lacks a field, or holds a value
+    cls refuses.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     names = [f.name for f in fields(cls)]
-    missing = [name for name in names if name not in doc]
-    if missing:
-        raise ValueError(f"{path}: missing keys {missing}")
-    return cls(**{name: doc[name] for name in names})
+    with _reading(path) as fh:
+        doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+        missing = [name for name in names if name not in doc]
+        if missing:
+            raise ValueError(f"missing keys {missing}")
+        return cls(**{name: doc[name] for name in names})
 
 
 def write_report_json(report: EstimateReport, path) -> None:

@@ -49,8 +49,8 @@ class Kinetics:
     """Reaction parameters: replication efficiency v and scale K.
 
     v is the per-molecule replication probability at vanishing density,
-    0 < v <= 1.  K > 0 is the Michaelis-Menten constant of the enzymatic
-    rate law; densities are molecule counts divided by K.
+    0 < v <= 1.  K, finite and positive, is the Michaelis-Menten constant
+    of the enzymatic rate law; densities are molecule counts divided by K.
     """
 
     v: float
@@ -59,8 +59,8 @@ class Kinetics:
     def __post_init__(self):
         if not 0.0 < self.v <= 1.0:
             raise ValueError(f"efficiency v must be in (0, 1], got {self.v}")
-        if not self.K > 0.0:
-            raise ValueError(f"scale K must be positive, got {self.K}")
+        if not 0.0 < self.K < math.inf:
+            raise ValueError(f"scale K must be finite and positive, got {self.K}")
 
     @property
     def b(self) -> float:

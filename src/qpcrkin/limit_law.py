@@ -32,7 +32,13 @@ from qpcrkin.kinetics import (
     _seed_coefficients,
     _tail_depth,
 )
-from qpcrkin.simulate import _block_cycles, _block_streams, _read_metadata, _replacing
+from qpcrkin.simulate import (
+    _block_cycles,
+    _block_streams,
+    _read_metadata,
+    _reading,
+    _replacing,
+)
 
 __all__ = [
     "LimitEnsemble",
@@ -99,8 +105,8 @@ class LimitEnsemble:
         object.__setattr__(self, "samples", arr)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("samples must be a nonempty 1-d array")
-        if (arr <= 0.0).any():
-            raise ValueError("limit samples must be positive")
+        if not (np.isfinite(arr).all() and (arr > 0.0).all()):
+            raise ValueError("limit samples must be finite and positive")
         if self.v == 1.0 and (arr != float(self.z)).any():
             raise ValueError("at efficiency 1 every sample must equal z")
 
@@ -627,33 +633,27 @@ def write_ensemble_csv(ens: LimitEnsemble, path) -> None:
 def read_ensemble_csv(path) -> LimitEnsemble:
     """Inverse of write_ensemble_csv.
 
-    Raises ValueError naming the path when the `sample` header line is
-    missing or the file holds other than `count` samples, and naming the
-    path and the line at a sample that is not a number.
+    Every refusal is a ValueError naming the path: a metadata value that
+    does not parse, a missing `sample` header line, a sample that is not
+    a number (naming the line too), other than `count` samples, or
+    samples that LimitEnsemble refuses.
     """
     samples = []
-    with open(path) as fh:
-        meta = _read_metadata(fh, path, ("v", "z", "n_gen", "count", "seed"))
+    with _reading(path) as fh:
+        meta = _read_metadata(fh, {"v": float, "z": int, "n_gen": int, "count": int,
+                                   "seed": int})
         if fh.readline().strip() != "sample":
-            raise ValueError(f"{path}: second line is not the header 'sample'")
+            raise ValueError("second line is not the header 'sample'")
         for line_no, line in enumerate(fh, start=3):
             if line.strip():
                 try:
                     samples.append(float(line))
                 except ValueError:
                     raise ValueError(
-                        f"{path}: line {line_no}: sample {line.strip()!r} "
-                        "is not a number"
+                        f"line {line_no}: sample {line.strip()!r} is not a number"
                     ) from None
-    samples = np.array(samples)
-    if samples.size != int(meta["count"]):
-        raise ValueError(
-            f"{path}: metadata says count={meta['count']}, file holds {samples.size} samples"
-        )
-    return LimitEnsemble(
-        samples,
-        v=float(meta["v"]),
-        z=int(meta["z"]),
-        n_gen=int(meta["n_gen"]),
-        seed=int(meta["seed"]),
-    )
+        if len(samples) != meta["count"]:
+            raise ValueError(f"metadata says count={meta['count']}, "
+                             f"file holds {len(samples)} samples")
+        return LimitEnsemble(samples, v=meta["v"], z=meta["z"], n_gen=meta["n_gen"],
+                             seed=meta["seed"])

@@ -362,50 +362,69 @@ def _replacing(path):
         raise
 
 
-def _read_metadata(fh, path, keys) -> dict:
-    """The `# key=value ...` first line of a CSV file, holding every name in keys.
+@contextlib.contextmanager
+def _reading(path):
+    """Read path; the one place a file is opened for reading.
 
-    Raises ValueError without that line, at an item without `=`, or
-    naming the keys it lacks.
+    Yields a handle opened with newline="", as _replacing writes, and
+    re-raises a TypeError, ValueError or OverflowError of the block, a
+    refusal of the file's contents, as a ValueError led by path.
+    """
+    with open(path, newline="") as fh:
+        try:
+            yield fh
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_metadata(fh, types) -> dict:
+    """The `# key=value ...` first line of a CSV file, each key of types parsed.
+
+    Raises ValueError without that line, at an item without `=`, naming
+    the keys it lacks, or naming a value its type does not parse.
     """
     header = fh.readline().strip()
     if not header.startswith("# "):
-        raise ValueError(f"{path}: missing metadata header")
+        raise ValueError("missing metadata header")
     items = header[2:].split()
     bad = [item for item in items if "=" not in item]
     if bad:
-        raise ValueError(f"{path}: metadata item {bad[0]!r} is not key=value")
+        raise ValueError(f"metadata item {bad[0]!r} is not key=value")
     meta = dict(item.split("=", 1) for item in items)
-    missing = [key for key in keys if key not in meta]
+    missing = [key for key in types if key not in meta]
     if missing:
-        raise ValueError(f"{path}: metadata header misses keys {missing}")
-    return meta
+        raise ValueError(f"metadata header misses keys {missing}")
+    parsed = {}
+    for key, kind in types.items():
+        try:
+            parsed[key] = kind(meta[key])
+        except ValueError:
+            raise ValueError(f"metadata {key}={meta[key]!r} does not parse as "
+                             f"{kind.__name__}") from None
+    return parsed
 
 
 def read_trajectory_csv(path) -> Trajectory:
     """Inverse of write_trajectory_csv.
 
-    Raises ValueError naming the path and the column when the column
-    header lacks `count`, and naming the path and the line at a data row
-    whose count is missing or not an integer.
+    Every refusal is a ValueError naming the path: a metadata value that
+    does not parse or that Kinetics refuses, a column header without
+    `count`, a data row whose count is missing or not an integer (naming
+    the line too), or counts that Trajectory refuses.
     """
     counts = []
-    with open(path, newline="") as fh:
-        meta = _read_metadata(fh, path, ("v", "K", "seed", "replicate"))
+    with _reading(path) as fh:
+        meta = _read_metadata(fh, {"v": float, "K": float, "seed": int,
+                                   "replicate": int})
         reader = csv.DictReader(fh)
         if "count" not in (reader.fieldnames or ()):
-            raise ValueError(f"{path}: trajectory header misses the column 'count'")
+            raise ValueError("trajectory header misses the column 'count'")
         for row in reader:
             try:
                 counts.append(int(row["count"]))
             except (TypeError, ValueError):
                 # the metadata line precedes the reader's first line
-                raise ValueError(
-                    f"{path}: line {reader.line_num + 1}: count "
-                    f"{row['count']!r} is not an integer"
-                ) from None
-    counts = np.array(counts, dtype=np.int64)
-    kin = Kinetics(v=float(meta["v"]), K=float(meta["K"]))
-    return Trajectory(
-        counts, kin, seed=int(meta["seed"]), replicate_id=int(meta["replicate"])
-    )
+                raise ValueError(f"line {reader.line_num + 1}: count "
+                                 f"{row['count']!r} is not an integer") from None
+        return Trajectory(counts, Kinetics(v=meta["v"], K=meta["K"]), seed=meta["seed"],
+                          replicate_id=meta["replicate"])

@@ -179,6 +179,19 @@ class TestEstimate:
         report = read_report_json(out)
         assert report.settings["v_known"] == 0.6
 
+    @pytest.mark.parametrize("header,named", [
+        ("v=0.5 K=inf z0=1 seed=0 replicate=0", "scale K must be finite and positive"),
+        ("v=0.5 K=1000 z0=1 seed=abc replicate=0", "metadata seed='abc'"),
+    ], ids=["K-inf", "seed-abc"])
+    def test_bad_trajectory_header_names_the_file(self, tmp_path, capsys, header, named):
+        # K=inf used to load and end in "density never reached"
+        traj = tmp_path / "traj.csv"
+        traj.write_text(f"# {header}\ncycle,count,density\n0,1,0.001\n1,2,0.002\n")
+        rc = main(["estimate", "--traj", str(traj), "--out", str(tmp_path / "r.json")])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert f"error: {traj}: {named}" in captured.err
+
     def test_simulation_flags_refused_with_a_trajectory_file(self, tmp_path, capsys):
         # the trajectory comes from the file, so --m, --z0, --cycles and
         # --seed would be ignored: the error names each one given, on the
@@ -467,6 +480,17 @@ class TestConfigMerge:
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "t.csv")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,named", [
+        ("[1]", "config must be a JSON object"),
+        ("{", "Expecting property name"),
+    ], ids=["list", "not-json"])
+    def test_config_refusal_names_the_file(self, tmp_path, capsys, text, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "t.csv")]) == 1
+        assert f"error: {cfg}: {named}" in capsys.readouterr().err
 
 
 class TestErrorPaths:

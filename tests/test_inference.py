@@ -556,7 +556,11 @@ class TestReportPipeline:
     @pytest.mark.parametrize("text,named", [
         ('"report"', "JSON object"),
         ('{"z_hat_mle": 3, "z_hat_normal": 2.9, "v_hat": null}', "t_values"),
-    ], ids=["not-an-object", "missing-key"])
+        ('{"z_hat_mle": 3, "z_hat_normal": 2.9, "v_hat": null, "t_values": [-1], '
+         '"tau": 0, "kappas": [0.1], "settings": {}, "diagnostics": {}}',
+         r"report\.json: t_values must all be finite and positive"),
+        ("{", r"report\.json: Expecting property name"),
+    ], ids=["not-an-object", "missing-key", "negative-t", "not-json"])
     def test_reader_rejects_bad_document(self, tmp_path, text, named):
         path = tmp_path / "report.json"
         path.write_text(text)

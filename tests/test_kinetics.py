@@ -62,6 +62,11 @@ class TestKinetics:
         with pytest.raises(ValueError):
             Kinetics(v=0.5, K=0.0)
 
+    @pytest.mark.parametrize("K", [math.inf, math.nan])
+    def test_rejects_non_finite_scale(self, K):
+        with pytest.raises(ValueError, match="scale K must be finite and positive"):
+            Kinetics(v=0.5, K=K)
+
 
 class TestPrecision:
     @pytest.mark.parametrize("bad", [2.5, 3000.5, 0, 0.0, -3, math.inf, math.nan])

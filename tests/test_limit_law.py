@@ -890,6 +890,26 @@ class TestExport:
         path.write_text(meta + "sample\n1.25\n0.5\n2.0\n")
         assert read_ensemble_csv(path).samples.tolist() == [1.25, 0.5, 2.0]
 
+    def test_ensemble_metadata_value_refused_by_name(self, tmp_path):
+        path = tmp_path / "ens.csv"
+        path.write_text("# v=0.5 z=1 n_gen=35 count=x seed=0\nsample\n1.25\n")
+        with pytest.raises(ValueError,
+                           match=r"ens\.csv: metadata count='x' does not parse as int"):
+            read_ensemble_csv(path)
+
+    def test_ensemble_non_finite_sample_refused(self, tmp_path):
+        # NaN compares false with 0, so a sign check alone let it through
+        path = tmp_path / "ens.csv"
+        path.write_text("# v=0.5 z=1 n_gen=35 count=3 seed=0\nsample\n1.0\nnan\ninf\n")
+        with pytest.raises(ValueError,
+                           match=r"ens\.csv: limit samples must be finite and positive"):
+            read_ensemble_csv(path)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_ensemble_refuses_non_finite_samples(self, bad):
+        with pytest.raises(ValueError, match="finite and positive"):
+            LimitEnsemble([1.0, bad], v=0.5, z=1, n_gen=35)
+
     def test_ensemble_non_numeric_sample_refused(self, tmp_path):
         path = tmp_path / "ens.csv"
         path.write_text("# v=0.5 z=1 n_gen=35 count=3 seed=0\nsample\n1.25\nabc\n2.0\n")

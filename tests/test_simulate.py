@@ -2,13 +2,17 @@
 
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from qpcrkin import streams
+from qpcrkin.experiments import ExperimentResult, emit_profile_curves, write_result_json
+from qpcrkin.inference import EstimateReport, write_report_json
 from qpcrkin.kinetics import Kinetics, iterate_mean_map
+from qpcrkin.limit_law import sample_limit, write_ensemble_csv
 from qpcrkin.simulate import (
     BLOCK_SIZE,
     SaturationError,
@@ -423,3 +427,56 @@ class TestDensitiesAndExport:
                         "cycle,count,density\n0,x,0.05\n")
         with pytest.raises(ValueError, match=r"traj\.csv: line 3: count 'x' is not an integer"):
             read_trajectory_csv(path)
+
+    @pytest.mark.parametrize("header,named", [
+        ("v=0.5 K=57 z0=3 seed=abc replicate=0", "metadata seed='abc' does not parse as int"),
+        ("v=0.5 K=5e x=1 seed=19 replicate=0", "metadata K='5e' does not parse as float"),
+        ("v=nan K=57 z0=3 seed=19 replicate=0", r"efficiency v must be in \(0, 1\], got nan"),
+        ("v=0.5 K=inf z0=3 seed=19 replicate=0", "scale K must be finite and positive, got inf"),
+    ], ids=["seed-abc", "K-5e", "v-nan", "K-inf"])
+    def test_csv_metadata_refused_by_name(self, tmp_path, header, named):
+        path = tmp_path / "traj.csv"
+        path.write_text(f"# {header}\ncycle,count,density\n0,3,0.05\n1,5,0.08\n")
+        with pytest.raises(ValueError, match=r"traj\.csv: " + named):
+            read_trajectory_csv(path)
+
+    def test_csv_decreasing_counts_refused_by_name(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        path.write_text("# v=0.5 K=57 z0=3 seed=19 replicate=0\n"
+                        "cycle,count,density\n0,3,0.05\n1,2,0.04\n")
+        with pytest.raises(ValueError, match=r"traj\.csv: counts must be nondecreasing"):
+            read_trajectory_csv(path)
+
+
+# each writer called with a path and a key; different keys write different bytes
+_WRITERS = {
+    "trajectory": lambda path, key: write_trajectory_csv(
+        simulate_reaction(cfg(seed=key)), path),
+    "ensemble": lambda path, key: write_ensemble_csv(
+        sample_limit(0.5, count=10, seed=key), path),
+    "curves": lambda path, key: emit_profile_curves([0.5], [0.0, 1.0 + key], out=path),
+    "report": lambda path, key: write_report_json(EstimateReport(
+        z_hat_mle=None, z_hat_normal=2.9, v_hat=None, t_values=[2.8 + key], tau=0,
+        kappas=[0.1]), path),
+    "result": lambda path, key: write_result_json(ExperimentResult(
+        kind="estimation", spec={}, summary={}, runtime_seconds=0.5,
+        records={"replicate": [key]}), path),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_interrupted_write_keeps_the_old_file(tmp_path, monkeypatch, writer):
+    # the new file is complete but cannot take the old one's place: the
+    # old file keeps its bytes and the new one is removed
+    path = tmp_path / "out"
+    _WRITERS[writer](path, 0)
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        _WRITERS[writer](path, 1)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
