@@ -392,18 +392,23 @@ def ancestor_density(t, v: float, z_max: int,
     are at most prec.tol, so its value depends on the other points only
     through the period, which a point above z_max moves.
 
-    Bound.  Summation by parts bounds what the sum leaves out past the
-    top frequency Omega by (|psi(Omega)**z| + int_Omega^inf |(psi**z)'|)
-    * h / (2*pi*sin(h*t/2)), about 1/(pi*t) times the bracket.  Both
-    terms follow from the top octave [Omega/b, Omega]: psi(b*w) =
+    Bound.  With a_j = psi(w_j)**z, r = exp(-i h t) and Omega = N*h the
+    top frequency, summation by parts gives what the sum leaves out as
+    sum_{j>N} a_j r**j = a_N r**(N+1)/(1-r) + sum_{j>=N} (a_{j+1}-a_j)
+    r**(j+1)/(1-r).  The first term is added to the value exactly, with
+    r/(1-r) = -1/2 - (i/2)*cot(h*t/2).  The second is at most
+    int_Omega^inf |(psi**z)'| / |1-r|, so it adds at most that integral
+    times h / (2*pi*sin(h*t/2)), about 1/(pi*t), to the bound.  The
+    integral follows from the top octave [Omega/b, Omega]: psi(b*w) =
     (1-v)*psi + v*psi**2 and b*psi'(b*w) = psi'(w)*(1-v+2*v*psi) shrink
     |psi| by r = 1-v+v*M and |psi'| by q/b, q = 1-v+2*v*M, per octave,
     M = max |psi| on the octave's grid points (psi' from the same loop by
-    forward differentiation), so the integral is at most
+    forward differentiation), so it is at most
     Omega*(v/b)*z*M**(z-1)*D*p/(1-p) with p = r**(z-1)*q and D = max |psi'|
     there.  The transform error adds z*(h/pi) times the sum of psi's
-    certified errors over the frequencies.  Values are returned as
-    computed, negative ones included.
+    certified errors over the frequencies, and z times psi(Omega)'s error
+    times h / (2*pi*sin(h*t/2)) for the boundary term.  Values are
+    returned as computed, negative ones included.
 
     Raises PrecisionError when a point's bounds still exceed prec.tol at
     prec.max_iter frequencies, carrying every value and bound there, or
@@ -433,6 +438,7 @@ def _density_from(table: _PsiTable, pts: np.ndarray) -> AncestorDensity:
     todo = np.ones(pts.size, dtype=bool)
     psi_error = 0.0
     for seg in table:
+        act = np.flatnonzero(todo)
         for lo in range(0, seg.om.size, FREQUENCY_BLOCK):
             om, ps = seg.om[lo:lo + FREQUENCY_BLOCK], seg.ps[lo:lo + FREQUENCY_BLOCK]
             psi_error += seg.err * float(np.sum(om ** (_SEED_ORDER + 1)))
@@ -445,20 +451,23 @@ def _density_from(table: _PsiTable, pts: np.ndarray) -> AncestorDensity:
             # matrix-vector product per open point on the interleaved parts,
             # so a point's sum does not depend on the others
             parts = powers.view(float)
-            act = np.flatnonzero(todo)
             phase = np.exp(1j * np.outer(pts[act], om))
             for j, wave in zip(act, phase):
                 sums[:, j] += parts @ wave.view(float)
-        # the bound of every point at the end of the segment
+        # the value and bound of every open point at the end of the segment:
+        # the boundary term a_N r**(N+1)/(1-r) with a_N = psi(Omega)**z, the
+        # last column of the power table, and r/(1-r) = -1/2 - (i/2)cot(h t/2)
+        top = float(seg.om[-1])
         p = (1.0 - v + v * seg.m) ** (z - 1.0) * (1.0 - v + 2.0 * v * seg.m)
         tail = np.full(z_max, np.inf)
         ok = p < 1.0
-        tail[ok] = (seg.om[-1] * (v / b) * seg.d * z[ok] * seg.m ** (z[ok] - 1.0)
-                    * p[ok] / (1.0 - p[ok]))
-        edge = np.abs(seg.ps[-1]) ** z + tail
+        tail[ok] = top * (v / b) * seg.d * z[ok] * seg.m ** (z[ok] - 1.0) * p[ok] / (1.0 - p[ok])
+        edge = tail + z * seg.err * top ** (_SEED_ORDER + 1)
         bound = edge[:, None] * abel + (z * (h / math.pi) * psi_error)[:, None]
-        values[:, todo] = (h / math.pi) * (0.5 + sums[:, todo])
-        bounds[:, todo] = bound[:, todo]
+        step = np.exp(-1j * top * pts[act]) * (-0.5 - 0.5j / np.tan(0.5 * h * pts[act]))
+        values[:, act] = (h / math.pi) * (0.5 + sums[:, act]
+                                          + (powers[:, -1, None] * step).real)
+        bounds[:, act] = bound[:, act]
         todo &= ~np.all(bound <= prec.tol, axis=0)
         if not todo.any():
             return AncestorDensity(values, bounds, seg.end, seg.depth)

@@ -380,8 +380,9 @@ def _reading(path):
 def _read_metadata(fh, types) -> dict:
     """The `# key=value ...` first line of a CSV file, each key of types parsed.
 
-    Raises ValueError without that line, at an item without `=`, naming
-    the keys it lacks, or naming a value its type does not parse.
+    Any other key keeps its value as a string.  Raises ValueError without
+    that line, at an item without `=`, naming the keys it lacks, or naming
+    a value its type does not parse.
     """
     header = fh.readline().strip()
     if not header.startswith("# "):
@@ -394,14 +395,16 @@ def _read_metadata(fh, types) -> dict:
     missing = [key for key in types if key not in meta]
     if missing:
         raise ValueError(f"metadata header misses keys {missing}")
-    parsed = {}
-    for key, kind in types.items():
-        try:
-            parsed[key] = kind(meta[key])
-        except ValueError:
-            raise ValueError(f"metadata {key}={meta[key]!r} does not parse as "
-                             f"{kind.__name__}") from None
-    return parsed
+    return {**meta, **{key: _parse_metadata(key, meta[key], kind) for key, kind in types.items()}}
+
+
+def _parse_metadata(key: str, value: str, kind):
+    """value parsed by kind, or a ValueError naming the key and the value."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise ValueError(f"metadata {key}={value!r} does not parse as "
+                         f"{kind.__name__}") from None
 
 
 def read_trajectory_csv(path) -> Trajectory:
@@ -410,9 +413,13 @@ def read_trajectory_csv(path) -> Trajectory:
     Every refusal is a ValueError naming the path: a metadata value that
     does not parse or that Kinetics refuses, a column header without
     `count`, a data row whose count is missing or not an integer (naming
-    the line too), or counts that Trajectory refuses.
+    the line too), or counts that Trajectory refuses.  Past those, the
+    file must agree with itself: a header `z0`, when present, must equal
+    the first count, and a `density` column, when present, must lie
+    within a relative 1e-9 of count/K on every row (naming the line);
+    the writer's 17 digits read back exactly.
     """
-    counts = []
+    counts, lines, densities = [], [], []
     with _reading(path) as fh:
         meta = _read_metadata(fh, {"v": float, "K": float, "seed": int,
                                    "replicate": int})
@@ -420,11 +427,25 @@ def read_trajectory_csv(path) -> Trajectory:
         if "count" not in (reader.fieldnames or ()):
             raise ValueError("trajectory header misses the column 'count'")
         for row in reader:
+            # the metadata line precedes the reader's first line
+            lines.append(reader.line_num + 1)
+            densities.append(row.get("density"))
             try:
                 counts.append(int(row["count"]))
             except (TypeError, ValueError):
-                # the metadata line precedes the reader's first line
-                raise ValueError(f"line {reader.line_num + 1}: count "
+                raise ValueError(f"line {lines[-1]}: count "
                                  f"{row['count']!r} is not an integer") from None
-        return Trajectory(counts, Kinetics(v=meta["v"], K=meta["K"]), seed=meta["seed"],
-                          replicate_id=meta["replicate"])
+        kin = Kinetics(v=meta["v"], K=meta["K"])
+        traj = Trajectory(counts, kin, seed=meta["seed"], replicate_id=meta["replicate"])
+        if "z0" in meta and _parse_metadata("z0", meta["z0"], int) != counts[0]:
+            raise ValueError(f"metadata z0={meta['z0']} differs from the first count {counts[0]}")
+        if "density" in reader.fieldnames:
+            for line, count, text in zip(lines, counts, densities):
+                want = count / kin.K
+                try:
+                    ok = abs(float(text) - want) <= 1e-9 * want
+                except (TypeError, ValueError):
+                    ok = False
+                if not ok:
+                    raise ValueError(f"line {line}: density {text!r} is not count/K = {want:.17g}")
+        return traj

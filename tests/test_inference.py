@@ -28,12 +28,19 @@ from hypothesis import strategies as st
 from qpcrkin.kinetics import (
     INVERSE_PRECISION,
     Kinetics,
+    Precision,
+    PrecisionError,
     inverse_profile,
     limit_profile,
     mean_map,
 )
 from qpcrkin.simulate import SimConfig, Trajectory, simulate_reaction
-from qpcrkin.limit_law import DENSITY_PRECISION, limit_variance, sample_limit
+from qpcrkin.limit_law import (
+    DENSITY_PRECISION,
+    ancestor_density,
+    limit_variance,
+    sample_limit,
+)
 from qpcrkin.inference import (
     MAX_KAPPAS,
     BoundaryWarning,
@@ -413,6 +420,31 @@ class TestMleEstimator:
         normal = np.array([estimate_copies_normal(t, v) for t in draws])
         agree = np.abs(mle - normal) <= 0.1 * z_true
         assert np.mean(agree) >= 0.9
+
+    def test_decision_matches_a_deep_reference(self):
+        # 60 inputs shaped like a single-trajectory estimate: v = 0.5,
+        # m = 30, known and fitted efficiency, z0 = 1..6, z_max =
+        # max(10, 4 z0).  The reference profile sums 16 times the scan's
+        # frequencies; its winner leads every other candidate by more than
+        # the scan's bounds of both, so the scan's argmax must be its
+        kin = Kinetics.from_exponent(0.5, 30)
+        for z0 in range(1, 7):
+            z_max = max(10, 4 * z0)
+            for seed in range(5):
+                traj = simulate_reaction(SimConfig(kin, z0=z0, n_cycles=40, seed=seed))
+                for fit in (False, True):
+                    rep = estimate_from_trajectory(traj, 0.05, fit_efficiency=fit,
+                                                   v_known=None if fit else 0.5)
+                    t, v = float(rep.t_values.mean()), rep.v_hat if fit else 0.5
+                    dens = ancestor_density(t, v, z_max)
+                    with pytest.raises(PrecisionError) as err:
+                        ancestor_density(t, v, z_max,
+                                         Precision(tol=1e-15, max_iter=16 * dens.points))
+                    ref, bound = err.value.value[:, 0], dens.bounds[:, 0]
+                    win = int(np.argmax(ref))
+                    others = np.arange(z_max) != win
+                    assert np.all(ref[win] - ref[others] > bound[win] + bound[others])
+                    assert estimate_copies_mle(t, v, z_max) == win + 1
 
 
 class TestReportPipeline:

@@ -454,6 +454,59 @@ class TestExactDensity:
         fine = _density_on_grid(t, v, z_max, 16 * dens.points)
         assert np.all(np.abs(dens.values - fine) <= dens.bounds)
 
+    @pytest.mark.parametrize("v", [0.1, 0.25, 0.5, 0.9])
+    def test_bound_covers_deep_reference_on_a_sweep(self, v):
+        # every value, the ones at the cap too, lies within its bound of
+        # the sum on 16 times the frequencies its call summed.  The period
+        # 4*max(z_max, 12) + 8 is the same for every z_max <= 12, so one
+        # reference at z_max = 10 serves z_max = 1, 3 and 10
+        t = np.geomspace(0.053, 12.0, 9)
+        calls = {}
+        for z_max in (1, 3, 10, 24):
+            try:
+                dens = ancestor_density(t, v, z_max)
+                calls[z_max] = dens.values, dens.bounds, dens.points
+            except PrecisionError as err:
+                calls[z_max] = err.value, err.bound, DENSITY_PRECISION.max_iter
+        for group in ((1, 3, 10), (24,)):
+            points = 16 * max(calls[z_max][2] for z_max in group)
+            ref = _density_on_grid(t, v, group[-1], points)
+            for z_max in group:
+                values, bounds, _ = calls[z_max]
+                assert np.all(np.abs(values - ref[:z_max]) <= bounds)
+
+    @pytest.mark.parametrize("v,t,z_max", [(0.1, 0.5, 2), (0.5, 0.3, 3), (0.9, 4.0, 6)])
+    def test_value_is_the_sum_plus_its_boundary_term(self, v, t, z_max):
+        # at the end of the first segment, N = FREQUENCY_BLOCK, the value is
+        # the plain trapezoid sum (h/pi)(1/2 + sum_{j<=N} Re(a_j r**j)) plus
+        # (h/pi) Re(a_N r**(N+1)/(1-r)), a_j = psi(w_j)**z, r = exp(-i h t),
+        # here formed term by term.  Where the boundary term is not
+        # negligible (z = 1 at least), it brings the value closer to the sum
+        # on 16 times the frequencies
+        n, prec = FREQUENCY_BLOCK, Precision(tol=1e-15, max_iter=FREQUENCY_BLOCK)
+        with pytest.raises(PrecisionError) as err:
+            ancestor_density(t, v, z_max, prec)
+        table = _PsiTable(v, z_max, t, prec, slope=True)
+        seg, h = next(iter(table)), table.h
+        a = seg.ps[None, :] ** np.arange(1, z_max + 1)[:, None]
+        r = np.exp(-1j * h * t)
+        plain = (h / math.pi) * (0.5 + (a * r ** np.arange(1, n + 1)).real.sum(axis=1))
+        edge = (h / math.pi) * (a[:, -1] * r ** (n + 1) / (1.0 - r)).real
+        value = err.value.value[:, 0]
+        assert np.max(np.abs(value - (plain + edge))) <= 1e-12
+        ref = _density_on_grid(t, v, z_max, 16 * n)[:, 0]
+        big = np.abs(edge) > 1e-9
+        assert big[0]
+        assert np.all(np.abs(value - ref)[big] < np.abs(plain - ref)[big])
+
+    @pytest.mark.parametrize("t,z_max", [(2.0, 10), (6.0, 24)])
+    def test_boundary_term_stops_at_the_first_segment(self, t, z_max):
+        # the boundary term psi(Omega)**z at the top frequency is summed,
+        # not bounded: without it these scans need 2048 frequencies
+        dens = ancestor_density(t, 0.5, z_max)
+        assert dens.points == FREQUENCY_BLOCK
+        assert np.all(dens.bounds <= DENSITY_PRECISION.tol)
+
     def test_cap_raises_with_value_and_bound(self):
         prec = Precision(tol=1e-6, max_iter=256)
         with pytest.raises(PrecisionError) as err:

@@ -447,6 +447,43 @@ class TestDensitiesAndExport:
         with pytest.raises(ValueError, match=r"traj\.csv: counts must be nondecreasing"):
             read_trajectory_csv(path)
 
+    @pytest.mark.parametrize("z0,named", [
+        ("7", "metadata z0=7 differs from the first count 1"),
+        ("abc", "metadata z0='abc' does not parse as int"),
+    ], ids=["z0-7", "z0-abc"])
+    def test_csv_header_z0_must_be_the_first_count(self, tmp_path, z0, named):
+        path = tmp_path / "traj.csv"
+        rows = "cycle,count,density\n0,1,0.001\n1,2,0.002\n"
+        path.write_text(f"# v=0.5 K=1000 z0={z0} seed=0 replicate=0\n{rows}")
+        with pytest.raises(ValueError, match=r"traj\.csv: " + named):
+            read_trajectory_csv(path)
+        # without z0 the header says nothing about the first count
+        path.write_text(f"# v=0.5 K=1000 seed=0 replicate=0\n{rows}")
+        assert read_trajectory_csv(path).counts.tolist() == [1, 2]
+
+    @pytest.mark.parametrize("density,line", [
+        ("0.9", 3), ("0.0010000000011", 3), ("nan", 3), ("x", 3), ("", 3),
+    ])
+    def test_csv_density_must_be_count_over_K(self, tmp_path, density, line):
+        path = tmp_path / "traj.csv"
+        path.write_text("# v=0.5 K=1000 z0=1 seed=0 replicate=0\n"
+                        f"cycle,count,density\n0,1,{density}\n1,2,0.002\n")
+        with pytest.raises(ValueError, match=rf"traj\.csv: line {line}: density "
+                                             rf"'{density}' is not count/K = 0\.001"):
+            read_trajectory_csv(path)
+
+    def test_csv_density_within_relative_tolerance_or_absent(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        meta = "# v=0.5 K=1000 z0=1 seed=0 replicate=0\n"
+        # 2e-10 relative to count/K reads, 2e-9 does not
+        path.write_text(meta + "cycle,count,density\n0,1,0.0010000000002\n1,2,0.002\n")
+        assert read_trajectory_csv(path).counts.tolist() == [1, 2]
+        path.write_text(meta + "cycle,count,density\n0,1,0.001\n1,2,0.002000000004\n")
+        with pytest.raises(ValueError, match=r"traj\.csv: line 4: density '0\.002000000004'"):
+            read_trajectory_csv(path)
+        path.write_text(meta + "cycle,count\n0,1\n1,2\n")
+        assert read_trajectory_csv(path).counts.tolist() == [1, 2]
+
 
 # each writer called with a path and a key; different keys write different bytes
 _WRITERS = {
