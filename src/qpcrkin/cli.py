@@ -234,7 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, help="scale exponent, K = (1+v)**m")
     p.add_argument("--z0", type=int, help="initial copy number")
     p.add_argument("--cycles", type=int, help="number of cycles (default m+5)")
-    p.add_argument("--replicate", type=int, help="replicate stream index")
+    p.add_argument("--replicate", type=int,
+                   help="reaction stream block r: row 1000 r of an experiment "
+                        "of 1000 r + 1 replicates")
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("h-curves", help="tabulate the limit profile on a grid")

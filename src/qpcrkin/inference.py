@@ -188,13 +188,19 @@ def estimate_efficiency(kappas) -> float:
 
     Each consecutive pair gives v_j = (kappa_{j+1} - kappa_j) *
     (1 + kappa_j) / kappa_j; the estimate is the mean over the pairs
-    among the first MAX_KAPPAS values.
+    among the first MAX_KAPPAS values.  Raises ValueError unless those
+    are finite, positive and strictly increasing, as the densities of an
+    Observation are.
     """
     arr = np.asarray(kappas, dtype=float)[:MAX_KAPPAS]
     if arr.size < 2:
         raise ValueError("need at least two densities")
+    if not np.isfinite(arr).all():
+        raise ValueError("densities must be finite")
     if np.any(arr <= 0.0):
         raise ValueError("densities must be positive")
+    if np.any(arr[1:] <= arr[:-1]):
+        raise ValueError("densities must be strictly increasing")
     return float(efficiency_rows(arr[None, :])[0])
 
 

@@ -6,11 +6,10 @@ count, so a cycle's increment is one binomial variate.  The coupled
 construction (simulate_coupled_replicates) draws the reaction and two
 constant-probability branching references on shared per-molecule
 uniforms, as counts, for pathwise comparison; its upper row is the linear
-branching reference.  Randomness comes in the two layouts of
-qpcrkin.streams: simulate_reaction gives one trajectory its own stream
-(aux 0); the experiment runners and limit_law.sample_limit draw in blocks
-of BLOCK_SIZE lanes (aux 1), all blocks one cycle at a time
-(_block_streams, _block_cycles).
+branching reference.  Randomness comes in the block layout of
+qpcrkin.streams, BLOCK_SIZE lanes per stream, all blocks one cycle at a
+time (_block_streams, _block_cycles); simulate_reaction is block
+replicate_id drawn with one lane.
 """
 
 from __future__ import annotations
@@ -45,9 +44,6 @@ INT64_MAX = np.iinfo(np.int64).max
 
 #: lanes per Philox block; the last block of a run holds the remainder
 BLOCK_SIZE = 1000
-
-# aux tag of the block streams; aux 0 keys single trajectories
-REPLICATE_BLOCK_AUX = 1
 
 # One generator rewound per trajectory instead of a fresh Philox per call.
 # simulate_reaction consumes its draws fully before returning, so the
@@ -143,7 +139,12 @@ def order_violations(runs: np.ndarray, threshold: float) -> dict:
 
 
 def simulate_reaction(cfg: SimConfig) -> Trajectory:
-    """One trajectory of the saturating molecule-count process, 64-bit safe."""
+    """One trajectory of the saturating molecule-count process, 64-bit safe.
+
+    Block r = cfg.replicate_id of the REACTION streams drawn with one
+    lane, by a scalar loop: row BLOCK_SIZE * r of simulate_replicates with
+    BLOCK_SIZE * r + 1 replicates and the same seed.
+    """
     v, K = cfg.kinetics.v, cfg.kinetics.K
     binom = _POOL.reset(cfg.seed, streams.REACTION, cfg.replicate_id).binomial
     counts = [cfg.z0]
@@ -213,9 +214,8 @@ def _check_range(inc: np.ndarray, count: np.ndarray, n: int) -> None:
 
 
 def _block_streams(purpose: int, seed: int, replicates: int) -> list:
-    """One generator per BLOCK_SIZE lanes: block k on (seed, purpose, k, aux=1)."""
-    return [streams.stream(seed, purpose, k, REPLICATE_BLOCK_AUX)
-            for k in range(-(-replicates // BLOCK_SIZE))]
+    """One generator per BLOCK_SIZE lanes: block k on (seed, purpose, k)."""
+    return [streams.stream(seed, purpose, k) for k in range(-(-replicates // BLOCK_SIZE))]
 
 
 def _block_cycles(gens: list, start: np.ndarray, n_cycles: int, step):

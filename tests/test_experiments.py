@@ -18,11 +18,18 @@ import pytest
 
 from qpcrkin import streams
 from qpcrkin.kinetics import INVERSE_PRECISION, Kinetics, inverse_profile, limit_profile
-from qpcrkin.simulate import BLOCK_SIZE, Trajectory, simulate_replicates
+from qpcrkin.simulate import (
+    BLOCK_SIZE,
+    SimConfig,
+    Trajectory,
+    simulate_reaction,
+    simulate_replicates,
+)
 from qpcrkin.inference import (
     NotDetectedError,
     estimate_copies_normal,
     estimate_efficiency,
+    estimate_from_trajectory,
     hitting_time,
     limit_observables,
     observe,
@@ -166,7 +173,7 @@ class TestConvergence:
         x_m = np.array(res.records["x_m"])
         whole = simulate_replicates(kin, z0=1, n_cycles=20, replicates=BLOCK_SIZE, seed=3)
         assert np.array_equal(x_m[:BLOCK_SIZE], whole[:, 20] / kin.K)
-        gen = streams.stream(3, streams.REACTION, 1, aux=1)
+        gen = streams.stream(3, streams.REACTION, 1)
         z = np.ones(200, dtype=np.int64)
         for _ in range(20):
             z = z + gen.binomial(z, kin.v * kin.K / (kin.K + z))
@@ -290,6 +297,21 @@ class TestEstimation:
             assert (v_hat is None) == (want[4] is None)
             if v_hat is not None:
                 assert v_hat == pytest.approx(want[4], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("v", [0.5, 0.9, 1.0])
+    def test_one_replicate_is_the_trajectory_pipeline(self, v):
+        # a run of one replicate is block 0 drawn with one lane, the
+        # trajectory of simulate_reaction: the runner's record and the
+        # single-trajectory pipeline's report agree bitwise
+        kin = Kinetics.from_exponent(v, 25)
+        for seed in range(30):
+            spec = ScenarioSpec(kind="estimation", v=v, m=25, z0=3, replicates=1, seed=seed)
+            records = run_estimation(spec).records
+            traj = simulate_reaction(SimConfig(kin, 3, spec.m + spec.extra_cycles, seed=seed))
+            report = estimate_from_trajectory(traj, spec.rho, v_known=v)
+            assert records["replicate"] == [0], seed
+            assert records["tau"] == [report.tau], seed
+            assert records["t_mean"] == [float(report.t_values.mean())], seed
 
     def test_reproducible(self):
         spec = ScenarioSpec(kind="estimation", v=0.5, m=20, z0=2,

@@ -205,6 +205,17 @@ class TestEfficiencyEstimate:
         with pytest.raises(ValueError):
             estimate_efficiency([0.3])
 
+    @pytest.mark.parametrize("kappas, named", [
+        ([0.1, np.nan], "finite"),
+        ([0.1, np.inf], "finite"),
+        ([0.1, 0.15, np.nan], "finite"),
+        ([0.2, 0.1], "strictly increasing"),
+    ], ids=["nan", "inf", "trailing-nan", "decreasing"])
+    def test_bad_densities_rejected(self, kappas, named):
+        # these used to give nan, inf, 0.55 and -0.6
+        with pytest.raises(ValueError, match=named):
+            estimate_efficiency(kappas)
+
     def test_simulated_recovery(self):
         kin = Kinetics.from_exponent(0.5, 30)
         vhats = []

@@ -106,10 +106,9 @@ class TestBlockLayout:
         assert np.array_equal(long[:2000], sample_limit(0.5, count=2000, seed=4).samples)
 
     def test_block_is_one_stream(self):
-        # block 1 advances its lanes in lockstep on the stream of replicate 1,
-        # keyed with the runners' block aux tag
+        # block 1 advances its lanes in lockstep on the stream of replicate 1
         v, n_gen = 0.5, 35
-        gen = streams.stream(4, streams.GROWTH_LIMIT, 1, aux=1)
+        gen = streams.stream(4, streams.GROWTH_LIMIT, 1)
         y = np.full(BLOCK_SIZE, 2, dtype=np.int64)
         for _ in range(n_gen):
             y += gen.binomial(y, v)
@@ -120,7 +119,7 @@ class TestBlockLayout:
         # the last block draws only the remainder: samples 1000..1499 are a
         # 500-lane lockstep on block 1's stream
         v, n_gen = 0.5, 35
-        gen = streams.stream(4, streams.GROWTH_LIMIT, 1, aux=1)
+        gen = streams.stream(4, streams.GROWTH_LIMIT, 1)
         y = np.full(500, 2, dtype=np.int64)
         for _ in range(n_gen):
             y += gen.binomial(y, v)

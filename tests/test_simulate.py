@@ -68,9 +68,9 @@ class TestReaction:
 
     def test_one_step_law_matches_enumeration(self):
         # z0=2, K=4, v=0.5: replication probability vK/(K+z) = 1/3 per
-        # molecule, so the increment is the binomial(2, 1/3) draw of the
-        # replicate's own REACTION stream, draw for draw.  The law itself
-        # is checked on 10**6 lanes in TestReplicateBlocks.
+        # molecule, so the increment is the binomial(2, 1/3) draw of block
+        # i's REACTION stream, draw for draw.  The law itself is checked
+        # on 10**6 lanes in TestReplicateBlocks.
         kin = Kinetics(v=0.5, K=4.0)
         for i in range(10 ** 4):
             got = simulate_reaction(SimConfig(kin, 2, 1, seed=7, replicate_id=i))
@@ -99,7 +99,7 @@ class TestReaction:
 
 def _reaction_block(kin, z0, n_cycles, lanes, seed):
     """Block 1 of the reaction layout drawn by hand: lanes rows of counts."""
-    gen = streams.stream(seed, streams.REACTION, 1, aux=1)
+    gen = streams.stream(seed, streams.REACTION, 1)
     z = np.full(lanes, z0, dtype=np.int64)
     rows = [z]
     for _ in range(n_cycles):
@@ -110,7 +110,7 @@ def _reaction_block(kin, z0, n_cycles, lanes, seed):
 
 class TestReplicateBlocks:
     def test_block_is_one_stream(self):
-        # block 1 advances its lanes in lockstep on the aux=1 reaction stream
+        # block 1 advances its lanes in lockstep on replicate 1's reaction stream
         kin, n_cycles = Kinetics(v=0.5, K=200.0), 12
         got = simulate_replicates(kin, 3, n_cycles, 2 * BLOCK_SIZE, seed=6)
         assert got.shape == (2 * BLOCK_SIZE, n_cycles + 1)
@@ -133,13 +133,15 @@ class TestReplicateBlocks:
         assert np.array_equal(long[:1000], simulate_replicates(kin, 2, 10, 1000, seed=4))
         assert np.array_equal(long[:2000], simulate_replicates(kin, 2, 10, 2000, seed=4))
 
-    def test_disjoint_from_single_trajectories(self):
-        # on one shared key lane 0's first increment would be the single
-        # trajectory's first draw; a wide binomial makes a chance tie rare
-        kin = Kinetics(v=0.5, K=1e12)
-        lane0 = simulate_replicates(kin, 10 ** 6, 1, 1, seed=5)[0]
-        alone = simulate_reaction(SimConfig(kin, 10 ** 6, 1, seed=5, replicate_id=0))
-        assert not np.array_equal(lane0, alone.counts)
+    @pytest.mark.parametrize("v", [0.25, 0.5, 1.0])
+    def test_single_trajectory_is_a_one_lane_block(self, v):
+        # replicate r of simulate_reaction is block r drawn with one lane:
+        # row BLOCK_SIZE * r of a run of BLOCK_SIZE * r + 1 replicates
+        kin = Kinetics.from_exponent(v, 25)
+        for seed, r, z0 in itertools.product(range(10), (0, 1, 3), (1, 3, 7)):
+            alone = simulate_reaction(SimConfig(kin, z0, 30, seed=seed, replicate_id=r))
+            rows = simulate_replicates(kin, z0, 30, BLOCK_SIZE * r + 1, seed=seed)
+            assert np.array_equal(alone.counts, rows[BLOCK_SIZE * r]), (seed, r, z0)
 
     def test_one_step_law_matches_enumeration(self):
         # z0=2, K=4, v=0.5: the increment is binomial(2, 1/3), pmf {4/9, 4/9, 1/9}
@@ -206,12 +208,12 @@ class TestCoupled:
         assert np.all(counts[0] <= counts[1])
 
     def test_block_is_one_stream_and_prefix_stable(self):
-        # block 1 is the lane construction on the aux=1 coupled stream;
+        # block 1 is the lane construction on replicate 1's coupled stream;
         # block 0 is whole in both runs, so it is the same in both
         kin = Kinetics(v=0.5, K=200.0)
         got = simulate_coupled_replicates(kin, 3, 12, 2 * BLOCK_SIZE, seed=6)
         assert got.shape == (3, 2 * BLOCK_SIZE, 13) and got.dtype == np.int64
-        gen = streams.stream(6, streams.COUPLED, 1, aux=1)
+        gen = streams.stream(6, streams.COUPLED, 1)
         lanes = _coupled_lanes([gen], BLOCK_SIZE, kin, 0.75, 3, 12)
         assert np.array_equal(got[:, BLOCK_SIZE:], lanes)
         short = simulate_coupled_replicates(kin, 3, 12, 1500, seed=6)
@@ -223,7 +225,7 @@ class TestCoupled:
         kin = Kinetics(v=0.5, K=200.0)
         got = simulate_coupled_replicates(kin, 3, 12, BLOCK_SIZE + 500, seed=6)
         assert got.shape == (3, BLOCK_SIZE + 500, 13)
-        gen = streams.stream(6, streams.COUPLED, 1, aux=1)
+        gen = streams.stream(6, streams.COUPLED, 1)
         lanes = _coupled_lanes([gen], 500, kin, 0.75, 3, 12)
         assert np.array_equal(got[:, BLOCK_SIZE:], lanes)
 
