@@ -40,7 +40,6 @@ from qpcrkin.inference import (
     estimate_efficiency,
     estimate_from_trajectory,
     hitting_time,
-    limit_observables,
     observe,
 )
 from qpcrkin.experiments import (

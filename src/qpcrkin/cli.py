@@ -178,8 +178,8 @@ def _cmd_estimate(args) -> int:
     else:
         v_known = opts["v"] if opts["v"] is not None else traj.kinetics.v
     report = estimate_from_trajectory(
-        traj, rho=opts["rho"], v_known=v_known, fit_efficiency=opts["fit_v"],
-        run_mle=opts["run_mle"], z_max=opts["z_max"],
+        traj, rho=opts["rho"], v_known=v_known, run_mle=opts["run_mle"],
+        z_max=opts["z_max"],
     )
     write_report_json(report, out)
     print(f"estimate: {source}; tau={report.tau}, "

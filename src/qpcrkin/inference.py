@@ -41,7 +41,6 @@ __all__ = [
     "observe_rows",
     "estimate_efficiency",
     "efficiency_rows",
-    "limit_observables",
     "limit_observables_batch",
     "limit_observables_rows",
     "estimate_copies_normal",
@@ -88,7 +87,7 @@ class Observation:
     n_hit is the absolute crossing cycle and kappas holds the densities
     at and after the crossing; with K they fix the limit observables
     t_j = K * b**-(n_hit+j) * G(kappa_j) for whichever efficiency the
-    caller passes to limit_observables.  The offset
+    caller passes to limit_observables_batch.  The offset
     tau = n_hit - round(log_b K) enters no estimate; hitting_time and
     EstimateReport derive it for reference.
     """
@@ -121,6 +120,23 @@ def _check_kappa_rows(kappas: np.ndarray, rho: float) -> None:
         raise ValueError("kappas must be strictly increasing")
 
 
+def _crossings(x: np.ndarray, rho: float) -> np.ndarray:
+    """First column at which each row of x reaches rho, -1 where none does."""
+    if not 0.0 < rho < 1.0:
+        raise ValueError("rho must be in (0, 1)")
+    reached = x >= rho
+    return np.where(reached.any(axis=1), reached.argmax(axis=1), -1)
+
+
+def _detected(n_hit, traj: Trajectory, rho: float) -> int:
+    """traj's crossing cycle n_hit as an int; NotDetectedError where it is -1."""
+    if n_hit < 0:
+        raise NotDetectedError(
+            f"density never reached {rho} within {traj.n_cycles} cycles"
+        )
+    return int(n_hit)
+
+
 def observe_rows(x, rho: float) -> tuple:
     """Detection on many trajectories at once.
 
@@ -129,12 +145,9 @@ def observe_rows(x, rho: float) -> tuple:
     never does, and kappas[i] holds x[i, n_hit[i] : n_hit[i] + MAX_KAPPAS]
     padded with NaN, all NaN for a row that never reaches rho.
     """
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must be in (0, 1)")
     x = np.asarray(x, dtype=float)
-    reached = x >= rho
-    detected = reached.any(axis=1)
-    n_hit = np.where(detected, reached.argmax(axis=1), -1)
+    n_hit = _crossings(x, rho)
+    detected = n_hit >= 0
     cols = n_hit[:, None] + np.arange(MAX_KAPPAS)
     valid = detected[:, None] & (cols < x.shape[1])
     kappas = np.take_along_axis(x, np.where(valid, cols, 0), axis=1)
@@ -151,27 +164,20 @@ def hitting_time(traj: Trajectory, rho: float) -> tuple[int, int]:
     flat after it.  Raises NotDetectedError when the trajectory never
     reaches the threshold.
     """
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must be in (0, 1)")
-    reached = np.flatnonzero(densities(traj) >= rho)
-    if reached.size == 0:
-        raise NotDetectedError(
-            f"density never reached {rho} within {traj.n_cycles} cycles"
-        )
-    n_hit = int(reached[0])
+    n_hit = _detected(_crossings(densities(traj)[None, :], rho)[0], traj, rho)
     kin = traj.kinetics
     return n_hit, n_hit - _log_scale_cycles(kin.K, kin.b)
 
 
 def observe(traj: Trajectory, rho: float) -> Observation:
-    """Detection-time observation: the crossing and up to MAX_KAPPAS densities.
+    """Detection-time observation: row 0 of observe_rows for traj alone.
 
     Raises NotDetectedError as hitting_time does, and ValueError when the
     observed densities do not increase strictly.
     """
-    n_hit = hitting_time(traj, rho)[0]
-    kappas = densities(traj)[n_hit : n_hit + MAX_KAPPAS]
-    return Observation(rho=rho, K=traj.kinetics.K, n_hit=n_hit, kappas=kappas)
+    n_hit, kappas = observe_rows(densities(traj)[None, :], rho)
+    n_hit, row = _detected(n_hit[0], traj, rho), kappas[0]
+    return Observation(rho=rho, K=traj.kinetics.K, n_hit=n_hit, kappas=row[~np.isnan(row)])
 
 
 def efficiency_rows(kappas) -> np.ndarray:
@@ -243,11 +249,6 @@ def limit_observables_batch(observations, v: float) -> list[np.ndarray]:
     n_hit = np.array([o.n_hit for o in observations])
     t = limit_observables_rows(kappas, n_hit, kin)
     return [row[:size] for row, size in zip(t, sizes)]
-
-
-def limit_observables(obs: Observation, v: float) -> np.ndarray:
-    """Recover the limit observables t_j of a single observation at efficiency v."""
-    return limit_observables_batch([obs], v)[0]
 
 
 def estimate_copies_normal(t, v: float, integer: bool = False):
@@ -357,37 +358,33 @@ def estimate_from_trajectory(
     traj: Trajectory,
     rho: float,
     v_known: float | None = None,
-    fit_efficiency: bool = False,
     run_mle: bool = False,
     z_max: int | None = None,
 ) -> EstimateReport:
     """Run the whole chain: detect, recover limit observables, estimate.
 
     The efficiency used for inversion, and for the reported offset
-    tau = n_hit - round(log_b K), is v_known when given, otherwise the
-    fitted value (fit_efficiency=True).  A fit above 1 is clipped to 1:
-    v_hat reports the clipped value and diagnostics["v_hat_clipped_from"]
-    the raw fit (None when not clipped).  At efficiency 1 the exact
-    inversion fills z_hat_mle; below 1 the likelihood scan does, when
-    run_mle is set, and the diagnostics record its profile, the
-    certified bound of each value, and the number of frequencies and the
-    transform depth of its inversion.
+    tau = n_hit - round(log_b K), is v_known when given.  Leaving v_known
+    out fits the efficiency from the observed densities, which needs at
+    least two of them; a fit above 1 is clipped to 1: v_hat reports the
+    clipped value and diagnostics["v_hat_clipped_from"] the raw fit (None
+    when not clipped).  At efficiency 1 the exact inversion fills
+    z_hat_mle; below 1 the likelihood scan does, when run_mle is set, and
+    the diagnostics record its profile, the certified bound of each
+    value, and the number of frequencies and the transform depth of its
+    inversion.
     """
     obs = observe(traj, rho)
     v_hat = v_raw = None
-    if fit_efficiency and obs.kappas.size >= 2:
+    if v_known is None:
         v_raw = estimate_efficiency(obs.kappas)
-        v_hat = min(v_raw, 1.0)
-    v_eff = v_known if v_known is not None else v_hat
-    if v_eff is None:
-        raise ValueError(
-            "efficiency unavailable: pass v_known or enable fit_efficiency "
-            "with at least two observed densities"
-        )
-    if not 0.0 < v_eff <= 1.0:
-        raise ValueError(f"efficiency {v_eff:.6g} outside (0, 1]")
+        v_eff = v_hat = min(v_raw, 1.0)
+    elif 0.0 < v_known <= 1.0:
+        v_eff = v_known
+    else:
+        raise ValueError(f"efficiency {v_known:.6g} outside (0, 1]")
 
-    t_values = limit_observables(obs, v_eff)
+    t_values = limit_observables_batch([obs], v_eff)[0]
     t_mean = float(t_values.mean())
     z_normal = estimate_copies_normal(t_mean, v_eff)
 
@@ -403,7 +400,7 @@ def estimate_from_trajectory(
         "rho": rho,
         "K": traj.kinetics.K,
         "v_known": v_known,
-        "fit_efficiency": fit_efficiency,
+        "fit_efficiency": v_known is None,
         "run_mle": run_mle,
         "z_max": z_max,
         "max_kappas": MAX_KAPPAS,

@@ -31,7 +31,7 @@ from qpcrkin.inference import (
     estimate_efficiency,
     estimate_from_trajectory,
     hitting_time,
-    limit_observables,
+    limit_observables_batch,
     observe,
     observe_rows,
 )
@@ -255,7 +255,7 @@ class TestEstimation:
         dict(v=0.5, m=20, z0=1, rho=0.75, extra_cycles=0),
     ])
     def test_records_match_scalar_chain(self, overrides):
-        # the lockstep runner equals observe -> limit_observables ->
+        # the lockstep runner equals observe -> limit_observables_batch ->
         # estimate_efficiency applied to each simulated row on its own; one
         # inverse call for all rows runs to the depth of the largest density,
         # so t_mean agrees within the mean of its terms' certified bounds
@@ -274,7 +274,7 @@ class TestEstimation:
             except NotDetectedError:
                 continue
             tau = hitting_time(traj, spec.rho)[1]
-            t = limit_observables(obs, spec.v)
+            t = limit_observables_batch([obs], spec.v)[0]
             t_mean = float(t.mean())
             scales = kin.K * kin.b ** -(obs.n_hit + np.arange(t.size))
             t_bound = float(scales.mean()) * INVERSE_PRECISION.tol

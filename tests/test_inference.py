@@ -54,7 +54,6 @@ from qpcrkin.inference import (
     estimate_efficiency,
     estimate_from_trajectory,
     hitting_time,
-    limit_observables,
     limit_observables_batch,
     observe,
     read_report_json,
@@ -80,7 +79,8 @@ def synthetic_observation(z, n_hit, v, m=30, n_kappas=5):
 
 def exact_copies(obs):
     """The exact inversion at v = 1: the mean t_j rounded, at least 1."""
-    return estimate_copies_normal(limit_observables(obs, 1.0).mean(), 1.0, integer=True)
+    t = limit_observables_batch([obs], 1.0)[0]
+    return estimate_copies_normal(t.mean(), 1.0, integer=True)
 
 
 class TestHittingTime:
@@ -230,7 +230,7 @@ class TestLimitObservables:
     def test_noiseless_recovery(self):
         w = 2.3
         obs = synthetic_observation(w, n_hit=27, v=0.5)
-        t = limit_observables(obs, 0.5)
+        t = limit_observables_batch([obs], 0.5)[0]
         assert t.shape == (5,)
         np.testing.assert_allclose(t, w, rtol=0, atol=2e-8)
 
@@ -238,14 +238,16 @@ class TestLimitObservables:
         # K = 1.5**30.4: rounding log_b K to 30 would leave t off by b**0.4
         w = 2.3
         obs = synthetic_observation(w, n_hit=27, v=0.5, m=30.4)
-        np.testing.assert_allclose(limit_observables(obs, 0.5), w, rtol=0, atol=2e-8)
+        t = limit_observables_batch([obs], 0.5)[0]
+        np.testing.assert_allclose(t, w, rtol=0, atol=2e-8)
 
     def test_positive_and_capped_at_five(self):
         obs = synthetic_observation(1.0, n_hit=28, v=0.9, n_kappas=7)
-        t = limit_observables(obs, 0.9)
+        t = limit_observables_batch([obs], 0.9)[0]
         assert len(t) == 5 and np.all(t > 0)
 
     def test_batch_matches_single(self):
+        # each row of a batch against the batch of its observation alone
         obs = [
             synthetic_observation(0.7, n_hit=26, v=0.5),
             synthetic_observation(3.1, n_hit=29, v=0.5, n_kappas=3),
@@ -257,7 +259,7 @@ class TestLimitObservables:
             # t_j lies within its certified bound K b**-(n_hit+j) tol of
             # the single call
             scales = o.K * 1.5 ** -(o.n_hit + np.arange(t.size))
-            assert np.all(np.abs(t - limit_observables(o, v=0.5))
+            assert np.all(np.abs(t - limit_observables_batch([o], v=0.5)[0])
                           <= scales * INVERSE_PRECISION.tol)
 
     def test_batch_rejects_mixed_scales(self):
@@ -444,8 +446,7 @@ class TestMleEstimator:
             for seed in range(5):
                 traj = simulate_reaction(SimConfig(kin, z0=z0, n_cycles=40, seed=seed))
                 for fit in (False, True):
-                    rep = estimate_from_trajectory(traj, 0.05, fit_efficiency=fit,
-                                                   v_known=None if fit else 0.5)
+                    rep = estimate_from_trajectory(traj, 0.05, v_known=None if fit else 0.5)
                     t, v = float(rep.t_values.mean()), rep.v_hat if fit else 0.5
                     dens = ancestor_density(t, v, z_max)
                     with pytest.raises(PrecisionError) as err:
@@ -474,9 +475,11 @@ class TestReportPipeline:
         assert rep.settings["rho"] == 0.05
 
     def test_fitted_efficiency(self):
-        rep = self.run_once(0.5, 30, 3, v_known=0.5, fit_efficiency=True)
+        # without v_known the efficiency is fitted and the fit inverts
+        rep = self.run_once(0.5, 30, 3)
         assert rep.v_hat is not None and abs(rep.v_hat - 0.5) < 0.2
         assert rep.diagnostics["v_hat_clipped_from"] is None
+        assert rep.settings["v_known"] is None and rep.settings["fit_efficiency"] is True
 
     def test_unit_efficiency_uses_exact_inversion(self):
         rep = self.run_once(1.0, 16, 5, v_known=1.0)
@@ -500,14 +503,19 @@ class TestReportPipeline:
         assert rep.z_hat_mle == int(np.argmax(diag["mle_profile"])) + 1
 
     def test_needs_v_somewhere(self):
-        with pytest.raises(ValueError):
-            self.run_once(0.5, 30, 3)
+        # the efficiency is given or fitted, and a one-density window (the
+        # crossing at the last cycle) cannot be fitted
+        traj = make_traj([1, 2, 4], v=1.0, K=64.0)
+        assert observe(traj, 0.05).kappas.size == 1
+        with pytest.raises(ValueError, match="two densities"):
+            estimate_from_trajectory(traj, rho=0.05)
+        assert estimate_from_trajectory(traj, rho=0.05, v_known=1.0).z_hat_mle == 1
 
     @pytest.mark.parametrize("v_known", [0.0, 1.0001])
     def test_known_efficiency_outside_unit_interval_raises(self, v_known):
         # only a fit is clipped to 1; an explicit efficiency is checked
         with pytest.raises(ValueError, match="outside"):
-            self.run_once(1.0, 20, 3, v_known=v_known, fit_efficiency=True)
+            self.run_once(1.0, 20, 3, v_known=v_known)
 
     def test_scan_out_of_support_raises(self):
         # t is near 40, far beyond the only candidate z=1: the pipeline
@@ -555,8 +563,9 @@ class TestReportPipeline:
         assert not path.exists()
 
     @pytest.mark.parametrize("args,kw", [
-        # run_mle=False below v=1: z_hat_mle and mle_profile are None
-        ((0.5, 30, 3), dict(v_known=0.5, fit_efficiency=True)),
+        # run_mle=False below v=1: z_hat_mle and mle_profile are None; the
+        # efficiency is fitted, so v_hat is set
+        ((0.5, 30, 3), dict()),
         ((0.9, 25, 2), dict(v_known=0.9, run_mle=True)),
         ((1.0, 16, 5), dict(v_known=1.0)),
     ], ids=["no-mle", "mle", "exact"])
