@@ -149,9 +149,10 @@ def observe_rows(x, rho: float) -> tuple:
     n_hit = _crossings(x, rho)
     detected = n_hit >= 0
     cols = n_hit[:, None] + np.arange(MAX_KAPPAS)
-    valid = detected[:, None] & (cols < x.shape[1])
-    kappas = np.take_along_axis(x, np.where(valid, cols, 0), axis=1)
-    kappas[~valid] = np.nan
+    # a column past the last cycle, or one of a row that never reaches
+    # rho, reads an in-range column and is then set to NaN
+    kappas = x[np.arange(x.shape[0])[:, None], np.minimum(cols, x.shape[1] - 1)]
+    kappas[~detected[:, None] | (cols >= x.shape[1])] = np.nan
     _check_kappa_rows(kappas[detected], rho)
     return n_hit, kappas
 
