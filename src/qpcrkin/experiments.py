@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -135,6 +136,13 @@ class ExperimentResult:
     records: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown kind {self.kind!r}")
+        if not (isinstance(self.spec, dict) and isinstance(self.summary, dict)):
+            raise ValueError("spec and summary must be objects")
+        if not (math.isfinite(self.runtime_seconds) and self.runtime_seconds >= 0.0):
+            raise ValueError(f"runtime_seconds={self.runtime_seconds} must be finite "
+                             "and nonnegative")
         for key, value in self.summary.items():
             if "ks" in key and value is not None:
                 if not 0.0 <= float(value) <= 1.0:

@@ -80,6 +80,11 @@ def _log_scale_cycles(K: float, b: float) -> int:
     return round(math.log(K) / math.log(b))
 
 
+def _is_int(x) -> bool:
+    """x is an integer, a numpy one included, and not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Observation:
     """Detection data extracted from one trajectory: only what is observed.
@@ -102,13 +107,15 @@ class Observation:
         object.__setattr__(self, "kappas", arr)
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must be in (0, 1)")
-        if self.K <= 1.0:
-            raise ValueError("K must exceed 1")
+        if not (math.isfinite(self.K) and self.K > 1.0):
+            raise ValueError("K must be finite and exceed 1")
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("kappas must be a nonempty 1-d sequence")
+        if not np.isfinite(arr).all():
+            raise ValueError("kappas must be finite")
         _check_kappa_rows(arr[None, :], self.rho)
-        if self.n_hit < 0:
-            raise ValueError("n_hit must be a cycle index")
+        if not (_is_int(self.n_hit) and self.n_hit >= 0):
+            raise ValueError("n_hit must be a cycle index, a nonnegative integer")
 
 
 def _check_kappa_rows(kappas: np.ndarray, rho: float) -> None:
@@ -349,6 +356,13 @@ class EstimateReport:
             raise ValueError("z_hat_mle must be a positive integer")
         if not (math.isfinite(self.z_hat_normal) and self.z_hat_normal > 0.0):
             raise ValueError("z_hat_normal must be finite and positive")
+        # a fit is positive and clipped at 1; NaN fails the comparison too
+        if self.v_hat is not None and not 0.0 < self.v_hat <= 1.0:
+            raise ValueError("v_hat must be null or in (0, 1]")
+        if not _is_int(self.tau):
+            raise ValueError("tau must be an integer")
+        if not (isinstance(self.settings, dict) and isinstance(self.diagnostics, dict)):
+            raise ValueError("settings and diagnostics must be objects")
         if not np.all(np.isfinite(self.t_values) & (self.t_values > 0.0)):
             raise ValueError("t_values must all be finite and positive")
         if not np.all(np.isfinite(self.kappas)):

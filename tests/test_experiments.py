@@ -12,6 +12,7 @@ Oracles:
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -313,6 +314,16 @@ class TestEstimation:
             assert records["tau"] == [report.tau], seed
             assert records["t_mean"] == [float(report.t_values.mean())], seed
 
+            # with fit_efficiency the record's v_hat is the pipeline's raw
+            # fit, unclipped, but the runner still inverts at spec.v.  Once
+            # it inverts at each replicate's fit, the t_mean equality below
+            # becomes one with the fitted report's t_mean
+            fit = run_estimation(replace(spec, fit_efficiency=True)).records
+            fitted = estimate_from_trajectory(traj, spec.rho)
+            raw = fitted.diagnostics["v_hat_clipped_from"]
+            assert fit["v_hat"] == [fitted.v_hat if raw is None else raw], seed
+            assert fit["t_mean"] == [float(report.t_values.mean())], seed
+
     def test_reproducible(self):
         spec = ScenarioSpec(kind="estimation", v=0.5, m=20, z0=2,
                             replicates=40, seed=8)
@@ -437,6 +448,13 @@ def _result_doc(res):
             "records": res.records, "runtime_seconds": res.runtime_seconds}
 
 
+def _result_text(**overrides):
+    """A result document, valid but for overrides, as JSON text."""
+    doc = {"kind": "estimation", "spec": {}, "summary": {}, "runtime_seconds": 0.1,
+           "records": {"replicate": [0]}}
+    return json.dumps({**doc, **overrides})
+
+
 class TestResultIO:
     @pytest.mark.parametrize("spec", [
         ScenarioSpec(kind="convergence", v=0.5, m=14, replicates=30, seed=2),
@@ -532,7 +550,15 @@ class TestResultIO:
          '"records": [{"replicate": 0}]}', "records must be a JSON object"),
         ('{"kind": "estimation", "spec": {}, "summary": {}, "runtime_seconds": 0.1, '
          '"records": {"replicate": [0, 1], "z_hat": [1]}}', "column 'z_hat'"),
-    ], ids=["not-an-object", "missing-key", "list-of-rows", "unequal-columns"])
+        (_result_text(kind="bogus"), r"res\.json: unknown kind 'bogus'"),
+        (_result_text(spec=[]), r"res\.json: spec and summary must be objects"),
+        (_result_text(summary="x"), r"res\.json: spec and summary must be objects"),
+        (_result_text(runtime_seconds=-1), r"res\.json: runtime_seconds=-1 must be"),
+        (_result_text(runtime_seconds=float("inf")), r"res\.json: runtime_seconds=inf"),
+        (_result_text(runtime_seconds=float("nan")), r"res\.json: runtime_seconds=nan"),
+    ], ids=["not-an-object", "missing-key", "list-of-rows", "unequal-columns",
+            "unknown-kind", "list-spec", "string-summary", "negative-runtime",
+            "infinite-runtime", "nan-runtime"])
     def test_reader_rejects_bad_document(self, tmp_path, text, named):
         path = tmp_path / "res.json"
         path.write_text(text)

@@ -56,6 +56,7 @@ from qpcrkin.inference import (
     hitting_time,
     limit_observables_batch,
     observe,
+    observe_rows,
     read_report_json,
     write_report_json,
 )
@@ -164,6 +165,26 @@ class TestObservation:
                 rho=0.5, K=64.0, n_hit=2,
                 kappas=np.array([0.1, 0.2]),
             )
+
+    @pytest.mark.parametrize("field,value,named", [
+        ("K", math.inf, "K must be finite"),
+        ("K", math.nan, "K must be finite"),
+        ("kappas", [math.nan, 0.2], "kappas must be finite"),
+        ("kappas", [0.1, math.inf], "kappas must be finite"),
+        ("n_hit", 2.5, "n_hit"),
+        ("n_hit", True, "n_hit"),
+    ], ids=["inf-K", "nan-K", "nan-kappa", "inf-kappa", "fractional-n_hit",
+            "bool-n_hit"])
+    def test_rejects_values_the_readers_would_fail_on(self, field, value, named):
+        # NaN compares false, so the ordering checks alone let these through
+        good = dict(rho=0.05, K=64.0, n_hit=2, kappas=[0.1, 0.2])
+        with pytest.raises(ValueError, match=named):
+            Observation(**{**good, field: value})
+
+    def test_numpy_crossing_cycle_accepted(self):
+        n_hit, kappas = observe_rows([[0.01, 0.1, 0.2]], 0.05)
+        obs = Observation(rho=0.05, K=64.0, n_hit=n_hit[0], kappas=kappas[0][:2])
+        assert obs.n_hit == 1
 
 
 class TestEfficiencyEstimate:
@@ -459,6 +480,13 @@ class TestMleEstimator:
                     assert estimate_copies_mle(t, v, z_max) == win + 1
 
 
+def _report_text(**overrides):
+    """A report document, valid but for overrides, as JSON text."""
+    doc = {"z_hat_mle": 3, "z_hat_normal": 2.9, "v_hat": 0.5, "t_values": [2.8],
+           "tau": -4, "kappas": [0.1], "settings": {}, "diagnostics": {}}
+    return json.dumps({**doc, **overrides})
+
+
 class TestReportPipeline:
     def run_once(self, v, m, z0, seed=21, **kw):
         kin = Kinetics.from_exponent(v, m)
@@ -552,14 +580,16 @@ class TestReportPipeline:
             EstimateReport(**{**good, field: value})
 
     def test_report_writer_refuses_nan(self, tmp_path):
-        # a NaN where the report does not check (v_hat, diagnostics) is
-        # refused by the encoder, since NaN is not JSON
+        # a NaN where the report does not check (diagnostics) is refused by
+        # the encoder, since NaN is not JSON; a NaN v_hat is refused by the
+        # report itself
         rep = self.run_once(0.5, 30, 3, v_known=0.5)
         path = tmp_path / "report.json"
-        for bad in (replace(rep, v_hat=math.nan),
-                    replace(rep, diagnostics={**rep.diagnostics, "t_spread": math.inf})):
-            with pytest.raises(ValueError, match="JSON compliant"):
-                write_report_json(bad, path)
+        with pytest.raises(ValueError, match="v_hat"):
+            replace(rep, v_hat=math.nan)
+        bad = replace(rep, diagnostics={**rep.diagnostics, "t_spread": math.inf})
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write_report_json(bad, path)
         assert not path.exists()
 
     @pytest.mark.parametrize("args,kw", [
@@ -612,7 +642,17 @@ class TestReportPipeline:
          '"tau": 0, "kappas": [0.1], "settings": {}, "diagnostics": {}}',
          r"report\.json: t_values must all be finite and positive"),
         ("{", r"report\.json: Expecting property name"),
-    ], ids=["not-an-object", "missing-key", "negative-t", "not-json"])
+        (_report_text(v_hat=1.7), r"report\.json: v_hat must be null or in \(0, 1\]"),
+        (_report_text(v_hat=math.nan), r"report\.json: v_hat must be null"),
+        (_report_text(v_hat=0.0), r"report\.json: v_hat must be null"),
+        (_report_text(tau="x"), r"report\.json: tau must be an integer"),
+        (_report_text(tau=True), r"report\.json: tau must be an integer"),
+        (_report_text(tau=-4.5), r"report\.json: tau must be an integer"),
+        (_report_text(settings="x"), r"report\.json: settings and diagnostics"),
+        (_report_text(diagnostics=[]), r"report\.json: settings and diagnostics"),
+    ], ids=["not-an-object", "missing-key", "negative-t", "not-json",
+            "v_hat-above-1", "nan-v_hat", "zero-v_hat", "string-tau", "bool-tau",
+            "fractional-tau", "string-settings", "list-diagnostics"])
     def test_reader_rejects_bad_document(self, tmp_path, text, named):
         path = tmp_path / "report.json"
         path.write_text(text)
