@@ -147,6 +147,13 @@ class ExperimentResult:
             if "ks" in key and value is not None:
                 if not 0.0 <= float(value) <= 1.0:
                     raise ValueError(f"{key}={value} outside [0, 1]")
+        if not isinstance(self.records, dict):
+            raise ValueError("records must be an object of columns")
+        columns = list(self.records.items())
+        for key, column in columns:
+            if not (isinstance(column, list) and len(column) == len(columns[0][1])):
+                raise ValueError(f"records column {key!r} is not a list as long "
+                                 f"as column {columns[0][0]!r}")
 
 
 def ks_distance(a, b) -> float:
@@ -427,13 +434,5 @@ def write_result_json(result: ExperimentResult, path) -> None:
 
 
 def read_result_json(path) -> ExperimentResult:
-    """Inverse of write_result_json; records must be an object of equal-length lists."""
-    result = _read_json_fields(path, ExperimentResult)
-    if not isinstance(result.records, dict):
-        raise ValueError(f"{path}: records must be a JSON object of columns")
-    columns = list(result.records.items())
-    for key, column in columns:
-        if not (isinstance(column, list) and len(column) == len(columns[0][1])):
-            raise ValueError(f"{path}: records column {key!r} is not a list as long "
-                             f"as column {columns[0][0]!r}")
-    return result
+    """Inverse of write_result_json; a refusal is a ValueError naming path."""
+    return _read_json_fields(path, ExperimentResult)

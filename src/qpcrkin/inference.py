@@ -352,8 +352,10 @@ class EstimateReport:
     def __post_init__(self):
         object.__setattr__(self, "t_values", np.asarray(self.t_values, dtype=float))
         object.__setattr__(self, "kappas", np.asarray(self.kappas, dtype=float))
-        if self.z_hat_mle is not None and self.z_hat_mle < 1:
-            raise ValueError("z_hat_mle must be a positive integer")
+        if self.z_hat_mle is not None and not (_is_int(self.z_hat_mle) and self.z_hat_mle >= 1):
+            raise ValueError("z_hat_mle must be null or a positive integer")
+        if isinstance(self.z_hat_normal, bool):
+            raise ValueError("z_hat_normal must be a number, not a bool")
         if not (math.isfinite(self.z_hat_normal) and self.z_hat_normal > 0.0):
             raise ValueError("z_hat_normal must be finite and positive")
         # a fit is positive and clipped at 1; NaN fails the comparison too

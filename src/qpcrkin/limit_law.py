@@ -69,9 +69,14 @@ MGF_PRECISION = Precision(tol=1e-12, max_iter=10_000)
 #: number of frequencies of its inversion grid
 DENSITY_PRECISION = Precision(tol=1e-4, max_iter=2 ** 16)
 
-#: the first segment of a psi table holds one to two blocks of this many
-#: frequencies, and the density's power table takes one block at a time
+#: the first segment of the distribution function's psi table holds one to
+#: two blocks of this many frequencies, and the density's power table takes
+#: one block at a time
 FREQUENCY_BLOCK = 1024
+
+#: the first segment of the density's psi table holds one to two blocks of
+#: this many frequencies: most points of a likelihood scan stop there
+DENSITY_BLOCK = 256
 
 
 def limit_variance(v: float) -> float:
@@ -211,8 +216,9 @@ def _complement_iteration(x, v: float, c: list, depth: int, slope: bool = False)
     loop runs on the complement w = 1 - u, as w -> w*(b - v*w), which
     keeps relative precision once x/b**depth underflows the spacing of
     floats near 1.  depth is one int for all of x.  With slope=True it
-    also returns du/dx, carried along the same loop by forward
-    differentiation.
+    also returns du/dx and d2u/dx2, carried along the same loop by forward
+    differentiation: from -b**-depth * P'(y) and -b**(-2*depth) * P''(y),
+    dw -> dw*(b - 2*v*w) and d2w -> d2w*(b - 2*v*w) - 2*v*dw**2.
     """
     b = 1.0 + v
     size = np.abs(x)
@@ -220,8 +226,8 @@ def _complement_iteration(x, v: float, c: list, depth: int, slope: bool = False)
         scaled = np.exp(np.log(size) - depth * math.log(b))
     y = x / np.where(size > 0.0, size, 1.0) * np.where(scaled <= _SEED_REACH, scaled, 0.0)
     d = _SEED_ORDER
-    # in place throughout: the working set is w, dw and two scratch arrays;
-    # w = -(c_1 y + ... + c_d y**d) by Horner
+    # in place throughout: the working set is w (with slope, dw and d2w)
+    # and two scratch arrays; w = -(c_1 y + ... + c_d y**d) by Horner
     w = np.multiply(y, -c[d], out=np.empty_like(y))
     for k in range(d - 1, 0, -1):
         w -= c[k]
@@ -230,27 +236,40 @@ def _complement_iteration(x, v: float, c: list, depth: int, slope: bool = False)
     u = 1.0 - w
     out = np.abs(u) > 1.0
     w[out] = 1.0 - u[out] / np.abs(u[out])
-    dw = None
     if slope:
-        # dw/dx = -b**-depth * P'(y), P' by Horner
+        # dw/dx = -b**-depth * P'(y) and d2w/dx2 = -b**(-2*depth) * P''(y),
+        # P' and P'' by Horner; the loop carries d2w/(2v), which saves a
+        # multiply per step
         dw = np.full_like(y, d * c[d])
+        d2w = np.full_like(y, d * (d - 1) * c[d])
         for k in range(d - 1, 0, -1):
             dw *= y
             dw += k * c[k]
-        dw *= -np.exp(-depth * math.log(b))
+            if k > 1:
+                d2w *= y
+                d2w += k * (k - 1) * c[k]
+        scale = float(np.exp(-depth * math.log(b)))
+        dw *= -scale
+        d2w *= -scale * scale / (2.0 * v)
     vw, tmp = np.empty_like(w), np.empty_like(w)
     for _ in range(depth):
-        # in place, w = w*(b - v*w) and dw = dw*(b - 2*v*w)
+        # in place, w = w*(b - v*w), dw = dw*(b - 2*v*w) and, carried as
+        # d2w/(2v), d2w = d2w*(b - 2*v*w) - 2*v*dw**2, from the old w and dw
         np.multiply(w, v, out=vw)
         np.subtract(b, vw, out=tmp)
         if slope:
             np.subtract(tmp, vw, out=vw)
-            dw *= vw
         w *= tmp
+        if slope:
+            np.multiply(dw, dw, out=tmp)
+            d2w *= vw
+            d2w -= tmp
+            dw *= vw
     np.subtract(1.0, w, out=w)
     if slope:
         np.negative(dw, out=dw)
-        return w, dw
+        d2w *= -2.0 * v
+        return w, dw, d2w
     return w
 
 
@@ -296,7 +315,7 @@ def limit_mgf(s, v: float, prec: Precision = MGF_PRECISION):
 
 
 #: one segment (end//2, end] of a psi table (_PsiTable)
-_Segment = namedtuple("_Segment", "end om ps dps err depth m d")
+_Segment = namedtuple("_Segment", "end om ps err depth m d e nxt")
 
 
 class _PsiTable:
@@ -304,16 +323,22 @@ class _PsiTable:
 
     The period is T = 4*max(z_max, t_max) + 8, h = 2*pi/T.  Segment ends
     halve down from the cap, [prec.max_iter, prec.max_iter//2, ...] while
-    the last is at least 2*FREQUENCY_BLOCK, so the first segment holds one
-    to two blocks (or the whole cap) and every segment (end//2, end] holds
-    its whole top octave [end*h/b, end*h].  Iterating yields the segments
-    from the bottom up, each built when a reader first reaches it and kept:
-    its depth certified then, one kernel call at that depth gives psi (and
-    psi' with slope=True) at its frequencies om, within err * om**(d+1),
-    and M and D are the largest |psi| and |psi'| on its top octave.
-    Raises ValueError for v outside (0, 1] or z_max not a positive
-    integer, and PrecisionError when psi needs a depth beyond
-    MGF_PRECISION.max_iter.  At v = 1, W(z) = z and no reader iterates it.
+    the last is at least twice the reader's first block, so the first
+    segment holds one to two such blocks (or the whole cap) and every
+    segment (end//2, end] holds its whole top octave [end*h/b, end*h].
+    The distribution function's table (slope=False) starts from blocks of
+    FREQUENCY_BLOCK; the density's (slope=True) from blocks of
+    DENSITY_BLOCK, since most of its points stop there.  Iterating yields
+    the segments from the bottom up, each built when a reader first
+    reaches it and kept: its depth certified then, one kernel call at that
+    depth gives psi at its frequencies om, within err * om**(d+1), and M
+    is the largest |psi| on its top octave's grid points.  With
+    slope=True the same call runs one frequency past the end, kept as
+    nxt = psi((end+1)*h), and carries psi' and psi'', of which only their
+    largest moduli D and E on the top octave are kept.  Raises ValueError
+    for v outside (0, 1] or z_max not a positive integer, and
+    PrecisionError when psi needs a depth beyond MGF_PRECISION.max_iter.
+    At v = 1, W(z) = z and no reader iterates it.
     """
 
     def __init__(self, v: float, z_max: int, t_max: float, prec: Precision, slope: bool):
@@ -324,8 +349,9 @@ class _PsiTable:
         self.v, self.z_max, self.t_max, self.prec, self.slope = v, int(z_max), t_max, prec, slope
         self.period = 4.0 * max(self.z_max, t_max) + 8.0
         self.h = 2.0 * math.pi / self.period
+        first = DENSITY_BLOCK if slope else FREQUENCY_BLOCK
         self.ends = [prec.max_iter]
-        while self.ends[0] >= 2 * FREQUENCY_BLOCK:
+        while self.ends[0] >= 2 * first:
             self.ends.insert(0, self.ends[0] // 2)
         self._c, self._coef = _transform_coefficients(v)
         self._segments = []
@@ -345,13 +371,19 @@ class _PsiTable:
         if depth > MGF_PRECISION.max_iter:
             raise PrecisionError(f"characteristic function needs depth {depth} at "
                                  f"frequency {top:.4g}, cap is {MGF_PRECISION.max_iter}")
-        om = self.h * np.arange(start + 1, end + 1)
-        ps, dps = (_complement_iteration(1j * om, v, self._c, depth, slope=True) if self.slope
-                   else (_complement_iteration(1j * om, v, self._c, depth), None))
-        octave = om >= top / b
-        return _Segment(end, om, ps, dps, coef * b ** (-_SEED_ORDER * depth), depth,
-                        float(np.abs(ps[octave]).max()),
-                        float(np.abs(dps[octave]).max()) if self.slope else 0.0)
+        err = coef * b ** (-_SEED_ORDER * depth)
+        if not self.slope:
+            om = self.h * np.arange(start + 1, end + 1)
+            ps = _complement_iteration(1j * om, v, self._c, depth)
+            octave = om >= top / b
+            return _Segment(end, om, ps, err, depth, float(np.abs(ps[octave]).max()),
+                            0.0, 0.0, None)
+        om = self.h * np.arange(start + 1, end + 2)
+        ps, dps, d2ps = _complement_iteration(1j * om, v, self._c, depth, slope=True)
+        octave = slice(np.searchsorted(om, top / b), -1)
+        return _Segment(end, om[:-1], ps[:-1], err, depth, float(np.abs(ps[octave]).max()),
+                        float(np.abs(dps[octave]).max()), float(np.abs(d2ps[octave]).max()),
+                        complex(ps[-1]))
 
 
 @dataclass(frozen=True)
@@ -390,25 +422,41 @@ def ancestor_density(t, v: float, z_max: int,
 
     A point stops at the end of the first segment where all its bounds
     are at most prec.tol, so its value depends on the other points only
-    through the period, which a point above z_max moves.
+    through the period, which a point above z_max moves.  The density's
+    psi table starts from blocks of DENSITY_BLOCK frequencies, so its first
+    segment ends at 256 at DENSITY_PRECISION, where most scans stop.
 
-    Bound.  With a_j = psi(w_j)**z, r = exp(-i h t) and Omega = N*h the
-    top frequency, summation by parts gives what the sum leaves out as
-    sum_{j>N} a_j r**j = a_N r**(N+1)/(1-r) + sum_{j>=N} (a_{j+1}-a_j)
-    r**(j+1)/(1-r).  The first term is added to the value exactly, with
-    r/(1-r) = -1/2 - (i/2)*cot(h*t/2).  The second is at most
-    int_Omega^inf |(psi**z)'| / |1-r|, so it adds at most that integral
-    times h / (2*pi*sin(h*t/2)), about 1/(pi*t), to the bound.  The
-    integral follows from the top octave [Omega/b, Omega]: psi(b*w) =
-    (1-v)*psi + v*psi**2 and b*psi'(b*w) = psi'(w)*(1-v+2*v*psi) shrink
-    |psi| by r = 1-v+v*M and |psi'| by q/b, q = 1-v+2*v*M, per octave,
-    M = max |psi| on the octave's grid points (psi' from the same loop by
-    forward differentiation), so it is at most
-    Omega*(v/b)*z*M**(z-1)*D*p/(1-p) with p = r**(z-1)*q and D = max |psi'|
-    there.  The transform error adds z*(h/pi) times the sum of psi's
-    certified errors over the frequencies, and z times psi(Omega)'s error
-    times h / (2*pi*sin(h*t/2)) for the boundary term.  Values are
-    returned as computed, negative ones included.
+    Bound.  With a_j = psi(w_j)**z, d_j = a_{j+1} - a_j, r = exp(-i h t)
+    and Omega = N*h the top frequency, two summations by parts give what
+    the sum leaves out as
+
+        sum_{j>N} a_j r**j = a_N r**(N+1)/(1-r) + d_N r**(N+1)/(1-r)**2
+                             + sum_{j>=N} (d_{j+1}-d_j) r**(j+2)/(1-r)**2,
+
+    with 1/(1-r) = 1/2 - (i/2)*cot(h*t/2).  After one step, the value adds
+    the first term and the bound holds the rest, sum_{j>=N} d_j
+    r**(j+1)/(1-r), at most int_Omega^inf |(psi**z)'| times
+    h / (2*pi*sin(h*t/2)), about 1/(pi*t).  After two, the value adds both
+    terms and the bound holds the last sum: sum_{j>=N} |d_{j+1}-d_j| is at
+    most h * int_Omega^inf |(psi**z)''|, at the weight
+    (h/pi) / (4*sin(h*t/2)**2).  Each (z, point) keeps the value of the step
+    whose bound is smaller, with that bound.  Both integrals follow from the
+    top octave [Omega/b, Omega]: psi(b*w) = (1-v)*psi + v*psi**2,
+    b*psi'(b*w) = psi'(w)*(1-v+2*v*psi) and b**2*psi''(b*w) =
+    psi''(w)*(1-v+2*v*psi) + 2*v*psi'(w)**2 shrink |psi| by r1 = 1-v+v*M,
+    |psi'| by q/b and |psi''| (beyond its psi'**2 source) by q/b**2 per
+    octave, q = 1-v+2*v*M, where M, D and E are the largest |psi|, |psi'|
+    and |psi''| on the octave's grid points (the derivatives from the same
+    kernel loop by forward differentiation).  So the first integral is at
+    most Omega*(v/b)*z*M**(z-1)*D*p/(1-p), p = r1**(z-1)*q, and for q < 1
+    the second at most Omega*(v/b)*(z*M**(z-1)*E'*pA/(1-pA) +
+    z*(z-1)*M**(z-2)*D**2*pB/(1-pB)), E' = E + 2*v*D**2/(q*(1-q)),
+    pA = r1**(z-1)*q/b and pB = r1**(z-2)*q**2/b; each is inf where its
+    octave sums diverge.  The transform error adds z*(h/pi) times the sum
+    of psi's certified errors over the frequencies and z times psi(Omega)'s
+    error at the weight h / (2*pi*sin(h*t/2)) of a_N; the second step adds
+    z times the errors of psi(Omega) and psi(Omega+h) at the weight of d_N.
+    Values are returned as computed, negative ones included.
 
     Raises PrecisionError when a point's bounds still exceed prec.tol at
     prec.max_iter frequencies, carrying every value and bound there, or
@@ -430,7 +478,10 @@ def _density_from(table: _PsiTable, pts: np.ndarray) -> AncestorDensity:
         raise ValueError("the density needs a table with psi' up to its largest point")
     v, b, z_max, prec, h = table.v, 1.0 + table.v, table.z_max, table.prec, table.h
     z = np.arange(1.0, z_max + 1.0)
+    # with r = exp(-i h t): 1/(1-r) = 1/2 - (i/2)cot(h t/2), |1-r| = 2 sin(h t/2)
+    inv = 0.5 - 0.5j / np.tan(0.5 * h * pts)
     abel = h / (2.0 * math.pi * np.sin(0.5 * h * pts))
+    abel2 = (h / math.pi) / (4.0 * np.sin(0.5 * h * pts) ** 2)
 
     sums = np.zeros((z_max, pts.size))
     values = np.empty_like(sums)
@@ -454,21 +505,42 @@ def _density_from(table: _PsiTable, pts: np.ndarray) -> AncestorDensity:
             phase = np.exp(1j * np.outer(pts[act], om))
             for j, wave in zip(act, phase):
                 sums[:, j] += parts @ wave.view(float)
-        # the value and bound of every open point at the end of the segment:
-        # the boundary term a_N r**(N+1)/(1-r) with a_N = psi(Omega)**z, the
-        # last column of the power table, and r/(1-r) = -1/2 - (i/2)cot(h t/2)
-        top = float(seg.om[-1])
-        p = (1.0 - v + v * seg.m) ** (z - 1.0) * (1.0 - v + 2.0 * v * seg.m)
+        # the value and bound of every open point at the end of the segment,
+        # after one and after two summations by parts; each (z, point) keeps
+        # the pair with the smaller bound.  a_N = psi(Omega)**z is the last
+        # column of the power table, a_{N+1} the powers of seg.nxt
+        top, m, d = float(seg.om[-1]), seg.m, seg.d
+        a_n = powers[:, -1]
+        d_n = np.cumprod(np.full(z_max, seg.nxt)) - a_n
+        # the octave sums (ancestor_density) bounding int_Omega^inf of
+        # |(psi**z)'| (tail) and of |(psi**z)''| (tail2)
+        r1, q = 1.0 - v + v * m, 1.0 - v + 2.0 * v * m
+        scale = top * (v / b) * z * m ** (z - 1.0)
+        p = r1 ** (z - 1.0) * q
         tail = np.full(z_max, np.inf)
         ok = p < 1.0
-        tail[ok] = top * (v / b) * seg.d * z[ok] * seg.m ** (z[ok] - 1.0) * p[ok] / (1.0 - p[ok])
-        edge = tail + z * seg.err * top ** (_SEED_ORDER + 1)
-        bound = edge[:, None] * abel + (z * (h / math.pi) * psi_error)[:, None]
-        step = np.exp(-1j * top * pts[act]) * (-0.5 - 0.5j / np.tan(0.5 * h * pts[act]))
-        values[:, act] = (h / math.pi) * (0.5 + sums[:, act]
-                                          + (powers[:, -1, None] * step).real)
-        bounds[:, act] = bound[:, act]
-        todo &= ~np.all(bound <= prec.tol, axis=0)
+        tail[ok] = scale[ok] * d * p[ok] / (1.0 - p[ok])
+        tail2 = np.full(z_max, np.inf)
+        if q < 1.0:
+            pa = p / b
+            tail2 = scale * (seg.e + 2.0 * v * d * d / (q * (1.0 - q))) * pa / (1.0 - pa)
+            # the psi'**2 term of (psi**z)'', none at z = 1
+            pb = pa[1:] * (q / r1)
+            tail2[1:] += (top * (v / b) * d * d) * z[1:] * (z[1:] - 1.0) \
+                * m ** (z[1:] - 2.0) * pb / (1.0 - pb)
+        err_n = z * (seg.err * top ** (_SEED_ORDER + 1))
+        err_next = z * (seg.err * (h * (seg.end + 1)) ** (_SEED_ORDER + 1))
+        shared = (z * (h / math.pi) * psi_error)[:, None] + err_n[:, None] * abel[act]
+        bound1 = shared + tail[:, None] * abel[act]
+        bound2 = shared + (h * tail2 + err_n + err_next)[:, None] * abel2[act]
+        # r**(N+1)/(1-r) and r**(N+1)/(1-r)**2, r/(1-r) = 1/(1-r) - 1
+        step = np.exp(-1j * top * pts[act]) * (inv[act] - 1.0)
+        value1 = (h / math.pi) * (0.5 + sums[:, act] + (a_n[:, None] * step).real)
+        value2 = value1 + (h / math.pi) * (d_n[:, None] * (step * inv[act])).real
+        two = bound2 < bound1
+        values[:, act] = np.where(two, value2, value1)
+        bounds[:, act] = np.where(two, bound2, bound1)
+        todo[act] = ~np.all(bounds[:, act] <= prec.tol, axis=0)
         if not todo.any():
             return AncestorDensity(values, bounds, seg.end, seg.depth)
     raise PrecisionError(

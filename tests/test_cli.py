@@ -311,8 +311,9 @@ class TestEstimateHorizon:
         # workload at seed 1103, whose argv draws the trajectory seed from
         # default_rng([1103, index]); both are z0=1 runs at v=0.5, m=30 that
         # have no crossing, or a single density, within m+5 cycles.  46765
-        # is the first such fitted op; the first unfitted one, 73608, fails
-        # later in the scan (test_late_crossing_fails_at_the_cap)
+        # is the first such fitted op; the first unfitted one, 73608,
+        # crosses so late that its scan sums every frequency up to the cap
+        # (test_late_crossing_is_estimated_at_the_cap)
         seed = int(np.random.default_rng([1103, index]).integers(2 ** 31, size=2)[0])
         out = tmp_path / "report.json"
         argv = ["estimate", "--v", "0.5", "--m", "30", "--z0", "1",
@@ -326,18 +327,22 @@ class TestEstimateHorizon:
         report = read_report_json(out)
         assert report.z_hat_mle == int(np.argmax(report.diagnostics["mle_profile"])) + 1
 
-    def test_late_crossing_fails_at_the_cap(self, tmp_path, capsys):
+    def test_late_crossing_is_estimated_at_the_cap(self, tmp_path, capsys):
         # op 73608 of the same workload: the longer horizon finds the
-        # crossing at cycle 40, but there t = 0.00115, so far into the left
-        # tail of W(z) that the density's bound stays above tol at the
-        # frequency cap.  This pins a known defect; a mend turns it into a
-        # successful estimate
+        # crossing at cycle 40, where t = 0.00115, far into the left tail
+        # of W(z).  The density's second summation by parts certifies it
+        # with every frequency up to the cap; with the first alone its
+        # bound stayed above tol there
         seed = int(np.random.default_rng([1103, 73608]).integers(2 ** 31, size=2)[0])
         out = tmp_path / "report.json"
         assert main(["estimate", "--v", "0.5", "--m", "30", "--z0", "1",
-                     "--seed", str(seed), "--z-max", "10", "--out", str(out)]) == 1
-        assert _CAP_ERROR.match(capsys.readouterr().err)
-        assert not out.exists()
+                     "--seed", str(seed), "--z-max", "10", "--out", str(out)]) == 0
+        assert "40 cycles" in capsys.readouterr().err
+        report = read_report_json(out)
+        assert report.z_hat_mle == 1
+        assert report.z_hat_mle == int(np.argmax(report.diagnostics["mle_profile"])) + 1
+        assert report.diagnostics["mle_points"] == 2 ** 16
+        assert max(report.diagnostics["mle_bound"]) <= 1e-4
 
     @pytest.mark.parametrize("fit", [False, True])
     def test_readme_reports_keep_the_old_horizon(self, tmp_path, capsys, fit):

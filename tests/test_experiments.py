@@ -543,13 +543,23 @@ class TestResultIO:
                              (ValueError, float("-inf"))]
         ])
 
+    @pytest.mark.parametrize("records,named", [
+        ([1, 2], "records must be an object of columns"),
+        ({"replicate": [0, 1], "z_hat": [1]}, "records column 'z_hat'"),
+        ({"replicate": (0, 1)}, "records column 'replicate' is not a list"),
+    ], ids=["list", "unequal-columns", "tuple-column"])
+    def test_result_refuses_bad_records(self, records, named):
+        # refused when built, not first when written
+        with pytest.raises(ValueError, match=named):
+            ExperimentResult(kind="estimation", spec={}, summary={}, records=records)
+
     @pytest.mark.parametrize("text,named", [
         ("[1, 2]", "JSON object"),
         ('{"kind": "estimation", "spec": {}, "summary": {}}', "records"),
         ('{"kind": "estimation", "spec": {}, "summary": {}, "runtime_seconds": 0.1, '
-         '"records": [{"replicate": 0}]}', "records must be a JSON object"),
+         '"records": [{"replicate": 0}]}', r"res\.json: records must be an object"),
         ('{"kind": "estimation", "spec": {}, "summary": {}, "runtime_seconds": 0.1, '
-         '"records": {"replicate": [0, 1], "z_hat": [1]}}', "column 'z_hat'"),
+         '"records": {"replicate": [0, 1], "z_hat": [1]}}', r"res\.json: records column 'z_hat'"),
         (_result_text(kind="bogus"), r"res\.json: unknown kind 'bogus'"),
         (_result_text(spec=[]), r"res\.json: spec and summary must be objects"),
         (_result_text(summary="x"), r"res\.json: spec and summary must be objects"),

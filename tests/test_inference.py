@@ -650,9 +650,13 @@ class TestReportPipeline:
         (_report_text(tau=-4.5), r"report\.json: tau must be an integer"),
         (_report_text(settings="x"), r"report\.json: settings and diagnostics"),
         (_report_text(diagnostics=[]), r"report\.json: settings and diagnostics"),
+        (_report_text(z_hat_mle=2.5), r"report\.json: z_hat_mle must be null or a positive"),
+        (_report_text(z_hat_mle=True), r"report\.json: z_hat_mle must be null or a positive"),
+        (_report_text(z_hat_normal=True), r"report\.json: z_hat_normal must be a number"),
     ], ids=["not-an-object", "missing-key", "negative-t", "not-json",
             "v_hat-above-1", "nan-v_hat", "zero-v_hat", "string-tau", "bool-tau",
-            "fractional-tau", "string-settings", "list-diagnostics"])
+            "fractional-tau", "string-settings", "list-diagnostics", "fractional-z_hat_mle",
+            "bool-z_hat_mle", "bool-z_hat_normal"])
     def test_reader_rejects_bad_document(self, tmp_path, text, named):
         path = tmp_path / "report.json"
         path.write_text(text)
