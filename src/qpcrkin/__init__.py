@@ -13,7 +13,6 @@ from qpcrkin.kinetics import (
 )
 from qpcrkin.simulate import (
     SaturationError,
-    SimConfig,
     Trajectory,
     densities,
     noise_sequence,

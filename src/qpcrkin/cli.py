@@ -18,7 +18,6 @@ import sys
 
 from .kinetics import Kinetics
 from .simulate import (
-    SimConfig,
     _reading,
     densities,
     read_trajectory_csv,
@@ -84,9 +83,8 @@ def _cmd_simulate(args) -> int:
     out = _require_out(opts)
     kin = Kinetics.from_exponent(opts["v"], opts["m"])
     n_cycles = opts["cycles"] if opts["cycles"] is not None else opts["m"] + 5
-    cfg = SimConfig(kin, z0=opts["z0"], n_cycles=n_cycles, seed=opts["seed"],
-                    replicate_id=opts["replicate"])
-    traj = simulate_reaction(cfg)
+    traj = simulate_reaction(kin, opts["z0"], n_cycles, seed=opts["seed"],
+                             replicate_id=opts["replicate"])
     write_trajectory_csv(traj, out)
     print(f"simulate: {n_cycles} cycles, final count {int(traj.counts[-1])} "
           f"-> {out}", file=sys.stderr)
@@ -133,7 +131,7 @@ def _simulate_observable(kin, m, z0, seed, rho, fit_v):
     the estimate raises its usual error.
     """
     for n_cycles in range(m + _HORIZON_STEP, m + _HORIZON_CAP + 1, _HORIZON_STEP):
-        traj = simulate_reaction(SimConfig(kin, z0=z0, n_cycles=n_cycles, seed=seed))
+        traj = simulate_reaction(kin, z0, n_cycles, seed=seed)
         # counts never fall, so the densities from the crossing on are
         # exactly those at or above rho
         if (densities(traj) >= rho).sum() >= (2 if fit_v else 1):
@@ -167,7 +165,7 @@ def _cmd_estimate(args) -> int:
         z0 = 1 if opts["z0"] is None else opts["z0"]
         seed = 0 if opts["seed"] is None else opts["seed"]
         if opts["cycles"] is not None:
-            traj = simulate_reaction(SimConfig(kin, z0=z0, n_cycles=opts["cycles"], seed=seed))
+            traj = simulate_reaction(kin, z0, opts["cycles"], seed=seed)
         else:
             traj = _simulate_observable(kin, opts["m"], z0, seed, opts["rho"], opts["fit_v"])
         source = f"simulated m={opts['m']}, z0={z0}, seed={seed}, {traj.n_cycles} cycles"

@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .kinetics import Kinetics, inverse_profile, limit_profile
+from .streams import _check_ints, _is_int
 from .simulate import (
     _count_rows,
     _reaction_cycles,
@@ -66,7 +67,13 @@ MAX_CURVE_INTERVALS = 10 ** 6
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Flat description of one experiment; serializes to JSON."""
+    """Flat description of one experiment; serializes to JSON.
+
+    ScenarioSpec(**doc) reads back a to_json_dict document; an unknown
+    field raises TypeError.  The counts, cycles, seed and each of
+    m_values must be integers (bools refused): ValueError names the
+    first that is not.
+    """
 
     kind: str
     v: float = 0.5
@@ -86,6 +93,8 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
+        _check_ints(m=self.m, z0=self.z0, replicates=self.replicates, seed=self.seed,
+                    shift=self.shift, extra_cycles=self.extra_cycles)
         if not 0.0 < self.v <= 1.0:
             raise ValueError("v must be in (0, 1]")
         if self.m < 1:
@@ -105,7 +114,10 @@ class ScenarioSpec:
         if not 0.0 < self.c_exponent < 1.0:
             raise ValueError("c_exponent must be in (0, 1)")
         if self.m_values is not None:
-            object.__setattr__(self, "m_values", tuple(int(x) for x in self.m_values))
+            object.__setattr__(self, "m_values", tuple(self.m_values))
+            bad = [x for x in self.m_values if not _is_int(x)]
+            if bad:
+                raise ValueError(f"m_values must hold integers, got {bad[0]!r}")
             if not self.m_values or min(self.m_values) < 1:
                 raise ValueError("m_values must be nonempty, each at least 1")
 
@@ -115,14 +127,6 @@ class ScenarioSpec:
         if doc["m_values"] is not None:
             doc["m_values"] = list(doc["m_values"])
         return doc
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ScenarioSpec":
-        known = set(cls.__dataclass_fields__)
-        extra = set(doc) - known
-        if extra:
-            raise ValueError(f"unknown scenario fields: {sorted(extra)}")
-        return cls(**doc)
 
 
 @dataclass(frozen=True)

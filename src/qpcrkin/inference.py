@@ -28,6 +28,7 @@ import numpy as np
 from .kinetics import Kinetics, inverse_profile
 from .simulate import Trajectory, _reading, _replacing, densities
 from .limit_law import AncestorDensity, ancestor_density, limit_variance
+from .streams import _is_int
 
 __all__ = [
     "MAX_KAPPAS",
@@ -78,11 +79,6 @@ class BoundaryWarning(UserWarning):
 
 def _log_scale_cycles(K: float, b: float) -> int:
     return round(math.log(K) / math.log(b))
-
-
-def _is_int(x) -> bool:
-    """x is an integer, a numpy one included, and not a bool."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qpcrkin.streams import _check_ints
+
 __all__ = [
     "Kinetics",
     "Precision",
@@ -70,6 +72,7 @@ class Kinetics:
     @classmethod
     def from_exponent(cls, v: float, m: int) -> "Kinetics":
         """Kinetics with K = (1+v)**m, so log_b(K) is the integer m."""
+        _check_ints(m=m)
         try:
             scale = (1.0 + v) ** m
         except OverflowError:

@@ -90,7 +90,7 @@ def default_generations(v: float) -> int:
     if n > MAX_GENERATIONS:
         raise ValueError(
             f"efficiency {v} needs {n} generations to reach the truncation "
-            f"scale; enlarge count rather than the depth"
+            f"scale {TRUNCATION_SCALE}; the cap is {MAX_GENERATIONS}"
         )
     return n
 
@@ -120,40 +120,29 @@ class LimitEnsemble:
         return self.samples.size
 
 
-def sample_limit(
-    v: float,
-    z: int = 1,
-    count: int = 10 ** 4,
-    seed: int = 0,
-    n_gen: int | None = None,
-) -> LimitEnsemble:
-    """Sample the scaled-growth limit by truncating at depth n_gen.
+def sample_limit(v: float, z: int = 1, count: int = 10 ** 4, seed: int = 0) -> LimitEnsemble:
+    """Sample the scaled-growth limit by truncating at depth default_generations(v).
 
     Each sample runs an independent branching trajectory from z molecules
-    for n_gen generations and scales by b**n_gen.  Sample i is lane i of
-    the runners' block layout (qpcrkin.streams) on streams.GROWTH_LIMIT,
-    a purpose no trajectory uses: each generation draws one array
-    binomial per block (simulate._block_cycles).  The last block draws
-    only the remainder of count, so only whole blocks are prefix-stable:
-    block k's samples do not depend on count once count fills block k.
-    n_gen defaults to the smallest depth with b**n_gen >= 10**6.
+    for n_gen = default_generations(v) generations, the smallest depth
+    with b**n_gen >= TRUNCATION_SCALE, and scales by b**n_gen.  Sample i
+    is lane i of the runners' block layout (qpcrkin.streams) on
+    streams.GROWTH_LIMIT, a purpose no trajectory uses: each generation
+    draws one array binomial per block (simulate._block_cycles).  The
+    last block draws only the remainder of count, so only whole blocks
+    are prefix-stable: block k's samples do not depend on count once
+    count fills block k.  z, count and seed must be integers (bools
+    refused); ValueError names the one that is not, and is raised too
+    where z*b**n_gen could overflow the int64 counts.
     """
     if not 0.0 < v <= 1.0:
         raise ValueError("efficiency must be in (0, 1]")
+    streams._check_ints(z=z, count=count)
     if z < 1:
         raise ValueError("z must be at least 1")
     if count < 1:
         raise ValueError("count must be positive")
-    if n_gen is None:
-        n_gen = default_generations(v)
-    else:
-        if n_gen > MAX_GENERATIONS:
-            raise ValueError("n_gen beyond the generation cap")
-        if n_gen * math.log1p(v) < math.log(TRUNCATION_SCALE):
-            raise ValueError(
-                f"n_gen={n_gen} leaves the growth factor below {TRUNCATION_SCALE}; "
-                f"need at least {default_generations(v)}"
-            )
+    n_gen = default_generations(v)
     # lanes are int64: keep the mean count z*b**n_gen 64-fold below
     # overflow, so the step needs no per-generation range check
     if math.log(z) + n_gen * math.log1p(v) > 57 * math.log(2.0):
@@ -331,11 +320,11 @@ class _PsiTable:
     DENSITY_BLOCK, since most of its points stop there.  Iterating yields
     the segments from the bottom up, each built when a reader first
     reaches it and kept: its depth certified then, one kernel call at that
-    depth gives psi at its frequencies om, within err * om**(d+1), and M
-    is the largest |psi| on its top octave's grid points.  With
-    slope=True the same call runs one frequency past the end, kept as
-    nxt = psi((end+1)*h), and carries psi' and psi'', of which only their
-    largest moduli D and E on the top octave are kept.  Raises ValueError
+    depth gives psi at its frequencies om and one past the end, kept as
+    nxt = psi((end+1)*h), each within err * om**(d+1), and M is the
+    largest |psi| on its top octave's grid points.  With slope=True the
+    same call carries psi' and psi'', of which only their largest moduli
+    D and E on the top octave are kept (0 without slope).  Raises ValueError
     for v outside (0, 1] or z_max not a positive integer, and
     PrecisionError when psi needs a depth beyond MGF_PRECISION.max_iter.
     At v = 1, W(z) = z and no reader iterates it.
@@ -372,18 +361,15 @@ class _PsiTable:
             raise PrecisionError(f"characteristic function needs depth {depth} at "
                                  f"frequency {top:.4g}, cap is {MGF_PRECISION.max_iter}")
         err = coef * b ** (-_SEED_ORDER * depth)
-        if not self.slope:
-            om = self.h * np.arange(start + 1, end + 1)
-            ps = _complement_iteration(1j * om, v, self._c, depth)
-            octave = om >= top / b
-            return _Segment(end, om, ps, err, depth, float(np.abs(ps[octave]).max()),
-                            0.0, 0.0, None)
         om = self.h * np.arange(start + 1, end + 2)
-        ps, dps, d2ps = _complement_iteration(1j * om, v, self._c, depth, slope=True)
+        ps = _complement_iteration(1j * om, v, self._c, depth, slope=self.slope)
         octave = slice(np.searchsorted(om, top / b), -1)
+        d = e = 0.0
+        if self.slope:
+            ps, dps, d2ps = ps
+            d, e = float(np.abs(dps[octave]).max()), float(np.abs(d2ps[octave]).max())
         return _Segment(end, om[:-1], ps[:-1], err, depth, float(np.abs(ps[octave]).max()),
-                        float(np.abs(dps[octave]).max()), float(np.abs(d2ps[octave]).max()),
-                        complex(ps[-1]))
+                        d, e, complex(ps[-1]))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from qpcrkin.kinetics import Kinetics, mean_map
 
 __all__ = [
     "BLOCK_SIZE",
-    "SimConfig",
     "Trajectory",
     "SaturationError",
     "simulate_reaction",
@@ -57,6 +56,7 @@ class SaturationError(OverflowError):
 
 
 def _check_settings(z0: int, n_cycles: int, replicates: int, gamma: float = 0.75) -> None:
+    streams._check_ints(z0=z0, n_cycles=n_cycles, replicates=replicates)
     if z0 < 1:
         raise ValueError("z0 must be at least 1")
     if n_cycles < 1:
@@ -65,20 +65,6 @@ def _check_settings(z0: int, n_cycles: int, replicates: int, gamma: float = 0.75
         raise ValueError("replicates must be positive")
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must be in (0, 1)")
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Settings for one simulated replicate."""
-
-    kinetics: Kinetics
-    z0: int
-    n_cycles: int
-    seed: int = 0
-    replicate_id: int = 0
-
-    def __post_init__(self):
-        _check_settings(self.z0, self.n_cycles, 1)
 
 
 @dataclass(frozen=True)
@@ -138,18 +124,22 @@ def order_violations(runs: np.ndarray, threshold: float) -> dict:
     }
 
 
-def simulate_reaction(cfg: SimConfig) -> Trajectory:
+def simulate_reaction(kinetics: Kinetics, z0: int, n_cycles: int, seed: int = 0,
+                      replicate_id: int = 0) -> Trajectory:
     """One trajectory of the saturating molecule-count process, 64-bit safe.
 
-    Block r = cfg.replicate_id of the REACTION streams drawn with one
-    lane, by a scalar loop: row BLOCK_SIZE * r of simulate_replicates with
-    BLOCK_SIZE * r + 1 replicates and the same seed.
+    Block r = replicate_id of the REACTION streams drawn with one lane, by
+    a scalar loop: row BLOCK_SIZE * r of simulate_replicates with
+    BLOCK_SIZE * r + 1 replicates and the same seed.  Every setting but
+    kinetics is an integer; anything else, bools included, raises
+    ValueError naming it, as does z0 < 1 or n_cycles < 1.
     """
-    v, K = cfg.kinetics.v, cfg.kinetics.K
-    binom = _POOL.reset(cfg.seed, streams.REACTION, cfg.replicate_id).binomial
-    counts = [cfg.z0]
-    z = cfg.z0
-    for _ in range(cfg.n_cycles):
+    _check_settings(z0, n_cycles, 1)
+    v, K = kinetics.v, kinetics.K
+    binom = _POOL.reset(seed, streams.REACTION, replicate_id).binomial
+    counts = [z0]
+    z = z0
+    for _ in range(n_cycles):
         z_next = z + int(binom(z, v * K / (K + z)))
         if z_next > INT64_MAX:
             raise SaturationError(
@@ -158,8 +148,7 @@ def simulate_reaction(cfg: SimConfig) -> Trajectory:
             )
         z = z_next
         counts.append(z)
-    return Trajectory(np.array(counts, dtype=np.int64), cfg.kinetics, cfg.seed,
-                      cfg.replicate_id)
+    return Trajectory(np.array(counts, dtype=np.int64), kinetics, seed, replicate_id)
 
 
 def simulate_replicates(

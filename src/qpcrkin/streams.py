@@ -20,6 +20,11 @@ are the same for every lane count that fills block k.  A consumer may
 stop after any cycle; the cycles it has drawn are those of the full run
 (the estimation runner stops once every replicate's observed window is
 drawn).
+
+A key's parts must be integers (numpy ones included, bools not): a float
+seed would be truncated into the key without a word, so _packed_key
+refuses it, and the simulators, samplers and scenarios refuse their
+non-integer settings by the same _check_ints.
 """
 
 from __future__ import annotations
@@ -44,7 +49,20 @@ _MAX_PURPOSE = 2 ** 8
 _TAG = 1 << 32
 
 
+def _is_int(x) -> bool:
+    """x is an integer, a numpy one included, and not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_ints(**settings) -> None:
+    """Raise ValueError naming the first of settings that is not an integer."""
+    for name, value in settings.items():
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _packed_key(seed: int, purpose: int, replicate: int) -> tuple:
+    _check_ints(seed=seed, purpose=purpose, replicate=replicate)
     if not 0 <= seed < _MAX_SEED:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     if not 0 <= purpose < _MAX_PURPOSE:

@@ -18,7 +18,6 @@ from qpcrkin.kinetics import (
     mean_map,
 )
 from qpcrkin.simulate import (
-    SimConfig,
     noise_sequence,
     order_violations,
     simulate_coupled_replicates,
@@ -178,8 +177,7 @@ def test_09_noise_second_moment():
         kin = Kinetics.from_exponent(v, 10)
         z0 = int(round(kin.K))  # start near scale so the bound is tight
         chunks = [
-            noise_sequence(simulate_reaction(SimConfig(
-                kin, z0=z0, n_cycles=10, seed=900, replicate_id=i))) ** 2
+            noise_sequence(simulate_reaction(kin, z0, 10, seed=900, replicate_id=i)) ** 2
             for i in range(10 ** 4)
         ]
         pooled = np.concatenate(chunks)
@@ -260,8 +258,7 @@ def test_12_efficiency_recovery():
         kin = Kinetics.from_exponent(v, 35)
         devs = []
         for i in range(200):
-            traj = simulate_reaction(SimConfig(
-                kin, z0=1, n_cycles=38, seed=120, replicate_id=i))
+            traj = simulate_reaction(kin, 1, 38, seed=120, replicate_id=i)
             try:
                 kappas = observe(traj, 0.05).kappas
             except NotDetectedError:

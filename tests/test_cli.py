@@ -17,7 +17,6 @@ import pytest
 from qpcrkin.cli import main
 from qpcrkin.kinetics import Kinetics, inverse_profile
 from qpcrkin.simulate import (
-    SimConfig,
     read_trajectory_csv,
     simulate_reaction,
     write_trajectory_csv,
@@ -39,8 +38,7 @@ class TestSimulate:
         assert rc == 0
         traj = read_trajectory_csv(out)
         kin = Kinetics.from_exponent(0.5, 12)
-        direct = simulate_reaction(SimConfig(kin, z0=2, n_cycles=17, seed=9,
-                                             replicate_id=0))
+        direct = simulate_reaction(kin, 2, 17, seed=9, replicate_id=0)
         np.testing.assert_array_equal(traj.counts, direct.counts)
         assert traj.kinetics == kin
 
@@ -157,7 +155,7 @@ class TestEstimate:
         # t_j = K * b**-(n_hit+j) * G(kappa_j) with the file's own K = 1e5,
         # which lies between 1.5**28 and 1.5**29
         kin = Kinetics(v=0.5, K=1e5)
-        traj = simulate_reaction(SimConfig(kin, z0=3, n_cycles=34, seed=4))
+        traj = simulate_reaction(kin, z0=3, n_cycles=34, seed=4)
         traj_path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, traj_path)
         out = tmp_path / "report.json"
@@ -532,6 +530,24 @@ class TestConfigMerge:
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "t.csv")]) == 1
         assert f"error: {cfg}: {named}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,doc,key", [
+        ("simulate", {"seed": 1.5}, "seed"),
+        ("experiment", {"kind": "estimation", "v": 1.0, "m": 12, "z0": 2.5,
+                        "replicates": 50, "seed": 1}, "z0"),
+        ("w-sample", {"count": 10.5}, "count"),
+    ])
+    def test_config_value_must_be_what_its_flag_parses(self, tmp_path, capsys, command,
+                                                       doc, key):
+        # each ran: the experiment drew from 2 molecules and reported 2.5,
+        # the seed was truncated into the stream key and written as 1.5
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {key} must be an integer" in captured.err and captured.out == ""
+        assert not out.exists()
 
 
 class TestErrorPaths:

@@ -21,7 +21,6 @@ from qpcrkin import streams
 from qpcrkin.kinetics import INVERSE_PRECISION, Kinetics, inverse_profile, limit_profile
 from qpcrkin.simulate import (
     BLOCK_SIZE,
-    SimConfig,
     Trajectory,
     simulate_reaction,
     simulate_replicates,
@@ -87,13 +86,11 @@ class TestScenarioSpec:
     def test_json_round_trip(self):
         spec = ScenarioSpec(kind="coupling", v=0.9, m=12, z0=3, replicates=7,
                             seed=5, m_values=(8, 10, 12))
-        doc = json.loads(json.dumps(spec.to_json_dict()))
-        back = ScenarioSpec.from_json_dict(doc)
-        assert back == spec
+        assert ScenarioSpec(**json.loads(json.dumps(spec.to_json_dict()))) == spec
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError):
-            ScenarioSpec.from_json_dict({"kind": "convergence", "bogus": 1})
+        with pytest.raises(TypeError):
+            ScenarioSpec(**{"kind": "convergence", "bogus": 1})
 
     @pytest.mark.parametrize("bad", [
         {"kind": "nope"},
@@ -110,6 +107,17 @@ class TestScenarioSpec:
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             ScenarioSpec(**bad)
+
+    @pytest.mark.parametrize("name", ["m", "z0", "replicates", "seed", "shift",
+                                      "extra_cycles", "m_values"])
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_non_integer_settings_refused(self, name, value):
+        # z0 = 2.5 simulated 2 molecules and reported 2.5; m_values = [10.5]
+        # ran m = 10
+        if name == "m_values":
+            value = [10, value]
+        with pytest.raises(ValueError, match=f"{name} must"):
+            ScenarioSpec(kind="coupling", **{name: value})
 
     def test_result_ks_validated(self):
         with pytest.raises(ValueError):
@@ -308,7 +316,7 @@ class TestEstimation:
         for seed in range(30):
             spec = ScenarioSpec(kind="estimation", v=v, m=25, z0=3, replicates=1, seed=seed)
             records = run_estimation(spec).records
-            traj = simulate_reaction(SimConfig(kin, 3, spec.m + spec.extra_cycles, seed=seed))
+            traj = simulate_reaction(kin, 3, spec.m + spec.extra_cycles, seed=seed)
             report = estimate_from_trajectory(traj, spec.rho, v_known=v)
             assert records["replicate"] == [0], seed
             assert records["tau"] == [report.tau], seed

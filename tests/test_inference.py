@@ -34,7 +34,7 @@ from qpcrkin.kinetics import (
     limit_profile,
     mean_map,
 )
-from qpcrkin.simulate import SimConfig, Trajectory, simulate_reaction
+from qpcrkin.simulate import Trajectory, simulate_reaction
 from qpcrkin.limit_law import (
     DENSITY_PRECISION,
     ancestor_density,
@@ -120,8 +120,7 @@ class TestHittingTime:
         kin = Kinetics.from_exponent(0.5, 30)
         taus = []
         for rep in range(100):
-            cfg = SimConfig(kin, z0=1, n_cycles=34, seed=5, replicate_id=rep)
-            traj = simulate_reaction(cfg)
+            traj = simulate_reaction(kin, 1, 34, seed=5, replicate_id=rep)
             _, tau = hitting_time(traj, rho=0.05)
             taus.append(tau)
         taus = np.asarray(taus)
@@ -241,8 +240,7 @@ class TestEfficiencyEstimate:
         kin = Kinetics.from_exponent(0.5, 30)
         vhats = []
         for rep in range(60):
-            cfg = SimConfig(kin, z0=1, n_cycles=34, seed=9, replicate_id=rep)
-            obs = observe(simulate_reaction(cfg), rho=0.05)
+            obs = observe(simulate_reaction(kin, 1, 34, seed=9, replicate_id=rep), rho=0.05)
             vhats.append(estimate_efficiency(obs.kappas))
         assert abs(np.median(vhats) - 0.5) < 0.1
 
@@ -465,7 +463,7 @@ class TestMleEstimator:
         for z0 in range(1, 7):
             z_max = max(10, 4 * z0)
             for seed in range(5):
-                traj = simulate_reaction(SimConfig(kin, z0=z0, n_cycles=40, seed=seed))
+                traj = simulate_reaction(kin, z0=z0, n_cycles=40, seed=seed)
                 for fit in (False, True):
                     rep = estimate_from_trajectory(traj, 0.05, v_known=None if fit else 0.5)
                     t, v = float(rep.t_values.mean()), rep.v_hat if fit else 0.5
@@ -490,8 +488,7 @@ def _report_text(**overrides):
 class TestReportPipeline:
     def run_once(self, v, m, z0, seed=21, **kw):
         kin = Kinetics.from_exponent(v, m)
-        cfg = SimConfig(kin, z0=z0, n_cycles=m + 4, seed=seed)
-        traj = simulate_reaction(cfg)
+        traj = simulate_reaction(kin, z0, m + 4, seed=seed)
         return estimate_from_trajectory(traj, rho=0.05, **kw)
 
     def test_known_efficiency_report(self):
@@ -549,7 +546,7 @@ class TestReportPipeline:
         # t is near 40, far beyond the only candidate z=1: the pipeline
         # must raise like estimate_copies_mle rather than report z=1
         kin = Kinetics.from_exponent(0.5, 30)
-        traj = simulate_reaction(SimConfig(kin, z0=40, n_cycles=34, seed=1))
+        traj = simulate_reaction(kin, z0=40, n_cycles=34, seed=1)
         with pytest.raises(OutOfSupportError):
             estimate_from_trajectory(
                 traj, rho=0.05, v_known=0.5, run_mle=True, z_max=1,
@@ -671,9 +668,8 @@ class TestReportPipeline:
         kin = Kinetics.from_exponent(0.5, 30)
         ts = []
         for rep in range(120):
-            cfg = SimConfig(kin, z0=3, n_cycles=34, seed=17, replicate_id=rep)
             report = estimate_from_trajectory(
-                simulate_reaction(cfg), rho=0.05, v_known=0.5
+                simulate_reaction(kin, 3, 34, seed=17, replicate_id=rep), rho=0.05, v_known=0.5
             )
             ts.append(float(np.mean(report.t_values)))
         ref = sample_limit(0.5, z=3, count=20000, seed=18).samples

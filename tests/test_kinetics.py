@@ -53,6 +53,12 @@ class TestKinetics:
         with pytest.raises(ValueError, match=r"v=0\.5, m=2000"):
             Kinetics.from_exponent(0.5, 2000)
 
+    @pytest.mark.parametrize("m", [30.5, True])
+    def test_from_exponent_refuses_non_integer_m(self, m):
+        # K = 1.5**30.5 has no integer scale exponent to report
+        with pytest.raises(ValueError, match="m must be an integer"):
+            Kinetics.from_exponent(0.5, m)
+
     @pytest.mark.parametrize("v", [0.0, -0.1, 1.5])
     def test_rejects_bad_efficiency(self, v):
         with pytest.raises(ValueError):

@@ -16,7 +16,6 @@ from qpcrkin.limit_law import sample_limit, write_ensemble_csv
 from qpcrkin.simulate import (
     BLOCK_SIZE,
     SaturationError,
-    SimConfig,
     Trajectory,
     _coupled_lanes,
     densities,
@@ -30,18 +29,31 @@ from qpcrkin.simulate import (
 )
 
 
-def cfg(v=0.5, K=1000.0, z0=1, n_cycles=5, **kw):
-    return SimConfig(kinetics=Kinetics(v=v, K=K), z0=z0, n_cycles=n_cycles, **kw)
+def reaction(v=0.5, K=1000.0, z0=1, n_cycles=5, **kw):
+    return simulate_reaction(Kinetics(v=v, K=K), z0, n_cycles, **kw)
 
 
 class TestConfigAndTrajectory:
     def test_rejects_zero_copies(self):
         with pytest.raises(ValueError):
-            cfg(z0=0)
+            reaction(z0=0)
 
     def test_rejects_zero_cycles(self):
         with pytest.raises(ValueError):
-            cfg(n_cycles=0)
+            reaction(n_cycles=0)
+
+    @pytest.mark.parametrize("bad", [{"z0": 2.5}, {"z0": True}, {"n_cycles": 5.0},
+                                     {"seed": 1.5}, {"seed": True}, {"replicate_id": 1.5}])
+    def test_rejects_non_integer_settings(self, bad):
+        # a float z0 was cast into the int64 counts, a float seed truncated
+        # into the stream key, and each reported as given
+        name = next(iter(bad)).removesuffix("_id")
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            reaction(**bad)
+        if name != "replicate":
+            settings = {"z0": 1, "n_cycles": 5, "replicates": 3, "seed": 0, **bad}
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                simulate_replicates(Kinetics(0.5, 1000.0), **settings)
 
     def test_trajectory_rejects_decreasing(self):
         with pytest.raises(ValueError):
@@ -59,11 +71,11 @@ class TestConfigAndTrajectory:
 class TestReaction:
     def test_doubles_when_probability_saturates(self):
         # K so large that the replication probability is 1 up to rounding
-        traj = simulate_reaction(cfg(v=1.0, K=1e18, z0=1, n_cycles=3, seed=1))
+        traj = reaction(v=1.0, K=1e18, z0=1, n_cycles=3, seed=1)
         assert traj.counts.tolist() == [1, 2, 4, 8]
 
     def test_constant_when_efficiency_vanishes(self):
-        traj = simulate_reaction(cfg(v=1e-12, z0=5, n_cycles=4, seed=2))
+        traj = reaction(v=1e-12, z0=5, n_cycles=4, seed=2)
         assert traj.counts.tolist() == [5, 5, 5, 5, 5]
 
     def test_one_step_law_matches_enumeration(self):
@@ -73,28 +85,28 @@ class TestReaction:
         # on 10**6 lanes in TestReplicateBlocks.
         kin = Kinetics(v=0.5, K=4.0)
         for i in range(10 ** 4):
-            got = simulate_reaction(SimConfig(kin, 2, 1, seed=7, replicate_id=i))
+            got = simulate_reaction(kin, 2, 1, seed=7, replicate_id=i)
             want = 2 + streams.stream(7, streams.REACTION, i).binomial(2, 1 / 3)
             assert got.counts[1] == want, i
 
     def test_deterministic_per_seed_and_replicate(self):
-        a = simulate_reaction(cfg(seed=11, replicate_id=3, n_cycles=8))
-        b = simulate_reaction(cfg(seed=11, replicate_id=3, n_cycles=8))
+        a = reaction(seed=11, replicate_id=3, n_cycles=8)
+        b = reaction(seed=11, replicate_id=3, n_cycles=8)
         assert np.array_equal(a.counts, b.counts)
 
     def test_replicates_uncoupled_by_order(self):
         batch = [
-            simulate_reaction(cfg(z0=50, seed=5, replicate_id=r)).counts
+            reaction(z0=50, seed=5, replicate_id=r).counts
             for r in range(5)
         ]
-        alone = simulate_reaction(cfg(z0=50, seed=5, replicate_id=2)).counts
+        alone = reaction(z0=50, seed=5, replicate_id=2).counts
         assert np.array_equal(batch[2], alone)
         assert not np.array_equal(batch[1], batch[3])
 
     def test_saturation_raises_not_wraps(self):
         big = 2 ** 62 + 1
         with pytest.raises(SaturationError):
-            simulate_reaction(cfg(v=1.0, K=1e40, z0=big, n_cycles=1, seed=3))
+            reaction(v=1.0, K=1e40, z0=big, n_cycles=1, seed=3)
 
 
 def _reaction_block(kin, z0, n_cycles, lanes, seed):
@@ -139,7 +151,7 @@ class TestReplicateBlocks:
         # row BLOCK_SIZE * r of a run of BLOCK_SIZE * r + 1 replicates
         kin = Kinetics.from_exponent(v, 25)
         for seed, r, z0 in itertools.product(range(10), (0, 1, 3), (1, 3, 7)):
-            alone = simulate_reaction(SimConfig(kin, z0, 30, seed=seed, replicate_id=r))
+            alone = simulate_reaction(kin, z0, 30, seed=seed, replicate_id=r)
             rows = simulate_replicates(kin, z0, 30, BLOCK_SIZE * r + 1, seed=seed)
             assert np.array_equal(alone.counts, rows[BLOCK_SIZE * r]), (seed, r, z0)
 
@@ -338,7 +350,7 @@ class TestNoise:
         kin = Kinetics(v=v, K=130.0)
         eps = np.empty(reps)
         for i in range(reps):
-            t = simulate_reaction(SimConfig(kin, 39, 1, seed=37, replicate_id=i))
+            t = simulate_reaction(kin, 39, 1, seed=37, replicate_id=i)
             eps[i] = noise_sequence(t)[0]
         assert abs(eps.mean()) < 4 * math.sqrt(v / reps)
 
@@ -348,7 +360,7 @@ class TestNoise:
         z0 = round(0.3 * kin.K)
         pooled = []
         for i in range(reps):
-            t = simulate_reaction(SimConfig(kin, z0, cycles, seed=41, replicate_id=i))
+            t = simulate_reaction(kin, z0, cycles, seed=41, replicate_id=i)
             pooled.append(noise_sequence(t))
         pooled = np.concatenate(pooled)
         sq = pooled ** 2
@@ -368,7 +380,7 @@ class TestConcentration:
             z0 = round(x0 * kin.K)
             vals = np.empty(reps)
             for i in range(reps):
-                t = simulate_reaction(SimConfig(kin, z0, n, seed=43, replicate_id=i))
+                t = simulate_reaction(kin, z0, n, seed=43, replicate_id=i)
                 vals[i] = t.counts[-1] / kin.K
             target = iterate_mean_map(z0 / kin.K, n, kin)
             assert abs(vals.mean() - target) < 4 * vals.std(ddof=1) / math.sqrt(reps)
@@ -387,7 +399,7 @@ class TestDensitiesAndExport:
         assert densities(t).tolist() == [1.0]
 
     def test_csv_round_trip(self, tmp_path):
-        traj = simulate_reaction(cfg(v=0.5, K=57.0, z0=3, n_cycles=6, seed=19))
+        traj = reaction(v=0.5, K=57.0, z0=3, n_cycles=6, seed=19)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, path)
         back = read_trajectory_csv(path)
@@ -490,7 +502,7 @@ class TestDensitiesAndExport:
 # each writer called with a path and a key; different keys write different bytes
 _WRITERS = {
     "trajectory": lambda path, key: write_trajectory_csv(
-        simulate_reaction(cfg(seed=key)), path),
+        reaction(seed=key), path),
     "ensemble": lambda path, key: write_ensemble_csv(
         sample_limit(0.5, count=10, seed=key), path),
     "curves": lambda path, key: emit_profile_curves([0.5], [0.0, 1.0 + key], out=path),
