@@ -34,7 +34,6 @@ from qpcrkin.inference import (
     EstimateReport,
     NotDetectedError,
     Observation,
-    estimate_copies_mle,
     estimate_copies_normal,
     estimate_efficiency,
     estimate_from_trajectory,

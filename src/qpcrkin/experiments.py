@@ -71,8 +71,8 @@ class ScenarioSpec:
 
     ScenarioSpec(**doc) reads back a to_json_dict document; an unknown
     field raises TypeError.  The counts, cycles, seed and each of
-    m_values must be integers (bools refused): ValueError names the
-    first that is not.
+    m_values must be integers (bools refused), and fit_efficiency a bool:
+    ValueError names the first that is not.
     """
 
     kind: str
@@ -95,6 +95,8 @@ class ScenarioSpec:
             raise ValueError(f"unknown kind {self.kind!r}")
         _check_ints(m=self.m, z0=self.z0, replicates=self.replicates, seed=self.seed,
                     shift=self.shift, extra_cycles=self.extra_cycles)
+        if not isinstance(self.fit_efficiency, bool):
+            raise ValueError(f"fit_efficiency must be a bool, got {self.fit_efficiency!r}")
         if not 0.0 < self.v <= 1.0:
             raise ValueError("v must be in (0, 1]")
         if self.m < 1:

@@ -46,7 +46,6 @@ __all__ = [
     "limit_observables_rows",
     "estimate_copies_normal",
     "copy_profile",
-    "estimate_copies_mle",
     "estimate_from_trajectory",
     "write_report_json",
     "read_report_json",
@@ -303,7 +302,12 @@ def copy_profile(t, v: float, z_max: int | None = None) -> np.ndarray:
 
 
 def _scan(t, v, z_max) -> tuple[int, AncestorDensity]:
-    """Likelihood scan over z = 1..z_max: (maximizer, densities at t)."""
+    """Likelihood scan over z = 1..z_max: (maximizer, densities at t).
+
+    Ties break toward the smaller z.  A peak at z_max warns with
+    BoundaryWarning, and t outside every candidate's certified support
+    raises OutOfSupportError.
+    """
     dens = ancestor_density(t, v, z_max)
     prof, bound = dens.values[:, 0], dens.bounds[:, 0]
     if np.all(np.abs(prof) <= bound):
@@ -319,17 +323,6 @@ def _scan(t, v, z_max) -> tuple[int, AncestorDensity]:
             BoundaryWarning,
         )
     return z_hat, dens
-
-
-def estimate_copies_mle(t: float, v: float, z_max: int | None = None) -> int:
-    """Maximum-likelihood copy number over the integer scan 1..z_max.
-
-    Ties break toward the smaller candidate.  A peak at z_max triggers
-    BoundaryWarning since the true maximizer may lie beyond the scan;
-    if every candidate's density at t is within its certified bound of 0
-    the scan aborts with OutOfSupportError carrying that bound.
-    """
-    return _scan(t, v, _resolve_z_max(t, z_max))[0]
 
 
 @dataclass(frozen=True)

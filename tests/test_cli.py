@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from qpcrkin.cli import main
+from qpcrkin.cli import _config_flags, _parser, main
 from qpcrkin.kinetics import Kinetics, inverse_profile
 from qpcrkin.simulate import (
     read_trajectory_csv,
@@ -547,6 +547,78 @@ class TestConfigMerge:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert f"error: {key} must be an integer" in captured.err and captured.out == ""
+        assert not out.exists()
+
+
+def _flags():
+    """(command, action) for every flag of every subcommand but --config and -h."""
+    commands = {name: _parser().parse_args([name]).parser for name in
+                ("simulate", "h-curves", "w-sample", "estimate", "experiment")}
+    return [pytest.param(name, action, id=f"{name}-{action.dest}")
+            for name, sub in commands.items() for action in sub._actions
+            if action.option_strings and action.dest not in ("help", "config")]
+
+
+class TestConfigIsFlags:
+    """A config entry {dest: value} is the flag it names, given that value."""
+
+    @pytest.mark.parametrize("command,action", _flags())
+    def test_config_parses_as_its_flag(self, tmp_path, command, action):
+        # a valued flag takes a JSON value of its own type (a list flag its
+        # comma string); a switch takes true or false, and the bool that
+        # is not its const is the same as leaving it out
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            cases = [(action.const, [flag]), (not action.const, [])]
+        elif action.type in (int, float):
+            value = 3 if action.type is int else 0.25
+            cases = [(value, [flag, str(value)])]
+        else:
+            cases = [("2,3", [flag, "2,3"])]
+        cfg = tmp_path / "cfg.json"
+        for value, argv in cases + [(None, [])]:
+            cfg.write_text(json.dumps({action.dest: value}))
+            via_config = _parser().parse_args([command, *_config_flags(
+                _parser().parse_args([command]).parser, cfg)])
+            assert vars(via_config) == vars(_parser().parse_args([command, *argv]))
+
+    @pytest.mark.parametrize("command,doc,message", [
+        pytest.param("simulate", {"seed": True}, "seed must be an integer, got true",
+                     id="int-bool"),
+        pytest.param("simulate", {"m": "10"}, 'm must be an integer, got "10"', id="int-string"),
+        pytest.param("simulate", {"cycles": 40.5}, "cycles must be an integer, got 40.5",
+                     id="int-float"),
+        pytest.param("w-sample", {"z0": 2.5}, "z0 must be an integer, got 2.5", id="int-z0"),
+        pytest.param("simulate", {"v": True}, "v must be a number, got true", id="float-bool"),
+        pytest.param("simulate", {"v": "0.5"}, 'v must be a number, got "0.5"',
+                     id="float-string"),
+        pytest.param("h-curves", {"x_step": False}, "x_step must be a number, got false",
+                     id="float-false"),
+        pytest.param("estimate", {"fit_v": "no", "v": 0.5, "m": 30},
+                     'fit_v must be true or false, got "no"', id="switch-string"),
+        pytest.param("estimate", {"run_mle": 0, "v": 0.5, "m": 30},
+                     "run_mle must be true or false, got 0", id="switch-number"),
+        pytest.param("experiment", {"kind": "estimation", "fit_v": "no", "v": 0.5, "m": 12,
+                                    "replicates": 20},
+                     'fit_v must be true or false, got "no"', id="experiment-switch-string"),
+        pytest.param("experiment", {"kind": "coupling", "m_values": [8, 10]},
+                     "m_values must be a string, got [8, 10]", id="list-array"),
+        pytest.param("h-curves", {"v_list": [0.5, 1.0]},
+                     "v_list must be a string, got [0.5, 1.0]", id="float-list-array"),
+        pytest.param("estimate", {"traj": 1, "v": 0.5}, "traj must be a string, got 1",
+                     id="string-number"),
+    ])
+    def test_wrongly_typed_value_named_with_its_file(self, tmp_path, capsys, command, doc,
+                                                      message):
+        # each used to run, or died in a TypeError naming no key: v = true
+        # simulated at v = 1, fit_v = "no" fitted the efficiency
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message} (in {cfg})\n"
         assert not out.exists()
 
 

@@ -119,6 +119,12 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match=f"{name} must"):
             ScenarioSpec(kind="coupling", **{name: value})
 
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_fit_efficiency_must_be_a_bool(self, value):
+        # "no" used to run a fitted estimation and record the string
+        with pytest.raises(ValueError, match="fit_efficiency must be a bool"):
+            ScenarioSpec(kind="estimation", fit_efficiency=value)
+
     def test_result_ks_validated(self):
         with pytest.raises(ValueError):
             ExperimentResult(kind="convergence", spec={}, summary={"ks": 1.5})

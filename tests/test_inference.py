@@ -41,6 +41,7 @@ from qpcrkin.limit_law import (
     limit_variance,
     sample_limit,
 )
+from qpcrkin import inference
 from qpcrkin.inference import (
     MAX_KAPPAS,
     BoundaryWarning,
@@ -49,7 +50,6 @@ from qpcrkin.inference import (
     Observation,
     OutOfSupportError,
     copy_profile,
-    estimate_copies_mle,
     estimate_copies_normal,
     estimate_efficiency,
     estimate_from_trajectory,
@@ -406,11 +406,11 @@ class TestNormalEstimator:
 class TestMleEstimator:
     def test_profile_peak_at_three(self):
         # histogram oracle (module docstring): densities peak decisively at z=3
-        zhat = estimate_copies_mle(3.0, 0.9)
+        zhat, _ = inference._scan(3.0, 0.9, inference._resolve_z_max(3.0, None))
         assert zhat == 3
 
     def test_low_t_prefers_single_copy(self):
-        assert estimate_copies_mle(1.0, 0.9, z_max=5) == 1
+        assert inference._scan(1.0, 0.9, 5)[0] == 1
 
     def test_profile_shape_and_argmax(self):
         prof = copy_profile(3.0, 0.9, z_max=6)
@@ -430,18 +430,18 @@ class TestMleEstimator:
         # at t=3 the exact densities of z <= 2 are about 1e-11, inside their
         # bounds; at t=2.6 they are about 0.083 (z=2) against 0.52 (z=3)
         with pytest.warns(BoundaryWarning):
-            zhat = estimate_copies_mle(2.6, 0.9, z_max=2)
+            zhat, _ = inference._scan(2.6, 0.9, 2)
         assert zhat == 2
 
     def test_out_of_support(self):
         with pytest.raises(OutOfSupportError) as err:
-            estimate_copies_mle(500.0, 0.9, z_max=3)
+            inference._scan(500.0, 0.9, 3)
         assert err.value.point == 500.0
         assert 0.0 < err.value.bound <= DENSITY_PRECISION.tol
 
     def test_degenerate_law_rejected(self):
         with pytest.raises(ValueError):
-            estimate_copies_mle(3.0, 1.0)
+            inference._scan(3.0, 1.0, inference._resolve_z_max(3.0, None))
 
     def test_agrees_with_normal_for_large_counts(self):
         # local-CLT regime: v=0.9, true z=30
@@ -475,7 +475,7 @@ class TestMleEstimator:
                     win = int(np.argmax(ref))
                     others = np.arange(z_max) != win
                     assert np.all(ref[win] - ref[others] > bound[win] + bound[others])
-                    assert estimate_copies_mle(t, v, z_max) == win + 1
+                    assert inference._scan(t, v, z_max)[0] == win + 1
 
 
 def _report_text(**overrides):
@@ -544,7 +544,7 @@ class TestReportPipeline:
 
     def test_scan_out_of_support_raises(self):
         # t is near 40, far beyond the only candidate z=1: the pipeline
-        # must raise like estimate_copies_mle rather than report z=1
+        # must raise like the scan alone rather than report z=1
         kin = Kinetics.from_exponent(0.5, 30)
         traj = simulate_reaction(kin, z0=40, n_cycles=34, seed=1)
         with pytest.raises(OutOfSupportError):

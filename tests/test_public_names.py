@@ -3,8 +3,9 @@
 Each module's __all__ lists only names the module defines, and the
 package re-exports only names in their module's __all__, so a deletion
 cannot leave a stale export behind.  Every function the benchmark's
-tracer wraps (perfbench/layers.py) exists too, so removing or renaming
-one fails here and not only in a traced benchmark run.
+tracer wraps (perfbench/layers.py) exists too, and every command line
+its workloads build (perfbench/workloads.py) parses, so removing or
+renaming one fails here and not only in a benchmark run.
 """
 
 import ast
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import qpcrkin
+from qpcrkin.cli import _parser
 
 MODULES = sorted(
     f"qpcrkin.{info.name}"
@@ -79,3 +81,18 @@ def test_traced_targets_exist(monkeypatch):
         if owner is None:
             missing.append(target.name)
     assert missing == []
+
+
+def test_benchmark_command_lines_parse(monkeypatch, tmp_path):
+    # ops 0-11 cover each CLI workload's argv shapes (estimate-scan has
+    # period 12); the inert --mle-count, --mle-seed and --ref-count stay
+    # until the benchmark stops passing them
+    workloads = _load_perfbench("workloads", monkeypatch)
+    parsed = 0
+    for workload in workloads.WORKLOADS.values():
+        for index in range(12):
+            op = workload.make_op(1, index, str(tmp_path / "out"))
+            if op.argv is not None:
+                _parser().parse_args(list(op.argv))  # argparse exits 2 on a refusal
+                parsed += 1
+    assert parsed == 36  # three CLI workloads
