@@ -37,7 +37,6 @@ from qpcrkin.inference import (
     estimate_copies_normal,
     estimate_efficiency,
     estimate_from_trajectory,
-    hitting_time,
     observe,
 )
 from qpcrkin.experiments import (

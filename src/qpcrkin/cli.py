@@ -77,6 +77,13 @@ def _config_flags(parser, path):
             types, want = _CONFIG_TYPES.get(action.type, ((str,), "a string"))
         if type(value) not in types:  # type(True) is bool, not int
             raise ValueError(f"{key} must be {want}, got {json.dumps(value)} (in {path})")
+        if action.type is not None and type(value) is str:
+            # a list flag's string, parsed here, where the key and the file are known
+            try:
+                action.type(value)
+            except ValueError:
+                raise ValueError(f"{key} must be {action.type.__name__} values, "
+                                 f"got {json.dumps(value)} (in {path})") from None
         if action.nargs != 0:
             argv.append(f"{action.option_strings[0]}={value}")
         elif value == action.const:

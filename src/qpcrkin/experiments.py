@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .kinetics import Kinetics, inverse_profile, limit_profile
+from .kinetics import Kinetics, _check_efficiency, inverse_profile, limit_profile
 from .streams import _check_ints, _is_int
 from .simulate import (
     _count_rows,
@@ -71,8 +71,8 @@ class ScenarioSpec:
 
     ScenarioSpec(**doc) reads back a to_json_dict document; an unknown
     field raises TypeError.  The counts, cycles, seed and each of
-    m_values must be integers (bools refused), and fit_efficiency a bool:
-    ValueError names the first that is not.
+    m_values must be integers and v in (0, 1], none a bool, and
+    fit_efficiency a bool: ValueError names the first that is not.
     """
 
     kind: str
@@ -97,8 +97,7 @@ class ScenarioSpec:
                     shift=self.shift, extra_cycles=self.extra_cycles)
         if not isinstance(self.fit_efficiency, bool):
             raise ValueError(f"fit_efficiency must be a bool, got {self.fit_efficiency!r}")
-        if not 0.0 < self.v <= 1.0:
-            raise ValueError("v must be in (0, 1]")
+        _check_efficiency("v", self.v)
         if self.m < 1:
             raise ValueError("m must be at least 1")
         if self.z0 < 1:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .kinetics import Kinetics, inverse_profile
+from .kinetics import Kinetics, _check_efficiency, inverse_profile
 from .simulate import Trajectory, _reading, _replacing, densities
 from .limit_law import AncestorDensity, ancestor_density, limit_variance
 from .streams import _is_int
@@ -37,7 +37,6 @@ __all__ = [
     "BoundaryWarning",
     "Observation",
     "EstimateReport",
-    "hitting_time",
     "observe",
     "observe_rows",
     "estimate_efficiency",
@@ -88,8 +87,8 @@ class Observation:
     at and after the crossing; with K they fix the limit observables
     t_j = K * b**-(n_hit+j) * G(kappa_j) for whichever efficiency the
     caller passes to limit_observables_batch.  The offset
-    tau = n_hit - round(log_b K) enters no estimate; hitting_time and
-    EstimateReport derive it for reference.
+    tau = n_hit - round(log_b K) enters no estimate; EstimateReport
+    derives it for reference.
     """
 
     rho: float
@@ -122,21 +121,18 @@ def _check_kappa_rows(kappas: np.ndarray, rho: float) -> None:
         raise ValueError("kappas must be strictly increasing")
 
 
-def _crossings(x: np.ndarray, rho: float) -> np.ndarray:
-    """First column at which each row of x reaches rho, -1 where none does."""
+def _windows(x: np.ndarray, rho: float) -> tuple:
+    """observe_rows without its check of the densities it gathers."""
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must be in (0, 1)")
     reached = x >= rho
-    return np.where(reached.any(axis=1), reached.argmax(axis=1), -1)
-
-
-def _detected(n_hit, traj: Trajectory, rho: float) -> int:
-    """traj's crossing cycle n_hit as an int; NotDetectedError where it is -1."""
-    if n_hit < 0:
-        raise NotDetectedError(
-            f"density never reached {rho} within {traj.n_cycles} cycles"
-        )
-    return int(n_hit)
+    n_hit = np.where(reached.any(axis=1), reached.argmax(axis=1), -1)
+    cols = n_hit[:, None] + np.arange(MAX_KAPPAS)
+    # a column past the last cycle, or one of a row that never reaches
+    # rho, reads an in-range column and is then set to NaN
+    kappas = x[np.arange(x.shape[0])[:, None], np.minimum(cols, x.shape[1] - 1)]
+    kappas[(n_hit < 0)[:, None] | (cols >= x.shape[1])] = np.nan
+    return n_hit, kappas
 
 
 def observe_rows(x, rho: float) -> tuple:
@@ -147,40 +143,24 @@ def observe_rows(x, rho: float) -> tuple:
     never does, and kappas[i] holds x[i, n_hit[i] : n_hit[i] + MAX_KAPPAS]
     padded with NaN, all NaN for a row that never reaches rho.
     """
-    x = np.asarray(x, dtype=float)
-    n_hit = _crossings(x, rho)
-    detected = n_hit >= 0
-    cols = n_hit[:, None] + np.arange(MAX_KAPPAS)
-    # a column past the last cycle, or one of a row that never reaches
-    # rho, reads an in-range column and is then set to NaN
-    kappas = x[np.arange(x.shape[0])[:, None], np.minimum(cols, x.shape[1] - 1)]
-    kappas[~detected[:, None] | (cols >= x.shape[1])] = np.nan
-    _check_kappa_rows(kappas[detected], rho)
+    n_hit, kappas = _windows(np.asarray(x, dtype=float), rho)
+    _check_kappa_rows(kappas[n_hit >= 0], rho)
     return n_hit, kappas
-
-
-def hitting_time(traj: Trajectory, rho: float) -> tuple[int, int]:
-    """First cycle whose density reaches rho, absolute and centered.
-
-    Returns (n_hit, tau) with tau = n_hit - round(log_b K).  Only the
-    crossing is read, so unlike observe it accepts a trajectory that is
-    flat after it.  Raises NotDetectedError when the trajectory never
-    reaches the threshold.
-    """
-    n_hit = _detected(_crossings(densities(traj)[None, :], rho)[0], traj, rho)
-    kin = traj.kinetics
-    return n_hit, n_hit - _log_scale_cycles(kin.K, kin.b)
 
 
 def observe(traj: Trajectory, rho: float) -> Observation:
     """Detection-time observation: row 0 of observe_rows for traj alone.
 
-    Raises NotDetectedError as hitting_time does, and ValueError when the
-    observed densities do not increase strictly.
+    Raises NotDetectedError when the trajectory never reaches rho, and
+    ValueError when the observed densities do not increase strictly.
     """
-    n_hit, kappas = observe_rows(densities(traj)[None, :], rho)
-    n_hit, row = _detected(n_hit[0], traj, rho), kappas[0]
-    return Observation(rho=rho, K=traj.kinetics.K, n_hit=n_hit, kappas=row[~np.isnan(row)])
+    # the gather of observe_rows; Observation runs its check, once
+    n_hit, kappas = _windows(densities(traj)[None, :], rho)
+    if n_hit[0] < 0:
+        raise NotDetectedError(f"density never reached {rho} within {traj.n_cycles} cycles")
+    row = kappas[0]
+    return Observation(rho=rho, K=traj.kinetics.K, n_hit=int(n_hit[0]),
+                       kappas=row[~np.isnan(row)])
 
 
 def efficiency_rows(kappas) -> np.ndarray:
@@ -269,8 +249,7 @@ def estimate_copies_normal(t, v: float, integer: bool = False):
     arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(arr) & (arr >= 0.0)):
         raise ValueError("t must be finite and nonnegative")
-    if not 0.0 < v <= 1.0:
-        raise ValueError("efficiency must be in (0, 1]")
+    _check_efficiency("v", v)
     s2 = limit_variance(v)
     z = np.hypot(arr, s2 / 2.0) - s2 / 2.0
     if integer:
@@ -347,9 +326,9 @@ class EstimateReport:
             raise ValueError("z_hat_normal must be a number, not a bool")
         if not (math.isfinite(self.z_hat_normal) and self.z_hat_normal > 0.0):
             raise ValueError("z_hat_normal must be finite and positive")
-        # a fit is positive and clipped at 1; NaN fails the comparison too
-        if self.v_hat is not None and not 0.0 < self.v_hat <= 1.0:
-            raise ValueError("v_hat must be null or in (0, 1]")
+        # a fit is positive and clipped at 1
+        if self.v_hat is not None:
+            _check_efficiency("v_hat", self.v_hat)
         if not _is_int(self.tau):
             raise ValueError("tau must be an integer")
         if not (isinstance(self.settings, dict) and isinstance(self.diagnostics, dict)):
@@ -383,12 +362,14 @@ def estimate_from_trajectory(
     obs = observe(traj, rho)
     v_hat = v_raw = None
     if v_known is None:
-        v_raw = estimate_efficiency(obs.kappas)
+        # observe checked the window; estimate_efficiency would check it again
+        if obs.kappas.size < 2:
+            raise ValueError("need at least two densities")
+        v_raw = float(efficiency_rows(obs.kappas[None, :])[0])
         v_eff = v_hat = min(v_raw, 1.0)
-    elif 0.0 < v_known <= 1.0:
-        v_eff = v_known
     else:
-        raise ValueError(f"efficiency {v_known:.6g} outside (0, 1]")
+        _check_efficiency("v_known", v_known)
+        v_eff = v_known
 
     t_values = limit_observables_batch([obs], v_eff)[0]
     t_mean = float(t_values.mean())

@@ -46,6 +46,12 @@ __all__ = [
 ]
 
 
+def _check_efficiency(name: str, v) -> None:
+    """Refuse an efficiency outside (0, 1]: NaN fails the comparison, True by its type."""
+    if isinstance(v, (bool, np.bool_)) or not 0.0 < v <= 1.0:
+        raise ValueError(f"efficiency {name} must be in (0, 1], got {v}")
+
+
 @dataclass(frozen=True)
 class Kinetics:
     """Reaction parameters: replication efficiency v and scale K.
@@ -59,8 +65,7 @@ class Kinetics:
     K: float
 
     def __post_init__(self):
-        if not 0.0 < self.v <= 1.0:
-            raise ValueError(f"efficiency v must be in (0, 1], got {self.v}")
+        _check_efficiency("v", self.v)
         if not 0.0 < self.K < math.inf:
             raise ValueError(f"scale K must be finite and positive, got {self.K}")
 

@@ -28,6 +28,7 @@ from qpcrkin.kinetics import (
     Precision,
     PrecisionError,
     _as_nonnegative_array,
+    _check_efficiency,
     _growth_gaps,
     _seed_coefficients,
     _tail_depth,
@@ -97,7 +98,11 @@ def default_generations(v: float) -> int:
 
 @dataclass(frozen=True)
 class LimitEnsemble:
-    """Monte Carlo samples of the scaled-growth limit of z starting molecules."""
+    """Monte Carlo samples of the scaled-growth limit of z starting molecules.
+
+    Raises ValueError for samples that are not finite and positive, for v
+    outside (0, 1], and for z or n_gen not an integer of at least 1.
+    """
 
     samples: np.ndarray
     v: float
@@ -112,6 +117,10 @@ class LimitEnsemble:
             raise ValueError("samples must be a nonempty 1-d array")
         if not (np.isfinite(arr).all() and (arr > 0.0).all()):
             raise ValueError("limit samples must be finite and positive")
+        _check_efficiency("v", self.v)
+        streams._check_ints(z=self.z, n_gen=self.n_gen)
+        if min(self.z, self.n_gen) < 1:
+            raise ValueError(f"z and n_gen must be at least 1, got {self.z} and {self.n_gen}")
         if self.v == 1.0 and (arr != float(self.z)).any():
             raise ValueError("at efficiency 1 every sample must equal z")
 
@@ -135,8 +144,7 @@ def sample_limit(v: float, z: int = 1, count: int = 10 ** 4, seed: int = 0) -> L
     refused); ValueError names the one that is not, and is raised too
     where z*b**n_gen could overflow the int64 counts.
     """
-    if not 0.0 < v <= 1.0:
-        raise ValueError("efficiency must be in (0, 1]")
+    _check_efficiency("v", v)
     streams._check_ints(z=z, count=count)
     if z < 1:
         raise ValueError("z must be at least 1")
@@ -279,8 +287,7 @@ def limit_mgf(s, v: float, prec: Precision = MGF_PRECISION):
     bound c_{d+1} * s**(d+1) * b**(-d*cap), formed in logs, inf only past
     the float range.
     """
-    if not 0.0 < v <= 1.0:
-        raise ValueError("efficiency must be in (0, 1]")
+    _check_efficiency("v", v)
     arr = _as_nonnegative_array(s, "s")
     scalar = np.ndim(s) == 0
     if arr.size == 0:
@@ -331,8 +338,7 @@ class _PsiTable:
     """
 
     def __init__(self, v: float, z_max: int, t_max: float, prec: Precision, slope: bool):
-        if not 0.0 < v <= 1.0:
-            raise ValueError("efficiency must be in (0, 1]")
+        _check_efficiency("v", v)
         if not (float(z_max).is_integer() and z_max >= 1):
             raise ValueError("z_max must be an integer, at least 1")
         self.v, self.z_max, self.t_max, self.prec, self.slope = v, int(z_max), t_max, prec, slope
@@ -453,9 +459,10 @@ def ancestor_density(t, v: float, z_max: int,
         raise ValueError("t must be a scalar or a nonempty 1-d array")
     if not np.all(np.isfinite(pts)) or np.any(pts <= 0.0):
         raise ValueError("t must be positive and finite")
+    table = _PsiTable(v, z_max, float(pts.max()), prec, slope=True)
     if v == 1.0:
         raise ValueError("density needs efficiency below 1; at v=1 the limit is the constant z")
-    return _density_from(_PsiTable(v, z_max, float(pts.max()), prec, slope=True), pts)
+    return _density_from(table, pts)
 
 
 def _density_from(table: _PsiTable, pts: np.ndarray) -> AncestorDensity:

@@ -603,6 +603,9 @@ class TestConfigIsFlags:
                      'fit_v must be true or false, got "no"', id="experiment-switch-string"),
         pytest.param("experiment", {"kind": "coupling", "m_values": [8, 10]},
                      "m_values must be a string, got [8, 10]", id="list-array"),
+        pytest.param("experiment", {"kind": "coupling", "m_values": "8;10"},
+                     'm_values must be comma-separated int values, got "8;10"',
+                     id="list-unparsed"),
         pytest.param("h-curves", {"v_list": [0.5, 1.0]},
                      "v_list must be a string, got [0.5, 1.0]", id="float-list-array"),
         pytest.param("estimate", {"traj": 1, "v": 0.5}, "traj must be a string, got 1",

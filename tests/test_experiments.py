@@ -27,10 +27,10 @@ from qpcrkin.simulate import (
 )
 from qpcrkin.inference import (
     NotDetectedError,
+    _log_scale_cycles,
     estimate_copies_normal,
     estimate_efficiency,
     estimate_from_trajectory,
-    hitting_time,
     limit_observables_batch,
     observe,
     observe_rows,
@@ -288,7 +288,7 @@ class TestEstimation:
                 obs = observe(traj, spec.rho)
             except NotDetectedError:
                 continue
-            tau = hitting_time(traj, spec.rho)[1]
+            tau = obs.n_hit - _log_scale_cycles(kin.K, kin.b)
             t = limit_observables_batch([obs], spec.v)[0]
             t_mean = float(t.mean())
             scales = kin.K * kin.b ** -(obs.n_hit + np.arange(t.size))

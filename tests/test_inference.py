@@ -53,7 +53,6 @@ from qpcrkin.inference import (
     estimate_copies_normal,
     estimate_efficiency,
     estimate_from_trajectory,
-    hitting_time,
     limit_observables_batch,
     observe,
     observe_rows,
@@ -85,33 +84,33 @@ def exact_copies(obs):
 
 
 class TestHittingTime:
+    # the crossing cycle is observe's n_hit, and tau = n_hit - round(log_b K)
+    # the offset a report derives from it
     def test_immediate_detection(self):
         traj = make_traj([62, 124], v=1.0, K=2.0 ** 10)
-        n_hit, tau = hitting_time(traj, rho=0.05)
-        assert (n_hit, tau) == (0, -10)
+        assert observe(traj, rho=0.05).n_hit == 0
+        assert estimate_from_trajectory(traj, rho=0.05, v_known=1.0).tau == -10
 
     def test_first_crossing_index(self):
         counts = [1, 2, 4, 8, 16, 32, 64]
         traj = make_traj(counts, v=1.0, K=2.0 ** 6)
         # densities 1/64 .. 1; 0.05 first reached at count 4 (index 2)
-        n_hit, tau = hitting_time(traj, rho=0.05)
-        assert (n_hit, tau) == (2, -4)
+        assert observe(traj, rho=0.05).n_hit == 2
+        assert estimate_from_trajectory(traj, rho=0.05, v_known=1.0).tau == -4
 
     def test_threshold_met_exactly(self):
         traj = make_traj([1, 2, 4], v=1.0, K=40.0)
-        n_hit, _ = hitting_time(traj, rho=0.05)
-        assert n_hit == 1  # 2/40 == 0.05 counts as detected
+        assert observe(traj, rho=0.05).n_hit == 1  # 2/40 == 0.05 counts as detected
 
     def test_not_detected(self):
         traj = make_traj([1, 2, 4], v=1.0, K=2.0 ** 20)
         with pytest.raises(NotDetectedError):
-            hitting_time(traj, rho=0.05)
+            observe(traj, rho=0.05)
 
     def test_reads_only_the_crossing(self):
         # flat after the crossing: the crossing is still defined, but the
         # densities are no observation, since they must increase strictly
         traj = Trajectory([4, 4, 8], Kinetics(1.0, 64.0))
-        assert hitting_time(traj, 0.05) == (0, -6)
         with pytest.raises(ValueError, match="strictly increasing"):
             observe(traj, 0.05)
 
@@ -121,8 +120,8 @@ class TestHittingTime:
         taus = []
         for rep in range(100):
             traj = simulate_reaction(kin, 1, 34, seed=5, replicate_id=rep)
-            _, tau = hitting_time(traj, rho=0.05)
-            taus.append(tau)
+            n_hit = observe(traj, rho=0.05).n_hit
+            taus.append(n_hit - inference._log_scale_cycles(kin.K, kin.b))
         taus = np.asarray(taus)
         assert np.mean(taus < 0) >= 0.95
         assert np.mean((taus >= -9) & (taus <= -4)) >= 0.80
@@ -179,6 +178,28 @@ class TestObservation:
         good = dict(rho=0.05, K=64.0, n_hit=2, kappas=[0.1, 0.2])
         with pytest.raises(ValueError, match=named):
             Observation(**{**good, field: value})
+
+    def test_one_check_per_window(self, monkeypatch):
+        # observe gathers its row as observe_rows does, and only Observation
+        # checks it; a fitted estimate reads the fit of that checked window
+        # without estimate_efficiency's repeat of the check
+        calls = []
+        check = inference._check_kappa_rows
+
+        def counted(kappas, rho):
+            calls.append(kappas.shape)
+            check(kappas, rho)
+
+        def refused(kappas):
+            raise AssertionError("estimate_efficiency called")
+
+        monkeypatch.setattr(inference, "_check_kappa_rows", counted)
+        monkeypatch.setattr(inference, "estimate_efficiency", refused)
+        traj = make_traj([1, 2, 4, 8, 16, 32, 64], v=1.0, K=2.0 ** 6)
+        observe(traj, rho=0.05)
+        assert calls == [(1, MAX_KAPPAS)]
+        assert estimate_from_trajectory(traj, rho=0.05).v_hat == 1.0
+        assert len(calls) == 2
 
     def test_numpy_crossing_cycle_accepted(self):
         n_hit, kappas = observe_rows([[0.01, 0.1, 0.2]], 0.05)
@@ -539,7 +560,7 @@ class TestReportPipeline:
     @pytest.mark.parametrize("v_known", [0.0, 1.0001])
     def test_known_efficiency_outside_unit_interval_raises(self, v_known):
         # only a fit is clipped to 1; an explicit efficiency is checked
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match="efficiency v_known must be in"):
             self.run_once(1.0, 20, 3, v_known=v_known)
 
     def test_scan_out_of_support_raises(self):
@@ -639,9 +660,9 @@ class TestReportPipeline:
          '"tau": 0, "kappas": [0.1], "settings": {}, "diagnostics": {}}',
          r"report\.json: t_values must all be finite and positive"),
         ("{", r"report\.json: Expecting property name"),
-        (_report_text(v_hat=1.7), r"report\.json: v_hat must be null or in \(0, 1\]"),
-        (_report_text(v_hat=math.nan), r"report\.json: v_hat must be null"),
-        (_report_text(v_hat=0.0), r"report\.json: v_hat must be null"),
+        (_report_text(v_hat=1.7), r"report\.json: efficiency v_hat must be in \(0, 1\]"),
+        (_report_text(v_hat=math.nan), r"report\.json: efficiency v_hat must be"),
+        (_report_text(v_hat=0.0), r"report\.json: efficiency v_hat must be"),
         (_report_text(tau="x"), r"report\.json: tau must be an integer"),
         (_report_text(tau=True), r"report\.json: tau must be an integer"),
         (_report_text(tau=-4.5), r"report\.json: tau must be an integer"),

@@ -15,6 +15,16 @@ from qpcrkin.kinetics import (
     limit_profile,
     mean_map,
 )
+from qpcrkin.simulate import simulate_reaction
+from qpcrkin.limit_law import (
+    LimitEnsemble,
+    ancestor_cdf,
+    ancestor_density,
+    limit_mgf,
+    sample_limit,
+)
+from qpcrkin.inference import EstimateReport, estimate_copies_normal, estimate_from_trajectory
+from qpcrkin.experiments import ScenarioSpec
 
 V_GRID = [0.25, 0.5, 0.9, 1.0]
 
@@ -72,6 +82,54 @@ class TestKinetics:
     def test_rejects_non_finite_scale(self, K):
         with pytest.raises(ValueError, match="scale K must be finite and positive"):
             Kinetics(v=0.5, K=K)
+
+
+def _estimate_t(v):
+    traj = simulate_reaction(Kinetics.from_exponent(0.5, 20), 2, 28, seed=3)
+    return estimate_from_trajectory(traj, 0.05, v_known=v, run_mle=False).t_values
+
+
+# every entry point that takes an efficiency: its name there, and a call
+EFFICIENCY_ENTRY_POINTS = [
+    pytest.param("v", lambda v: Kinetics(v=v, K=10.0).b, id="Kinetics"),
+    pytest.param("v", lambda v: sample_limit(v, count=8, seed=1).samples, id="sample_limit"),
+    pytest.param("v", lambda v: limit_mgf(np.array([0.5, 2.0]), v), id="limit_mgf"),
+    pytest.param("v", lambda v: ancestor_density(1.0, v, 3).values, id="ancestor_density"),
+    pytest.param("v", lambda v: ancestor_cdf([0.5, 2.0], v, 2).values, id="ancestor_cdf"),
+    pytest.param("v", lambda v: estimate_copies_normal(3.0, v), id="estimate_copies_normal"),
+    pytest.param("v_known", _estimate_t, id="estimate_from_trajectory"),
+    pytest.param("v_hat", lambda v: EstimateReport(None, 1.0, v, [1.0], 0, [0.1]).v_hat,
+                 id="EstimateReport"),
+    pytest.param("v", lambda v: ScenarioSpec(kind="estimation", v=v).to_json_dict(),
+                 id="ScenarioSpec"),
+    pytest.param("v", lambda v: LimitEnsemble([1.0, 1.0], v=v, z=1, n_gen=3).v,
+                 id="LimitEnsemble"),
+]
+
+
+def _outcome(call, v):
+    """call(v), or the text of the ValueError it raises."""
+    try:
+        return call(v)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestEfficiencyDomain:
+    @pytest.mark.parametrize("v,shown", [(True, "True"), (0.0, "0.0"), (1.5, "1.5"),
+                                         (math.nan, "nan")])
+    @pytest.mark.parametrize("name,call", EFFICIENCY_ENTRY_POINTS)
+    def test_refused_with_one_message(self, name, call, v, shown):
+        # True passed 0 < v <= 1 and ran the fully recoverable case
+        with pytest.raises(ValueError,
+                           match=rf"^efficiency {name} must be in \(0, 1\], got {shown}$"):
+            call(v)
+
+    @pytest.mark.parametrize("name,call", EFFICIENCY_ENTRY_POINTS)
+    def test_integer_and_numpy_efficiencies_accepted(self, name, call):
+        # the density refuses v = 1 by its own rule, the same for 1 and 1.0
+        np.testing.assert_equal(_outcome(call, 1), _outcome(call, 1.0))
+        np.testing.assert_equal(_outcome(call, np.float64(0.5)), _outcome(call, 0.5))
 
 
 class TestPrecision:

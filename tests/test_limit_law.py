@@ -917,7 +917,7 @@ class TestPsiTable:
     def test_both_readers_share_the_table_checks(self, v, z):
         # the density and the distribution function refuse an efficiency
         # outside (0, 1] and an ancestor count below 1 with the same error
-        match = "efficiency must be in" if z == 3 else "z_max must be an integer, at least 1"
+        match = "efficiency v must be in" if z == 3 else "z_max must be an integer, at least 1"
         for call in (ancestor_density, ancestor_cdf):
             with pytest.raises(ValueError, match=match):
                 call(1.0, v, z)
@@ -980,6 +980,18 @@ class TestExport:
         path.write_text("# v=0.5 z=1 n_gen=35 count=3 seed=0\nsample\n1.0\nnan\ninf\n")
         with pytest.raises(ValueError,
                            match=r"ens\.csv: limit samples must be finite and positive"):
+            read_ensemble_csv(path)
+
+    @pytest.mark.parametrize("meta,message", [
+        ("v=5 z=1 n_gen=3", r"efficiency v must be in \(0, 1\], got 5\.0"),
+        ("v=0.5 z=0 n_gen=3", "z and n_gen must be at least 1, got 0 and 3"),
+        ("v=0.5 z=1 n_gen=0", "z and n_gen must be at least 1, got 1 and 0"),
+    ], ids=["v-5", "z-0", "n_gen-0"])
+    def test_ensemble_metadata_out_of_range_refused(self, tmp_path, meta, message):
+        # each header used to be read as it stood
+        path = tmp_path / "ens.csv"
+        path.write_text(f"# {meta} count=2 seed=0\nsample\n1.0\n1.5\n")
+        with pytest.raises(ValueError, match=rf"ens\.csv: {message}"):
             read_ensemble_csv(path)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
