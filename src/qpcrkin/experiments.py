@@ -21,8 +21,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .kinetics import Kinetics, _check_efficiency, inverse_profile, limit_profile
-from .streams import _check_ints, _is_int
+from .kinetics import Kinetics, _check_efficiency, _check_open_unit, inverse_profile, limit_profile
+from .streams import _check_ints
 from .simulate import (
     _count_rows,
     _reaction_cycles,
@@ -71,8 +71,10 @@ class ScenarioSpec:
 
     ScenarioSpec(**doc) reads back a to_json_dict document; an unknown
     field raises TypeError.  The counts, cycles, seed and each of
-    m_values must be integers and v in (0, 1], none a bool, and
-    fit_efficiency a bool: ValueError names the first that is not.
+    m_values must be integers, none a bool: m, z0, replicates and each of
+    m_values at least 1, shift and extra_cycles at least 0.  v must be in
+    (0, 1], rho, gamma and c_exponent in (0, 1), and fit_efficiency a
+    bool.  ValueError names the first setting that is not.
     """
 
     kind: str
@@ -93,34 +95,19 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
-        _check_ints(m=self.m, z0=self.z0, replicates=self.replicates, seed=self.seed,
-                    shift=self.shift, extra_cycles=self.extra_cycles)
+        self.__dict__.update(_check_ints(1, m=self.m, z0=self.z0, replicates=self.replicates))
+        self.__dict__.update(_check_ints(0, shift=self.shift, extra_cycles=self.extra_cycles))
+        self.__dict__.update(_check_ints(seed=self.seed))
         if not isinstance(self.fit_efficiency, bool):
             raise ValueError(f"fit_efficiency must be a bool, got {self.fit_efficiency!r}")
         _check_efficiency("v", self.v)
-        if self.m < 1:
-            raise ValueError("m must be at least 1")
-        if self.z0 < 1:
-            raise ValueError("z0 must be at least 1")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError("rho must be in (0, 1)")
-        if self.replicates < 1:
-            raise ValueError("replicates must be at least 1")
-        if self.shift < 0:
-            raise ValueError("shift must be nonnegative")
-        if self.extra_cycles < 0:
-            raise ValueError("extra_cycles must be nonnegative")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must be in (0, 1)")
-        if not 0.0 < self.c_exponent < 1.0:
-            raise ValueError("c_exponent must be in (0, 1)")
+        for name in ("rho", "gamma", "c_exponent"):
+            _check_open_unit(name, getattr(self, name))
         if self.m_values is not None:
-            object.__setattr__(self, "m_values", tuple(self.m_values))
-            bad = [x for x in self.m_values if not _is_int(x)]
-            if bad:
-                raise ValueError(f"m_values must hold integers, got {bad[0]!r}")
-            if not self.m_values or min(self.m_values) < 1:
-                raise ValueError("m_values must be nonempty, each at least 1")
+            entries = {f"entry {i} of m_values": m for i, m in enumerate(self.m_values)}
+            if not entries:
+                raise ValueError("m_values must be nonempty")
+            object.__setattr__(self, "m_values", tuple(_check_ints(1, **entries).values()))
 
     def to_json_dict(self) -> dict:
         doc = asdict(self)
@@ -391,6 +378,8 @@ def emit_profile_curves(v_list, x_grid, out=None) -> list[tuple[float, np.ndarra
         raise ValueError("x_grid must lie within [0, 4]")
     curves = []
     for v in v_list:
+        # float() would take True for 1.0 before Kinetics could refuse it
+        _check_efficiency("v", v)
         kin = Kinetics(v=float(v), K=2.0)  # K is irrelevant to the profile
         curves.append((float(v), limit_profile(grid, kin)))
     if out is not None:

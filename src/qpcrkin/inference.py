@@ -25,10 +25,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .kinetics import Kinetics, _check_efficiency, inverse_profile
+from .kinetics import Kinetics, _check_efficiency, _check_open_unit, inverse_profile
 from .simulate import Trajectory, _reading, _replacing, densities
 from .limit_law import AncestorDensity, ancestor_density, limit_variance
-from .streams import _is_int
+from .streams import _check_ints, _is_int
 
 __all__ = [
     "MAX_KAPPAS",
@@ -99,8 +99,7 @@ class Observation:
     def __post_init__(self):
         arr = np.asarray(self.kappas, dtype=float)
         object.__setattr__(self, "kappas", arr)
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError("rho must be in (0, 1)")
+        _check_open_unit("rho", self.rho)
         if not (math.isfinite(self.K) and self.K > 1.0):
             raise ValueError("K must be finite and exceed 1")
         if arr.ndim != 1 or arr.size == 0:
@@ -108,8 +107,7 @@ class Observation:
         if not np.isfinite(arr).all():
             raise ValueError("kappas must be finite")
         _check_kappa_rows(arr[None, :], self.rho)
-        if not (_is_int(self.n_hit) and self.n_hit >= 0):
-            raise ValueError("n_hit must be a cycle index, a nonnegative integer")
+        self.__dict__.update(_check_ints(0, n_hit=self.n_hit))
 
 
 def _check_kappa_rows(kappas: np.ndarray, rho: float) -> None:
@@ -123,8 +121,7 @@ def _check_kappa_rows(kappas: np.ndarray, rho: float) -> None:
 
 def _windows(x: np.ndarray, rho: float) -> tuple:
     """observe_rows without its check of the densities it gathers."""
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must be in (0, 1)")
+    _check_open_unit("rho", rho)
     reached = x >= rho
     n_hit = np.where(reached.any(axis=1), reached.argmax(axis=1), -1)
     cols = n_hit[:, None] + np.arange(MAX_KAPPAS)

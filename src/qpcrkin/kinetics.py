@@ -52,6 +52,12 @@ def _check_efficiency(name: str, v) -> None:
         raise ValueError(f"efficiency {name} must be in (0, 1], got {v}")
 
 
+def _check_open_unit(name: str, x) -> None:
+    """Refuse a value outside (0, 1): NaN fails the comparison, True compares as 1."""
+    if not 0.0 < x < 1.0:
+        raise ValueError(f"{name} must be in (0, 1), got {x}")
+
+
 @dataclass(frozen=True)
 class Kinetics:
     """Reaction parameters: replication efficiency v and scale K.
@@ -96,9 +102,7 @@ class Precision:
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
-        if not (float(self.max_iter).is_integer() and self.max_iter >= 1):
-            raise ValueError("max_iter must be an integer, at least 1")
-        object.__setattr__(self, "max_iter", int(self.max_iter))
+        self.__dict__.update(_check_ints(1, max_iter=self.max_iter))
 
 
 #: defaults quoted by the acceptance tolerances: profile to 1e-10, inverse to 1e-8
@@ -138,9 +142,8 @@ def mean_map(x, kin: Kinetics):
 
 
 def iterate_mean_map(x, n: int, kin: Kinetics):
-    """n-fold composition of the mean map, n >= 0."""
-    if n < 0:
-        raise ValueError("iteration count must be nonnegative")
+    """n-fold composition of the mean map, n an integer of at least 0."""
+    _check_ints(0, n=n)
     arr = _as_nonnegative_array(x, "density")
     v = kin.v
     for _ in range(n):

@@ -101,7 +101,8 @@ class LimitEnsemble:
     """Monte Carlo samples of the scaled-growth limit of z starting molecules.
 
     Raises ValueError for samples that are not finite and positive, for v
-    outside (0, 1], and for z or n_gen not an integer of at least 1.
+    outside (0, 1], for z or n_gen not an integer of at least 1, and for a
+    seed that is not an integer.
     """
 
     samples: np.ndarray
@@ -118,9 +119,8 @@ class LimitEnsemble:
         if not (np.isfinite(arr).all() and (arr > 0.0).all()):
             raise ValueError("limit samples must be finite and positive")
         _check_efficiency("v", self.v)
-        streams._check_ints(z=self.z, n_gen=self.n_gen)
-        if min(self.z, self.n_gen) < 1:
-            raise ValueError(f"z and n_gen must be at least 1, got {self.z} and {self.n_gen}")
+        self.__dict__.update(streams._check_ints(1, z=self.z, n_gen=self.n_gen))
+        self.__dict__.update(streams._check_ints(seed=self.seed))
         if self.v == 1.0 and (arr != float(self.z)).any():
             raise ValueError("at efficiency 1 every sample must equal z")
 
@@ -141,15 +141,12 @@ def sample_limit(v: float, z: int = 1, count: int = 10 ** 4, seed: int = 0) -> L
     last block draws only the remainder of count, so only whole blocks
     are prefix-stable: block k's samples do not depend on count once
     count fills block k.  z, count and seed must be integers (bools
-    refused); ValueError names the one that is not, and is raised too
-    where z*b**n_gen could overflow the int64 counts.
+    refused), z and count at least 1; ValueError names the one that is
+    not, and is raised too where z*b**n_gen could overflow the int64
+    counts.
     """
     _check_efficiency("v", v)
-    streams._check_ints(z=z, count=count)
-    if z < 1:
-        raise ValueError("z must be at least 1")
-    if count < 1:
-        raise ValueError("count must be positive")
+    streams._check_ints(1, z=z, count=count)
     n_gen = default_generations(v)
     # lanes are int64: keep the mean count z*b**n_gen 64-fold below
     # overflow, so the step needs no per-generation range check
@@ -332,16 +329,15 @@ class _PsiTable:
     largest |psi| on its top octave's grid points.  With slope=True the
     same call carries psi' and psi'', of which only their largest moduli
     D and E on the top octave are kept (0 without slope).  Raises ValueError
-    for v outside (0, 1] or z_max not a positive integer, and
+    for v outside (0, 1] or z_max not an integer of at least 1, and
     PrecisionError when psi needs a depth beyond MGF_PRECISION.max_iter.
     At v = 1, W(z) = z and no reader iterates it.
     """
 
     def __init__(self, v: float, z_max: int, t_max: float, prec: Precision, slope: bool):
         _check_efficiency("v", v)
-        if not (float(z_max).is_integer() and z_max >= 1):
-            raise ValueError("z_max must be an integer, at least 1")
-        self.v, self.z_max, self.t_max, self.prec, self.slope = v, int(z_max), t_max, prec, slope
+        self.z_max = streams._check_ints(1, z_max=z_max)["z_max"]
+        self.v, self.t_max, self.prec, self.slope = v, t_max, prec, slope
         self.period = 4.0 * max(self.z_max, t_max) + 8.0
         self.h = 2.0 * math.pi / self.period
         first = DENSITY_BLOCK if slope else FREQUENCY_BLOCK
@@ -620,7 +616,8 @@ def ancestor_cdf(t, v: float, z: int,
     pts = np.atleast_1d(_as_nonnegative_array(t, "t"))
     if pts.ndim != 1 or pts.size == 0:
         raise ValueError("t must be a scalar or a nonempty 1-d array")
-    return _cdf_from(_PsiTable(v, z, float(pts.max()), prec, slope=False), pts, int(z))
+    table = _PsiTable(v, z, float(pts.max()), prec, slope=False)
+    return _cdf_from(table, pts, table.z_max)
 
 
 def _cdf_from(table: _PsiTable, pts: np.ndarray, z: int) -> AncestorCDF:

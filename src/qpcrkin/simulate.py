@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qpcrkin import streams
-from qpcrkin.kinetics import Kinetics, mean_map
+from qpcrkin.kinetics import Kinetics, _check_open_unit, mean_map
 
 __all__ = [
     "BLOCK_SIZE",
@@ -56,20 +56,17 @@ class SaturationError(OverflowError):
 
 
 def _check_settings(z0: int, n_cycles: int, replicates: int, gamma: float = 0.75) -> None:
-    streams._check_ints(z0=z0, n_cycles=n_cycles, replicates=replicates)
-    if z0 < 1:
-        raise ValueError("z0 must be at least 1")
-    if n_cycles < 1:
-        raise ValueError("n_cycles must be positive")
-    if replicates < 1:
-        raise ValueError("replicates must be positive")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must be in (0, 1)")
+    streams._check_ints(1, z0=z0, n_cycles=n_cycles, replicates=replicates)
+    _check_open_unit("gamma", gamma)
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Cycle-indexed molecule counts, entry n is the count after n cycles."""
+    """Cycle-indexed molecule counts, entry n is the count after n cycles.
+
+    seed and replicate_id must be integers (bools refused), so that its
+    file (write_trajectory_csv) reads back.
+    """
 
     counts: np.ndarray
     kinetics: Kinetics
@@ -82,6 +79,7 @@ class Trajectory:
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("counts must be a nonempty 1-d sequence")
         _check_count_rows(arr)
+        self.__dict__.update(streams._check_ints(seed=self.seed, replicate_id=self.replicate_id))
 
     @property
     def n_cycles(self) -> int:

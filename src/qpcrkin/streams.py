@@ -23,8 +23,8 @@ drawn).
 
 A key's parts must be integers (numpy ones included, bools not): a float
 seed would be truncated into the key without a word, so _packed_key
-refuses it, and the simulators, samplers and scenarios refuse their
-non-integer settings by the same _check_ints.
+refuses it, and every count and seed of the package is checked by the
+same _check_ints, with one message.
 """
 
 from __future__ import annotations
@@ -54,11 +54,19 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _check_ints(**settings) -> None:
-    """Raise ValueError naming the first of settings that is not an integer."""
+def _check_ints(least: int | None = None, **settings) -> dict:
+    """settings with each value a Python int, or ValueError naming the first that is not.
+
+    Each value must be an integer (_is_int), and at least least when it
+    is given.  A frozen dataclass stores the returned ints by
+    self.__dict__.update, so a numpy integer it was given is kept as an
+    int.
+    """
     for name, value in settings.items():
-        if not _is_int(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not _is_int(value) or (least is not None and value < least):
+            floor = "" if least is None else f" of at least {least}"
+            raise ValueError(f"{name} must be an integer{floor}, got {value!r}")
+    return {name: int(value) for name, value in settings.items()}
 
 
 def _packed_key(seed: int, purpose: int, replicate: int) -> tuple:

@@ -24,7 +24,7 @@ from qpcrkin.limit_law import (
     sample_limit,
 )
 from qpcrkin.inference import EstimateReport, estimate_copies_normal, estimate_from_trajectory
-from qpcrkin.experiments import ScenarioSpec
+from qpcrkin.experiments import ScenarioSpec, emit_profile_curves
 
 V_GRID = [0.25, 0.5, 0.9, 1.0]
 
@@ -104,6 +104,7 @@ EFFICIENCY_ENTRY_POINTS = [
                  id="ScenarioSpec"),
     pytest.param("v", lambda v: LimitEnsemble([1.0, 1.0], v=v, z=1, n_gen=3).v,
                  id="LimitEnsemble"),
+    pytest.param("v", lambda v: emit_profile_curves([v], [0.5])[0], id="emit_profile_curves"),
 ]
 
 
@@ -138,10 +139,12 @@ class TestPrecision:
         with pytest.raises(ValueError, match="max_iter"):
             Precision(tol=1e-8, max_iter=bad)
 
-    def test_integer_valued_cap_is_kept_as_int(self):
-        prec = Precision(tol=1e-8, max_iter=40.0)
-        assert type(prec.max_iter) is int and prec.max_iter == 40
-        assert inverse_profile(0.5, kin(0.5), prec) == inverse_profile(0.5, kin(0.5))
+    def test_integer_valued_float_cap_refused(self):
+        # 40.0 used to pass as 40, and 1e5 as 100000; every other count
+        # refuses a float
+        with pytest.raises(ValueError,
+                           match=r"^max_iter must be an integer of at least 1, got 40\.0$"):
+            Precision(tol=1e-8, max_iter=40.0)
 
 
 class TestMeanMap:

@@ -665,9 +665,11 @@ class TestExactDensity:
         with pytest.raises(ValueError, match="z_max must be an integer"):
             ancestor_density(1.0, 0.5, bad)
 
-    def test_integral_float_z_max_is_its_integer(self):
-        a, b = ancestor_density(1.0, 0.5, 3.0), ancestor_density(1.0, 0.5, 3)
-        assert np.array_equal(a.values, b.values)
+    def test_integral_float_z_max_refused(self):
+        # 3.0 used to pass as 3; every other count refuses a float
+        with pytest.raises(ValueError,
+                           match=r"^z_max must be an integer of at least 1, got 3\.0$"):
+            ancestor_density(1.0, 0.5, 3.0)
 
 
 def _trapezoid_terms(t, v, z, prec, points):
@@ -917,7 +919,7 @@ class TestPsiTable:
     def test_both_readers_share_the_table_checks(self, v, z):
         # the density and the distribution function refuse an efficiency
         # outside (0, 1] and an ancestor count below 1 with the same error
-        match = "efficiency v must be in" if z == 3 else "z_max must be an integer, at least 1"
+        match = "efficiency v must be in" if z == 3 else "z_max must be an integer of at least 1"
         for call in (ancestor_density, ancestor_cdf):
             with pytest.raises(ValueError, match=match):
                 call(1.0, v, z)
@@ -984,8 +986,8 @@ class TestExport:
 
     @pytest.mark.parametrize("meta,message", [
         ("v=5 z=1 n_gen=3", r"efficiency v must be in \(0, 1\], got 5\.0"),
-        ("v=0.5 z=0 n_gen=3", "z and n_gen must be at least 1, got 0 and 3"),
-        ("v=0.5 z=1 n_gen=0", "z and n_gen must be at least 1, got 1 and 0"),
+        ("v=0.5 z=0 n_gen=3", "z must be an integer of at least 1, got 0"),
+        ("v=0.5 z=1 n_gen=0", "n_gen must be an integer of at least 1, got 0"),
     ], ids=["v-5", "z-0", "n_gen-0"])
     def test_ensemble_metadata_out_of_range_refused(self, tmp_path, meta, message):
         # each header used to be read as it stood
@@ -993,6 +995,14 @@ class TestExport:
         path.write_text(f"# {meta} count=2 seed=0\nsample\n1.0\n1.5\n")
         with pytest.raises(ValueError, match=rf"ens\.csv: {message}"):
             read_ensemble_csv(path)
+
+    @pytest.mark.parametrize("seed", [2.5, True])
+    def test_ensemble_refuses_a_seed_its_file_could_not_hold(self, seed, tmp_path):
+        # seed=2.5 wrote a file that read_ensemble_csv refused
+        with pytest.raises(ValueError, match=rf"^seed must be an integer, got {seed!r}$"):
+            write_ensemble_csv(LimitEnsemble([1.0, 1.5], v=0.5, z=1, n_gen=3, seed=seed),
+                               tmp_path / "ens.csv")
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_ensemble_refuses_non_finite_samples(self, bad):

@@ -55,6 +55,23 @@ class TestConfigAndTrajectory:
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 simulate_replicates(Kinetics(0.5, 1000.0), **settings)
 
+    @pytest.mark.parametrize("bad", [{"seed": 1.5}, {"seed": True}, {"replicate_id": 2.5}])
+    def test_trajectory_refuses_a_seed_its_file_could_not_hold(self, bad, tmp_path):
+        # seed=1.5 wrote a file that read_trajectory_csv refused
+        name, value = next(iter(bad.items()))
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+            write_trajectory_csv(Trajectory([1, 2, 3], Kinetics(0.5, 100.0), **bad),
+                                 tmp_path / "traj.csv")
+        assert not list(tmp_path.iterdir())
+
+    def test_trajectory_numpy_seed_read_back(self, tmp_path):
+        traj = Trajectory([1, 2, 3], Kinetics(0.5, 100.0), seed=np.int64(7),
+                          replicate_id=np.uint32(2))
+        assert (type(traj.seed), type(traj.replicate_id)) == (int, int)
+        write_trajectory_csv(traj, tmp_path / "traj.csv")
+        back = read_trajectory_csv(tmp_path / "traj.csv")
+        assert (back.seed, back.replicate_id) == (7, 2)
+
     def test_trajectory_rejects_decreasing(self):
         with pytest.raises(ValueError):
             Trajectory(np.array([4, 3]), Kinetics(0.5, 10.0))
